@@ -25,7 +25,7 @@ from .spectral import (ComparisonProfile, PeriodicGrid1D, comparison_pv,
                        frac_lap_pv, frac_lap_symbol)
 from .sphere import (EquatorRegion, HemisphereMesh, lambda1, lambda1_codim1,
                      nu_acf_caps)
-from .system import CompetitionProblem, Reaction, sweep_beta
+from .system import CompetitionProblem, Reaction, bump, sweep_beta
 
 S_GRID = (0.25, 0.5, 0.75)
 
@@ -316,13 +316,6 @@ def check_comparison_estimate(quick: bool = False) -> CheckResult:
                        detail="; ".join(details))
 
 
-def _bump(center: float, width: float = 0.5):
-    def fn(x, y):
-        t = (x - center) / width
-        return np.exp(-4.0 * t * t) + 0.0 * y
-    return fn
-
-
 def _nu_hat_coarse(s: float) -> float:
     mesh = HemisphereMesh(params=FracParams(s=s, N=2), ntheta=24, nphi=48)
     return nu_acf_caps(mesh, np.linspace(0.0, math.pi, 5)).nu_hat
@@ -347,7 +340,7 @@ def check_beta_sweep(quick: bool = False) -> CheckResult:
             params=p, grid_config=GridConfig(d=1, L=2.0, Y=1.5, nx=nx, ny=ny),
             k=2, beta=0.0, coupling=np.array([[0.0, 1.0], [1.0, 0.0]]),
             reactions=(Reaction("zero"), Reaction("zero")),
-            dirichlet=(_bump(-1.0), _bump(1.0)))
+            dirichlet=(bump(-1.0), bump(1.0)))
         sweep = sweep_beta(prob, betas, holder_alpha=alpha)
         ov = sweep.column("overlap")
         bo = sweep.column("beta_times_overlap")

@@ -30,7 +30,7 @@ from .spectral import (ComparisonProfile, PeriodicGrid1D, comparison_pv,
                        frac_lap_pv, frac_lap_symbol, pv_calibration_constant)
 from .sphere import EquatorRegion, HemisphereMesh, lambda1, lambda1_codim1, \
     nu_acf_caps
-from .system import CompetitionProblem, Reaction, solve_system, sweep_beta
+from .system import CompetitionProblem, Reaction, bump, solve_system, sweep_beta
 
 
 @dataclass
@@ -95,13 +95,6 @@ def _grid_config(cfg: dict) -> GridConfig:
                       grading_p=g.get("grading_p"))
 
 
-def _bump(center: float, width: float, height: float):
-    def fn(x, y):
-        t = (x - center) / width
-        return height * np.exp(-4.0 * t * t) + 0.0 * y
-    return fn
-
-
 def _problem(cfg: dict, beta: float) -> CompetitionProblem:
     params = _params(cfg)
     pr = cfg.get("problem", {})
@@ -126,7 +119,7 @@ def _problem(cfg: dict, beta: float) -> CompetitionProblem:
             raise ConfigurationError("bump centers must list one per component")
         width = bspec.get("width", 0.5)
         height = bspec.get("height", 1.0)
-        dirichlet = tuple(_bump(c, width, height) for c in centers)
+        dirichlet = tuple(bump(c, width, height) for c in centers)
     return CompetitionProblem(params=params, grid_config=_grid_config(cfg),
                               k=k, beta=beta, coupling=coupling,
                               reactions=reactions, dirichlet=dirichlet)
@@ -191,7 +184,10 @@ def cmd_sweep(cfg: dict, args) -> RunReport:
     atomic_write_text(path, sweep.to_csv())
     report.files.append(path)
     ov = sweep.column("overlap")
-    report.meta.update(overlaps=list(map(float, ov)))
+    report.meta.update(overlaps=list(map(float, ov)),
+                       outer_iters=[r.outer_iters for r in sweep.rows],
+                       seconds=[r.seconds for r in sweep.rows],
+                       splu_calls=sweep.factorizations)
     report.add("sweep completed", float(ov[-1]), float(ov[0]), True,
                detail=f"{len(betas)} beta values")
     return report
@@ -386,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reduced resolution, doubled tolerances")
         p.add_argument("--json", action="store_true",
                        help="emit the machine-readable report on stdout")
-        p.add_argument("--serial", action="store_true",
-                       help="force deterministic serial execution")
         if name == "diagnose":
             p.add_argument("snapshot", help="field snapshot to analyze")
     return parser
@@ -395,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.serial:
-        os.environ.setdefault("OMP_NUM_THREADS", "1")
     try:
         if args.command == "verify":
             cfg = load_config(args.config) if args.config else {}

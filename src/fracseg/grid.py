@@ -18,18 +18,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from .core import FracParams
 from .errors import ConfigurationError, ConvergenceError
-
-try:
-    import pyamg
-
-    _HAVE_PYAMG = True
-except ImportError:  # pragma: no cover
-    _HAVE_PYAMG = False
 
 _SNAP_MAGIC = b"XHSG"
 _SNAP_VERSION = 1
@@ -307,13 +301,6 @@ def apply_operator(grid: HalfSpaceGrid, fld: Field) -> np.ndarray:
     return (r / grid.node_volume.ravel()).reshape(grid.shape)
 
 
-def interior_residual(grid: HalfSpaceGrid, fld: Field) -> np.ndarray:
-    """apply_operator restricted to strictly interior nodes."""
-    r = apply_operator(grid, fld)
-    sl = (slice(1, -1),) * grid.d + (slice(1, -1),)
-    return r[sl]
-
-
 def dtn_trace(grid: HalfSpaceGrid, fld: Field) -> np.ndarray:
     """Weighted Dirichlet-to-Neumann trace -2s (v(., y1) - v(., 0)) / y1^{2s}.
 
@@ -329,14 +316,12 @@ def dtn_trace(grid: HalfSpaceGrid, fld: Field) -> np.ndarray:
 # boundary data and the linear solve
 # --------------------------------------------------------------------------
 
-def _materialize(value, coords):
-    """Evaluate a scalar / array / callable(x1[, x2], y) boundary spec."""
-    if callable(value):
-        out = value(*coords)
-    else:
-        out = value
-    return np.broadcast_to(np.asarray(out, dtype=float),
-                           np.broadcast_shapes(*[np.shape(c) for c in coords])).copy()
+def _materialize(value, grid: HalfSpaceGrid, sl):
+    """Evaluate a scalar / array / callable(x1[, x2], y) boundary spec on the
+    nodes grid[sl]."""
+    coords = [np.broadcast_to(c, grid.shape)[sl] for c in grid_coordinates(grid)]
+    out = value(*coords) if callable(value) else value
+    return np.broadcast_to(np.asarray(out, dtype=float), coords[0].shape).copy()
 
 
 @dataclass
@@ -356,38 +341,28 @@ class BoundaryData:
     trace_dirichlet: object | None = None
 
 
-def _boundary_masks(grid: HalfSpaceGrid, bdata: BoundaryData):
+def dirichlet_data(grid: HalfSpaceGrid, bdata: BoundaryData):
     """Dirichlet mask and value array for the full node set."""
-    shape = grid.shape
-    dmask = np.zeros(shape, dtype=bool)
-    dvals = np.zeros(shape)
-    coords = grid_coordinates(grid)
+    dmask = np.zeros(grid.shape, dtype=bool)
+    dvals = np.zeros(grid.shape)
+
+    def put(sl, spec):
+        dmask[sl] = True
+        dvals[sl] = _materialize(spec, grid, sl)
 
     if bdata.sides is not None:
         for axis in range(grid.d):
             for edge in (0, -1):
                 sl = [slice(None)] * (grid.d + 1)
                 sl[axis] = edge
-                sl = tuple(sl)
-                cc = [np.broadcast_to(c, shape)[sl] for c in coords]
-                dmask[sl] = True
-                dvals[sl] = _materialize(bdata.sides, cc)
-
-    sl = (slice(None),) * grid.d + (-1,)
-    cc = [np.broadcast_to(c, shape)[sl] for c in coords]
-    dmask[sl] = True
-    dvals[sl] = _materialize(bdata.top, cc)
-
+                put(tuple(sl), bdata.sides)
+    put((..., -1), bdata.top)
     if bdata.trace_dirichlet is not None:
-        sl = (slice(None),) * grid.d + (0,)
-        cc = [np.broadcast_to(c, shape)[sl] for c in coords]
-        dmask[sl] = True
-        dvals[sl] = _materialize(bdata.trace_dirichlet, cc)
-
+        put((..., 0), bdata.trace_dirichlet)
     return dmask, dvals
 
 
-def _trace_area(grid: HalfSpaceGrid) -> np.ndarray:
+def trace_area(grid: HalfSpaceGrid) -> np.ndarray:
     """Horizontal dual measure of each trace node."""
     hx = grid.x_dual
     if grid.d == 1:
@@ -395,63 +370,154 @@ def _trace_area(grid: HalfSpaceGrid) -> np.ndarray:
     return hx[:, None] * hx[None, :]
 
 
-@dataclass
-class SolveStats:
-    method: str
-    iterations: int
-    residual: float
-
-
-def _solve_spd(A: sps.csr_matrix, b: np.ndarray, tol: float, maxiter: int | None,
-               method: str = "auto"):
-    """Solve the SPD system, direct for small problems, AMG-PCG otherwise.
-
-    The system is symmetrically Jacobi-equilibrated first; the matched trace
-    conductance scales like y1^{-2s}, which would otherwise dominate both the
-    pivoting and the residual norm.
-    """
-    n = A.shape[0]
-    if maxiter is None:
-        maxiter = int(20 * math.sqrt(n)) + 200
-    if float(np.linalg.norm(b)) == 0.0:
-        return np.zeros(n), SolveStats("trivial", 0, 0.0)
-    d = A.diagonal()
+def _inv_sqrt_diagonal(d: np.ndarray) -> np.ndarray:
+    """Symmetric Jacobi scaling; the matched trace conductance scales like
+    y1^{-2s}, which would otherwise dominate both the pivoting and the
+    residual norm."""
     if np.any(d <= 0):
         raise ConvergenceError("operator lost positive diagonal")
-    dhalf = 1.0 / np.sqrt(d)
-    D = sps.diags(dhalf)
-    As = (D @ A @ D).tocsr()
-    bs = dhalf * b
-    bnorm = float(np.linalg.norm(bs))
+    return 1.0 / np.sqrt(d)
 
-    if method == "auto":
-        method = "direct" if n <= 150_000 else "pcg"
-    if method == "direct":
-        xs = spla.splu(As.tocsc()).solve(bs)
-        res = float(np.linalg.norm(As @ xs - bs)) / bnorm
+
+#: Most free trace nodes a condensing TraceSystem condenses onto.  The dense
+#: Schur complement and its Cholesky copy take 16 n^2 bytes, 268 MB at the
+#: cap; above it every solve factors the sparse reduced operator.
+TRACE_CAP = 4096
+
+
+class TraceSystem:
+    """Linear extension solves on one grid with one Dirichlet node set.
+
+    Eliminating the Dirichlet nodes leaves the reduced operator A on the
+    free trace nodes t and the interior nodes i.  The Neumann row
+    d_nu^a v = g0 - m v only adds m * area to the t diagonal.  With
+    condense (and at most TRACE_CAP free trace nodes) A_ii is factored once
+    and A is condensed to the dense Schur complement
+    S = A_tt - A_ti A_ii^-1 A_it, the discrete Dirichlet-to-Neumann map;
+    each solve is then the dense SPD system (S + diag(m area)) t =
+    c + g0 area plus an interior recovery with the cached factor.
+    Otherwise each solve factors the whole reduced operator, which is
+    cheaper for a one-shot solve.
+    """
+
+    def __init__(self, grid: HalfSpaceGrid, dirichlet_mask: np.ndarray,
+                 condense: bool = True):
+        self.grid, self.mask = grid, dirichlet_mask
+        self.unk = np.flatnonzero(~dirichlet_mask.ravel())
+        self.dir = np.flatnonzero(dirichlet_mask.ravel())
+        A_u = grid.operator[self.unk]
+        self.A_uu = A_u[:, self.unk].tocsr()
+        self.A_ud = A_u[:, self.dir].tocsr()
+        pos = np.full(grid.n_nodes, -1, dtype=np.int64)
+        pos[self.unk] = np.arange(self.unk.size)
+        rows = pos[np.arange(grid.n_nodes).reshape(grid.shape)[..., 0].ravel()]
+        self.trace_free = rows >= 0  # lateral-Dirichlet corners drop out
+        self.trace_rows = rows[self.trace_free]
+        self.area = trace_area(grid).ravel()[self.trace_free]
+        self._diag = self.A_uu.diagonal()
+        self.factorizations = 0
+        self.schur = None
+        if condense and self.trace_rows.size <= TRACE_CAP:
+            self._condense()
+
+    def _condense(self) -> None:
+        tr = self.trace_rows
+        self._inner = np.setdiff1d(np.arange(self.unk.size), tr)
+        A_i = self.A_uu[self._inner]
+        A_ii = A_i[:, self._inner]
+        self._dh = _inv_sqrt_diagonal(A_ii.diagonal())
+        D = sps.diags(self._dh)
+        # minimum degree on A + A^T: half the fill of COLAMD on this pattern
+        self._lu = spla.splu((D @ A_ii @ D).tocsc(), permc_spec="MMD_AT_PLUS_A")
+        self.factorizations += 1
+        self._A_it = A_i[:, tr].tocsc()
+        self._A_ti = self._A_it.T.tocsr()
+        S = self.A_uu[tr][:, tr].toarray()
+        for j in range(0, tr.size, 16):  # column blocks bound the work space
+            cols = slice(j, j + 16)
+            S[:, cols] -= self._A_ti @ self._inner_solve(self._A_it[:, cols].toarray())
+        self.schur = 0.5 * (S + S.T)
+
+    def _inner_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A_ii^-1 rhs through the cached equilibrated factor."""
+        dh = self._dh if rhs.ndim == 1 else self._dh[:, None]
+        return dh * self._lu.solve(dh * rhs)
+
+    def _on_trace(self, values) -> np.ndarray:
+        return np.broadcast_to(values, self.grid.shape[:-1]).ravel()[self.trace_free]
+
+    def serves(self, grid: HalfSpaceGrid, dirichlet_mask: np.ndarray) -> bool:
+        """Whether this engine was built for grid and dirichlet_mask."""
+        g = self.grid
+        return (g.params == grid.params and g.L == grid.L
+                and np.array_equal(g.y, grid.y)
+                and np.array_equal(self.mask, dirichlet_mask))
+
+    def load(self, dvals: np.ndarray) -> tuple:
+        """Grid-shaped Dirichlet values dvals, their reduced right-hand side
+        b and, when condensed, b condensed onto the free trace (else None)."""
+        b = -(self.A_ud @ dvals.ravel()[self.dir])
+        if self.schur is None:
+            return dvals, b, None
+        c = b[self.trace_rows] - self._A_ti @ self._inner_solve(b[self._inner])
+        return dvals, b, c
+
+    def solve(self, load: tuple, m, g0, tol: float = 1e-10,
+              maxiter: int | None = None, method: str = "auto") -> np.ndarray:
+        """Grid-shaped solution for a load with trace absorption m and source g0.
+
+        Uncondensed solves use sparse LU up to 150k unknowns and
+        Jacobi-scaled CG above (method "direct" or "pcg" forces one).  Every
+        solve is checked by the equilibrated residual of the reduced system.
+        """
+        n, tr = self.unk.size, self.trace_rows
+        dvals, b, c = load
+        absorb = np.zeros(n)
+        absorb[tr] = self._on_trace(m) * self.area
+        ga = self._on_trace(g0) * self.area
+        b = b.copy()
+        b[tr] += ga
+        dh = _inv_sqrt_diagonal(self._diag + absorb)
+        bnorm = float(np.linalg.norm(dh * b))
+        if bnorm == 0.0:
+            return self._field(dvals, np.zeros(n))
+        info = 0
+        if self.schur is not None:
+            x = np.empty(n)
+            St = self.schur.copy()
+            St.flat[::tr.size + 1] += absorb[tr]
+            try:
+                x[tr] = sla.cho_solve(sla.cho_factor(St, overwrite_a=True), c + ga)
+            except (np.linalg.LinAlgError, ValueError) as exc:  # not SPD, or NaN
+                raise ConvergenceError("condensed trace solve failed") from exc
+            x[self._inner] = self._inner_solve(b[self._inner] - self._A_it @ x[tr])
+        else:
+            D = sps.diags(dh)
+            As = (D @ (self.A_uu + sps.diags(absorb)) @ D).tocsr()
+            if method == "auto":
+                method = "direct" if n <= 150_000 else "pcg"
+            if method == "direct":
+                xs = spla.splu(As.tocsc()).solve(dh * b)
+                self.factorizations += 1
+            else:
+                if maxiter is None:
+                    maxiter = int(20 * math.sqrt(n)) + 200
+                xs, info = spla.cg(As, dh * b, rtol=tol, atol=0.0, maxiter=maxiter)
+            x = dh * xs
+        res = float(np.linalg.norm(dh * (self.A_uu @ x + absorb * x - b))) / bnorm
+        if info != 0:
+            raise ConvergenceError(
+                f"CG failed to reach tol={tol} within {maxiter} iterations",
+                residual=res, iterations=info)
         if not np.isfinite(res) or res > max(tol * 100, 1e-8):
-            raise ConvergenceError("direct solve failed", residual=res)
-        return dhalf * xs, SolveStats("direct", 1, res)
+            raise ConvergenceError("linear solve failed its residual check",
+                                   residual=res)
+        return self._field(dvals, x)
 
-    if _HAVE_PYAMG:
-        ml = pyamg.smoothed_aggregation_solver(As, symmetry="symmetric",
-                                               max_coarse=64)
-        M = ml.aspreconditioner(cycle="V")
-    else:  # pragma: no cover
-        M = None
-    it = 0
-
-    def _cb(_):
-        nonlocal it
-        it += 1
-
-    xs, info = spla.cg(As, bs, rtol=tol, atol=0.0, maxiter=maxiter, M=M, callback=_cb)
-    res = float(np.linalg.norm(As @ xs - bs)) / bnorm
-    if info != 0 or not np.isfinite(res):
-        raise ConvergenceError(
-            f"PCG failed to reach tol={tol} within {maxiter} iterations",
-            residual=res, iterations=it)
-    return dhalf * xs, SolveStats("pcg", it, res)
+    def _field(self, dvals, x) -> np.ndarray:
+        full = dvals.ravel().copy()
+        full[self.unk] = x
+        return full.reshape(self.grid.shape)
 
 
 def solve_linear(grid: HalfSpaceGrid, bdata: BoundaryData, tol: float = 1e-10,
@@ -460,47 +526,21 @@ def solve_linear(grid: HalfSpaceGrid, bdata: BoundaryData, tol: float = 1e-10,
 
     The bottom-row equations impose the Neumann flux through the matched
     trace stencil; with m >= 0 the reduced system is an M-matrix, so
-    nonnegative data yields a nonnegative solution.
+    nonnegative data yields a nonnegative solution.  A one-shot solve gains
+    nothing from condensation, so it factors the reduced operator once.
     """
-    dmask, dvals = _boundary_masks(grid, bdata)
-    trace_is_neumann = bdata.trace_dirichlet is None
-
-    A = grid.operator
-    flat_mask = dmask.ravel()
-    unk = np.flatnonzero(~flat_mask)
-    dir_ = np.flatnonzero(flat_mask)
-    if unk.size == 0:
+    dmask, dvals = dirichlet_data(grid, bdata)
+    engine = TraceSystem(grid, dmask, condense=False)
+    if engine.unk.size == 0:
         return Field(grid, dvals)
-
-    A_uu = A[unk][:, unk].tocsr()
-    rhs = -A[unk][:, dir_] @ dvals.ravel()[dir_]
-
-    if trace_is_neumann:
-        coords = grid_coordinates(grid)
-        sl = (slice(None),) * grid.d + (0,)
-        cc = [np.broadcast_to(c, grid.shape)[sl] for c in coords]
-        g0 = _materialize(bdata.neumann_g0, cc)
-        m = _materialize(bdata.neumann_m, cc)
+    m = g0 = 0.0
+    if bdata.trace_dirichlet is None:
+        g0 = _materialize(bdata.neumann_g0, grid, (..., 0))
+        m = _materialize(bdata.neumann_m, grid, (..., 0))
         if np.any(m < 0):
             raise ConfigurationError("absorption coefficient m must be >= 0")
-        area = _trace_area(grid)
-        # map trace nodes into the unknown numbering
-        pos = np.full(grid.n_nodes, -1, dtype=np.int64)
-        pos[unk] = np.arange(unk.size)
-        tr_idx = np.arange(grid.n_nodes).reshape(grid.shape)[sl].ravel()
-        keep = pos[tr_idx] >= 0
-        rows = pos[tr_idx][keep]
-        A_uu = (A_uu + sps.coo_matrix(
-            ((m.ravel() * area.ravel())[keep], (rows, rows)),
-            shape=A_uu.shape)).tocsr()
-        bump = np.zeros(unk.size)
-        bump[rows] = (g0.ravel() * area.ravel())[keep]
-        rhs = rhs + bump
-
-    sol, _ = _solve_spd(A_uu, rhs, tol=tol, maxiter=maxiter, method=method)
-    full = dvals.ravel().copy()
-    full[unk] = sol
-    return Field(grid, full.reshape(grid.shape))
+    return Field(grid, engine.solve(engine.load(dvals), m, g0, tol, maxiter,
+                                    method))
 
 
 # --------------------------------------------------------------------------

@@ -12,16 +12,16 @@ seminorms per beta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sps
 
 from .core import FracParams
 from .diagnostics import trace_seminorm
 from .errors import ConfigurationError, ConvergenceError
-from .grid import (BoundaryData, Field, GridConfig, HalfSpaceGrid,
-                   _boundary_masks, _solve_spd, _trace_area, build_grid)
+from .grid import (BoundaryData, Field, GridConfig, TraceSystem, build_grid,
+                   dirichlet_data, trace_area)
 
 REACTION_KINDS = ("zero", "linear", "logistic")
 
@@ -93,60 +93,34 @@ class SolveResult:
         return [f.trace for f in self.fields]
 
 
-class _ComponentSolver:
-    """Pre-assembled linear machinery shared by all outer sweeps."""
-
-    def __init__(self, grid: HalfSpaceGrid, dirichlet_specs):
-        self.grid = grid
-        self.area = _trace_area(grid).ravel()
-        A = grid.operator
-        k = len(dirichlet_specs)
-        self.dvals = []
-        rhs_dir = []
-        mask = None
-        for spec in dirichlet_specs:
-            bd = BoundaryData(top=spec, sides=spec)
-            dmask, dv = _boundary_masks(grid, bd)
-            mask = dmask if mask is None else mask
-            self.dvals.append(dv)
-        flat = mask.ravel()
-        self.unk = np.flatnonzero(~flat)
-        dir_ = np.flatnonzero(flat)
-        self.A_uu = A[self.unk][:, self.unk].tocsr()
-        A_ud = A[self.unk][:, dir_]
-        self.rhs_dir = [-(A_ud @ dv.ravel()[dir_]) for dv in self.dvals]
-        pos = np.full(grid.n_nodes, -1, dtype=np.int64)
-        pos[self.unk] = np.arange(self.unk.size)
-        trace_sl = (slice(None),) * grid.d + (0,)
-        tr_idx = np.arange(grid.n_nodes).reshape(grid.shape)[trace_sl].ravel()
-        rows = pos[tr_idx]
-        self.trace_free = rows >= 0  # lateral-Dirichlet corners drop out
-        self.trace_rows = rows[self.trace_free]
-
-    def solve(self, ci: int, m: np.ndarray, g0: np.ndarray,
-              tol: float) -> np.ndarray:
-        diag = np.zeros(self.unk.size)
-        diag[self.trace_rows] = (m.ravel() * self.area)[self.trace_free]
-        A = self.A_uu + sps.diags(diag)
-        rhs = self.rhs_dir[ci].copy()
-        rhs[self.trace_rows] += (g0.ravel() * self.area)[self.trace_free]
-        sol, _ = _solve_spd(A.tocsr(), rhs, tol=tol, maxiter=None, method="auto")
-        full = self.dvals[ci].ravel().copy()
-        full[self.unk] = sol
-        return full.reshape(self.grid.shape)
+def bump(center: float, width: float = 0.5, height: float = 1.0):
+    """Gaussian bump height * exp(-4 ((x - center) / width)^2) as wall data."""
+    def fn(x, y):
+        t = (x - center) / width
+        return height * np.exp(-4.0 * t * t) + 0.0 * y
+    return fn
 
 
 def solve_system(prob: CompetitionProblem, warm_start=None, tol: float = 1e-8,
-                 max_outer: int = 500, inner_tol: float = 1e-10) -> SolveResult:
+                 max_outer: int = 500, inner_tol: float = 1e-10,
+                 engine: TraceSystem | None = None) -> SolveResult:
     """Gauss-Seidel outer iteration (ascending component index) until the
     max-norm change of successive iterates drops below tol.
 
     Nonnegative boundary data yields nonnegative fields (the frozen-neighbor
     absorption only adds to the M-matrix diagonal).  Raises ConvergenceError
     with the residual history if the sweep cap is exceeded or NaNs appear.
+    engine, the linear engine of the same grid and walls, carries its
+    factorization over from an earlier solve (sweep_beta passes one).
     """
     grid = build_grid(prob.grid_config, prob.params)
-    solver = _ComponentSolver(grid, prob.dirichlet)
+    walls = [dirichlet_data(grid, BoundaryData(top=spec, sides=spec))
+             for spec in prob.dirichlet]
+    if engine is None:
+        engine = TraceSystem(grid, walls[0][0])
+    elif not engine.serves(grid, walls[0][0]):
+        raise ConfigurationError("engine was built for another grid")
+    loads = [engine.load(dvals) for _, dvals in walls]
     k = prob.k
     if warm_start is not None:
         if len(warm_start) != k:
@@ -165,16 +139,10 @@ def solve_system(prob: CompetitionProblem, warm_start=None, tol: float = 1e-8,
     for outer in range(1, max_outer + 1):
         change = 0.0
         for i in range(k):
-            tr_i = vals[i][(slice(None),) * grid.d + (0,)]
-            m = np.zeros_like(tr_i)
-            for j in range(k):
-                if j == i:
-                    continue
-                tr_j = vals[j][(slice(None),) * grid.d + (0,)]
-                m += prob.coupling[i, j] * tr_j ** 2
-            m *= prob.beta
-            g0 = prob.reactions[i](tr_i)
-            new = solver.solve(i, m, g0, inner_tol)
+            m = prob.beta * sum(prob.coupling[i, j] * vals[j][..., 0] ** 2
+                                for j in range(k) if j != i)
+            new = engine.solve(loads[i], m, prob.reactions[i](vals[i][..., 0]),
+                               inner_tol)
             change = max(change, float(np.abs(new - vals[i]).max()))
             vals[i] = new
         if not all(np.all(np.isfinite(v)) for v in vals):
@@ -201,7 +169,7 @@ def solve_system(prob: CompetitionProblem, warm_start=None, tol: float = 1e-8,
 def trace_overlap(result: SolveResult) -> float:
     """Trace overlap sum_{i<j} int u_i^2 u_j^2 dx over the whole trace."""
     grid = result.fields[0].grid
-    area = _trace_area(grid)
+    area = trace_area(grid)
     total = 0.0
     traces = result.traces
     for i in range(len(traces)):
@@ -219,12 +187,14 @@ class SweepRow:
     holder_alpha: float
     holder_seminorm: float
     outer_iters: int
+    seconds: float  # solve and diagnostics; not written to the CSV
 
 
 @dataclass
 class BetaSweep:
     rows: list
     results: list = field(default_factory=list, repr=False)
+    factorizations: int = 0  # sparse LU factorizations over the sweep
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows])
@@ -258,17 +228,17 @@ def sweep_beta(prob: CompetitionProblem, betas, holder_alpha: float,
         raise ConfigurationError("betas must be a nonempty increasing list")
     if x_window is None:
         x_window = 0.5 * prob.grid_config.L
+    grid = build_grid(prob.grid_config, prob.params)
+    engine = TraceSystem(grid, dirichlet_data(grid, BoundaryData())[0])
     rows = []
     results = []
     fields = None
     for b in betas:
-        prob_b = CompetitionProblem(
-            params=prob.params, grid_config=prob.grid_config, k=prob.k,
-            beta=float(b), coupling=prob.coupling, reactions=prob.reactions,
-            dirichlet=prob.dirichlet)
+        start = time.perf_counter()
         try:
-            res = solve_system(prob_b, warm_start=fields if warm_start else None,
-                               tol=tol, max_outer=max_outer)
+            res = solve_system(replace(prob, beta=float(b)),
+                               warm_start=fields if warm_start else None,
+                               tol=tol, max_outer=max_outer, engine=engine)
         except ConvergenceError as exc:
             raise ConvergenceError(f"sweep failed at beta={b:g}: {exc}",
                                    residual=exc.residual,
@@ -283,7 +253,9 @@ def sweep_beta(prob: CompetitionProblem, betas, holder_alpha: float,
             sup_norms=[float(np.abs(f.values).max()) for f in res.fields],
             overlap=overlap, beta_times_overlap=float(b) * overlap,
             holder_alpha=holder_alpha, holder_seminorm=semi,
-            outer_iters=res.outer_iters))
+            outer_iters=res.outer_iters,
+            seconds=time.perf_counter() - start))
         if keep_results:
             results.append(res)
-    return BetaSweep(rows=rows, results=results)
+    return BetaSweep(rows=rows, results=results,
+                     factorizations=engine.factorizations)

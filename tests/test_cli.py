@@ -99,11 +99,21 @@ def test_sweep_deterministic_output(tmp_path):
     outs = []
     for name in ("a", "b"):
         out = os.path.join(tmp_path, name)
-        assert cli.main(["sweep", "--config", path, "--out", out,
-                         "--serial"]) == 0
+        assert cli.main(["sweep", "--config", path, "--out", out]) == 0
         with open(os.path.join(out, "sweep.csv"), "rb") as fh:
             outs.append(fh.read())
     assert outs[0] == outs[1]
+
+
+def test_sweep_json_reports_per_beta_solver_data(tmp_path, capsys):
+    path = write_config(tmp_path, tiny_config())
+    out = os.path.join(tmp_path, "sj")
+    assert cli.main(["sweep", "--config", path, "--out", out, "--json"]) == 0
+    meta = json.loads(capsys.readouterr().out)["meta"]
+    assert len(meta["outer_iters"]) == len(meta["seconds"]) == 2
+    assert all(n >= 1 for n in meta["outer_iters"])
+    assert all(t > 0 for t in meta["seconds"])
+    assert meta["splu_calls"] == 1
 
 
 def test_eigen_landmarks(tmp_path, capsys):

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+import fracseg.grid as grid_mod
 from fracseg.core import FracParams
 from fracseg.errors import ConfigurationError, ConvergenceError
-from fracseg.grid import BoundaryData, GridConfig, build_grid, dtn_trace, \
-    solve_linear
+from fracseg.grid import BoundaryData, GridConfig, TraceSystem, build_grid, \
+    dirichlet_data, dtn_trace, solve_linear
 from fracseg.system import (CompetitionProblem, Reaction, solve_system,
                             sweep_beta, trace_overlap)
 
@@ -185,3 +186,64 @@ def test_d2_system_smoke():
     assert res.converged
     assert all(f.values.min() >= -1e-12 for f in res.fields)
     assert trace_overlap(res) > 0
+
+
+@pytest.mark.parametrize("s, bound", [(0.5, 1e-12), (0.75, 2e-8)])
+def test_condensed_matches_sparse_path(s, bound, monkeypatch):
+    # criterion-10 problem (quick grid); at s = 0.75 the two paths may stop
+    # one outer iteration apart, so they agree to within 2 x outer tol
+    betas = [1e2, 1e3, 1e4]
+    dense = sweep_beta(make_problem(s=s), betas, holder_alpha=0.05,
+                       keep_results=True)
+    monkeypatch.setattr(grid_mod, "TRACE_CAP", 0)
+    sparse = sweep_beta(make_problem(s=s), betas, holder_alpha=0.05,
+                        keep_results=True)
+    assert dense.factorizations == 1
+    assert sparse.factorizations == 2 * sum(sparse.column("outer_iters"))
+    diff = max(np.abs(a.values - b.values).max()
+               for ra, rb in zip(dense.results, sparse.results)
+               for a, b in zip(ra.fields, rb.fields))
+    assert diff <= bound
+
+
+def test_sweep_factors_interior_once(monkeypatch):
+    shapes = []
+    splu = grid_mod.spla.splu
+
+    def counting_splu(A, *args, **kwargs):
+        shapes.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(grid_mod.spla, "splu", counting_splu)
+    prob = make_problem(nx=65, ny=24)
+    sweep = sweep_beta(prob, [1e2, 1e3, 1e4], holder_alpha=0.05)
+    interior = (prob.grid_config.nx - 2) * (prob.grid_config.ny - 1)
+    assert shapes == [(interior, interior)]
+    assert sweep.factorizations == 1
+
+
+@pytest.mark.parametrize("nx", [65, grid_mod.TRACE_CAP + 4])
+def test_engine_matches_one_shot_solve(nx):
+    # above TRACE_CAP free trace nodes the engine takes the sparse path
+    g = build_grid(GridConfig(d=1, L=2.0, Y=1.0, nx=nx, ny=4),
+                   FracParams(s=0.5, N=1))
+    top = bump(0.3)
+    mask, dvals = dirichlet_data(g, BoundaryData(top=top, sides=top))
+    engine = TraceSystem(g, mask)
+    assert (engine.schur is None) == (nx - 2 > grid_mod.TRACE_CAP)
+    m = 50.0 * np.exp(-g.x ** 2)
+    g0 = 0.2 * np.cos(g.x)
+    got = engine.solve(engine.load(dvals), m, g0)
+    want = solve_linear(g, BoundaryData(top=top, sides=top, neumann_m=m,
+                                        neumann_g0=g0))
+    assert np.abs(got - want.values).max() <= 1e-12
+
+
+def test_solve_system_rejects_engine_of_other_grid():
+    prob = make_problem(nx=65, ny=24)
+    g = build_grid(prob.grid_config, prob.params)
+    engine = TraceSystem(g, dirichlet_data(g, BoundaryData())[0])
+    assert solve_system(prob, engine=engine).converged
+    for other in (make_problem(nx=67, ny=24), make_problem(s=0.75, nx=65, ny=24)):
+        with pytest.raises(ConfigurationError):
+            solve_system(other, engine=engine)
