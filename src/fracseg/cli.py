@@ -187,15 +187,27 @@ def cmd_sweep(cfg: dict, args) -> RunReport:
     report.meta.update(overlaps=list(map(float, ov)),
                        outer_iters=[r.outer_iters for r in sweep.rows],
                        seconds=[r.seconds for r in sweep.rows],
-                       splu_calls=sweep.factorizations)
+                       factorizations=sweep.factorizations)
     report.add("sweep completed", float(ov[-1]), float(ov[0]), True,
                detail=f"{len(betas)} beta values")
     return report
 
 
+def _profile(fn, fld, center, radii, *args):
+    """fn's radial profile; radii or a center the grid cannot hold are bad
+    input (exit 2), not a failed check."""
+    try:
+        return fn(fld, center, radii, *args)
+    except ValueError as exc:
+        raise ConfigurationError(f"diagnostics: {exc}") from exc
+
+
 def cmd_diagnose(cfg: dict, args, snapshot: str) -> RunReport:
     report = RunReport("diagnose")
-    fields = read_snapshot(snapshot)
+    try:
+        fields = read_snapshot(snapshot)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read snapshot: {exc}") from exc
     dg = cfg.get("diagnostics", {})
     rr = dg.get("radii", {"start": 0.1, "stop": 0.5, "num": 11})
     if rr.get("spacing", "geom") == "geom":
@@ -219,11 +231,11 @@ def cmd_diagnose(cfg: dict, args, snapshot: str) -> RunReport:
 
     for q in quantities:
         if q == "almgren":
-            prof = almgren(fields, center, radii)
+            prof = _profile(almgren, fields, center, radii)
             for p_ in (prof.E, prof.H, prof.Nfreq):
                 add_profile(p_)
         elif q.startswith("acf_"):
-            add_profile(acf_one_phase(fields[0], center, radii, q))
+            add_profile(_profile(acf_one_phase, fields[0], center, radii, q))
         elif q == "holder":
             for alpha in dg.get("alphas", [0.1]):
                 semi = max(trace_seminorm(f, alpha) for f in fields)
@@ -347,7 +359,7 @@ def cmd_oracle(cfg: dict, args) -> RunReport:
     return report
 
 
-def cmd_verify(cfg: dict | None, args) -> RunReport:
+def cmd_verify(args) -> RunReport:
     report = RunReport("verify")
 
     def progress(res):
@@ -391,8 +403,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            cfg = load_config(args.config) if args.config else {}
-            report = cmd_verify(cfg, args)
+            if args.config is not None:
+                raise ConfigurationError("verify takes no --config: the "
+                                         "acceptance suite fixes its own inputs")
+            report = cmd_verify(args)
         else:
             if args.config is None:
                 raise ConfigurationError(f"{args.command} requires --config")

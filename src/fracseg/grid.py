@@ -27,6 +27,8 @@ from .errors import ConfigurationError, ConvergenceError
 
 _SNAP_MAGIC = b"XHSG"
 _SNAP_VERSION = 1
+#: magic, version, d, nx, ny, components, L, Y, grading_p, s, N
+_SNAP_HEAD = "<4sIIIIIddddI"
 
 
 @dataclass(frozen=True)
@@ -379,10 +381,25 @@ def _inv_sqrt_diagonal(d: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(d)
 
 
-#: Most free trace nodes a condensing TraceSystem condenses onto.  The dense
-#: Schur complement and its Cholesky copy take 16 n^2 bytes, 268 MB at the
-#: cap; above it every solve factors the sparse reduced operator.
+#: Most free horizontal nodes (nx'^d) a separable TraceSystem serves.  The
+#: dense Schur complement and its Cholesky copy take 16 n^2 bytes, 268 MB at
+#: the cap; above it every solve factors the sparse reduced operator.
 TRACE_CAP = 4096
+
+
+def _separable_layout(grid: HalfSpaceGrid, mask: np.ndarray):
+    """(free horizontal slice, Dirichlet trace) when the Dirichlet nodes are
+    all or none of the sides, the top row and all or none of the trace row,
+    which is the form dirichlet_data gives; None for any other mask."""
+    d = grid.d
+    sides = bool(mask[(0,) * d + (1,)])
+    trace_dirichlet = bool(mask[(grid.nx // 2,) * d + (0,)])
+    xs = slice(1, grid.nx - 1) if sides else slice(None)
+    free = np.zeros(grid.shape, dtype=bool)
+    free[(xs,) * d + (slice(int(trace_dirichlet), grid.ny),)] = True
+    if not np.array_equal(mask, ~free):
+        return None
+    return xs, trace_dirichlet
 
 
 class TraceSystem:
@@ -390,18 +407,22 @@ class TraceSystem:
 
     Eliminating the Dirichlet nodes leaves the reduced operator A on the
     free trace nodes t and the interior nodes i.  The Neumann row
-    d_nu^a v = g0 - m v only adds m * area to the t diagonal.  With
-    condense (and at most TRACE_CAP free trace nodes) A_ii is factored once
-    and A is condensed to the dense Schur complement
-    S = A_tt - A_ti A_ii^-1 A_it, the discrete Dirichlet-to-Neumann map;
-    each solve is then the dense SPD system (S + diag(m area)) t =
-    c + g0 area plus an interior recovery with the cached factor.
-    Otherwise each solve factors the whole reduced operator, which is
-    cheaper for a one-shot solve.
+    d_nu^a v = g0 - m v only adds m * area to the t diagonal.  On the tensor
+    grid A is a Kronecker sum, A = Hx (x) Ky + Kx (x) Wy in d = 1 (one more
+    Kx term in d = 2).  When the Dirichlet nodes are whole sides, the top row
+    and possibly the trace row, and at most TRACE_CAP free horizontal nodes
+    remain, the engine diagonalizes the horizontal part once
+    (Kx v = lambda Hx v; fast diagonalization), which splits A_ii into one
+    tridiagonal system in y per mode.  The Schur complement
+    S = A_tt - A_ti A_ii^-1 A_it, the discrete Dirichlet-to-Neumann map, is
+    diagonal in the modes; each solve is the dense SPD system
+    (S + diag(m area)) t = c + g0 area plus the interior A_ii^-1 b_i of the
+    load corrected by its precomputed response to t.  With a Dirichlet trace
+    each solve is purely spectral.  Otherwise each solve factors the sparse
+    reduced operator.
     """
 
-    def __init__(self, grid: HalfSpaceGrid, dirichlet_mask: np.ndarray,
-                 condense: bool = True):
+    def __init__(self, grid: HalfSpaceGrid, dirichlet_mask: np.ndarray):
         self.grid, self.mask = grid, dirichlet_mask
         self.unk = np.flatnonzero(~dirichlet_mask.ravel())
         self.dir = np.flatnonzero(dirichlet_mask.ravel())
@@ -417,31 +438,81 @@ class TraceSystem:
         self._diag = self.A_uu.diagonal()
         self.factorizations = 0
         self.schur = None
-        if condense and self.trace_rows.size <= TRACE_CAP:
-            self._condense()
+        self._faces = None  # off-diagonal (p, q, conductance) of the operator
+        layout = _separable_layout(grid, dirichlet_mask)
+        if layout is not None and grid.x[layout[0]].size ** grid.d <= TRACE_CAP:
+            self._separate(*layout)
 
-    def _condense(self) -> None:
-        tr = self.trace_rows
-        self._inner = np.setdiff1d(np.arange(self.unk.size), tr)
-        A_i = self.A_uu[self._inner]
-        A_ii = A_i[:, self._inner]
-        self._dh = _inv_sqrt_diagonal(A_ii.diagonal())
-        D = sps.diags(self._dh)
-        # minimum degree on A + A^T: half the fill of COLAMD on this pattern
-        self._lu = spla.splu((D @ A_ii @ D).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    def _separate(self, xs: slice, trace_dirichlet: bool) -> None:
+        """Horizontal eigenbasis, per-mode factors and the Schur complement."""
+        g = self.grid
+        h = g.x_dual[xs]
+        deg = np.full(h.size, 2.0)
+        if xs.start is None:  # zero-flux sides
+            deg[[0, -1]] = 1.0
+        # Kx' v = lambda Hx' v through the symmetric Hx'^-1/2 Kx' Hx'^-1/2
+        lam, U = sla.eigh_tridiagonal(deg / (g.dx * h),
+                                      -1.0 / (g.dx * np.sqrt(h[:-1] * h[1:])))
+        self._V = U / np.sqrt(h)[:, None]  # V^T Hx' V = I
+        if g.d == 2:
+            lam = lam[:, None] + lam[None, :]
+        # per-mode tridiagonal T_k = lambda_k Wy + Ky on the rows 1..ny-1,
+        # factored from the Dirichlet top down (U D U^T).  Pivot j is
+        # gv_{j-1} + rho_j, where rho_j, the conductance row j sees upward,
+        # sums positive terms only: the y1^{-2s} trace conductance would
+        # cancel in a bottom-up factorization and in gv0 - gv0^2 (T_k^-1)_00.
+        gv, w = g.vertical_conductance, g.y_dual_w
+        col = (-1,) + (1,) * g.d
+        shunt = w.reshape(col) * lam
+        rho = np.empty((g.ny - 1,) + lam.shape)
+        rho[-1] = shunt[-2] + gv[-1]
+        for j in range(g.ny - 3, -1, -1):
+            rho[j] = shunt[j + 1] + gv[j + 1] * rho[j + 1] / (gv[j + 1] + rho[j + 1])
+        self._piv = gv[:-1].reshape(col) + rho
+        if not np.all(self._piv > 0):
+            raise ConvergenceError("operator lost positive diagonal")
+        self._mult = -gv[1:-1].reshape(col) / self._piv[1:]
+        self._block = (g.ny - int(trace_dirichlet),) + lam.shape  # rows first
         self.factorizations += 1
-        self._A_it = A_i[:, tr].tocsc()
-        self._A_ti = self._A_it.T.tocsr()
-        S = self.A_uu[tr][:, tr].toarray()
-        for j in range(0, tr.size, 16):  # column blocks bound the work space
-            cols = slice(j, j + 16)
-            S[:, cols] -= self._A_ti @ self._inner_solve(self._A_it[:, cols].toarray())
-        self.schur = 0.5 * (S + S.T)
+        if trace_dirichlet:
+            self.schur = np.zeros((0, 0))
+            return
+        e0 = np.zeros(rho.shape)
+        e0[0] = 1.0
+        self._resp = gv[0] * self._tridiag_solve(e0)  # interior response to t
+        # the Dirichlet-to-Neumann symbol per mode, S = (Hx'V) diag(sigma) (Hx'V)^T
+        sigma = (shunt[0] + gv[0] * rho[0] / self._piv[0]).ravel()
+        if not np.all(sigma > 0):
+            raise ConvergenceError("condensed trace operator is not positive")
+        P = h[:, None] * self._V
+        if g.d == 2:
+            P = np.kron(P, P)
+        P *= np.sqrt(sigma)
+        self.schur = P @ P.T
 
-    def _inner_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """A_ii^-1 rhs through the cached equilibrated factor."""
-        dh = self._dh if rhs.ndim == 1 else self._dh[:, None]
-        return dh * self._lu.solve(dh * rhs)
+    def _tridiag_solve(self, u: np.ndarray) -> np.ndarray:
+        """T_k^-1 u for every mode, rows first; overwrites u."""
+        mult = self._mult
+        for j in range(u.shape[0] - 2, -1, -1):
+            u[j] -= mult[j] * u[j + 1]
+        u /= self._piv
+        for j in range(1, u.shape[0]):
+            u[j] -= mult[j - 1] * u[j - 1]
+        return u
+
+    def _to_modes(self, u: np.ndarray) -> np.ndarray:
+        """V^T along every horizontal axis (the last d axes of u)."""
+        u = u @ self._V
+        return self._V.T @ u if self.grid.d == 2 else u
+
+    def _from_modes(self, u: np.ndarray) -> np.ndarray:
+        """V along every horizontal axis; inverts _to_modes."""
+        u = u @ self._V.T
+        return self._V @ u if self.grid.d == 2 else u
+
+    def _interior_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A_ii^-1 rhs for rows-first interior values."""
+        return self._from_modes(self._tridiag_solve(self._to_modes(rhs)))
 
     def _on_trace(self, values) -> np.ndarray:
         return np.broadcast_to(values, self.grid.shape[:-1]).ravel()[self.trace_free]
@@ -455,23 +526,32 @@ class TraceSystem:
 
     def load(self, dvals: np.ndarray) -> tuple:
         """Grid-shaped Dirichlet values dvals, their reduced right-hand side
-        b and, when condensed, b condensed onto the free trace (else None)."""
+        b and, for a separable engine, the interior z = A_ii^-1 b_i (rows
+        first) and b condensed onto the free trace (else None, None)."""
         b = -(self.A_ud @ dvals.ravel()[self.dir])
         if self.schur is None:
-            return dvals, b, None
-        c = b[self.trace_rows] - self._A_ti @ self._inner_solve(b[self._inner])
-        return dvals, b, c
+            return dvals, b, None, None
+        rows = np.moveaxis(b.reshape(self._block[1:] + self._block[:1]), -1, 0)
+        rows = np.ascontiguousarray(rows)  # BLAS is 6x slower on the view
+        if not self.trace_rows.size:
+            return dvals, b, self._interior_solve(rows), None
+        z = self._interior_solve(rows[1:])
+        gv0 = self.grid.vertical_conductance[0]
+        c = rows[0].ravel() + gv0 * self.area * z[0].ravel()
+        return dvals, b, z, c
 
     def solve(self, load: tuple, m, g0, tol: float = 1e-10,
               maxiter: int | None = None, method: str = "auto") -> np.ndarray:
         """Grid-shaped solution for a load with trace absorption m and source g0.
 
-        Uncondensed solves use sparse LU up to 150k unknowns and
-        Jacobi-scaled CG above (method "direct" or "pcg" forces one).  Every
-        solve is checked by the equilibrated residual of the reduced system.
+        A separable engine solves spectrally.  Otherwise, or when method
+        "direct" or "pcg" is forced, the sparse reduced operator is solved:
+        by LU plus one flux-form refinement step up to 150k unknowns, by
+        Jacobi-scaled CG above.  Every solve is checked by the equilibrated
+        residual of the reduced system.
         """
         n, tr = self.unk.size, self.trace_rows
-        dvals, b, c = load
+        dvals, b, z, c = load
         absorb = np.zeros(n)
         absorb[tr] = self._on_trace(m) * self.area
         ga = self._on_trace(g0) * self.area
@@ -482,23 +562,18 @@ class TraceSystem:
         if bnorm == 0.0:
             return self._field(dvals, np.zeros(n))
         info = 0
-        if self.schur is not None:
-            x = np.empty(n)
-            St = self.schur.copy()
-            St.flat[::tr.size + 1] += absorb[tr]
-            try:
-                x[tr] = sla.cho_solve(sla.cho_factor(St, overwrite_a=True), c + ga)
-            except (np.linalg.LinAlgError, ValueError) as exc:  # not SPD, or NaN
-                raise ConvergenceError("condensed trace solve failed") from exc
-            x[self._inner] = self._inner_solve(b[self._inner] - self._A_it @ x[tr])
+        if self.schur is not None and method == "auto":
+            x = self._separable_solve(z, c, absorb[tr], ga)
         else:
             D = sps.diags(dh)
             As = (D @ (self.A_uu + sps.diags(absorb)) @ D).tocsr()
             if method == "auto":
                 method = "direct" if n <= 150_000 else "pcg"
             if method == "direct":
-                xs = spla.splu(As.tocsc()).solve(dh * b)
+                lu = spla.splu(As.tocsc())
                 self.factorizations += 1
+                xs = lu.solve(dh * b)
+                xs += lu.solve(dh * self._flux_residual(dvals, dh * xs, absorb, ga))
             else:
                 if maxiter is None:
                     maxiter = int(20 * math.sqrt(n)) + 200
@@ -514,6 +589,44 @@ class TraceSystem:
                                    residual=res)
         return self._field(dvals, x)
 
+    def _flux_residual(self, dvals, x, absorb, ga) -> np.ndarray:
+        """Residual of the reduced system with A applied face by face.
+
+        On graded grids the y1^{-2s} trace conductance dwarfs the rest of
+        its rows, and the rounding of the diagonal that holds it moves the
+        solution by up to 1e-5 at s = 3/4.  Here each conductance multiplies
+        a difference v_p - v_q, so one refinement step on this residual
+        restores the accuracy the assembled matrix loses.
+        """
+        if self._faces is None:
+            A = self.grid.operator.tocoo()
+            off = A.row != A.col
+            self._faces = A.row[off], A.col[off], -A.data[off]
+        p, q, g = self._faces
+        v = dvals.ravel().copy()
+        v[self.unk] = x
+        flux = np.bincount(p, weights=g * (v[p] - v[q]), minlength=v.size)
+        r = -flux[self.unk] - absorb * x
+        r[self.trace_rows] += ga
+        return r
+
+    def _separable_solve(self, z, c, absorb, ga) -> np.ndarray:
+        """Reduced solution from the load's interior z and condensed c."""
+        x = np.empty(self._block)
+        if c is None:
+            x[:] = z
+        else:
+            St = self.schur.copy()
+            St.flat[::c.size + 1] += absorb
+            try:
+                t = sla.cho_solve(sla.cho_factor(St, overwrite_a=True), c + ga)
+            except (np.linalg.LinAlgError, ValueError) as exc:  # not SPD, or NaN
+                raise ConvergenceError("condensed trace solve failed") from exc
+            x[0] = t.reshape(z.shape[1:])
+            q = self._to_modes((self.area * t).reshape(z.shape[1:]))
+            x[1:] = z + self._from_modes(self._resp * q)
+        return np.moveaxis(x, 0, -1).ravel()
+
     def _field(self, dvals, x) -> np.ndarray:
         full = dvals.ravel().copy()
         full[self.unk] = x
@@ -526,11 +639,12 @@ def solve_linear(grid: HalfSpaceGrid, bdata: BoundaryData, tol: float = 1e-10,
 
     The bottom-row equations impose the Neumann flux through the matched
     trace stencil; with m >= 0 the reduced system is an M-matrix, so
-    nonnegative data yields a nonnegative solution.  A one-shot solve gains
-    nothing from condensation, so it factors the reduced operator once.
+    nonnegative data yields a nonnegative solution.  Solved by a TraceSystem
+    of the boundary's Dirichlet nodes: spectrally on the grids dirichlet_data
+    describes, by the sparse reduced operator when method is forced.
     """
     dmask, dvals = dirichlet_data(grid, bdata)
-    engine = TraceSystem(grid, dmask, condense=False)
+    engine = TraceSystem(grid, dmask)
     if engine.unk.size == 0:
         return Field(grid, dvals)
     m = g0 = 0.0
@@ -552,7 +666,10 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates 0600
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
         os.replace(tmp, path)
@@ -572,30 +689,33 @@ def write_snapshot(path: str, fields: list[Field]) -> None:
         raise ValueError("nothing to write")
     grid = fields[0].grid
     header = struct.pack(
-        "<4sIIIIIdddd", _SNAP_MAGIC, _SNAP_VERSION, grid.d, grid.nx, grid.ny,
+        _SNAP_HEAD, _SNAP_MAGIC, _SNAP_VERSION, grid.d, grid.nx, grid.ny,
         len(fields), grid.L, grid.Y, grid.grading_p, grid.params.s,
-    ) + struct.pack("<I", grid.params.N)
+        grid.params.N)
     payload = b"".join(np.ascontiguousarray(f.values, dtype="<f8").tobytes()
                        for f in fields)
     atomic_write_bytes(path, header + payload)
 
 
 def read_snapshot(path: str) -> list[Field]:
+    """Fields from a snapshot file; ValueError if it is not a whole one."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    head_fmt = "<4sIIIIIdddd"
-    head_size = struct.calcsize(head_fmt)
-    magic, version, d, nx, ny, k, L, Y, p, s = struct.unpack_from(head_fmt, raw)
-    (N,) = struct.unpack_from("<I", raw, head_size)
-    if magic != _SNAP_MAGIC or version != _SNAP_VERSION:
+    head_size = struct.calcsize(_SNAP_HEAD)
+    if len(raw) < head_size or raw[:4] != _SNAP_MAGIC:
         raise ValueError(f"{path} is not a field snapshot")
+    magic, version, d, nx, ny, k, L, Y, p, s, N = struct.unpack_from(_SNAP_HEAD, raw)
+    if version != _SNAP_VERSION:
+        raise ValueError(f"{path}: unsupported snapshot version {version}")
+    n = nx ** d * (ny + 1)
+    if len(raw) != head_size + k * n * 8:
+        raise ValueError(f"{path}: payload holds {len(raw) - head_size} bytes, "
+                         f"the header announces {k * n * 8}")
     grid = build_grid(GridConfig(d=d, L=L, Y=Y, nx=nx, ny=ny, grading_p=p),
                       FracParams(s=s, N=N))
-    offset = head_size + 4
-    n = grid.n_nodes
     fields = []
     for ci in range(k):
-        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=offset + ci * n * 8)
+        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=head_size + ci * n * 8)
         fields.append(Field(grid, arr.reshape(grid.shape).copy(), component=ci))
     return fields
 

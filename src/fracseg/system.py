@@ -194,7 +194,7 @@ class SweepRow:
 class BetaSweep:
     rows: list
     results: list = field(default_factory=list, repr=False)
-    factorizations: int = 0  # sparse LU factorizations over the sweep
+    factorizations: int = 0  # operator factorizations (any kind) over the sweep
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows])

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import fracseg.cli as cli
+from fracseg.core import FracParams
 from fracseg.errors import ConvergenceError
-from fracseg.grid import read_snapshot
+from fracseg.grid import (Field, GridConfig, atomic_write_bytes, build_grid,
+                          read_snapshot, write_snapshot)
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -93,6 +95,71 @@ def test_solve_and_diagnose_roundtrip(tmp_path):
     assert header == "r,value,quantity,center_x,tolerance,violation_flag"
 
 
+def _diagnose_setup(tmp_path, stop=0.8):
+    cfg = tiny_config()
+    cfg["diagnostics"] = {"center": [0.0],
+                          "radii": {"start": 0.2, "stop": stop, "num": 5}}
+    g = build_grid(GridConfig(**cfg["grid"]), FracParams(s=0.5, N=1))
+    snap = os.path.join(tmp_path, "fields.bin")
+    write_snapshot(snap, [Field(g, np.ones(g.shape))])
+    return write_config(tmp_path, cfg), snap
+
+
+def _diagnose(path, snap, tmp_path):
+    return cli.main(["diagnose", snap, "--config", path,
+                     "--out", os.path.join(tmp_path, "od")])
+
+
+def test_diagnose_missing_snapshot_exits_2(tmp_path, capsys):
+    path, _ = _diagnose_setup(tmp_path)
+    assert _diagnose(path, os.path.join(tmp_path, "none.bin"), tmp_path) == 2
+    assert "cannot read snapshot" in capsys.readouterr().err
+
+
+def test_diagnose_garbage_snapshot_exits_2(tmp_path, capsys):
+    path, snap = _diagnose_setup(tmp_path)
+    with open(snap, "wb") as fh:
+        fh.write(b"not a snapshot")
+    assert _diagnose(path, snap, tmp_path) == 2
+    assert "is not a field snapshot" in capsys.readouterr().err
+
+
+def test_diagnose_truncated_snapshot_exits_2(tmp_path, capsys):
+    path, snap = _diagnose_setup(tmp_path)
+    with open(snap, "rb") as fh:
+        raw = fh.read()
+    with open(snap, "wb") as fh:
+        fh.write(raw[:-8])
+    assert _diagnose(path, snap, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "payload" in err and len(err.strip().splitlines()) == 1
+
+
+def test_diagnose_radius_beyond_grid_exits_2(tmp_path, capsys):
+    path, snap = _diagnose_setup(tmp_path, stop=5.0)
+    assert _diagnose(path, snap, tmp_path) == 2
+    assert "exceeds grid bound" in capsys.readouterr().err
+
+
+def test_verify_rejects_config(tmp_path, capsys):
+    path = write_config(tmp_path, tiny_config())
+    assert cli.main(["verify", "--quick", "--config", path]) == 2
+    assert "verify takes no --config" in capsys.readouterr().err
+
+
+def test_outputs_follow_umask(tmp_path):
+    path = os.path.join(tmp_path, "out.bin")
+    old = os.umask(0o022)
+    try:
+        atomic_write_bytes(path, b"x")
+        assert os.stat(path).st_mode & 0o777 == 0o644
+        os.umask(0o077)
+        atomic_write_bytes(path, b"y")
+        assert os.stat(path).st_mode & 0o777 == 0o600
+    finally:
+        os.umask(old)
+
+
 def test_sweep_deterministic_output(tmp_path):
     cfg = tiny_config()
     path = write_config(tmp_path, cfg)
@@ -113,7 +180,7 @@ def test_sweep_json_reports_per_beta_solver_data(tmp_path, capsys):
     assert len(meta["outer_iters"]) == len(meta["seconds"]) == 2
     assert all(n >= 1 for n in meta["outer_iters"])
     assert all(t > 0 for t in meta["seconds"])
-    assert meta["splu_calls"] == 1
+    assert meta["factorizations"] == 1
 
 
 def test_eigen_landmarks(tmp_path, capsys):

@@ -269,3 +269,18 @@ def test_snapshot_roundtrip(tmp_path):
     header = csv.splitlines()[0]
     assert header == "x1,y,v0,v1"
     assert len(csv.splitlines()) == 1 + g.n_nodes
+
+
+def test_snapshot_header_checks(tmp_path):
+    g = small_grid(nx=9, ny=4)
+    path = os.path.join(tmp_path, "snap.bin")
+    write_snapshot(path, [Field(g, np.zeros(g.shape))])
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    bad_version = raw[:4] + (2).to_bytes(4, "little") + raw[8:]
+    for name, payload in (("version", bad_version), ("long", raw + b"\0"),
+                          ("header", raw[:20])):
+        with open(path, "wb") as fh:
+            fh.write(payload)
+        with pytest.raises(ValueError):
+            read_snapshot(path)

@@ -207,6 +207,8 @@ def test_condensed_matches_sparse_path(s, bound, monkeypatch):
 
 
 def test_sweep_factors_interior_once(monkeypatch):
+    # the separable engine makes no sparse LU; its setup is the one
+    # factorization of the sweep
     shapes = []
     splu = grid_mod.spla.splu
 
@@ -215,11 +217,96 @@ def test_sweep_factors_interior_once(monkeypatch):
         return splu(A, *args, **kwargs)
 
     monkeypatch.setattr(grid_mod.spla, "splu", counting_splu)
-    prob = make_problem(nx=65, ny=24)
-    sweep = sweep_beta(prob, [1e2, 1e3, 1e4], holder_alpha=0.05)
-    interior = (prob.grid_config.nx - 2) * (prob.grid_config.ny - 1)
-    assert shapes == [(interior, interior)]
+    sweep = sweep_beta(make_problem(nx=65, ny=24), [1e2, 1e3, 1e4],
+                       holder_alpha=0.05)
+    assert shapes == []
     assert sweep.factorizations == 1
+
+
+def _d1(s, nx, ny, L=1.0, Y=1.0, grading_p=None):
+    return build_grid(GridConfig(d=1, L=L, Y=Y, nx=nx, ny=ny,
+                                 grading_p=grading_p), FracParams(s=s, N=1))
+
+
+SEPARABLE_CASES = {
+    "dtn": (_d1(0.5, 256, 128, L=np.pi, Y=6.0),
+            BoundaryData(top=0.0, sides=None,
+                         trace_dirichlet=lambda x, y: np.cos(2.0 * x))),
+    "neumann-const-m": (_d1(0.25, 129, 64),
+                        BoundaryData(top=1.0, sides=1.0, neumann_m=10.0,
+                                     neumann_g0=lambda x, y: 0.1 * np.cos(3 * x))),
+    "neumann-var-m": (_d1(0.5, 129, 64),
+                      BoundaryData(top=bump(0.3), sides=bump(0.3),
+                                   neumann_m=lambda x, y: 50.0 * np.exp(-x * x) + 0 * y,
+                                   neumann_g0=0.2)),
+    "acf-vanishing-trace": (_d1(0.5, 129, 128, L=0.8, Y=0.8, grading_p=1.0),
+                            BoundaryData(top=lambda x, y: y + 0 * x,
+                                         sides=lambda x, y: y + 0 * x,
+                                         trace_dirichlet=0.0)),
+    "d2-neumann": (build_grid(GridConfig(d=2, L=1.0, Y=1.0, nx=17, ny=8),
+                              FracParams(s=0.5, N=2)),
+                   BoundaryData(top=1.0, sides=1.0,
+                                neumann_m=lambda x1, x2, y: 5.0 + x1 + 0 * x2 * y,
+                                neumann_g0=lambda x1, x2, y: 0.1 * np.cos(3 * x1)
+                                * np.cos(2 * x2) + 0 * y)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEPARABLE_CASES))
+def test_separable_matches_sparse_lu(case):
+    g, bd = SEPARABLE_CASES[case]
+    engine = TraceSystem(g, dirichlet_data(g, bd)[0])
+    assert engine.schur is not None
+    got = solve_linear(g, bd).values
+    want = solve_linear(g, bd, method="direct").values
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("s, tol", [(0.25, 1e-9), (0.5, 1e-9), (0.75, 1e-3)])
+def test_trace_schur_is_the_dtn_map(s, tol):
+    # criterion-2 grid family with zero-flux sides and a free trace: S / area
+    # is the discrete DtN map, so on cos(kx) it scales like k^{2s}.  It adds
+    # the trace row's own horizontal flux w0 * lambda_k (cos(kx) is an exact
+    # eigenvector of Kx) to the dtn_trace of the solved extension.  At s = 3/4
+    # dtn_trace multiplies v1 - v0 by 2s y1^{-2s} ~ 5e11, so its round-off
+    # floor is about 1e-4 of the amplitude.
+    g = _d1(s, 256, 128, L=np.pi, Y=6.0)
+    engine = TraceSystem(g, dirichlet_data(g, BoundaryData(top=0.0, sides=None))[0])
+    amps = {}
+    for k in (1, 2, 4):
+        c = np.cos(k * g.x)
+        amp = (engine.schur @ c / engine.area) @ c / (c @ c)
+        fld = solve_linear(g, BoundaryData(top=0.0, sides=None,
+                                           trace_dirichlet=lambda x, y: np.cos(k * x)))
+        lam = 2.0 / g.dx ** 2 * (1.0 - np.cos(k * g.dx))
+        solved = dtn_trace(g, fld) @ c / (c @ c)
+        assert amp - g.y_dual_w[0] * lam == pytest.approx(solved, rel=tol)
+        amps[k] = amp
+    for a, b in ((2, 1), (4, 2), (4, 1)):
+        assert amps[a] / amps[b] == pytest.approx((a / b) ** (2 * s), rel=0.03)
+
+
+def test_separable_engine_rejects_non_spd_and_nan():
+    g = _d1(0.5, 33, 16)
+    bd = BoundaryData(top=1.0, sides=1.0)
+    mask, dvals = dirichlet_data(g, bd)
+    engine = TraceSystem(g, mask)
+    load = engine.load(dvals)
+    with pytest.raises(ConvergenceError):
+        engine.solve(load, np.nan, 0.1)
+    with pytest.raises(ConvergenceError):
+        engine.solve(load, -5.0, 0.1)  # diagonal stays positive, S + m area does not
+
+
+def test_non_separable_mask_takes_sparse_path():
+    g = _d1(0.5, 33, 16)
+    mask, dvals = dirichlet_data(g, BoundaryData(top=1.0, sides=1.0))
+    mask = mask.copy()
+    mask[10, 5] = True  # an interior Dirichlet node breaks the tensor form
+    engine = TraceSystem(g, mask)
+    assert engine.schur is None
+    out = engine.solve(engine.load(dvals), 2.0, 0.0)
+    assert engine.factorizations == 1 and np.isfinite(out).all()
 
 
 @pytest.mark.parametrize("nx", [65, grid_mod.TRACE_CAP + 4])
