@@ -51,9 +51,9 @@ class CheckResult:
 
 def _timed(fn):
     def wrapper(quick: bool = False) -> CheckResult:
-        t0 = time.time()
+        t0 = time.perf_counter()
         res = fn(quick)
-        res.seconds = time.time() - t0
+        res.seconds = time.perf_counter() - t0
         return res
     wrapper.__name__ = fn.__name__
     wrapper.__doc__ = fn.__doc__

@@ -25,7 +25,7 @@ from .errors import ConfigurationError, ConvergenceError
 from .grid import (GridConfig, atomic_write_text, read_snapshot, snapshot_csv,
                    write_snapshot)
 from .diagnostics import (acf_one_phase, almgren, monotonicity_check,
-                          trace_seminorm)
+                          pohozaev_residual, trace_seminorm)
 from .spectral import (ComparisonProfile, PeriodicGrid1D, comparison_pv,
                        frac_lap_pv, frac_lap_symbol, pv_calibration_constant)
 from .sphere import EquatorRegion, HemisphereMesh, lambda1, lambda1_codim1, \
@@ -168,6 +168,10 @@ def cmd_solve(cfg: dict, args) -> RunReport:
                        residual=res.residual_history[-1])
     report.add("solver converged", res.residual_history[-1], 1e-8,
                res.converged)
+    if "json" in formats:
+        path = _out_path(cfg, args, "solve.json")
+        report.files.append(path)
+        atomic_write_text(path, report.to_json())
     return report
 
 
@@ -194,7 +198,7 @@ def cmd_sweep(cfg: dict, args) -> RunReport:
 
 
 def _profile(fn, fld, center, radii, *args):
-    """fn's radial profile; radii or a center the grid cannot hold are bad
+    """fn at the given radii; radii or a center the grid cannot hold are bad
     input (exit 2), not a failed check."""
     try:
         return fn(fld, center, radii, *args)
@@ -219,13 +223,16 @@ def cmd_diagnose(cfg: dict, args, snapshot: str) -> RunReport:
     quantities = dg.get("quantities", ["almgren"])
     rows = ["r,value,quantity,center_x,tolerance,violation_flag"]
 
-    def add_profile(prof):
-        rep = monotonicity_check(prof, tol)
-        for r, v in zip(prof.radii, prof.values):
+    def add_rows(radii, values, quantity, tolerance, flag):
+        for r, v in zip(radii, values):
             rows.append(",".join(format(c, ".12g") if not isinstance(c, str)
                                  else c for c in
-                                 (r, v, prof.quantity, center[0], tol,
-                                  0 if rep.passed else 1)))
+                                 (r, v, quantity, center[0], tolerance, flag)))
+
+    def add_profile(prof):
+        rep = monotonicity_check(prof, tol)
+        add_rows(prof.radii, prof.values, prof.quantity, tol,
+                 0 if rep.passed else 1)
         report.add(f"{prof.quantity} monotone", rep.max_violation, tol,
                    rep.passed, detail=f"{rep.violations} violations")
 
@@ -236,6 +243,10 @@ def cmd_diagnose(cfg: dict, args, snapshot: str) -> RunReport:
                 add_profile(p_)
         elif q.startswith("acf_"):
             add_profile(_profile(acf_one_phase, fields[0], center, radii, q))
+        elif q == "pohozaev":
+            res = [_profile(pohozaev_residual, fields, center, r) for r in radii]
+            add_rows(radii, res, q, math.inf, 0)
+            report.add("pohozaev residual", max(map(abs, res)), math.inf, True)
         elif q == "holder":
             for alpha in dg.get("alphas", [0.1]):
                 semi = max(trace_seminorm(f, alpha) for f in fields)
@@ -369,7 +380,8 @@ def cmd_verify(args) -> RunReport:
     results = acceptance.run_all(quick=args.quick, progress=progress)
     for r in results:
         report.add(r.name, r.value, r.threshold, r.passed, detail=r.detail)
-    report.meta["quick"] = bool(args.quick)
+    report.meta.update(quick=bool(args.quick),
+                       seconds=[r.seconds for r in results])
     if not args.json:
         report.meta["streamed"] = True
     return report
@@ -389,9 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
                  "verify"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON run configuration")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--quick", action="store_true",
-                       help="reduced resolution, doubled tolerances")
+        if name == "verify":
+            p.add_argument("--quick", action="store_true",
+                           help="reduced resolution, doubled tolerances")
+        else:
+            p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--json", action="store_true",
                        help="emit the machine-readable report on stdout")
         if name == "diagnose":

@@ -218,7 +218,7 @@ def _comparison_segment(lo, hi, a):
 
 
 @lru_cache(maxsize=32)
-def _comparison_mass(a: float) -> float:
+def comparison_mass(a: float) -> float:
     """Total integral of (1+t^2)^{(a-2)/2} over the line (a in (-1,1))."""
     return 2.0 * (_comparison_segment(0.0, _TAIL_CUT, a) + _comparison_tail(_TAIL_CUT, a))
 
@@ -230,7 +230,7 @@ def comparison_f(x, p: FracParams):
     t = 0 and switching to the tail asymptotic beyond |t| = 1e4.
     """
     a = p.a
-    mass = _comparison_mass(a)
+    mass = comparison_mass(a)
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     flat = np.atleast_1d(x).ravel()
@@ -262,6 +262,6 @@ def poisson_kernel(xi, y, p: FracParams):
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0):
         raise ValueError("poisson_kernel requires y > 0")
-    c = 1.0 / _comparison_mass(a)
+    c = 1.0 / comparison_mass(a)
     out = c * y ** (1.0 - a) / (xi * xi + y * y) ** (1.0 - 0.5 * a)
     return float(out) if np.ndim(out) == 0 else out

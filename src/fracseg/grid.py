@@ -343,13 +343,21 @@ class BoundaryData:
     trace_dirichlet: object | None = None
 
 
+def _free_block(grid: HalfSpaceGrid, sides: bool, trace_dirichlet: bool):
+    """Index of the free nodes, a box.  The Dirichlet nodes are the top row,
+    the lateral walls when sides are Dirichlet and the trace row when it is."""
+    xs = slice(1, grid.nx - 1) if sides else slice(None)
+    return (xs,) * grid.d + (slice(int(trace_dirichlet), grid.ny),)
+
+
 def dirichlet_data(grid: HalfSpaceGrid, bdata: BoundaryData):
     """Dirichlet mask and value array for the full node set."""
-    dmask = np.zeros(grid.shape, dtype=bool)
+    dmask = np.ones(grid.shape, dtype=bool)
+    dmask[_free_block(grid, bdata.sides is not None,
+                     bdata.trace_dirichlet is not None)] = False
     dvals = np.zeros(grid.shape)
 
     def put(sl, spec):
-        dmask[sl] = True
         dvals[sl] = _materialize(spec, grid, sl)
 
     if bdata.sides is not None:
@@ -385,47 +393,40 @@ def _inv_sqrt_diagonal(d: np.ndarray) -> np.ndarray:
 #: dense Schur complement and its Cholesky copy take 16 n^2 bytes, 268 MB at
 #: the cap; above it every solve factors the sparse reduced operator.
 TRACE_CAP = 4096
-
-
-def _separable_layout(grid: HalfSpaceGrid, mask: np.ndarray):
-    """(free horizontal slice, Dirichlet trace) when the Dirichlet nodes are
-    all or none of the sides, the top row and all or none of the trace row,
-    which is the form dirichlet_data gives; None for any other mask."""
-    d = grid.d
-    sides = bool(mask[(0,) * d + (1,)])
-    trace_dirichlet = bool(mask[(grid.nx // 2,) * d + (0,)])
-    xs = slice(1, grid.nx - 1) if sides else slice(None)
-    free = np.zeros(grid.shape, dtype=bool)
-    free[(xs,) * d + (slice(int(trace_dirichlet), grid.ny),)] = True
-    if not np.array_equal(mask, ~free):
-        return None
-    return xs, trace_dirichlet
+#: Most unknowns the sparse path factors by LU; Jacobi-scaled CG above.
+SPARSE_LU_CAP = 150_000
+#: Relative residual CG stops at; every solve must pass 100 times it.
+SOLVE_TOL = 1e-10
 
 
 class TraceSystem:
-    """Linear extension solves on one grid with one Dirichlet node set.
+    """Linear extension solves on one grid with one boundary layout.
 
-    Eliminating the Dirichlet nodes leaves the reduced operator A on the
-    free trace nodes t and the interior nodes i.  The Neumann row
-    d_nu^a v = g0 - m v only adds m * area to the t diagonal.  On the tensor
-    grid A is a Kronecker sum, A = Hx (x) Ky + Kx (x) Wy in d = 1 (one more
-    Kx term in d = 2).  When the Dirichlet nodes are whole sides, the top row
-    and possibly the trace row, and at most TRACE_CAP free horizontal nodes
-    remain, the engine diagonalizes the horizontal part once
-    (Kx v = lambda Hx v; fast diagonalization), which splits A_ii into one
-    tridiagonal system in y per mode.  The Schur complement
+    The layout says whether the lateral walls (sides) and the trace row are
+    Dirichlet; the top row always is.  Eliminating the Dirichlet nodes
+    leaves the reduced operator A on the free trace nodes t and the interior
+    nodes i.  The Neumann row d_nu^a v = g0 - m v only adds m * area to the
+    t diagonal.  On the tensor grid A is a Kronecker sum,
+    A = Hx (x) Ky + Kx (x) Wy in d = 1 (one more Kx term in d = 2).  Up to
+    TRACE_CAP free horizontal nodes the engine diagonalizes the horizontal
+    part once (Kx v = lambda Hx v; fast diagonalization), which splits A_ii
+    into one tridiagonal system in y per mode.  The Schur complement
     S = A_tt - A_ti A_ii^-1 A_it, the discrete Dirichlet-to-Neumann map, is
     diagonal in the modes; each solve is the dense SPD system
     (S + diag(m area)) t = c + g0 area plus the interior A_ii^-1 b_i of the
     load corrected by its precomputed response to t.  With a Dirichlet trace
-    each solve is purely spectral.  Otherwise each solve factors the sparse
-    reduced operator.
+    each solve is purely spectral.  Above the cap each solve factors the
+    sparse reduced operator.
     """
 
-    def __init__(self, grid: HalfSpaceGrid, dirichlet_mask: np.ndarray):
-        self.grid, self.mask = grid, dirichlet_mask
-        self.unk = np.flatnonzero(~dirichlet_mask.ravel())
-        self.dir = np.flatnonzero(dirichlet_mask.ravel())
+    def __init__(self, grid: HalfSpaceGrid, sides: bool = True,
+                 trace_dirichlet: bool = False):
+        self.grid, self.layout = grid, (sides, trace_dirichlet)
+        block = _free_block(grid, sides, trace_dirichlet)
+        free = np.zeros(grid.shape, dtype=bool)
+        free[block] = True
+        self.unk = np.flatnonzero(free.ravel())
+        self.dir = np.flatnonzero(~free.ravel())
         A_u = grid.operator[self.unk]
         self.A_uu = A_u[:, self.unk].tocsr()
         self.A_ud = A_u[:, self.dir].tocsr()
@@ -439,16 +440,15 @@ class TraceSystem:
         self.factorizations = 0
         self.schur = None
         self._faces = None  # off-diagonal (p, q, conductance) of the operator
-        layout = _separable_layout(grid, dirichlet_mask)
-        if layout is not None and grid.x[layout[0]].size ** grid.d <= TRACE_CAP:
-            self._separate(*layout)
+        if grid.x[block[0]].size ** grid.d <= TRACE_CAP:
+            self._separate(block[0], sides, trace_dirichlet)
 
-    def _separate(self, xs: slice, trace_dirichlet: bool) -> None:
+    def _separate(self, xs: slice, sides: bool, trace_dirichlet: bool) -> None:
         """Horizontal eigenbasis, per-mode factors and the Schur complement."""
         g = self.grid
         h = g.x_dual[xs]
         deg = np.full(h.size, 2.0)
-        if xs.start is None:  # zero-flux sides
+        if not sides:  # zero-flux sides
             deg[[0, -1]] = 1.0
         # Kx' v = lambda Hx' v through the symmetric Hx'^-1/2 Kx' Hx'^-1/2
         lam, U = sla.eigh_tridiagonal(deg / (g.dx * h),
@@ -517,12 +517,13 @@ class TraceSystem:
     def _on_trace(self, values) -> np.ndarray:
         return np.broadcast_to(values, self.grid.shape[:-1]).ravel()[self.trace_free]
 
-    def serves(self, grid: HalfSpaceGrid, dirichlet_mask: np.ndarray) -> bool:
-        """Whether this engine was built for grid and dirichlet_mask."""
+    def serves(self, grid: HalfSpaceGrid, layout: tuple) -> bool:
+        """Whether this engine was built for grid and the boundary layout
+        (sides, trace_dirichlet)."""
         g = self.grid
         return (g.params == grid.params and g.L == grid.L
-                and np.array_equal(g.y, grid.y)
-                and np.array_equal(self.mask, dirichlet_mask))
+                and g.shape == grid.shape and np.array_equal(g.y, grid.y)
+                and self.layout == layout)
 
     def load(self, dvals: np.ndarray) -> tuple:
         """Grid-shaped Dirichlet values dvals, their reduced right-hand side
@@ -540,15 +541,13 @@ class TraceSystem:
         c = rows[0].ravel() + gv0 * self.area * z[0].ravel()
         return dvals, b, z, c
 
-    def solve(self, load: tuple, m, g0, tol: float = 1e-10,
-              maxiter: int | None = None, method: str = "auto") -> np.ndarray:
+    def solve(self, load: tuple, m, g0) -> np.ndarray:
         """Grid-shaped solution for a load with trace absorption m and source g0.
 
-        A separable engine solves spectrally.  Otherwise, or when method
-        "direct" or "pcg" is forced, the sparse reduced operator is solved:
-        by LU plus one flux-form refinement step up to 150k unknowns, by
-        Jacobi-scaled CG above.  Every solve is checked by the equilibrated
-        residual of the reduced system.
+        A separable engine solves spectrally.  Otherwise the sparse reduced
+        operator is solved: by LU plus one flux-form refinement step up to
+        SPARSE_LU_CAP unknowns, by Jacobi-scaled CG above.  Every solve is
+        checked by the equilibrated residual of the reduced system.
         """
         n, tr = self.unk.size, self.trace_rows
         dvals, b, z, c = load
@@ -562,29 +561,27 @@ class TraceSystem:
         if bnorm == 0.0:
             return self._field(dvals, np.zeros(n))
         info = 0
-        if self.schur is not None and method == "auto":
+        if self.schur is not None:
             x = self._separable_solve(z, c, absorb[tr], ga)
         else:
             D = sps.diags(dh)
             As = (D @ (self.A_uu + sps.diags(absorb)) @ D).tocsr()
-            if method == "auto":
-                method = "direct" if n <= 150_000 else "pcg"
-            if method == "direct":
+            if n <= SPARSE_LU_CAP:
                 lu = spla.splu(As.tocsc())
                 self.factorizations += 1
                 xs = lu.solve(dh * b)
                 xs += lu.solve(dh * self._flux_residual(dvals, dh * xs, absorb, ga))
             else:
-                if maxiter is None:
-                    maxiter = int(20 * math.sqrt(n)) + 200
-                xs, info = spla.cg(As, dh * b, rtol=tol, atol=0.0, maxiter=maxiter)
+                maxiter = int(20 * math.sqrt(n)) + 200
+                xs, info = spla.cg(As, dh * b, rtol=SOLVE_TOL, atol=0.0,
+                                   maxiter=maxiter)
             x = dh * xs
         res = float(np.linalg.norm(dh * (self.A_uu @ x + absorb * x - b))) / bnorm
         if info != 0:
             raise ConvergenceError(
-                f"CG failed to reach tol={tol} within {maxiter} iterations",
+                f"CG failed to reach tol={SOLVE_TOL} within {maxiter} iterations",
                 residual=res, iterations=info)
-        if not np.isfinite(res) or res > max(tol * 100, 1e-8):
+        if not np.isfinite(res) or res > 100 * SOLVE_TOL:
             raise ConvergenceError("linear solve failed its residual check",
                                    residual=res)
         return self._field(dvals, x)
@@ -633,18 +630,17 @@ class TraceSystem:
         return full.reshape(self.grid.shape)
 
 
-def solve_linear(grid: HalfSpaceGrid, bdata: BoundaryData, tol: float = 1e-10,
-                 maxiter: int | None = None, method: str = "auto") -> Field:
+def solve_linear(grid: HalfSpaceGrid, bdata: BoundaryData) -> Field:
     """Solve L_a v = 0 with the given boundary data.
 
     The bottom-row equations impose the Neumann flux through the matched
     trace stencil; with m >= 0 the reduced system is an M-matrix, so
     nonnegative data yields a nonnegative solution.  Solved by a TraceSystem
-    of the boundary's Dirichlet nodes: spectrally on the grids dirichlet_data
-    describes, by the sparse reduced operator when method is forced.
+    of the boundary's layout.
     """
-    dmask, dvals = dirichlet_data(grid, bdata)
-    engine = TraceSystem(grid, dmask)
+    _, dvals = dirichlet_data(grid, bdata)
+    engine = TraceSystem(grid, bdata.sides is not None,
+                         bdata.trace_dirichlet is not None)
     if engine.unk.size == 0:
         return Field(grid, dvals)
     m = g0 = 0.0
@@ -653,8 +649,7 @@ def solve_linear(grid: HalfSpaceGrid, bdata: BoundaryData, tol: float = 1e-10,
         m = _materialize(bdata.neumann_m, grid, (..., 0))
         if np.any(m < 0):
             raise ConfigurationError("absorption coefficient m must be >= 0")
-    return Field(grid, engine.solve(engine.load(dvals), m, g0, tol, maxiter,
-                                    method))
+    return Field(grid, engine.solve(engine.load(dvals), m, g0))
 
 
 # --------------------------------------------------------------------------

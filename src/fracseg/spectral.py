@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from .core import FracParams, _comparison_mass, comparison_f
+from .core import FracParams, comparison_f, comparison_mass
 
 #: period images summed exactly in the periodic kernel
 _N_IMAGES = 64
@@ -238,7 +238,7 @@ class ComparisonProfile:
         u = np.linspace(-math.asinh(self._CUT), math.asinh(self._CUT), n_table)
         xs = np.sinh(u)
         self._spline = CubicSpline(u, comparison_f(xs, params))
-        coef = 1.0 / ((1.0 - a) * _comparison_mass(a))
+        coef = 1.0 / ((1.0 - a) * comparison_mass(a))
         self.tail = DecayTail(left_limit=0.0, right_limit=1.0,
                               left_coef=coef, right_coef=-coef,
                               exponent=a - 1.0)

@@ -62,6 +62,10 @@ class CompetitionProblem:
     def __post_init__(self):
         if self.k < 1:
             raise ConfigurationError("component count must be >= 1")
+        if self.params.N != self.grid_config.d:
+            raise ConfigurationError(
+                f"space dimension N = {self.params.N} must equal the grid's "
+                f"trace dimension d = {self.grid_config.d}")
         if self.beta < 0:
             raise ConfigurationError("beta must be nonnegative")
         c = np.asarray(self.coupling, dtype=float)
@@ -94,15 +98,16 @@ class SolveResult:
 
 
 def bump(center: float, width: float = 0.5, height: float = 1.0):
-    """Gaussian bump height * exp(-4 ((x - center) / width)^2) as wall data."""
-    def fn(x, y):
+    """Gaussian bump height * exp(-4 ((x1 - center) / width)^2) as wall data,
+    a function of the node coordinates (x1[, x2], y); constant along x2."""
+    def fn(x, *rest):
         t = (x - center) / width
-        return height * np.exp(-4.0 * t * t) + 0.0 * y
+        return height * np.exp(-4.0 * t * t) + 0.0 * rest[-1]
     return fn
 
 
 def solve_system(prob: CompetitionProblem, warm_start=None, tol: float = 1e-8,
-                 max_outer: int = 500, inner_tol: float = 1e-10,
+                 max_outer: int = 500,
                  engine: TraceSystem | None = None) -> SolveResult:
     """Gauss-Seidel outer iteration (ascending component index) until the
     max-norm change of successive iterates drops below tol.
@@ -114,13 +119,12 @@ def solve_system(prob: CompetitionProblem, warm_start=None, tol: float = 1e-8,
     factorization over from an earlier solve (sweep_beta passes one).
     """
     grid = build_grid(prob.grid_config, prob.params)
-    walls = [dirichlet_data(grid, BoundaryData(top=spec, sides=spec))
-             for spec in prob.dirichlet]
     if engine is None:
-        engine = TraceSystem(grid, walls[0][0])
-    elif not engine.serves(grid, walls[0][0]):
+        engine = TraceSystem(grid)
+    elif not engine.serves(grid, (True, False)):  # Dirichlet walls, free trace
         raise ConfigurationError("engine was built for another grid")
-    loads = [engine.load(dvals) for _, dvals in walls]
+    loads = [engine.load(dirichlet_data(grid, BoundaryData(top=v, sides=v))[1])
+             for v in prob.dirichlet]
     k = prob.k
     if warm_start is not None:
         if len(warm_start) != k:
@@ -141,8 +145,7 @@ def solve_system(prob: CompetitionProblem, warm_start=None, tol: float = 1e-8,
         for i in range(k):
             m = prob.beta * sum(prob.coupling[i, j] * vals[j][..., 0] ** 2
                                 for j in range(k) if j != i)
-            new = engine.solve(loads[i], m, prob.reactions[i](vals[i][..., 0]),
-                               inner_tol)
+            new = engine.solve(loads[i], m, prob.reactions[i](vals[i][..., 0]))
             change = max(change, float(np.abs(new - vals[i]).max()))
             vals[i] = new
         if not all(np.all(np.isfinite(v)) for v in vals):
@@ -214,31 +217,27 @@ class BetaSweep:
 
 
 def sweep_beta(prob: CompetitionProblem, betas, holder_alpha: float,
-               x_window: float | None = None, tol: float = 1e-8,
-               max_outer: int = 500, keep_results: bool = False,
-               warm_start: bool = True) -> BetaSweep:
+               keep_results: bool = False) -> BetaSweep:
     """Solve along an increasing beta list, warm-starting each solve.
 
     Records per beta: sup norms, trace overlap, beta * overlap, and the trace
     Hölder seminorm at holder_alpha restricted to the inner half of the
-    trace (|x| <= L/2 unless x_window overrides it).
+    trace (|x| <= L/2).
     """
     betas = np.asarray(betas, dtype=float)
     if betas.size == 0 or np.any(np.diff(betas) <= 0):
         raise ConfigurationError("betas must be a nonempty increasing list")
-    if x_window is None:
-        x_window = 0.5 * prob.grid_config.L
+    x_window = 0.5 * prob.grid_config.L
     grid = build_grid(prob.grid_config, prob.params)
-    engine = TraceSystem(grid, dirichlet_data(grid, BoundaryData())[0])
+    engine = TraceSystem(grid)
     rows = []
     results = []
     fields = None
     for b in betas:
         start = time.perf_counter()
         try:
-            res = solve_system(replace(prob, beta=float(b)),
-                               warm_start=fields if warm_start else None,
-                               tol=tol, max_outer=max_outer, engine=engine)
+            res = solve_system(replace(prob, beta=float(b)), warm_start=fields,
+                               engine=engine)
         except ConvergenceError as exc:
             raise ConvergenceError(f"sweep failed at beta={b:g}: {exc}",
                                    residual=exc.residual,

@@ -95,6 +95,47 @@ def test_solve_and_diagnose_roundtrip(tmp_path):
     assert header == "r,value,quantity,center_x,tolerance,violation_flag"
 
 
+def test_solve_d2_separated_bumps(tmp_path):
+    cfg = tiny_config(fractional={"s": 0.5, "N": 2},
+                      grid={"d": 2, "L": 2.0, "Y": 1.0, "nx": 13, "ny": 8})
+    path = write_config(tmp_path, cfg)
+    out = os.path.join(tmp_path, "d2")
+    assert cli.main(["solve", "--config", path, "--out", out]) == 0
+    fields = read_snapshot(os.path.join(out, "fields.bin"))
+    assert fields[0].grid.d == 2 and fields[0].grid.params.N == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_dimension_mismatch_exits_2(tmp_path, capsys, command):
+    cfg = tiny_config(grid={"d": 2, "L": 2.0, "Y": 1.0, "nx": 13, "ny": 8})
+    cfg["problem"]["boundary_data"] = {"kind": "constant", "values": [1.0, 1.0]}
+    path = write_config(tmp_path, cfg)
+    assert cli.main([command, "--config", path,
+                     "--out", os.path.join(tmp_path, "dm")]) == 2
+    assert "trace dimension" in capsys.readouterr().err
+
+
+def test_solve_writes_json_report(tmp_path, capsys):
+    cfg = tiny_config(output={"formats": ["json"]})
+    path = write_config(tmp_path, cfg)
+    out = os.path.join(tmp_path, "sj")
+    assert cli.main(["solve", "--config", path, "--out", out, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    target = os.path.join(out, "solve.json")
+    assert report["files"] == [target]
+    with open(target) as fh:
+        assert json.load(fh) == report
+
+
+def test_removed_flags_exit_2(capsys):
+    for argv in (["solve", "--quick", "--config", "cfg.json"],
+                 ["verify", "--out", "somewhere"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def _diagnose_setup(tmp_path, stop=0.8):
     cfg = tiny_config()
     cfg["diagnostics"] = {"center": [0.0],
@@ -138,6 +179,34 @@ def test_diagnose_truncated_snapshot_exits_2(tmp_path, capsys):
 def test_diagnose_radius_beyond_grid_exits_2(tmp_path, capsys):
     path, snap = _diagnose_setup(tmp_path, stop=5.0)
     assert _diagnose(path, snap, tmp_path) == 2
+    assert "exceeds grid bound" in capsys.readouterr().err
+
+
+def test_diagnose_pohozaev(tmp_path, capsys):
+    cfg = tiny_config()
+    path = write_config(tmp_path, cfg)
+    out = os.path.join(tmp_path, "op")
+    assert cli.main(["solve", "--config", path, "--out", out]) == 0
+    snap = os.path.join(out, "fields.bin")
+    cfg["diagnostics"] = {"center": [0.0], "quantities": ["pohozaev"],
+                          "radii": {"start": 0.2, "stop": 0.6, "num": 4}}
+    path = write_config(tmp_path, cfg)
+    capsys.readouterr()
+    assert cli.main(["diagnose", snap, "--config", path, "--out", out,
+                     "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    with open(os.path.join(out, "diagnostics.csv")) as fh:
+        rows = [line.strip().split(",") for line in fh][1:]
+    assert len(rows) == 4 and all(r[2] == "pohozaev" for r in rows)
+    values = [float(r[1]) for r in rows]
+    assert all(np.isfinite(values))
+    (check,) = report["checks"]
+    assert check["name"] == "pohozaev residual"
+    assert check["threshold"] == float("inf")
+    assert check["value"] == pytest.approx(max(map(abs, values)), rel=1e-9)
+    cfg["diagnostics"]["radii"]["stop"] = 5.0
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["diagnose", snap, "--config", path, "--out", out]) == 2
     assert "exceeds grid bound" in capsys.readouterr().err
 
 
@@ -259,6 +328,9 @@ def test_verify_quick_json_schema(tmp_path, capsys):
     assert len(report["checks"]) == 11
     for check in report["checks"]:
         assert set(check) == {"name", "value", "threshold", "passed", "detail"}
+    seconds = report["meta"]["seconds"]
+    assert len(seconds) == 11
+    assert all(isinstance(t, float) and t > 0 for t in seconds)
 
 
 @pytest.mark.slow

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import fracseg.grid as grid_mod
 from fracseg.core import FracParams, NamedSolution, dtn_exact, eval_solution
 from fracseg.errors import ConfigurationError, ConvergenceError
 from fracseg.grid import (BoundaryData, Field, GridConfig, apply_operator,
@@ -206,12 +207,16 @@ def test_dtn_symbol_ratio_smoke():
     assert amp(2) / amp(1) == pytest.approx(2.0 ** (2 * s), rel=0.03)
 
 
-def test_solver_errors():
+def test_solver_errors(monkeypatch):
     g = small_grid()
     with pytest.raises(ConfigurationError):
         solve_linear(g, BoundaryData(top=1.0, sides=1.0, neumann_m=-1.0))
-    with pytest.raises(ConvergenceError):
-        solve_linear(g, BoundaryData(top=1.0, sides=1.0), method="pcg", maxiter=1)
+    # down the CG path with a tolerance it cannot reach
+    monkeypatch.setattr(grid_mod, "TRACE_CAP", 0)
+    monkeypatch.setattr(grid_mod, "SPARSE_LU_CAP", 0)
+    monkeypatch.setattr(grid_mod, "SOLVE_TOL", 1e-300)
+    with pytest.raises(ConvergenceError, match="CG failed"):
+        solve_linear(g, BoundaryData(top=1.0, sides=1.0))
 
 
 def test_d2_operator_and_solve():

@@ -8,15 +8,8 @@ from fracseg.core import FracParams
 from fracseg.errors import ConfigurationError, ConvergenceError
 from fracseg.grid import BoundaryData, GridConfig, TraceSystem, build_grid, \
     dirichlet_data, dtn_trace, solve_linear
-from fracseg.system import (CompetitionProblem, Reaction, solve_system,
+from fracseg.system import (CompetitionProblem, Reaction, bump, solve_system,
                             sweep_beta, trace_overlap)
-
-
-def bump(center, width=0.5):
-    def fn(x, y):
-        t = (x - center) / width
-        return np.exp(-4.0 * t * t) + 0.0 * y
-    return fn
 
 
 def make_problem(s=0.5, beta=0.0, k=2, nx=129, ny=48, L=2.0, Y=1.5,
@@ -253,12 +246,14 @@ SEPARABLE_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(SEPARABLE_CASES))
-def test_separable_matches_sparse_lu(case):
+def test_separable_matches_sparse_lu(case, monkeypatch):
     g, bd = SEPARABLE_CASES[case]
-    engine = TraceSystem(g, dirichlet_data(g, bd)[0])
+    engine = TraceSystem(g, bd.sides is not None, bd.trace_dirichlet is not None)
     assert engine.schur is not None
+    assert np.array_equal(np.flatnonzero(dirichlet_data(g, bd)[0]), engine.dir)
     got = solve_linear(g, bd).values
-    want = solve_linear(g, bd, method="direct").values
+    monkeypatch.setattr(grid_mod, "TRACE_CAP", 0)
+    want = solve_linear(g, bd).values
     assert np.abs(got - want).max() <= 1e-12
 
 
@@ -271,7 +266,7 @@ def test_trace_schur_is_the_dtn_map(s, tol):
     # dtn_trace multiplies v1 - v0 by 2s y1^{-2s} ~ 5e11, so its round-off
     # floor is about 1e-4 of the amplitude.
     g = _d1(s, 256, 128, L=np.pi, Y=6.0)
-    engine = TraceSystem(g, dirichlet_data(g, BoundaryData(top=0.0, sides=None))[0])
+    engine = TraceSystem(g, sides=False)
     amps = {}
     for k in (1, 2, 4):
         c = np.cos(k * g.x)
@@ -289,24 +284,12 @@ def test_trace_schur_is_the_dtn_map(s, tol):
 def test_separable_engine_rejects_non_spd_and_nan():
     g = _d1(0.5, 33, 16)
     bd = BoundaryData(top=1.0, sides=1.0)
-    mask, dvals = dirichlet_data(g, bd)
-    engine = TraceSystem(g, mask)
-    load = engine.load(dvals)
+    engine = TraceSystem(g)
+    load = engine.load(dirichlet_data(g, bd)[1])
     with pytest.raises(ConvergenceError):
         engine.solve(load, np.nan, 0.1)
     with pytest.raises(ConvergenceError):
         engine.solve(load, -5.0, 0.1)  # diagonal stays positive, S + m area does not
-
-
-def test_non_separable_mask_takes_sparse_path():
-    g = _d1(0.5, 33, 16)
-    mask, dvals = dirichlet_data(g, BoundaryData(top=1.0, sides=1.0))
-    mask = mask.copy()
-    mask[10, 5] = True  # an interior Dirichlet node breaks the tensor form
-    engine = TraceSystem(g, mask)
-    assert engine.schur is None
-    out = engine.solve(engine.load(dvals), 2.0, 0.0)
-    assert engine.factorizations == 1 and np.isfinite(out).all()
 
 
 @pytest.mark.parametrize("nx", [65, grid_mod.TRACE_CAP + 4])
@@ -315,8 +298,8 @@ def test_engine_matches_one_shot_solve(nx):
     g = build_grid(GridConfig(d=1, L=2.0, Y=1.0, nx=nx, ny=4),
                    FracParams(s=0.5, N=1))
     top = bump(0.3)
-    mask, dvals = dirichlet_data(g, BoundaryData(top=top, sides=top))
-    engine = TraceSystem(g, mask)
+    engine = TraceSystem(g)
+    dvals = dirichlet_data(g, BoundaryData(top=top, sides=top))[1]
     assert (engine.schur is None) == (nx - 2 > grid_mod.TRACE_CAP)
     m = 50.0 * np.exp(-g.x ** 2)
     g0 = 0.2 * np.cos(g.x)
@@ -329,8 +312,10 @@ def test_engine_matches_one_shot_solve(nx):
 def test_solve_system_rejects_engine_of_other_grid():
     prob = make_problem(nx=65, ny=24)
     g = build_grid(prob.grid_config, prob.params)
-    engine = TraceSystem(g, dirichlet_data(g, BoundaryData())[0])
+    engine = TraceSystem(g)
     assert solve_system(prob, engine=engine).converged
     for other in (make_problem(nx=67, ny=24), make_problem(s=0.75, nx=65, ny=24)):
         with pytest.raises(ConfigurationError):
             solve_system(other, engine=engine)
+    with pytest.raises(ConfigurationError):
+        solve_system(prob, engine=TraceSystem(g, sides=False))
