@@ -414,7 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on bad arguments
+        return exc.code
     try:
         if args.command == "verify":
             if args.config is not None:

@@ -191,8 +191,9 @@ class _CellGeometry:
         return rad / np.maximum(self.R, 1e-300)
 
     # -- smoothed radial quadratures ---------------------------------------
-    def _ramp(self, r: float) -> np.ndarray:
-        t = (r - self.R) / self.width
+    @staticmethod
+    def _ramp(r: float, R: np.ndarray, width: np.ndarray) -> np.ndarray:
+        t = (r - R) / width
         out = np.clip(t + 1.0, 0.0, 2.0)
         inner = out <= 1.0
         res = np.where(inner, 0.5 * out * out, 1.0 - 0.5 * (2.0 - out) ** 2)
@@ -220,9 +221,15 @@ class _CellGeometry:
         return radii
 
     def volume_integral(self, weighted: np.ndarray, radii: np.ndarray) -> np.ndarray:
-        """Integral over B_r of an already y^a-weighted cell density."""
-        base = weighted * self.vol
-        return np.array([float(np.sum(base * self._ramp(r))) for r in radii])
+        """Integral over B_r of an already y^a-weighted cell density.
+
+        The ramp vanishes on cells with R - width >= r, so the sums run over
+        the cells inside the largest radius only.
+        """
+        near = self.R - self.width < np.max(radii)
+        base = (weighted * self.vol)[near]
+        R, width = self.R[near], self.width[near]
+        return np.array([float(np.sum(base * self._ramp(r, R, width))) for r in radii])
 
     def surface_integral(self, weighted: np.ndarray, radii: np.ndarray) -> np.ndarray:
         """Shell average over the sphere of radius r (one-cell hat kernel)."""

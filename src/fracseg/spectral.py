@@ -222,6 +222,21 @@ def _pv_line(u: Callable, s: float, x: np.ndarray, tail: DecayTail,
 # tabulated comparison profile (the PV operand of the decay estimate)
 # --------------------------------------------------------------------------
 
+#: |x| beyond which ComparisonProfile switches to its tail asymptotic
+_PROFILE_CUT = 1.0e4
+
+
+@lru_cache(maxsize=32)
+def _master_table(s: float, n_table: int) -> tuple:
+    """ComparisonProfile's asinh-spaced master grid and the adaptive-quadrature
+    values on it, tabulated once per order (the values depend on a = 1 - 2s
+    only)."""
+    u = np.linspace(-math.asinh(_PROFILE_CUT), math.asinh(_PROFILE_CUT), n_table)
+    vals = comparison_f(np.sinh(u), FracParams(s=s))
+    u.flags.writeable = vals.flags.writeable = False
+    return u, vals
+
+
 class ComparisonProfile:
     """Fast evaluator of the comparison function with its far-field model.
 
@@ -230,14 +245,10 @@ class ComparisonProfile:
     tail asymptotic.  `tail` is the DecayTail consumed by frac_lap_pv.
     """
 
-    _CUT = 1.0e4
-
     def __init__(self, params: FracParams, n_table: int = 2001):
         self.params = params
         a = params.a
-        u = np.linspace(-math.asinh(self._CUT), math.asinh(self._CUT), n_table)
-        xs = np.sinh(u)
-        self._spline = CubicSpline(u, comparison_f(xs, params))
+        self._spline = CubicSpline(*_master_table(params.s, n_table))
         coef = 1.0 / ((1.0 - a) * comparison_mass(a))
         self.tail = DecayTail(left_limit=0.0, right_limit=1.0,
                               left_coef=coef, right_coef=-coef,
@@ -246,9 +257,9 @@ class ComparisonProfile:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         a = self.params.a
-        out = self._spline(np.arcsinh(np.clip(x, -self._CUT, self._CUT)))
-        hi = x > self._CUT
-        lo = x < -self._CUT
+        out = self._spline(np.arcsinh(np.clip(x, -_PROFILE_CUT, _PROFILE_CUT)))
+        hi = x > _PROFILE_CUT
+        lo = x < -_PROFILE_CUT
         if np.any(hi):
             xs = np.where(hi, x, 1.0)  # keep the power off negative bases
             out = np.where(hi, 1.0 + self.tail.right_coef * xs ** (a - 1.0), out)

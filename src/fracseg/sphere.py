@@ -17,9 +17,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 from scipy.integrate import quad
+from scipy.linalg import lapack
 
 from .core import FracParams, gamma_map
 from .errors import ConfigurationError, ConvergenceError
@@ -192,153 +194,242 @@ class HemisphereMesh:
     def phi(self) -> np.ndarray:
         return _TWO_PI * np.arange(self.nphi) / self.nphi
 
+    @cached_property
+    def rings(self) -> tuple:
+        """Ring coefficients of the N = 2 forms (g_theta, g_phi, mass).
 
-def _build_forms_ncircle(mesh: HemisphereMesh):
-    """Stiffness and lumped mass of the weighted half-circle problem."""
+        Ring 0 is the collapsed pole, ring i (1 <= i <= ntheta) holds nphi
+        nodes and the last ring is the equator.  g_theta[i] joins each node
+        of ring i to its neighbour on ring i + 1 (the pole to every node of
+        ring 1), g_phi[i - 1] joins phi-neighbours on ring i, and mass[i] is
+        the lumped mass of one node of ring i.  Weight cos(theta)^a against
+        the surface measure sin(theta) dtheta dphi; theta-cell integrals have
+        the exact primitive -cos^{1+a}/(1+a), phi conductances use numerical
+        quadrature of cos^a/sin over each ring's dual theta strip.
+        """
+        a = self.params.a
+        th = self.theta
+        dphi = _TWO_PI / self.nphi
+
+        def wcell(t0, t1):  # integral of cos^a sin over [t0, t1]
+            return (np.cos(t0) ** (1 + a) - np.cos(t1) ** (1 + a)) / (1 + a)
+
+        dual = np.concatenate(([th[0]], 0.5 * (th[:-1] + th[1:]), [th[-1]]))
+        g_theta = wcell(th[:-1], th[1:]) / np.diff(th) ** 2 * dphi
+        g_phi = np.array([quad(lambda t: math.cos(t) ** a / math.sin(t),
+                               dual[i], dual[i + 1], limit=200)[0]
+                          for i in range(1, self.ntheta + 1)]) / dphi
+        mass = wcell(dual[:-1], dual[1:]) * dphi
+        mass[0] *= self.nphi
+        return g_theta, g_phi, mass
+
+
+def _half_circle_forms(mesh: HemisphereMesh):
+    """Edge conductances and lumped node masses of the weighted half-circle."""
     a = mesh.params.a
     al = mesh.alpha
     n = al.size
     cell = np.array([_int_sin_pow(a, al[i], al[i + 1]) for i in range(n - 1)])
-    cond = cell / np.diff(al) ** 2
     mid = 0.5 * (al[:-1] + al[1:])
     edges = np.concatenate(([al[0]], mid, [al[-1]]))
-    massd = np.array([_int_sin_pow(a, edges[i], edges[i + 1]) for i in range(n)])
-    rows = np.concatenate([np.arange(n - 1), np.arange(1, n)])
-    cols = np.concatenate([np.arange(1, n), np.arange(n - 1)])
-    vals = np.concatenate([-cond, -cond])
-    K = sps.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    K = K + sps.diags(-np.asarray(K.sum(axis=1)).ravel())
-    M = sps.diags(massd)
-    equator_nodes = np.array([0, n - 1])
-    return K.tocsr(), M.tocsr(), equator_nodes
+    mass = np.array([_int_sin_pow(a, edges[i], edges[i + 1]) for i in range(n)])
+    return cell / np.diff(al) ** 2, mass
 
 
-def _build_forms_hemisphere(mesh: HemisphereMesh):
-    """Stiffness/mass of the weighted hemisphere with a collapsed pole.
+def _half_circle_pair(mesh: HemisphereMesh, ends: tuple):
+    """Smallest eigenpair of the half-circle pencil, free endpoints per ends.
 
-    Node layout: index 0 is the pole; ring i (1 <= i <= ntheta) holds nphi
-    nodes; the last ring is the equator.  Weight cos(theta)^a against the
-    surface measure sin(theta) dtheta dphi; theta-cell integrals have the
-    exact primitive -cos^{1+a}/(1+a), phi-conductance cells use numerical
-    quadrature of cos^a/sin away from the pole.
+    The pencil is tridiagonal: its Dirichlet restriction, scaled to
+    M^-1/2 K M^-1/2, is solved directly for its lowest eigenpair.  The
+    graded cells spread the scaled entries over many decades (up to 5e18
+    at 256 cells and s = 1/4), so the bisection runs to the smallest
+    absolute tolerance, which keeps the lowest eigenvalue to high relative
+    accuracy.
     """
-    p = mesh.params
-    a = p.a
-    th = mesh.theta
-    nt, np_ = mesh.ntheta, mesh.nphi
-    dphi = _TWO_PI / np_
-
-    def wcell(t0, t1):
-        # integral of cos^a sin over [t0, t1]
-        return (math.cos(t0) ** (1 + a) - math.cos(t1) ** (1 + a)) / (1 + a)
-
-    tmid = 0.5 * (th[:-1] + th[1:])
-    dual_edges = np.concatenate(([th[0]], tmid, [th[-1]]))
-
-    def index(ring, j):
-        return 1 + (ring - 1) * np_ + (j % np_)
-
-    n_nodes = 1 + nt * np_
-    rows, cols, vals = [], [], []
-    jj = np.arange(np_)
-
-    def add(pidx, qidx, g):
-        rows.extend([pidx, qidx])
-        cols.extend([qidx, pidx])
-        vals.extend([-g, -g])
-
-    def add_arr(parr, qarr, g):
-        rows.append(parr)
-        cols.append(qarr)
-        vals.append(np.full(parr.shape, -g))
-        rows.append(qarr)
-        cols.append(parr)
-        vals.append(np.full(parr.shape, -g))
-
-    # theta edges
-    for i in range(nt):
-        g_theta = wcell(th[i], th[i + 1]) / (th[i + 1] - th[i]) ** 2 * dphi
-        if i == 0:
-            for j in range(np_):
-                add(0, index(1, j), g_theta)
-        else:
-            add_arr(index(i, jj), index(i + 1, jj), g_theta)
-
-    # phi edges (rings 1..nt); conductance from the ring's dual theta strip
-    for i in range(1, nt + 1):
-        lo, hi = dual_edges[i], dual_edges[i + 1]
-        val, _ = quad(lambda t: math.cos(t) ** a / math.sin(t), lo, hi, limit=200)
-        g_phi = val / dphi
-        add_arr(index(i, jj), index(i, (jj + 1) % np_), g_phi)
-
-    rows = np.concatenate([np.atleast_1d(r) for r in rows])
-    cols = np.concatenate([np.atleast_1d(c) for c in cols])
-    vals = np.concatenate([np.atleast_1d(v) for v in vals])
-    K = sps.coo_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
-    K = K + sps.diags(-np.asarray(K.sum(axis=1)).ravel())
-
-    massd = np.empty(n_nodes)
-    massd[0] = wcell(dual_edges[0], dual_edges[1]) * _TWO_PI
-    for i in range(1, nt + 1):
-        massd[index(i, jj)] = wcell(dual_edges[i], dual_edges[i + 1]) * dphi
-
-    equator_nodes = index(nt, jj)
-    return K.tocsr(), sps.diags(massd).tocsr(), equator_nodes
+    cond, mass = _half_circle_forms(mesh)
+    deg = np.zeros(mass.size)
+    deg[:-1] += cond
+    deg[1:] += cond
+    lo, hi = (0 if ends[0] else 1), (mass.size if ends[1] else mass.size - 1)
+    root = np.sqrt(mass[lo:hi])
+    vals, vecs = sla.eigh_tridiagonal(
+        deg[lo:hi] / mass[lo:hi], -cond[lo:hi - 1] / (root[:-1] * root[1:]),
+        select="i", select_range=(0, 0), tol=np.finfo(float).tiny)
+    vec = np.zeros(mass.size)
+    vec[lo:hi] = vecs[:, 0] / root
+    return max(float(vals[0]), 0.0), vec
 
 
-def _forms(mesh: HemisphereMesh):
+def _node_mass(mesh: HemisphereMesh) -> np.ndarray:
+    """Lumped mass of every mesh node."""
     if mesh.params.N == 1:
-        return _build_forms_ncircle(mesh)
-    return _build_forms_hemisphere(mesh)
+        return _half_circle_forms(mesh)[1]
+    mass = mesh.rings[2]
+    return np.concatenate((mass[:1], np.repeat(mass[1:], mesh.nphi)))
 
 
-def _lowest_pair(K, M, free, tol=1e-9, maxiter=2000):
-    """Smallest eigenpair of the restricted pencil by shift-invert iteration.
+def _stiffness(mesh: HemisphereMesh) -> sps.csr_matrix:
+    """Stiffness of the weighted hemisphere (N = 2) on all mesh nodes.
 
-    Shift-invert Lanczos (ARPACK) with a small negative shift, so the
-    factored operator stays definite even when the full-equator null vector
-    is present; deterministic start vector.
+    Node 0 is the pole, ring i occupies nodes 1 + (i - 1) nphi + j.
     """
-    Kf = K[free][:, free].tocsc()
-    Mf = M[free][:, free].tocsc()
-    n = Kf.shape[0]
-    if n == 1:
-        lam = float(Kf[0, 0] / Mf[0, 0])
-        return max(lam, 0.0), np.ones(1)
-    sigma = -1e-8 * float(Kf.diagonal().mean())
-    v0 = np.ones(n)
+    g_theta, g_phi, _ = mesh.rings
+    nt, nph = mesh.ntheta, mesh.nphi
+    ring = 1 + np.arange(nt * nph).reshape(nt, nph)
+    p = np.concatenate((np.zeros(nph, dtype=ring.dtype), ring[:-1].ravel(),
+                        ring.ravel()))
+    q = np.concatenate((ring[0], ring[1:].ravel(), np.roll(ring, -1, axis=1).ravel()))
+    g = np.concatenate((np.full(nph, g_theta[0]), np.repeat(g_theta[1:], nph),
+                        np.repeat(g_phi, nph)))
+    n = 1 + nt * nph
+    K = sps.coo_matrix((np.concatenate((-g, -g)),
+                        (np.concatenate((p, q)), np.concatenate((q, p)))),
+                       shape=(n, n)).tocsr()
+    return (K - sps.diags(np.asarray(K.sum(axis=1)).ravel())).tocsr()
+
+
+#: Largest normwise backward error, ||A x - b|| / (||A|| ||x|| + ||b||) in
+#: the max norm, a hemisphere solve may leave.
+_BACKWARD_TOL = 1e-12
+
+
+class _HemisphereSolver:
+    """x = (K - sigma M)_ff^-1 b on the free nodes of an N = 2 mesh.
+
+    Only equator nodes are ever Dirichlet, and away from the equator the
+    pencil is rotation invariant: in the orthonormal real Fourier basis in
+    phi each mode is one tridiagonal in theta, and the pole couples to mode
+    0 only.  The interior (pole and rings 1..nt-1), all modes stacked, is one
+    SPD tridiagonal factored once.  Eliminating it leaves on the equator
+    ring a circulant whose symbol rho(k) comes from the downward recurrence
+    rho_i = g_{i-1} rho_{i-1} / (g_{i-1} + rho_{i-1}) + g_phi,i lambda_k
+    - sigma m_i, a sum of positive terms for sigma < 0 (the closed form
+    d - g^2 (T^-1)_ll would take the small symbol of mode 0 as a difference
+    of large numbers).  The circulant restricted to the free equator nodes
+    is Cholesky factored once.  Each solve is one interior solve, a dense
+    triangular solve on the free equator and the precomputed interior
+    response to equator values, and is checked by its backward error
+    against the sparse pencil A = (K - sigma M)_ff.
+
+    The shift sigma is small and negative, so the shifted pencil stays
+    definite even when the full-equator null vector is present.  K and M
+    are the restricted forms, free the free nodes among all mesh nodes.
+    """
+
+    def __init__(self, mesh: HemisphereMesh, free_eq: np.ndarray):
+        g_theta, g_phi, mass = mesh.rings
+        nt, nph = mesh.ntheta, mesh.nphi
+        self.free = np.ones(1 + nt * nph, dtype=bool)
+        self.free[-nph:] = free_eq
+        self.K = _stiffness(mesh)[self.free][:, self.free]
+        self.M = sps.diags(_node_mass(mesh)[self.free]).tocsr()
+        self.sigma = sigma = -1e-8 * float(self.K.diagonal().mean())
+        lam = 4.0 * np.sin(math.pi * np.arange(nph // 2 + 1) / nph) ** 2
+        shunt = g_phi[:, None] * lam - sigma * mass[1:, None]  # ring i at row i-1
+        # interior blocks, one per mode: slot 0 holds the pole in mode 0 and
+        # is a decoupled unit row in the others, slots 1..nt-1 the rings
+        d = np.ones((lam.size, nt))
+        d[0, 0] = nph * g_theta[0] - sigma * mass[0]
+        d[:, 1:] = (g_theta[:-1] + g_theta[1:]) + shunt[:-1].T
+        e = np.zeros((lam.size, nt))
+        e[0, 0] = -g_theta[0] * math.sqrt(nph)
+        e[:, 1:-1] = -g_theta[1:-1]
+        self._d, self._e, info = lapack.dpttrf(d.ravel(), e.ravel()[:-1])
+        if info != 0 or not np.all(self._d > 0):
+            raise ConvergenceError("hemisphere pencil is not positive definite")
+        unit = np.zeros(d.shape)
+        unit[:, -1] = g_theta[-1]
+        self._resp = self._interior(unit)  # interior response to equator data
+        # equator symbol; in modes k > 0 the pole value is zero, so ring 1
+        # sees the whole pole conductance
+        pole = -sigma * mass[0] / nph
+        rho = np.full(lam.size, g_theta[0])
+        rho[0] = g_theta[0] * pole / (g_theta[0] + pole)
+        rho += shunt[0]
+        for i in range(1, nt):
+            rho = g_theta[i] * rho / (g_theta[i] + rho) + shunt[i]
+        if not np.all(rho > 0):
+            raise ConvergenceError("hemisphere pencil is not positive definite")
+        self._free = np.flatnonzero(free_eq)
+        circ = np.fft.irfft(rho, nph)
+        S = circ[np.subtract.outer(self._free, self._free) % nph]
+        try:
+            self._chol = sla.cho_factor(S)
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            raise ConvergenceError("equator Schur complement is not positive "
+                                   "definite") from exc
+        self._A = (self.K - sigma * self.M).tocsr()
+        self._A_norm = float(abs(self._A).sum(axis=1).max())
+        self._g_eq = g_theta[-1]
+        self._n_int = 1 + (nt - 1) * nph
+        self._nphi = nph
+
+    def _interior(self, modes: np.ndarray) -> np.ndarray:
+        """A_II^-1 in modes (rows: modes, columns: pole slot and rings);
+        real and imaginary parts are two right-hand sides."""
+        rhs = np.column_stack((modes.real.ravel(), modes.imag.ravel()))
+        x, _ = lapack.dpttrs(self._d, self._e, rhs)
+        return (x[:, 0] + 1j * x[:, 1]).reshape(modes.shape)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        nph, ni = self._nphi, self._n_int
+        rings = np.fft.rfft(b[1:ni].reshape(-1, nph), axis=1, norm="ortho")
+        z = np.zeros((rings.shape[1], rings.shape[0] + 1), dtype=complex)
+        z[0, 0] = b[0]
+        z[:, 1:] = rings.T
+        z = self._interior(z)
+        below = np.fft.irfft(z[:, -1], nph, norm="ortho")  # z on ring nt-1
+        eq = np.zeros(nph)
+        eq[self._free] = sla.cho_solve(  # NaN is caught by the check below
+            self._chol, b[ni:] + self._g_eq * below[self._free],
+            check_finite=False)
+        z += self._resp * np.fft.rfft(eq, norm="ortho")[:, None]
+        x = np.empty_like(b)
+        x[0] = z[0, 0].real
+        x[1:ni] = np.fft.irfft(z[:, 1:].T, nph, axis=1, norm="ortho").ravel()
+        x[ni:] = eq[self._free]
+        res = float(np.abs(self._A @ x - b).max())
+        scale = self._A_norm * float(np.abs(x).max()) + float(np.abs(b).max())
+        if not res <= _BACKWARD_TOL * scale:
+            raise ConvergenceError("hemisphere solve failed its backward-error "
+                                   "check", residual=res / scale)
+        return x
+
+
+def _lowest_pair(mesh: HemisphereMesh, free_eq: np.ndarray, tol=1e-9,
+                 maxiter=2000):
+    """Smallest eigenpair of the N = 2 pencil, u = 0 on the equator outside
+    free_eq: shift-invert Lanczos (ARPACK) from a deterministic start vector,
+    with the inverse applied by a _HemisphereSolver.  Returns the eigenvalue
+    and the eigenvector on all mesh nodes.
+    """
+    pencil = _HemisphereSolver(mesh, free_eq)
+    K = pencil.K
+    OPinv = spla.LinearOperator(K.shape, matvec=pencil.solve, dtype=float)
     try:
-        vals, vecs = spla.eigsh(Kf, k=1, M=Mf, sigma=sigma, which="LM",
-                                v0=v0, tol=tol, maxiter=maxiter)
+        vals, vecs = spla.eigsh(K, k=1, M=pencil.M, sigma=pencil.sigma,
+                                which="LM", v0=np.ones(K.shape[0]), tol=tol,
+                                maxiter=maxiter, OPinv=OPinv)
     except spla.ArpackNoConvergence as exc:  # pragma: no cover
         raise ConvergenceError("eigen-iteration did not converge",
                                iterations=maxiter) from exc
-    return max(float(vals[0]), 0.0), vecs[:, 0]
+    vec = np.zeros(pencil.free.size)
+    vec[pencil.free] = vecs[:, 0]
+    return max(float(vals[0]), 0.0), vec
 
 
 def lambda1(mesh: HemisphereMesh, omega: EquatorRegion, tol: float = 1e-9):
     """First eigenvalue with u = 0 on the equator outside omega.
 
     Returns (eigenvalue, eigenfunction on all mesh nodes); the eigenfunction
-    is normalized sign-definite, first nonzero entry positive.
+    is normalized sign-definite, first nonzero entry positive.  tol is the
+    ARPACK tolerance of the N = 2 iteration; the N = 1 solve is direct.
     """
-    K, M, eq_nodes = _forms(mesh)
-    n = K.shape[0]
-    fixed = np.zeros(n, dtype=bool)
     if mesh.params.N == 1:
-        ends = omega.ends if omega.ends is not None else (False, False)
-        for marker, node in zip(ends, eq_nodes):
-            if not marker:
-                fixed[node] = True
+        lam, vec = _half_circle_pair(
+            mesh, omega.ends if omega.ends is not None else (False, False))
     else:
-        free_eq = omega.contains(mesh.phi)
-        fixed[eq_nodes[~free_eq]] = True
-    free = np.flatnonzero(~fixed)
-    if free.size == 0:
-        raise ConfigurationError("no free nodes: the Dirichlet set is everything")
-    lam, vf = _lowest_pair(K, M, free, tol=tol)
-    vec = np.zeros(n)
-    vec[free] = vf
+        lam, vec = _lowest_pair(mesh, omega.contains(mesh.phi), tol=tol)
     nz = np.flatnonzero(np.abs(vec) > 1e-12 * np.abs(vec).max())
     if nz.size and vec[nz[0]] < 0:
         vec = -vec
@@ -350,15 +441,11 @@ def lambda1_codim1(mesh: HemisphereMesh, tol: float = 1e-9):
     the x1 = 0 plane (N = 2, s > 1/2 for a capacity-positive constraint)."""
     if mesh.params.N != 2:
         raise ConfigurationError("codim-1 constraint needs the N = 2 mesh")
-    K, M, eq_nodes = _forms(mesh)
     phi = mesh.phi
-    fixed = np.zeros(K.shape[0], dtype=bool)
+    free_eq = np.ones(mesh.nphi, dtype=bool)
     for target in (0.5 * math.pi, 1.5 * math.pi):
-        j = int(np.argmin(np.abs(phi - target)))
-        fixed[eq_nodes[j]] = True
-    free = np.flatnonzero(~fixed)
-    lam, _ = _lowest_pair(K, M, free, tol=tol)
-    return lam
+        free_eq[int(np.argmin(np.abs(phi - target)))] = False
+    return _lowest_pair(mesh, free_eq, tol=tol)[0]
 
 
 def eigenfunction_sign_definite(vec: np.ndarray, rtol: float = 1e-8) -> bool:
@@ -420,8 +507,7 @@ def nu_acf_caps(mesh: HemisphereMesh, radii_grid=None) -> CapScanResult:
 
 def _support_overlap(mesh: HemisphereMesh, pair: CapPair) -> float:
     """Mass-weighted overlap of the optimal eigenfunction pair's supports."""
-    _, M, _ = _forms(mesh)
-    m = M.diagonal()
+    m = _node_mass(mesh)
     _, u1 = lambda1(mesh, EquatorRegion.cap(0.0, pair.t1))
     _, u2 = lambda1(mesh, EquatorRegion.cap(math.pi, pair.t2))
     a1, a2 = np.abs(u1), np.abs(u2)

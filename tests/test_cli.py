@@ -130,10 +130,13 @@ def test_solve_writes_json_report(tmp_path, capsys):
 def test_removed_flags_exit_2(capsys):
     for argv in (["solve", "--quick", "--config", "cfg.json"],
                  ["verify", "--out", "somewhere"]):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
+        assert cli.main(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert cli.main(["--help"]) == 0
+    assert "usage" in capsys.readouterr().out
 
 
 def _diagnose_setup(tmp_path, stop=0.8):

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from fracseg.core import FracParams, NamedSolution, eval_solution
-from fracseg.diagnostics import (acf_one_phase, acf_perturbed, acf_two_phase,
+from fracseg.diagnostics import (_CellGeometry, acf_one_phase, acf_perturbed, acf_two_phase,
                                  almgren, holder_seminorm,
                                  log_derivative_residual, monotonicity_check,
                                  pohozaev_residual, trace_seminorm)
@@ -180,6 +180,22 @@ def test_quadrature_translation_invariance():
     prof1 = almgren(f0, (shift,), RADII)  # same field, shifted center
     # the profile depends only on y here, so shifted centers agree
     assert np.allclose(prof0.E.values, prof1.E.values, rtol=1e-10)
+
+
+def test_volume_integral_matches_full_grid_sum():
+    # the quadrature sums only the cells inside the largest radius; the
+    # full-grid sum of the same ramp is the reference, equal up to the
+    # order of summation
+    rng = np.random.default_rng(3)
+    for g, center in ((diag_grid(0.5, nx=128), (0.1,)),
+                      (build_grid(GridConfig(d=2, L=0.8, Y=0.8, nx=17, ny=16),
+                                  FracParams(s=0.5, N=2)), (0.0, 0.1))):
+        geo = _CellGeometry(g, center)
+        w = rng.random(geo.R.shape)
+        radii = np.array([0.45, 0.1, 0.3])
+        ref = [np.sum(w * geo.vol * geo._ramp(r, geo.R, geo.width)) for r in radii]
+        got = geo.volume_integral(w, radii)
+        assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
 
 
 def test_pohozaev_residuals():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fracseg import spectral
 from fracseg.core import FracParams, comparison_f
 from fracseg.spectral import (ComparisonProfile, PeriodicGrid1D, comparison_pv,
                               frac_lap_pv, frac_lap_symbol)
@@ -87,6 +88,24 @@ def test_comparison_profile_matches_quadrature():
         prof = ComparisonProfile(p)
         xs = np.array([-50.0, -3.0, 0.0, 2.0, 40.0])
         assert np.abs(prof(xs) - comparison_f(xs, p)).max() < 1e-6
+
+
+def test_comparison_profile_tabulates_once_per_order(monkeypatch):
+    calls = []
+    quadrature = spectral.comparison_f
+
+    def counting(x, p):
+        calls.append(p.s)
+        return quadrature(x, p)
+
+    monkeypatch.setattr(spectral, "comparison_f", counting)
+    spectral._master_table.cache_clear()
+    xs = np.linspace(-20.0, 20.0, 41)
+    first = ComparisonProfile(FracParams(s=0.3, N=1))(xs)
+    again = ComparisonProfile(FracParams(s=0.3, N=2))(xs)
+    comparison_pv(FracParams(s=0.3, N=1), xs[:5])
+    assert calls == [0.3]
+    assert np.array_equal(first, again)
 
 
 def test_comparison_estimate_holds():

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 
+from fracseg import sphere
 from fracseg.core import FracParams
-from fracseg.errors import ConfigurationError
+from fracseg.errors import ConfigurationError, ConvergenceError
 from fracseg.sphere import (CapPair, EquatorRegion, HemisphereMesh,
                             eigenfunction_sign_definite, lambda1,
                             lambda1_codim1, nu_acf_caps)
@@ -144,3 +147,91 @@ def test_nu_scan_deterministic_table():
     r2 = nu_acf_caps(mesh, grid)
     assert r1.table == r2.table
     assert r1.nu_hat == r2.nu_hat
+
+
+def _sparse_lu_lambda1(mesh, free_eq):
+    """Reference: the pencil assembled edge by edge from the ring
+    coefficients and shift-inverted through one sparse LU."""
+    g_theta, g_phi, mass = mesh.rings
+    nt, nph = mesh.ntheta, mesh.nphi
+    n = 1 + nt * nph
+
+    def node(ring, j):
+        return 0 if ring == 0 else 1 + (ring - 1) * nph + j % nph
+
+    K = sps.lil_matrix((n, n))
+    edges = [(node(0, 0), node(1, j), g_theta[0]) for j in range(nph)]
+    edges += [(node(i, j), node(i + 1, j), g_theta[i])
+              for i in range(1, nt) for j in range(nph)]
+    edges += [(node(i, j), node(i, j + 1), g_phi[i - 1])
+              for i in range(1, nt + 1) for j in range(nph)]
+    for p, q, g in edges:
+        K[p, q] -= g
+        K[q, p] -= g
+        K[p, p] += g
+        K[q, q] += g
+    m = np.concatenate((mass[:1], np.repeat(mass[1:], nph)))
+    free = np.concatenate((np.ones(n - nph, dtype=bool), free_eq))
+    Kf = K.tocsr()[free][:, free]
+    Mf = sps.diags(m[free]).tocsr()
+    sigma = -1e-8 * float(Kf.diagonal().mean())
+    lu = spla.splu((Kf - sigma * Mf).tocsc())
+    OPinv = spla.LinearOperator(Kf.shape, matvec=lu.solve, dtype=float)
+    vals = spla.eigsh(Kf, k=1, M=Mf, sigma=sigma, which="LM",
+                      v0=np.ones(Kf.shape[0]), tol=1e-9, OPinv=OPinv,
+                      return_eigenvectors=False)
+    return max(float(vals[0]), 0.0)
+
+
+@pytest.mark.parametrize("s", S_GRID)
+def test_hemisphere_engine_matches_sparse_lu(s):
+    for nt, nph in ((16, 32), (24, 48)):
+        mesh = mesh2(s, nt=nt, nph=nph)
+        regions = {"empty": EquatorRegion.empty(2), "half": EquatorRegion.half(2),
+                   "cap": EquatorRegion.cap(0.4, 1.1), "full": EquatorRegion.full(2)}
+        for name, region in regions.items():
+            lam, _ = lambda1(mesh, region)
+            ref = _sparse_lu_lambda1(mesh, region.contains(mesh.phi))
+            if name == "full":
+                assert abs(lam - ref) <= 1e-10
+            else:
+                assert lam == pytest.approx(ref, rel=1e-10, abs=0.0)
+        free_eq = np.ones(nph, dtype=bool)
+        free_eq[[nph // 4, 3 * nph // 4]] = False  # the nodes at phi = pi/2, 3pi/2
+        ref = _sparse_lu_lambda1(mesh, free_eq)
+        assert lambda1_codim1(mesh) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+def test_sphere_makes_no_sparse_lu(monkeypatch):
+    shapes, shift_inverts = [], []
+    splu, eigsh = sphere.spla.splu, sphere.spla.eigsh
+
+    def counting_splu(A, *args, **kwargs):
+        shapes.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    def recording_eigsh(*args, **kwargs):
+        shift_inverts.append(kwargs.get("OPinv"))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(sphere.spla, "splu", counting_splu)
+    monkeypatch.setattr(sphere.spla, "eigsh", recording_eigsh)
+    mesh = mesh2(0.75, nt=16, nph=32)
+    lambda1(mesh, EquatorRegion.half(2))
+    lambda1_codim1(mesh)
+    nu_acf_caps(mesh, np.linspace(0.0, math.pi, 3))
+    lambda1(HemisphereMesh(params=FracParams(s=0.75, N=1), ntheta=16),
+            EquatorRegion.half(1))
+    assert shapes == []
+    assert shift_inverts and all(op is not None for op in shift_inverts)
+
+
+def test_hemisphere_solver_rejects_nan():
+    mesh = mesh2(0.5, nt=8, nph=16)
+    pencil = sphere._HemisphereSolver(mesh, np.arange(16) < 8)
+    b = np.ones(pencil.K.shape[0])
+    x = pencil.solve(b)
+    assert np.abs(pencil.K @ x - pencil.sigma * (pencil.M @ x) - b).max() < 1e-11
+    b[5] = np.nan
+    with pytest.raises(ConvergenceError):
+        pencil.solve(b)
