@@ -10,7 +10,6 @@ is what makes the weighted normal derivative consistent for a != 0.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 import tempfile
@@ -20,7 +19,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sps
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # unused here; the traced benchmark hooks grid.spla
 
 from .core import FracParams
 from .errors import ConfigurationError, ConvergenceError
@@ -382,21 +381,16 @@ def trace_area(grid: HalfSpaceGrid) -> np.ndarray:
 
 def _inv_sqrt_diagonal(d: np.ndarray) -> np.ndarray:
     """Symmetric Jacobi scaling; the matched trace conductance scales like
-    y1^{-2s}, which would otherwise dominate both the pivoting and the
-    residual norm."""
+    y1^{-2s}, which would otherwise dominate the residual norm."""
     if np.any(d <= 0):
         raise ConvergenceError("operator lost positive diagonal")
     return 1.0 / np.sqrt(d)
 
 
-#: Most free horizontal nodes (nx'^d) a separable TraceSystem serves.  The
-#: dense Schur complement and its Cholesky copy take 16 n^2 bytes, 268 MB at
-#: the cap; above it every solve factors the sparse reduced operator.
+#: Most free horizontal nodes (nx'^d) a TraceSystem serves; with Dirichlet
+#: sides nx <= 4098 in d = 1 and nx <= 66 in d = 2.  The dense Schur
+#: complement and its Cholesky copy take 16 n^2 bytes, 268 MB at the cap.
 TRACE_CAP = 4096
-#: Most unknowns the sparse path factors by LU; Jacobi-scaled CG above.
-SPARSE_LU_CAP = 150_000
-#: Relative residual CG stops at; every solve must pass 100 times it.
-SOLVE_TOL = 1e-10
 
 
 class TraceSystem:
@@ -407,22 +401,28 @@ class TraceSystem:
     leaves the reduced operator A on the free trace nodes t and the interior
     nodes i.  The Neumann row d_nu^a v = g0 - m v only adds m * area to the
     t diagonal.  On the tensor grid A is a Kronecker sum,
-    A = Hx (x) Ky + Kx (x) Wy in d = 1 (one more Kx term in d = 2).  Up to
-    TRACE_CAP free horizontal nodes the engine diagonalizes the horizontal
-    part once (Kx v = lambda Hx v; fast diagonalization), which splits A_ii
-    into one tridiagonal system in y per mode.  The Schur complement
-    S = A_tt - A_ti A_ii^-1 A_it, the discrete Dirichlet-to-Neumann map, is
-    diagonal in the modes; each solve is the dense SPD system
-    (S + diag(m area)) t = c + g0 area plus the interior A_ii^-1 b_i of the
-    load corrected by its precomputed response to t.  With a Dirichlet trace
-    each solve is purely spectral.  Above the cap each solve factors the
-    sparse reduced operator.
+    A = Hx (x) Ky + Kx (x) Wy in d = 1 (one more Kx term in d = 2).  The
+    engine diagonalizes the horizontal part once (Kx v = lambda Hx v; fast
+    diagonalization), which splits A_ii into one tridiagonal system in y per
+    mode.  The Schur complement S = A_tt - A_ti A_ii^-1 A_it, the discrete
+    Dirichlet-to-Neumann map, is diagonal in the modes; each solve is the
+    dense SPD system (S + diag(m area)) t = c + g0 area plus the interior
+    A_ii^-1 b_i of the load corrected by its precomputed response to t.
+    With a Dirichlet trace each solve is purely spectral.  A grid with more
+    than TRACE_CAP free horizontal nodes is a ConfigurationError.
     """
 
     def __init__(self, grid: HalfSpaceGrid, sides: bool = True,
                  trace_dirichlet: bool = False):
-        self.grid, self.layout = grid, (sides, trace_dirichlet)
         block = _free_block(grid, sides, trace_dirichlet)
+        n_horizontal = grid.x[block[0]].size ** grid.d
+        if n_horizontal > TRACE_CAP:
+            raise ConfigurationError(
+                f"grid has {n_horizontal} free horizontal nodes, more than the "
+                f"{TRACE_CAP} the linear engine serves; with Dirichlet sides "
+                f"nx <= {TRACE_CAP + 2} in d = 1 and "
+                f"nx <= {int(TRACE_CAP ** 0.5) + 2} in d = 2")
+        self.grid, self.layout = grid, (sides, trace_dirichlet)
         free = np.zeros(grid.shape, dtype=bool)
         free[block] = True
         self.unk = np.flatnonzero(free.ravel())
@@ -438,10 +438,7 @@ class TraceSystem:
         self.area = trace_area(grid).ravel()[self.trace_free]
         self._diag = self.A_uu.diagonal()
         self.factorizations = 0
-        self.schur = None
-        self._faces = None  # off-diagonal (p, q, conductance) of the operator
-        if grid.x[block[0]].size ** grid.d <= TRACE_CAP:
-            self._separate(block[0], sides, trace_dirichlet)
+        self._separate(block[0], sides, trace_dirichlet)
 
     def _separate(self, xs: slice, sides: bool, trace_dirichlet: bool) -> None:
         """Horizontal eigenbasis, per-mode factors and the Schur complement."""
@@ -527,11 +524,9 @@ class TraceSystem:
 
     def load(self, dvals: np.ndarray) -> tuple:
         """Grid-shaped Dirichlet values dvals, their reduced right-hand side
-        b and, for a separable engine, the interior z = A_ii^-1 b_i (rows
-        first) and b condensed onto the free trace (else None, None)."""
+        b, the interior z = A_ii^-1 b_i (rows first) and b condensed onto the
+        free trace (None with a Dirichlet trace)."""
         b = -(self.A_ud @ dvals.ravel()[self.dir])
-        if self.schur is None:
-            return dvals, b, None, None
         rows = np.moveaxis(b.reshape(self._block[1:] + self._block[:1]), -1, 0)
         rows = np.ascontiguousarray(rows)  # BLAS is 6x slower on the view
         if not self.trace_rows.size:
@@ -544,10 +539,10 @@ class TraceSystem:
     def solve(self, load: tuple, m, g0) -> np.ndarray:
         """Grid-shaped solution for a load with trace absorption m and source g0.
 
-        A separable engine solves spectrally.  Otherwise the sparse reduced
-        operator is solved: by LU plus one flux-form refinement step up to
-        SPARSE_LU_CAP unknowns, by Jacobi-scaled CG above.  Every solve is
-        checked by the equilibrated residual of the reduced system.
+        The trace t solves (S + diag(m area)) t = c + g0 area by Cholesky;
+        the interior is the load's z plus its response to t.  With a
+        Dirichlet trace the solution is z.  Every solve is checked by the
+        equilibrated residual of the reduced system, applied through A_uu.
         """
         n, tr = self.unk.size, self.trace_rows
         dvals, b, z, c = load
@@ -560,61 +555,12 @@ class TraceSystem:
         bnorm = float(np.linalg.norm(dh * b))
         if bnorm == 0.0:
             return self._field(dvals, np.zeros(n))
-        info = 0
-        if self.schur is not None:
-            x = self._separable_solve(z, c, absorb[tr], ga)
-        else:
-            D = sps.diags(dh)
-            As = (D @ (self.A_uu + sps.diags(absorb)) @ D).tocsr()
-            if n <= SPARSE_LU_CAP:
-                lu = spla.splu(As.tocsc())
-                self.factorizations += 1
-                xs = lu.solve(dh * b)
-                xs += lu.solve(dh * self._flux_residual(dvals, dh * xs, absorb, ga))
-            else:
-                maxiter = int(20 * math.sqrt(n)) + 200
-                xs, info = spla.cg(As, dh * b, rtol=SOLVE_TOL, atol=0.0,
-                                   maxiter=maxiter)
-            x = dh * xs
-        res = float(np.linalg.norm(dh * (self.A_uu @ x + absorb * x - b))) / bnorm
-        if info != 0:
-            raise ConvergenceError(
-                f"CG failed to reach tol={SOLVE_TOL} within {maxiter} iterations",
-                residual=res, iterations=info)
-        if not np.isfinite(res) or res > 100 * SOLVE_TOL:
-            raise ConvergenceError("linear solve failed its residual check",
-                                   residual=res)
-        return self._field(dvals, x)
-
-    def _flux_residual(self, dvals, x, absorb, ga) -> np.ndarray:
-        """Residual of the reduced system with A applied face by face.
-
-        On graded grids the y1^{-2s} trace conductance dwarfs the rest of
-        its rows, and the rounding of the diagonal that holds it moves the
-        solution by up to 1e-5 at s = 3/4.  Here each conductance multiplies
-        a difference v_p - v_q, so one refinement step on this residual
-        restores the accuracy the assembled matrix loses.
-        """
-        if self._faces is None:
-            A = self.grid.operator.tocoo()
-            off = A.row != A.col
-            self._faces = A.row[off], A.col[off], -A.data[off]
-        p, q, g = self._faces
-        v = dvals.ravel().copy()
-        v[self.unk] = x
-        flux = np.bincount(p, weights=g * (v[p] - v[q]), minlength=v.size)
-        r = -flux[self.unk] - absorb * x
-        r[self.trace_rows] += ga
-        return r
-
-    def _separable_solve(self, z, c, absorb, ga) -> np.ndarray:
-        """Reduced solution from the load's interior z and condensed c."""
         x = np.empty(self._block)
         if c is None:
             x[:] = z
         else:
             St = self.schur.copy()
-            St.flat[::c.size + 1] += absorb
+            St.flat[::c.size + 1] += absorb[tr]
             try:
                 t = sla.cho_solve(sla.cho_factor(St, overwrite_a=True), c + ga)
             except (np.linalg.LinAlgError, ValueError) as exc:  # not SPD, or NaN
@@ -622,7 +568,12 @@ class TraceSystem:
             x[0] = t.reshape(z.shape[1:])
             q = self._to_modes((self.area * t).reshape(z.shape[1:]))
             x[1:] = z + self._from_modes(self._resp * q)
-        return np.moveaxis(x, 0, -1).ravel()
+        x = np.moveaxis(x, 0, -1).ravel()
+        res = float(np.linalg.norm(dh * (self.A_uu @ x + absorb * x - b))) / bnorm
+        if not np.isfinite(res) or res > 1e-8:
+            raise ConvergenceError("linear solve failed its residual check",
+                                   residual=res)
+        return self._field(dvals, x)
 
     def _field(self, dvals, x) -> np.ndarray:
         full = dvals.ravel().copy()
@@ -636,11 +587,12 @@ def solve_linear(grid: HalfSpaceGrid, bdata: BoundaryData) -> Field:
     The bottom-row equations impose the Neumann flux through the matched
     trace stencil; with m >= 0 the reduced system is an M-matrix, so
     nonnegative data yields a nonnegative solution.  Solved by a TraceSystem
-    of the boundary's layout.
+    of the boundary's layout, which rejects a grid above TRACE_CAP before
+    any grid-shaped array is made.
     """
-    _, dvals = dirichlet_data(grid, bdata)
     engine = TraceSystem(grid, bdata.sides is not None,
                          bdata.trace_dirichlet is not None)
+    _, dvals = dirichlet_data(grid, bdata)
     if engine.unk.size == 0:
         return Field(grid, dvals)
     m = g0 = 0.0

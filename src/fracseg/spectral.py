@@ -264,7 +264,8 @@ class ComparisonProfile:
             xs = np.where(hi, x, 1.0)  # keep the power off negative bases
             out = np.where(hi, 1.0 + self.tail.right_coef * xs ** (a - 1.0), out)
         if np.any(lo):
-            out = np.where(lo, self.tail.left_coef * np.abs(x) ** (a - 1.0), out)
+            xs = np.where(lo, -x, 1.0)  # keep the power off 0
+            out = np.where(lo, self.tail.left_coef * xs ** (a - 1.0), out)
         return out
 
 

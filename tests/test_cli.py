@@ -115,6 +115,18 @@ def test_dimension_mismatch_exits_2(tmp_path, capsys, command):
     assert "trace dimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d, nx", [(1, 4100), (2, 67)])
+def test_grid_above_trace_cap_exits_2(tmp_path, capsys, d, nx):
+    cfg = tiny_config(fractional={"s": 0.5, "N": d},
+                      grid={"d": d, "L": 2.0, "Y": 1.0, "nx": nx, "ny": 4})
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["solve", "--config", path,
+                     "--out", os.path.join(tmp_path, "cap")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("configuration error:") and "free horizontal nodes" in err
+
+
 def test_solve_writes_json_report(tmp_path, capsys):
     cfg = tiny_config(output={"formats": ["json"]})
     path = write_config(tmp_path, cfg)

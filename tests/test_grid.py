@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-import fracseg.grid as grid_mod
 from fracseg.core import FracParams, NamedSolution, dtn_exact, eval_solution
 from fracseg.errors import ConfigurationError, ConvergenceError
-from fracseg.grid import (BoundaryData, Field, GridConfig, apply_operator,
-                          build_grid, dtn_trace, field_from_function,
-                          grid_coordinates, interpolate_field, read_snapshot,
-                          snapshot_csv, solve_linear, write_snapshot)
+from fracseg.grid import (BoundaryData, Field, GridConfig, TraceSystem,
+                          apply_operator, build_grid, dirichlet_data, dtn_trace,
+                          field_from_function, grid_coordinates,
+                          interpolate_field, read_snapshot, snapshot_csv,
+                          solve_linear, write_snapshot)
 
 
 def small_grid(s=0.5, d=1, nx=33, ny=16, L=1.0, Y=1.0, grading=None):
@@ -207,16 +207,21 @@ def test_dtn_symbol_ratio_smoke():
     assert amp(2) / amp(1) == pytest.approx(2.0 ** (2 * s), rel=0.03)
 
 
-def test_solver_errors(monkeypatch):
+def test_solver_errors():
     g = small_grid()
     with pytest.raises(ConfigurationError):
         solve_linear(g, BoundaryData(top=1.0, sides=1.0, neumann_m=-1.0))
-    # down the CG path with a tolerance it cannot reach
-    monkeypatch.setattr(grid_mod, "TRACE_CAP", 0)
-    monkeypatch.setattr(grid_mod, "SPARSE_LU_CAP", 0)
-    monkeypatch.setattr(grid_mod, "SOLVE_TOL", 1e-300)
-    with pytest.raises(ConvergenceError, match="CG failed"):
-        solve_linear(g, BoundaryData(top=1.0, sides=1.0))
+
+
+def test_residual_check_catches_wrong_schur():
+    # a Schur complement 1 % off solves a nearby system without complaint;
+    # the residual of the reduced system through A_uu rejects the result
+    g = small_grid()
+    engine = TraceSystem(g)
+    engine.schur *= 1.01
+    load = engine.load(dirichlet_data(g, BoundaryData(top=1.0, sides=1.0))[1])
+    with pytest.raises(ConvergenceError, match="residual check"):
+        engine.solve(load, 0.0, 0.1)
 
 
 def test_d2_operator_and_solve():

@@ -108,6 +108,20 @@ def test_comparison_profile_tabulates_once_per_order(monkeypatch):
     assert np.array_equal(first, again)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_comparison_profile_far_tail_emits_no_warning():
+    # beyond |x| = 1e4 the profile is its tail asymptotic; a grid holding
+    # both 0 and such points must not raise the power of 0 to a - 1 < 0
+    p = FracParams(s=0.5, N=1)
+    prof = ComparisonProfile(p)
+    x = np.linspace(-2e4, 2e4, 100001)
+    assert 0.0 in x
+    got = prof(x)
+    lo = x < -1e4
+    assert np.array_equal(got[lo], prof.tail.left_coef * np.abs(x[lo]) ** (p.a - 1.0))
+    assert np.array_equal(got[~lo], prof(x[~lo]))
+
+
 def test_comparison_estimate_holds():
     # the one-sided bound: (-Delta)^s f >= -c f on the negative axis,
     # with a finite stable fitted c
