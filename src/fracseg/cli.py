@@ -99,9 +99,12 @@ def _problem(cfg: dict, beta: float) -> CompetitionProblem:
     params = _params(cfg)
     pr = cfg.get("problem", {})
     k = pr.get("k", 1)
-    coupling = np.asarray(pr.get("coupling",
-                                 1.0 - np.eye(k) if k > 1 else [[0.0]]),
-                          dtype=float)
+    try:
+        coupling = np.asarray(pr.get("coupling",
+                                     1.0 - np.eye(k) if k > 1 else [[0.0]]),
+                              dtype=float)
+    except ValueError as exc:  # ragged rows
+        raise ConfigurationError("coupling matrix must be k x k") from exc
     reactions = tuple(Reaction(r.get("kind", "zero"), r.get("lam", 1.0))
                       for r in pr.get("reactions",
                                       [{"kind": "zero"}] * k))
@@ -327,7 +330,10 @@ def cmd_oracle(cfg: dict, args) -> RunReport:
     report = RunReport("oracle")
     params = _params(cfg)
     orc = cfg.get("oracle", {})
-    grid = PeriodicGrid1D(n=orc.get("n", 256), L=orc.get("L", 1.0))
+    try:
+        grid = PeriodicGrid1D(n=orc.get("n", 256), L=orc.get("L", 1.0))
+    except ValueError as exc:  # the schema admits n that are not 2^k
+        raise ConfigurationError(f"oracle: {exc}") from exc
     fn = orc.get("function", {"kind": "cos", "k": 1})
     s = params.s
     if fn["kind"] == "comparison":

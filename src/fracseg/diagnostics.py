@@ -64,6 +64,12 @@ def monotonicity_check(profile: RadialProfile, tol: float) -> MonotonicityReport
     return MonotonicityReport(violations, max_violation, tol, max_violation <= tol)
 
 
+#: kernel_energy re-integrates the cells within _CORE_CELLS diagonals of the
+#: center on a _SUB x _SUB lattice
+_CORE_CELLS = 6
+_SUB = 6
+
+
 class _CellGeometry:
     """Cell-centered geometry and reconstruction relative to a trace center."""
 
@@ -142,25 +148,24 @@ class _CellGeometry:
         horiz = sum(c * c for c in comps[:-1])
         return self.wy * horiz + self.wy_vert * comps[-1] ** 2
 
-    def kernel_energy(self, fld: Field, kern, core_cells: int = 6,
-                      sub: int = 6) -> np.ndarray:
+    def kernel_energy(self, fld: Field, kern) -> np.ndarray:
         """energy_density times a radial kernel, subcell-refined near center.
 
         The kernel-gradient product is strongly singular at the center; cells
-        within core_cells diagonals are re-integrated on a sub x sub lattice
-        of the bilinear interpolant (d = 1 grids; the d = 2 core is left at
-        cell resolution).
+        within _CORE_CELLS diagonals are re-integrated on a _SUB x _SUB
+        lattice of the bilinear interpolant (d = 1 grids; the d = 2 core is
+        left at cell resolution).
         """
         base = self.energy_density(fld) * kern(self.R)
-        if self.grid.d != 1 or core_cells <= 0:
+        if self.grid.d != 1:
             return base
         g = self.grid
         diag = float(np.hypot(g.dx, g.dy.max()))
-        ci, cj = np.nonzero(self.R <= core_cells * diag)
+        ci, cj = np.nonzero(self.R <= _CORE_CELLS * diag)
         if ci.size == 0:
             return base
         v = fld.values
-        t = (np.arange(sub) + 0.5) / sub
+        t = (np.arange(_SUB) + 0.5) / _SUB
         tx = t[None, :, None]
         ty = t[None, None, :]
         v00 = v[ci, cj][:, None, None]
@@ -172,8 +177,8 @@ class _CellGeometry:
         gx = ((v10 - v00) * (1.0 - ty) + (v11 - v01) * ty) / g.dx
         gy = ((v01 - v00) * (1.0 - tx) + (v11 - v10) * tx) / dyj
         xs = g.x[ci][:, None, None] + tx * g.dx - self.center[0]
-        ylo = y0 + (ty - 0.5 / sub) * dyj
-        yhi = y0 + (ty + 0.5 / sub) * dyj
+        ylo = y0 + (ty - 0.5 / _SUB) * dyj
+        yhi = y0 + (ty + 0.5 / _SUB) * dyj
         a = g.params.a
         wya = ((yhi ** (1 + a) - ylo ** (1 + a)) / ((1 + a) * (yhi - ylo)))
         wyv = np.where(cj[:, None, None] == 0,
@@ -359,8 +364,13 @@ class AlmgrenProfiles(NamedTuple):
     Nfreq: RadialProfile
 
 
-def _sphere_mass(geo: _CellGeometry, flist, radii, n_rad: int = 96,
-                 n_phi: int = 64) -> np.ndarray:
+#: Gauss-Jacobi nodes in the polar angle and uniform nodes in phi of
+#: _sphere_mass
+_N_RAD = 96
+_N_PHI = 64
+
+
+def _sphere_mass(geo: _CellGeometry, flist, radii) -> np.ndarray:
     """int_{boundary sphere} y^a sum v_i^2 by weighted Gauss-Jacobi quadrature.
 
     The y^a factor is absorbed into the quadrature weight exactly, so only
@@ -370,7 +380,7 @@ def _sphere_mass(geo: _CellGeometry, flist, radii, n_rad: int = 96,
     a = grid.params.a
     out = np.zeros(len(radii))
     if grid.d == 1:
-        u, w = roots_jacobi(n_rad, 0.5 * (a - 1.0), 0.5 * (a - 1.0))
+        u, w = roots_jacobi(_N_RAD, 0.5 * (a - 1.0), 0.5 * (a - 1.0))
         y_unit = np.sqrt(np.maximum(1.0 - u * u, 0.0))
         for i, r in enumerate(radii):
             xq = geo.center[0] + r * u
@@ -378,17 +388,17 @@ def _sphere_mass(geo: _CellGeometry, flist, radii, n_rad: int = 96,
             g = sum(interpolate_field(f, xq, yq) ** 2 for f in flist)
             out[i] = r ** (1.0 + a) * float(w @ g)
         return out
-    x_gj, w_gj = roots_jacobi(n_rad, 0.0, a)
+    x_gj, w_gj = roots_jacobi(_N_RAD, 0.0, a)
     u = 0.5 * (x_gj + 1.0)          # u = cos(polar), weight u^a on [0, 1]
     su = np.sqrt(np.maximum(1.0 - u * u, 0.0))
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    phi = 2.0 * np.pi * np.arange(_N_PHI) / _N_PHI
     cphi, sphi = np.cos(phi), np.sin(phi)
     for i, r in enumerate(radii):
         x1 = geo.center[0] + r * su[:, None] * cphi[None, :]
         x2 = geo.center[1] + r * su[:, None] * sphi[None, :]
         yq = r * (u[:, None] + 0.0 * cphi[None, :])
         g = sum(interpolate_field(f, x1, x2, yq) ** 2 for f in flist)
-        out[i] = (r ** (2.0 + a) * 2.0 ** (-1.0 - a) * (2.0 * np.pi / n_phi)
+        out[i] = (r ** (2.0 + a) * 2.0 ** (-1.0 - a) * (2.0 * np.pi / _N_PHI)
                   * float(w_gj @ g.sum(axis=1)))
     return out
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.linalg as sla
@@ -122,10 +122,7 @@ class HalfSpaceGrid:
     @cached_property
     def node_volume(self) -> np.ndarray:
         """Plain (unweighted) dual volume of every node, grid-shaped."""
-        hx = self.x_dual
-        if self.d == 1:
-            return hx[:, None] * self.y_dual_len[None, :]
-        return hx[:, None, None] * hx[None, :, None] * self.y_dual_len[None, None, :]
+        return np.multiply.outer(trace_area(self), self.y_dual_len)
 
     @cached_property
     def operator(self) -> sps.csr_matrix:
@@ -151,6 +148,9 @@ def build_grid(config: GridConfig, params: FracParams) -> HalfSpaceGrid:
     if p < 1.0:
         raise ConfigurationError("grading exponent must satisfy p >= 1")
     x = np.linspace(-config.L, config.L, config.nx)
+    if x[1] - x[0] < 2.0 * np.sqrt(config.d / np.finfo(float).max):
+        raise ConfigurationError(  # the x stiffness reaches 4 d / dx^2
+            "horizontal node spacing underflows the stiffness; raise L")
     j = np.arange(config.ny + 1, dtype=float)
     y = config.Y * (j / config.ny) ** p
     if np.any(np.diff(y) <= 0):
@@ -198,9 +198,7 @@ def field_from_function(grid: HalfSpaceGrid, fn, component: int = 0) -> Field:
 
 def grid_coordinates(grid: HalfSpaceGrid):
     """Broadcastable node coordinate arrays (x1[, x2], y)."""
-    if grid.d == 1:
-        return grid.x[:, None], grid.y[None, :]
-    return (grid.x[:, None, None], grid.x[None, :, None], grid.y[None, None, :])
+    return np.ix_(*[grid.x] * grid.d, grid.y)
 
 
 def interpolate_field(fld: Field, *coords) -> np.ndarray:
@@ -237,51 +235,27 @@ def assemble_La(grid: HalfSpaceGrid) -> sps.csr_matrix:
     in the kernel.  Entry (p, q) couples face-adjacent nodes with the face
     conductance; Dirichlet conditions are applied at solve time.
     """
-    shape = grid.shape
     nn = grid.n_nodes
-    idx = np.arange(nn).reshape(shape)
-    hx = grid.x_dual
+    idx = np.arange(nn).reshape(grid.shape)
+    hx = [grid.x_dual] * grid.d
     rows, cols, vals = [], [], []
 
-    def add_faces(p, q, g):
-        rows.append(p.ravel())
-        cols.append(q.ravel())
-        vals.append(-g.ravel())
-        rows.append(q.ravel())
-        cols.append(p.ravel())
-        vals.append(-g.ravel())
+    def add_faces(axis, g):
+        """Faces between nodes i and i + 1 along axis, conductance g."""
+        lead = (slice(None),) * axis
+        p, q = idx[lead + (slice(None, -1),)], idx[lead + (slice(1, None),)]
+        g = np.broadcast_to(-g, p.shape).ravel()
+        rows.extend((p.ravel(), q.ravel()))
+        cols.extend((q.ravel(), p.ravel()))
+        vals.extend((g, g))
 
-    gv = grid.vertical_conductance  # per unit horizontal measure
-    if grid.d == 1:
-        # vertical faces
-        p = idx[:, :-1]
-        q = idx[:, 1:]
-        g = hx[:, None] * gv[None, :]
-        add_faces(p, q, g)
-        # horizontal faces
-        p = idx[:-1, :]
-        q = idx[1:, :]
-        g = np.broadcast_to(grid.y_dual_w[None, :] / grid.dx, p.shape)
-        add_faces(p, q, g)
-    else:
-        harea = hx[:, None] * hx[None, :]
-        # vertical faces
-        p = idx[:, :, :-1]
-        q = idx[:, :, 1:]
-        g = harea[:, :, None] * gv[None, None, :]
-        add_faces(p, q, g)
-        # horizontal faces along axis 1
-        p = idx[:-1, :, :]
-        q = idx[1:, :, :]
-        g = np.broadcast_to(
-            hx[None, :, None] * grid.y_dual_w[None, None, :] / grid.dx, p.shape)
-        add_faces(p, q, g)
-        # horizontal faces along axis 2
-        p = idx[:, :-1, :]
-        q = idx[:, 1:, :]
-        g = np.broadcast_to(
-            hx[:, None, None] * grid.y_dual_w[None, None, :] / grid.dx, p.shape)
-        add_faces(p, q, g)
+    # horizontal faces: the dual measure of the other axes times y^a / dx
+    for axis in range(grid.d):
+        g = reduce(np.multiply.outer, hx[1:] + [grid.y_dual_w]) / grid.dx
+        add_faces(axis, np.expand_dims(g, axis))
+    # vertical faces: horizontal dual measure times the conductance per unit
+    gv = grid.vertical_conductance
+    add_faces(grid.d, reduce(np.multiply.outer, hx + [gv]))
 
     off = sps.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -349,11 +323,9 @@ def _free_block(grid: HalfSpaceGrid, sides: bool, trace_dirichlet: bool):
     return (xs,) * grid.d + (slice(int(trace_dirichlet), grid.ny),)
 
 
-def dirichlet_data(grid: HalfSpaceGrid, bdata: BoundaryData):
-    """Dirichlet mask and value array for the full node set."""
-    dmask = np.ones(grid.shape, dtype=bool)
-    dmask[_free_block(grid, bdata.sides is not None,
-                     bdata.trace_dirichlet is not None)] = False
+def dirichlet_data(grid: HalfSpaceGrid, bdata: BoundaryData) -> np.ndarray:
+    """Grid-shaped Dirichlet values: bdata on the Dirichlet nodes of its
+    layout, zero on the free box."""
     dvals = np.zeros(grid.shape)
 
     def put(sl, spec):
@@ -368,15 +340,12 @@ def dirichlet_data(grid: HalfSpaceGrid, bdata: BoundaryData):
     put((..., -1), bdata.top)
     if bdata.trace_dirichlet is not None:
         put((..., 0), bdata.trace_dirichlet)
-    return dmask, dvals
+    return dvals
 
 
 def trace_area(grid: HalfSpaceGrid) -> np.ndarray:
-    """Horizontal dual measure of each trace node."""
-    hx = grid.x_dual
-    if grid.d == 1:
-        return hx.copy()
-    return hx[:, None] * hx[None, :]
+    """Horizontal dual measure of each trace node (a new array)."""
+    return reduce(np.multiply.outer, [grid.x_dual] * grid.d, 1.0)
 
 
 def _inv_sqrt_diagonal(d: np.ndarray) -> np.ndarray:
@@ -397,14 +366,15 @@ class TraceSystem:
     """Linear extension solves on one grid with one boundary layout.
 
     The layout says whether the lateral walls (sides) and the trace row are
-    Dirichlet; the top row always is.  Eliminating the Dirichlet nodes
-    leaves the reduced operator A on the free trace nodes t and the interior
-    nodes i.  The Neumann row d_nu^a v = g0 - m v only adds m * area to the
-    t diagonal.  On the tensor grid A is a Kronecker sum,
-    A = Hx (x) Ky + Kx (x) Wy in d = 1 (one more Kx term in d = 2).  The
-    engine diagonalizes the horizontal part once (Kx v = lambda Hx v; fast
-    diagonalization), which splits A_ii into one tridiagonal system in y per
-    mode.  The Schur complement S = A_tt - A_ti A_ii^-1 A_it, the discrete
+    Dirichlet; the top row always is.  The other nodes form a box, and the
+    engine works on grid-shaped arrays restricted to it.  Eliminating the
+    Dirichlet nodes leaves the reduced operator A on the box: the free trace
+    nodes t and the interior nodes i.  The Neumann row d_nu^a v = g0 - m v
+    only adds m * area to the t diagonal.  On the tensor grid A is a
+    Kronecker sum, A = Hx (x) Ky + Kx (x) Wy in d = 1 (one more Kx term in
+    d = 2).  The engine diagonalizes the horizontal part once
+    (Kx v = lambda Hx v; fast diagonalization), which splits A_ii into one
+    tridiagonal system in y per mode.  The Schur complement S = A_tt - A_ti A_ii^-1 A_it, the discrete
     Dirichlet-to-Neumann map, is diagonal in the modes; each solve is the
     dense SPD system (S + diag(m area)) t = c + g0 area plus the interior
     A_ii^-1 b_i of the load corrected by its precomputed response to t.
@@ -414,31 +384,19 @@ class TraceSystem:
 
     def __init__(self, grid: HalfSpaceGrid, sides: bool = True,
                  trace_dirichlet: bool = False):
-        block = _free_block(grid, sides, trace_dirichlet)
-        n_horizontal = grid.x[block[0]].size ** grid.d
+        box = _free_block(grid, sides, trace_dirichlet)
+        n_horizontal = grid.x[box[0]].size ** grid.d
         if n_horizontal > TRACE_CAP:
             raise ConfigurationError(
                 f"grid has {n_horizontal} free horizontal nodes, more than the "
                 f"{TRACE_CAP} the linear engine serves; with Dirichlet sides "
                 f"nx <= {TRACE_CAP + 2} in d = 1 and "
                 f"nx <= {int(TRACE_CAP ** 0.5) + 2} in d = 2")
-        self.grid, self.layout = grid, (sides, trace_dirichlet)
-        free = np.zeros(grid.shape, dtype=bool)
-        free[block] = True
-        self.unk = np.flatnonzero(free.ravel())
-        self.dir = np.flatnonzero(~free.ravel())
-        A_u = grid.operator[self.unk]
-        self.A_uu = A_u[:, self.unk].tocsr()
-        self.A_ud = A_u[:, self.dir].tocsr()
-        pos = np.full(grid.n_nodes, -1, dtype=np.int64)
-        pos[self.unk] = np.arange(self.unk.size)
-        rows = pos[np.arange(grid.n_nodes).reshape(grid.shape)[..., 0].ravel()]
-        self.trace_free = rows >= 0  # lateral-Dirichlet corners drop out
-        self.trace_rows = rows[self.trace_free]
-        self.area = trace_area(grid).ravel()[self.trace_free]
-        self._diag = self.A_uu.diagonal()
+        self.grid, self.layout, self._box = grid, (sides, trace_dirichlet), box
+        self.area = trace_area(grid)[box[:-1]]  # of the free trace nodes
+        self._diag = grid.operator.diagonal().reshape(grid.shape)[box]
         self.factorizations = 0
-        self._separate(block[0], sides, trace_dirichlet)
+        self._separate(box[0], sides, trace_dirichlet)
 
     def _separate(self, xs: slice, sides: bool, trace_dirichlet: bool) -> None:
         """Horizontal eigenbasis, per-mode factors and the Schur complement."""
@@ -451,8 +409,7 @@ class TraceSystem:
         lam, U = sla.eigh_tridiagonal(deg / (g.dx * h),
                                       -1.0 / (g.dx * np.sqrt(h[:-1] * h[1:])))
         self._V = U / np.sqrt(h)[:, None]  # V^T Hx' V = I
-        if g.d == 2:
-            lam = lam[:, None] + lam[None, :]
+        lam = reduce(np.add.outer, [lam] * g.d)
         # per-mode tridiagonal T_k = lambda_k Wy + Ky on the rows 1..ny-1,
         # factored from the Dirichlet top down (U D U^T).  Pivot j is
         # gv_{j-1} + rho_j, where rho_j, the conductance row j sees upward,
@@ -469,7 +426,6 @@ class TraceSystem:
         if not np.all(self._piv > 0):
             raise ConvergenceError("operator lost positive diagonal")
         self._mult = -gv[1:-1].reshape(col) / self._piv[1:]
-        self._block = (g.ny - int(trace_dirichlet),) + lam.shape  # rows first
         self.factorizations += 1
         if trace_dirichlet:
             self.schur = np.zeros((0, 0))
@@ -481,9 +437,7 @@ class TraceSystem:
         sigma = (shunt[0] + gv[0] * rho[0] / self._piv[0]).ravel()
         if not np.all(sigma > 0):
             raise ConvergenceError("condensed trace operator is not positive")
-        P = h[:, None] * self._V
-        if g.d == 2:
-            P = np.kron(P, P)
+        P = reduce(np.kron, [h[:, None] * self._V] * g.d)
         P *= np.sqrt(sigma)
         self.schur = P @ P.T
 
@@ -511,9 +465,6 @@ class TraceSystem:
         """A_ii^-1 rhs for rows-first interior values."""
         return self._from_modes(self._tridiag_solve(self._to_modes(rhs)))
 
-    def _on_trace(self, values) -> np.ndarray:
-        return np.broadcast_to(values, self.grid.shape[:-1]).ravel()[self.trace_free]
-
     def serves(self, grid: HalfSpaceGrid, layout: tuple) -> bool:
         """Whether this engine was built for grid and the boundary layout
         (sides, trace_dirichlet)."""
@@ -523,17 +474,19 @@ class TraceSystem:
                 and self.layout == layout)
 
     def load(self, dvals: np.ndarray) -> tuple:
-        """Grid-shaped Dirichlet values dvals, their reduced right-hand side
-        b, the interior z = A_ii^-1 b_i (rows first) and b condensed onto the
-        free trace (None with a Dirichlet trace)."""
-        b = -(self.A_ud @ dvals.ravel()[self.dir])
-        rows = np.moveaxis(b.reshape(self._block[1:] + self._block[:1]), -1, 0)
+        """Grid-shaped Dirichlet values dvals (zero on the box), the reduced
+        right-hand side b = -(A dvals) on the box, the interior
+        z = A_ii^-1 b_i (rows first) and b condensed onto the free trace
+        (None with a Dirichlet trace)."""
+        g = self.grid
+        b = -(g.operator @ dvals.ravel()).reshape(g.shape)[self._box]
+        rows = np.moveaxis(b, -1, 0)
         rows = np.ascontiguousarray(rows)  # BLAS is 6x slower on the view
-        if not self.trace_rows.size:
+        if self.layout[1]:
             return dvals, b, self._interior_solve(rows), None
         z = self._interior_solve(rows[1:])
-        gv0 = self.grid.vertical_conductance[0]
-        c = rows[0].ravel() + gv0 * self.area * z[0].ravel()
+        gv0 = g.vertical_conductance[0]
+        c = (rows[0] + gv0 * self.area * z[0]).ravel()
         return dvals, b, z, c
 
     def solve(self, load: tuple, m, g0) -> np.ndarray:
@@ -542,43 +495,46 @@ class TraceSystem:
         The trace t solves (S + diag(m area)) t = c + g0 area by Cholesky;
         the interior is the load's z plus its response to t.  With a
         Dirichlet trace the solution is z.  Every solve is checked by the
-        equilibrated residual of the reduced system, applied through A_uu.
+        equilibrated residual of the reduced system, through the assembled
+        operator on the solved field.
         """
-        n, tr = self.unk.size, self.trace_rows
         dvals, b, z, c = load
-        absorb = np.zeros(n)
-        absorb[tr] = self._on_trace(m) * self.area
-        ga = self._on_trace(g0) * self.area
-        b = b.copy()
-        b[tr] += ga
-        dh = _inv_sqrt_diagonal(self._diag + absorb)
+        box, diag, b = self._box, self._diag.copy(), b.copy()
+        if c is not None:  # the Neumann row d_nu^a v = g0 - m v
+            hshape = self.grid.shape[:-1]
+            absorb = np.broadcast_to(m, hshape)[box[:-1]] * self.area
+            ga = np.broadcast_to(g0, hshape)[box[:-1]] * self.area
+            diag[..., 0] += absorb
+            b[..., 0] += ga
+        dh = _inv_sqrt_diagonal(diag)
         bnorm = float(np.linalg.norm(dh * b))
+        v = dvals.copy()
         if bnorm == 0.0:
-            return self._field(dvals, np.zeros(n))
-        x = np.empty(self._block)
+            return v
+        x = v[box]  # a view: writing x writes v
         if c is None:
-            x[:] = z
+            x[:] = np.moveaxis(z, 0, -1)
         else:
             St = self.schur.copy()
-            St.flat[::c.size + 1] += absorb[tr]
+            St.flat[::c.size + 1] += absorb.ravel()
             try:
-                t = sla.cho_solve(sla.cho_factor(St, overwrite_a=True), c + ga)
+                t = sla.cho_solve(sla.cho_factor(St, overwrite_a=True),
+                                  c + ga.ravel())
             except (np.linalg.LinAlgError, ValueError) as exc:  # not SPD, or NaN
                 raise ConvergenceError("condensed trace solve failed") from exc
-            x[0] = t.reshape(z.shape[1:])
-            q = self._to_modes((self.area * t).reshape(z.shape[1:]))
-            x[1:] = z + self._from_modes(self._resp * q)
-        x = np.moveaxis(x, 0, -1).ravel()
-        res = float(np.linalg.norm(dh * (self.A_uu @ x + absorb * x - b))) / bnorm
+            t = t.reshape(self.area.shape)
+            x[..., 0] = t
+            q = self._to_modes(self.area * t)
+            interior = z + self._from_modes(self._resp * q)
+            x[..., 1:] = np.moveaxis(interior, 0, -1)
+        r = (self.grid.operator @ v.ravel()).reshape(self.grid.shape)[box]
+        if c is not None:
+            r[..., 0] += absorb * t - ga
+        res = float(np.linalg.norm(dh * r)) / bnorm
         if not np.isfinite(res) or res > 1e-8:
             raise ConvergenceError("linear solve failed its residual check",
                                    residual=res)
-        return self._field(dvals, x)
-
-    def _field(self, dvals, x) -> np.ndarray:
-        full = dvals.ravel().copy()
-        full[self.unk] = x
-        return full.reshape(self.grid.shape)
+        return v
 
 
 def solve_linear(grid: HalfSpaceGrid, bdata: BoundaryData) -> Field:
@@ -587,14 +543,12 @@ def solve_linear(grid: HalfSpaceGrid, bdata: BoundaryData) -> Field:
     The bottom-row equations impose the Neumann flux through the matched
     trace stencil; with m >= 0 the reduced system is an M-matrix, so
     nonnegative data yields a nonnegative solution.  Solved by a TraceSystem
-    of the boundary's layout, which rejects a grid above TRACE_CAP before
-    any grid-shaped array is made.
+    of the boundary's layout on its free box, which rejects a grid above
+    TRACE_CAP before any grid-shaped array is made.
     """
     engine = TraceSystem(grid, bdata.sides is not None,
                          bdata.trace_dirichlet is not None)
-    _, dvals = dirichlet_data(grid, bdata)
-    if engine.unk.size == 0:
-        return Field(grid, dvals)
+    dvals = dirichlet_data(grid, bdata)
     m = g0 = 0.0
     if bdata.trace_dirichlet is None:
         g0 = _materialize(bdata.neumann_g0, grid, (..., 0))
@@ -674,7 +628,7 @@ def snapshot_csv(fields: list[Field]) -> str:
         raise ValueError("snapshot CSV is intended for small grids")
     coords = [np.broadcast_to(c, grid.shape).ravel()
               for c in grid_coordinates(grid)]
-    names = ["x1", "y"] if grid.d == 1 else ["x1", "x2", "y"]
+    names = [f"x{i}" for i in range(1, grid.d + 1)] + ["y"]
     cols = coords + [f.values.ravel() for f in fields]
     names += [f"v{f.component}" for f in fields]
     lines = [",".join(names)]

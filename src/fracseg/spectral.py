@@ -141,7 +141,7 @@ def _discontinuity_flags(u: np.ndarray) -> np.ndarray:
 
 def frac_lap_pv(u, s: float, grid: PeriodicGrid1D | None = None, x=None,
                 tail: DecayTail | None = None, h: float = 0.02,
-                pad: float = 50.0, far_cut: float = 1.0e8) -> PVResult:
+                pad: float = 50.0) -> PVResult:
     """Principal-value quadrature of (-Delta)^s u.
 
     Two input modes:
@@ -166,11 +166,15 @@ def frac_lap_pv(u, s: float, grid: PeriodicGrid1D | None = None, x=None,
         raise TypeError("u must be periodic samples with a grid, or a callable")
     if x is None or tail is None:
         raise ValueError("line mode needs evaluation points x and a DecayTail")
-    return _pv_line(u, s, np.asarray(x, dtype=float), tail, h, pad, far_cut)
+    return _pv_line(u, s, np.asarray(x, dtype=float), tail, h, pad)
+
+
+#: where the geometric far-field mesh of the line PV quadrature ends
+_FAR_CUT = 1.0e8
 
 
 def _pv_line(u: Callable, s: float, x: np.ndarray, tail: DecayTail,
-             h: float, pad: float, far_cut: float) -> PVResult:
+             h: float, pad: float) -> PVResult:
     c = pv_calibration_constant(s)
     # lattice anchored at 0 so every (snapped) evaluation point is a node;
     # it always covers [-pad, pad], where the far-field model is not yet valid
@@ -204,7 +208,7 @@ def _pv_line(u: Callable, s: float, x: np.ndarray, tail: DecayTail,
     for sign, coef, edge in ((+1, tail.right_coef, hi_edge),
                              (-1, tail.left_coef, lo_edge)):
         start = abs(edge)
-        m = int(math.ceil(math.log(far_cut / start) / math.log(1.05)))
+        m = int(math.ceil(math.log(_FAR_CUT / start) / math.log(1.05)))
         g = start * 1.05 ** np.arange(m + 1)
         mid = np.sqrt(g[:-1] * g[1:])
         dg = np.diff(g)
@@ -227,11 +231,11 @@ _PROFILE_CUT = 1.0e4
 
 
 @lru_cache(maxsize=32)
-def _master_table(s: float, n_table: int) -> tuple:
-    """ComparisonProfile's asinh-spaced master grid and the adaptive-quadrature
-    values on it, tabulated once per order (the values depend on a = 1 - 2s
-    only)."""
-    u = np.linspace(-math.asinh(_PROFILE_CUT), math.asinh(_PROFILE_CUT), n_table)
+def _master_table(s: float) -> tuple:
+    """ComparisonProfile's asinh-spaced master grid of 2001 nodes and the
+    adaptive-quadrature values on it, tabulated once per order (the values
+    depend on a = 1 - 2s only)."""
+    u = np.linspace(-math.asinh(_PROFILE_CUT), math.asinh(_PROFILE_CUT), 2001)
     vals = comparison_f(np.sinh(u), FracParams(s=s))
     u.flags.writeable = vals.flags.writeable = False
     return u, vals
@@ -245,10 +249,10 @@ class ComparisonProfile:
     tail asymptotic.  `tail` is the DecayTail consumed by frac_lap_pv.
     """
 
-    def __init__(self, params: FracParams, n_table: int = 2001):
+    def __init__(self, params: FracParams):
         self.params = params
         a = params.a
-        self._spline = CubicSpline(*_master_table(params.s, n_table))
+        self._spline = CubicSpline(*_master_table(params.s))
         coef = 1.0 / ((1.0 - a) * comparison_mass(a))
         self.tail = DecayTail(left_limit=0.0, right_limit=1.0,
                               left_coef=coef, right_coef=-coef,

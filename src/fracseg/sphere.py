@@ -396,8 +396,12 @@ class _HemisphereSolver:
         return x
 
 
-def _lowest_pair(mesh: HemisphereMesh, free_eq: np.ndarray, tol=1e-9,
-                 maxiter=2000):
+#: ARPACK tolerance and iteration cap of the N = 2 eigen-iteration
+_ARPACK_TOL = 1e-9
+_ARPACK_MAXITER = 2000
+
+
+def _lowest_pair(mesh: HemisphereMesh, free_eq: np.ndarray):
     """Smallest eigenpair of the N = 2 pencil, u = 0 on the equator outside
     free_eq: shift-invert Lanczos (ARPACK) from a deterministic start vector,
     with the inverse applied by a _HemisphereSolver.  Returns the eigenvalue
@@ -408,35 +412,36 @@ def _lowest_pair(mesh: HemisphereMesh, free_eq: np.ndarray, tol=1e-9,
     OPinv = spla.LinearOperator(K.shape, matvec=pencil.solve, dtype=float)
     try:
         vals, vecs = spla.eigsh(K, k=1, M=pencil.M, sigma=pencil.sigma,
-                                which="LM", v0=np.ones(K.shape[0]), tol=tol,
-                                maxiter=maxiter, OPinv=OPinv)
+                                which="LM", v0=np.ones(K.shape[0]),
+                                tol=_ARPACK_TOL, maxiter=_ARPACK_MAXITER,
+                                OPinv=OPinv)
     except spla.ArpackNoConvergence as exc:  # pragma: no cover
         raise ConvergenceError("eigen-iteration did not converge",
-                               iterations=maxiter) from exc
+                               iterations=_ARPACK_MAXITER) from exc
     vec = np.zeros(pencil.free.size)
     vec[pencil.free] = vecs[:, 0]
     return max(float(vals[0]), 0.0), vec
 
 
-def lambda1(mesh: HemisphereMesh, omega: EquatorRegion, tol: float = 1e-9):
+def lambda1(mesh: HemisphereMesh, omega: EquatorRegion):
     """First eigenvalue with u = 0 on the equator outside omega.
 
     Returns (eigenvalue, eigenfunction on all mesh nodes); the eigenfunction
-    is normalized sign-definite, first nonzero entry positive.  tol is the
-    ARPACK tolerance of the N = 2 iteration; the N = 1 solve is direct.
+    is normalized sign-definite, first nonzero entry positive.  The N = 2
+    iteration is ARPACK's (tolerance _ARPACK_TOL); the N = 1 solve is direct.
     """
     if mesh.params.N == 1:
         lam, vec = _half_circle_pair(
             mesh, omega.ends if omega.ends is not None else (False, False))
     else:
-        lam, vec = _lowest_pair(mesh, omega.contains(mesh.phi), tol=tol)
+        lam, vec = _lowest_pair(mesh, omega.contains(mesh.phi))
     nz = np.flatnonzero(np.abs(vec) > 1e-12 * np.abs(vec).max())
     if nz.size and vec[nz[0]] < 0:
         vec = -vec
     return lam, vec
 
 
-def lambda1_codim1(mesh: HemisphereMesh, tol: float = 1e-9):
+def lambda1_codim1(mesh: HemisphereMesh):
     """Eigenvalue with Dirichlet data only at the two equator nodes nearest
     the x1 = 0 plane (N = 2, s > 1/2 for a capacity-positive constraint)."""
     if mesh.params.N != 2:
@@ -445,7 +450,7 @@ def lambda1_codim1(mesh: HemisphereMesh, tol: float = 1e-9):
     free_eq = np.ones(mesh.nphi, dtype=bool)
     for target in (0.5 * math.pi, 1.5 * math.pi):
         free_eq[int(np.argmin(np.abs(phi - target)))] = False
-    return _lowest_pair(mesh, free_eq, tol=tol)[0]
+    return _lowest_pair(mesh, free_eq)[0]
 
 
 def eigenfunction_sign_definite(vec: np.ndarray, rtol: float = 1e-8) -> bool:

@@ -123,7 +123,7 @@ def solve_system(prob: CompetitionProblem, warm_start=None, tol: float = 1e-8,
         engine = TraceSystem(grid)
     elif not engine.serves(grid, (True, False)):  # Dirichlet walls, free trace
         raise ConfigurationError("engine was built for another grid")
-    loads = [engine.load(dirichlet_data(grid, BoundaryData(top=v, sides=v))[1])
+    loads = [engine.load(dirichlet_data(grid, BoundaryData(top=v, sides=v)))
              for v in prob.dirichlet]
     k = prob.k
     if warm_start is not None:

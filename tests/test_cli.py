@@ -127,6 +127,36 @@ def test_grid_above_trace_cap_exits_2(tmp_path, capsys, d, nx):
     assert err.startswith("configuration error:") and "free horizontal nodes" in err
 
 
+def _exits_2_with_one_line(tmp_path, capsys, command, cfg, words):
+    path = write_config(tmp_path, cfg)
+    assert cli.main([command, "--config", path,
+                     "--out", os.path.join(tmp_path, "bad")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("configuration error:") and words in err
+
+
+def test_oracle_node_count_not_power_of_two_exits_2(tmp_path, capsys):
+    # the schema admits any n in [16, 65536]; the periodic grid needs 2^k
+    cfg = {"fractional": {"s": 0.5, "N": 1},
+           "oracle": {"n": 100, "function": {"kind": "cos", "k": 1}}}
+    _exits_2_with_one_line(tmp_path, capsys, "oracle", cfg, "power of two")
+
+
+def test_ragged_coupling_exits_2(tmp_path, capsys):
+    cfg = tiny_config()
+    cfg["problem"]["coupling"] = [[0.0, 1.0], [1.0]]
+    _exits_2_with_one_line(tmp_path, capsys, "solve", cfg, "coupling")
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_underflowing_horizontal_spacing_exits_2(tmp_path, capsys, d):
+    cfg = tiny_config(fractional={"s": 0.5, "N": d},
+                      grid={"d": d, "L": 1e-155, "Y": 1.0, "nx": 13, "ny": 8})
+    cfg["problem"]["boundary_data"] = {"kind": "constant", "values": [1.0, 1.0]}
+    _exits_2_with_one_line(tmp_path, capsys, "solve", cfg, "spacing")
+
+
 def test_solve_writes_json_report(tmp_path, capsys):
     cfg = tiny_config(output={"formats": ["json"]})
     path = write_config(tmp_path, cfg)

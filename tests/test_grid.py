@@ -215,11 +215,12 @@ def test_solver_errors():
 
 def test_residual_check_catches_wrong_schur():
     # a Schur complement 1 % off solves a nearby system without complaint;
-    # the residual of the reduced system through A_uu rejects the result
+    # the residual of the reduced system through the assembled operator
+    # rejects the result
     g = small_grid()
     engine = TraceSystem(g)
     engine.schur *= 1.01
-    load = engine.load(dirichlet_data(g, BoundaryData(top=1.0, sides=1.0))[1])
+    load = engine.load(dirichlet_data(g, BoundaryData(top=1.0, sides=1.0)))
     with pytest.raises(ConvergenceError, match="residual check"):
         engine.solve(load, 0.0, 0.1)
 

@@ -184,36 +184,67 @@ def test_d2_system_smoke():
     assert trace_overlap(res) > 0
 
 
+def _face_form(grid, v):
+    """A v applied face by face, sum_q g_pq (v_p - v_q), on the flat nodes;
+    the conductances g_pq are the assembled off-diagonal entries."""
+    A = grid.operator.tocoo()
+    off = A.row != A.col
+    p, q, w = A.row[off], A.col[off], -A.data[off]
+    v = v.ravel()
+    return np.bincount(p, weights=w * (v[p] - v[q]), minlength=v.size)
+
+
+def _dirichlet_mask(grid, sides, trace_dirichlet):
+    """The Dirichlet nodes BoundaryData names: the top row, the x-edges
+    when sides is set and the trace row when trace_dirichlet is set."""
+    dmask = np.zeros(grid.shape, dtype=bool)
+    dmask[..., -1] = True
+    if sides:
+        for axis in range(grid.d):
+            dmask[(slice(None),) * axis + ([0, -1],)] = True
+    if trace_dirichlet:
+        dmask[..., 0] = True
+    return dmask
+
+
 class _SparseLU(TraceSystem):
     """Reference engine: each solve LU-factors the Jacobi-scaled sparse
-    reduced operator and takes one refinement step on the residual with A
+    reduced operator, which it slices out of the assembled operator on its
+    own Dirichlet set, and takes one refinement step on the residual with A
     applied face by face.  Rounding the y1^{-2s} trace conductance into the
     assembled diagonal moves the bare LU solution by 2e-8 at s = 3/4; each
     conductance multiplying a difference v_p - v_q restores that accuracy."""
 
-    def __init__(self, grid, *layout):
-        super().__init__(grid, *layout)
-        A = grid.operator.tocoo()
-        off = A.row != A.col
-        self._faces = A.row[off], A.col[off], -A.data[off]
+    def __init__(self, grid, sides=True, trace_dirichlet=False):
+        super().__init__(grid, sides, trace_dirichlet)
+        dmask = _dirichlet_mask(grid, sides, trace_dirichlet)
+        self.unk, self.dir = np.flatnonzero(~dmask), np.flatnonzero(dmask)
+        A_u = grid.operator[self.unk]
+        self.A_uu, self.A_ud = A_u[:, self.unk], A_u[:, self.dir]
+        self.trace_free = ~dmask[..., 0].ravel()
+        nodes = np.arange(grid.n_nodes).reshape(grid.shape)[..., 0].ravel()
+        self.trace_rows = np.searchsorted(self.unk, nodes[self.trace_free])
+        self._area = grid_mod.trace_area(grid).ravel()[self.trace_free]
+
+    def _on_trace(self, values):
+        trace = np.broadcast_to(values, self.grid.shape[:-1]).ravel()
+        return trace[self.trace_free] * self._area
 
     def solve(self, load, m, g0):
-        dvals, b, _, _ = load
+        dvals = load[0]
         tr = self.trace_rows
         absorb = np.zeros(self.unk.size)
-        absorb[tr] = self._on_trace(m) * self.area
-        ga = self._on_trace(g0) * self.area
-        b = b.copy()
+        absorb[tr] = self._on_trace(m)
+        ga = self._on_trace(g0)
+        b = -(self.A_ud @ dvals.ravel()[self.dir])
         b[tr] += ga
         dh = 1.0 / np.sqrt(self.A_uu.diagonal() + absorb)
         D = sps.diags(dh)
         lu = spla.splu((D @ (self.A_uu + sps.diags(absorb)) @ D).tocsc())
         xs = lu.solve(dh * b)
-        p, q, w = self._faces
         v = dvals.ravel().copy()
         v[self.unk] = dh * xs
-        flux = np.bincount(p, weights=w * (v[p] - v[q]), minlength=v.size)
-        r = -flux[self.unk] - absorb * v[self.unk]
+        r = -_face_form(self.grid, v)[self.unk] - absorb * v[self.unk]
         r[tr] += ga
         xs += lu.solve(dh * r)
         v[self.unk] = dh * xs
@@ -239,15 +270,16 @@ def test_condensed_matches_sparse_path(s, bound, monkeypatch):
 
 def test_sweep_factors_interior_once(monkeypatch):
     # the separable engine makes no sparse LU; its setup is the one
-    # factorization of the sweep
+    # factorization of the sweep; patching the shared scipy.sparse.linalg
+    # module counts a spla.splu call from any module
     shapes = []
-    splu = grid_mod.spla.splu
+    splu = spla.splu
 
     def counting_splu(A, *args, **kwargs):
         shapes.append(A.shape)
         return splu(A, *args, **kwargs)
 
-    monkeypatch.setattr(grid_mod.spla, "splu", counting_splu)
+    monkeypatch.setattr(spla, "splu", counting_splu)
     sweep = sweep_beta(make_problem(nx=65, ny=24), [1e2, 1e3, 1e4],
                        holder_alpha=0.05)
     assert shapes == []
@@ -286,12 +318,30 @@ SEPARABLE_CASES = {
 @pytest.mark.parametrize("case", sorted(SEPARABLE_CASES))
 def test_separable_matches_sparse_lu(case, monkeypatch):
     g, bd = SEPARABLE_CASES[case]
-    engine = TraceSystem(g, bd.sides is not None, bd.trace_dirichlet is not None)
-    assert np.array_equal(np.flatnonzero(dirichlet_data(g, bd)[0]), engine.dir)
     got = solve_linear(g, bd).values
     monkeypatch.setattr(grid_mod, "TraceSystem", _SparseLU)
     want = solve_linear(g, bd).values
     assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("nx, ny", [(129, 48), (257, 128)])
+def test_engine_residual_face_by_face(nx, ny):
+    # criterion-10 data at s = 3/4 with a competition-sized absorption; the
+    # assembled diagonal rounds the y1^{-2s} trace conductance, so the
+    # residual is taken with each conductance times a difference v_p - v_q
+    g = build_grid(GridConfig(d=1, L=2.0, Y=1.5, nx=nx, ny=ny),
+                   FracParams(s=0.75, N=1))
+    top = bump(-1.0)
+    m = 1e3 * bump(1.0)(g.x, 0.0) ** 2
+    v = solve_linear(g, BoundaryData(top=top, sides=top, neumann_m=m)).values
+    free = ~_dirichlet_mask(g, sides=True, trace_dirichlet=False)
+    absorb = np.zeros(g.shape)
+    absorb[:, 0] = m * grid_mod.trace_area(g)
+    r = (_face_form(g, v).reshape(g.shape) + absorb * v)[free]
+    dvals = np.where(free, 0.0, v)
+    b = -_face_form(g, dvals).reshape(g.shape)[free]
+    dh = 1.0 / np.sqrt(g.operator.diagonal().reshape(g.shape) + absorb)[free]
+    assert np.linalg.norm(dh * r) <= 1e-9 * np.linalg.norm(dh * b)
 
 
 @pytest.mark.parametrize("s, tol", [(0.25, 1e-9), (0.5, 1e-9), (0.75, 1e-3)])
@@ -322,7 +372,7 @@ def test_separable_engine_rejects_non_spd_and_nan():
     g = _d1(0.5, 33, 16)
     bd = BoundaryData(top=1.0, sides=1.0)
     engine = TraceSystem(g)
-    load = engine.load(dirichlet_data(g, bd)[1])
+    load = engine.load(dirichlet_data(g, bd))
     with pytest.raises(ConvergenceError):
         engine.solve(load, np.nan, 0.1)
     with pytest.raises(ConvergenceError):
@@ -335,7 +385,7 @@ def test_engine_matches_one_shot_solve(nx):
                    FracParams(s=0.5, N=1))
     top = bump(0.3)
     engine = TraceSystem(g)
-    dvals = dirichlet_data(g, BoundaryData(top=top, sides=top))[1]
+    dvals = dirichlet_data(g, BoundaryData(top=top, sides=top))
     m = 50.0 * np.exp(-g.x ** 2)
     g0 = 0.2 * np.cos(g.x)
     got = engine.solve(engine.load(dvals), m, g0)
