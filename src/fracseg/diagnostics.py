@@ -70,8 +70,23 @@ _CORE_CELLS = 6
 _SUB = 6
 
 
+def _pair_mean(a: np.ndarray, axes) -> np.ndarray:
+    """Average neighbouring entries along each of axes (nodes to cells)."""
+    for axis in axes:
+        lead = (slice(None),) * axis
+        a = 0.5 * (a[lead + (slice(None, -1),)] + a[lead + (slice(1, None),)])
+    return a
+
+
 class _CellGeometry:
-    """Cell-centered geometry and reconstruction relative to a trace center."""
+    """Cell-centered geometry and reconstruction relative to a trace center.
+
+    Every array is cell-shaped, (nx-1,)*d + (ny,), with one code path for
+    d = 1 and d = 2: the horizontal offsets of the cell midpoints from the
+    center, their height ym, distance R, plain volume vol, the y^a weights
+    wy (wy_vert for vertical derivatives) and the smoothing width, which is
+    the cell diagonal.
+    """
 
     def __init__(self, grid: HalfSpaceGrid, center: Sequence[float]):
         center = tuple(float(c) for c in np.atleast_1d(center))
@@ -79,68 +94,33 @@ class _CellGeometry:
             raise ValueError(f"center must have {grid.d} trace coordinates")
         self.grid = grid
         self.center = center
-        dx = grid.dx
-        dy = grid.dy
+        d, dx, dy = grid.d, grid.dx, grid.dy
         xmid = 0.5 * (grid.x[1:] + grid.x[:-1])
         ymid = 0.5 * (grid.y[1:] + grid.y[:-1])
+        *off, self.ym = np.broadcast_arrays(*np.ix_(*[xmid - c for c in center], ymid))
+        self.off = tuple(off)
         # vertical-gradient energy weight: the bottom cell row is matched to
         # the y^{2s} boundary expansion (integrating y^a (d_y c1 y^{2s})^2
         # exactly), the same consistency device as the trace stencil
-        s = grid.params.s
         wy_vert = grid.face_w.copy()
-        wy_vert[0] = 2.0 * s * grid.y[1] ** grid.params.a
-        if grid.d == 1:
-            self.off = (xmid[:, None] - center[0],)
-            self.ym = np.broadcast_to(ymid[None, :], (grid.nx - 1, grid.ny))
-            self.vol = np.broadcast_to((dx * dy)[None, :], self.ym.shape)
-            self.wy = np.broadcast_to(grid.face_w[None, :], self.ym.shape)
-            self.wy_vert = np.broadcast_to(wy_vert[None, :], self.ym.shape)
-            self.width = np.broadcast_to(np.hypot(dx, dy)[None, :], self.ym.shape)
-        else:
-            o1 = (xmid[:, None, None] - center[0])
-            o2 = (xmid[None, :, None] - center[1])
-            shape = (grid.nx - 1, grid.nx - 1, grid.ny)
-            self.off = (np.broadcast_to(o1, shape), np.broadcast_to(o2, shape))
-            self.ym = np.broadcast_to(ymid[None, None, :], shape)
-            self.vol = np.broadcast_to((dx * dx * dy)[None, None, :], shape)
-            self.wy = np.broadcast_to(grid.face_w[None, None, :], shape)
-            self.wy_vert = np.broadcast_to(wy_vert[None, None, :], shape)
-            self.width = np.broadcast_to(
-                np.sqrt(2.0 * dx * dx + dy * dy)[None, None, :], shape)
+        wy_vert[0] = 2.0 * grid.params.s * grid.y[1] ** grid.params.a
+        per_layer = np.stack([dx ** d * dy, np.hypot(np.sqrt(d) * dx, dy),
+                              grid.face_w, wy_vert])
+        self.vol, self.width, self.wy, self.wy_vert = np.broadcast_to(
+            per_layer.reshape((4,) + (1,) * d + (-1,)), (4,) + self.ym.shape)
         self.R = np.sqrt(sum(o * o for o in self.off) + self.ym * self.ym)
 
     # -- reconstruction ---------------------------------------------------
-    def cell_values(self, fld: Field) -> np.ndarray:
-        v = fld.values
-        if self.grid.d == 1:
-            return 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[:-1, 1:] + v[1:, 1:])
-        return 0.125 * (v[:-1, :-1, :-1] + v[1:, :-1, :-1] + v[:-1, 1:, :-1]
-                        + v[1:, 1:, :-1] + v[:-1, :-1, 1:] + v[1:, :-1, 1:]
-                        + v[:-1, 1:, 1:] + v[1:, 1:, 1:])
-
     def cell_gradient(self, fld: Field):
-        """Face-centered differences averaged to cells, one array per axis."""
+        """Cell averages of the edge differences, one array per axis
+        (x1[, x2], y): the difference along each axis, averaged over the
+        cell's other axes and divided by dx or the layer's dy."""
         v = fld.values
         g = self.grid
-        if g.d == 1:
-            gx = 0.5 * ((v[1:, :-1] - v[:-1, :-1]) + (v[1:, 1:] - v[:-1, 1:])) / g.dx
-            gy = 0.5 * ((v[:-1, 1:] - v[:-1, :-1]) + (v[1:, 1:] - v[1:, :-1])) / g.dy
-            return gx, gy
-        dx = g.dx
-        g1 = 0.25 * ((v[1:, :-1, :-1] - v[:-1, :-1, :-1])
-                     + (v[1:, 1:, :-1] - v[:-1, 1:, :-1])
-                     + (v[1:, :-1, 1:] - v[:-1, :-1, 1:])
-                     + (v[1:, 1:, 1:] - v[:-1, 1:, 1:])) / dx
-        g2 = 0.25 * ((v[:-1, 1:, :-1] - v[:-1, :-1, :-1])
-                     + (v[1:, 1:, :-1] - v[1:, :-1, :-1])
-                     + (v[:-1, 1:, 1:] - v[:-1, :-1, 1:])
-                     + (v[1:, 1:, 1:] - v[1:, :-1, 1:])) / dx
-    # vertical differences use the per-layer spacing
-        gy = 0.25 * ((v[:-1, :-1, 1:] - v[:-1, :-1, :-1])
-                     + (v[1:, :-1, 1:] - v[1:, :-1, :-1])
-                     + (v[:-1, 1:, 1:] - v[:-1, 1:, :-1])
-                     + (v[1:, 1:, 1:] - v[1:, 1:, :-1])) / g.dy
-        return g1, g2, gy
+        axes = range(g.d + 1)
+        comps = [_pair_mean(np.diff(v, axis=k), [j for j in axes if j != k])
+                 for k in axes]
+        return tuple(c / g.dx for c in comps[:-1]) + (comps[-1] / g.dy,)
 
     def energy_density(self, fld: Field) -> np.ndarray:
         """y^a-weighted |grad v|^2 per cell, with the matched bottom row."""
@@ -281,18 +261,13 @@ def acf_one_phase(fld: Field, center, radii, variant: str) -> RadialProfile:
     vals = geo.volume_integral(integrand, radii) / radii ** ACF_EXPONENTS[variant](p.s)
 
     tr = fld.trace
-    if grid.d == 1:
-        xs = grid.x - geo.center[0]
-    else:
-        xs = grid.x[:, None] - geo.center[0]
+    x1 = (grid.x - geo.center[0]).reshape((-1,) + (1,) * (grid.d - 1))
     if variant == "acf_vanish":
         mask = np.ones_like(tr, dtype=bool)
     elif variant == "acf_halfspace":
-        mask = np.broadcast_to((xs <= 0.0), tr.shape) if grid.d == 1 else (
-            np.broadcast_to((grid.x[:, None] - geo.center[0]) <= 0.0, tr.shape))
+        mask = np.broadcast_to(x1 <= 0.0, tr.shape)
     else:  # codim1: the trace hyperplane x1 = center closest nodes
-        near = np.abs(grid.x - geo.center[0]) <= 0.5 * grid.dx
-        mask = np.broadcast_to(near[:, None] if grid.d == 2 else near, tr.shape)
+        mask = np.broadcast_to(np.abs(x1) <= 0.5 * grid.dx, tr.shape)
     violation = float(np.max(np.abs(tr[mask]))) / _trace_scale(fld) if mask.any() else 0.0
     return RadialProfile(geo.center, radii, vals, variant, violation)
 
@@ -313,47 +288,37 @@ def acf_two_phase(fields, center, radii, nu: float) -> RadialProfile:
     return RadialProfile(geo.center, radii, prod, "acf_two_phase", overlap)
 
 
-def acf_perturbed(fields, radii, nu_prime: float, coupling: float,
-                  center=None) -> RadialProfile:
-    """Perturbed two-phase functional with the epsilon=1 kernel.
+def acf_perturbed(fields, radii, nu_prime: float, coupling: float) -> RadialProfile:
+    """Perturbed two-phase functional with the epsilon=1 kernel, centered at
+    the origin.
 
     Each factor is r^{-2 nu'} (volume energy with the regularized kernel plus
     the trace coupling term int a12 v_i^2 v_j^2 K); defined for radii above
-    the regularization scale, hence the r > 1 use here.
+    the regularization scale, hence the r > 1 use here.  The trace cells are
+    the bottom faces of the volume cells (area dx^d, width sqrt(d) dx),
+    carrying the cell averages of the trace values.
     """
     f1, f2 = _as_field_list(fields)
     grid = f1.grid
     p = grid.params
-    geo = _CellGeometry(grid, center if center is not None else (0.0,) * grid.d)
+    geo = _CellGeometry(grid, (0.0,) * grid.d)
     radii = geo.check_radii(radii)
     ker = RegularizedKernel(eps=1.0, params=p)
     kvals = ker.profile(geo.R)
 
-    # trace-cell geometry (midpoints of trace segments)
-    if grid.d == 1:
-        txm = 0.5 * (grid.x[1:] + grid.x[:-1]) - geo.center[0]
-        tR = np.abs(txm)
-        tarea = np.full(txm.shape, grid.dx)
-        twidth = np.full(txm.shape, grid.dx)
-        tvals = [0.5 * (f.trace[1:] + f.trace[:-1]) for f in (f1, f2)]
-    else:
-        xm = 0.5 * (grid.x[1:] + grid.x[:-1])
-        o1 = xm[:, None] - geo.center[0]
-        o2 = xm[None, :] - geo.center[1]
-        tR = np.hypot(o1, o2)
-        tarea = np.full(tR.shape, grid.dx * grid.dx)
-        twidth = np.full(tR.shape, grid.dx * np.sqrt(2.0))
-        tvals = [0.25 * (f.trace[1:, 1:] + f.trace[:-1, 1:]
-                         + f.trace[1:, :-1] + f.trace[:-1, :-1]) for f in (f1, f2)]
+    tR = np.sqrt(sum(o[..., 0] ** 2 for o in geo.off))
+    tarea = grid.dx ** grid.d
+    twidth = np.sqrt(grid.d) * grid.dx
+    tvals = [_pair_mean(f.trace, range(grid.d)) for f in (f1, f2)]
     tker = ker.profile(tR)
     couple = coupling * tvals[0] ** 2 * tvals[1] ** 2 * tker * tarea
+    ramp = np.array([
+        float(np.sum(couple * np.clip((r - tR) / twidth + 0.5, 0.0, 1.0)))
+        for r in radii])
 
     prod = np.ones_like(radii, dtype=float)
     for f in (f1, f2):
         vol = geo.volume_integral(geo.energy_density(f) * kvals, radii)
-        ramp = np.array([
-            float(np.sum(couple * np.clip((r - tR) / twidth + 0.5, 0.0, 1.0)))
-            for r in radii])
         prod = prod * ((vol + ramp) / radii ** (2.0 * nu_prime))
     return RadialProfile(geo.center, radii, prod, "acf_perturbed")
 
@@ -533,18 +498,12 @@ def holder_seminorm(values, coords, alpha: float, region=None,
     return float(np.max(dv / dd ** alpha))
 
 
-def trace_seminorm(fld: Field, alpha: float, x_window=None,
-                   pair_budget: int = 200_000) -> float:
+def trace_seminorm(fld: Field, alpha: float, x_window=None) -> float:
     """Hölder seminorm of the trace restricted to an |x| window."""
     grid = fld.grid
-    if grid.d == 1:
-        coords = grid.x[:, None]
-    else:
-        coords = np.stack(np.meshgrid(grid.x, grid.x, indexing="ij"),
-                          axis=-1).reshape(-1, 2)
-    vals = fld.trace.ravel()
+    coords = np.stack(np.meshgrid(*[grid.x] * grid.d, indexing="ij"),
+                      axis=-1).reshape(-1, grid.d)
     region = None
     if x_window is not None:
         region = np.all(np.abs(coords) <= float(x_window), axis=1)
-    return holder_seminorm(vals, coords, alpha, region=region,
-                           pair_budget=pair_budget)
+    return holder_seminorm(fld.trace.ravel(), coords, alpha, region=region)

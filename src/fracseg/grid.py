@@ -148,9 +148,6 @@ def build_grid(config: GridConfig, params: FracParams) -> HalfSpaceGrid:
     if p < 1.0:
         raise ConfigurationError("grading exponent must satisfy p >= 1")
     x = np.linspace(-config.L, config.L, config.nx)
-    if x[1] - x[0] < 2.0 * np.sqrt(config.d / np.finfo(float).max):
-        raise ConfigurationError(  # the x stiffness reaches 4 d / dx^2
-            "horizontal node spacing underflows the stiffness; raise L")
     j = np.arange(config.ny + 1, dtype=float)
     y = config.Y * (j / config.ny) ** p
     if np.any(np.diff(y) <= 0):
@@ -159,10 +156,32 @@ def build_grid(config: GridConfig, params: FracParams) -> HalfSpaceGrid:
     face_w = _pow_integral(y[:-1], y[1:], params.a) / np.diff(y)
     if not np.all(np.isfinite(face_w)) or np.any(face_w <= 0):
         raise ConfigurationError("degenerate vertical grading: non-positive face weight")
-    return HalfSpaceGrid(
+    grid = HalfSpaceGrid(
         d=config.d, L=config.L, Y=config.Y, nx=config.nx, ny=config.ny,
         grading_p=p, params=params, x=x, y=y, face_w=face_w,
     )
+    if not np.isfinite(_engine_scale(grid)):
+        raise ConfigurationError(
+            "grid spacings overflow the linear solve; bring L and Y nearer 1")
+    return grid
+
+
+def _engine_scale(grid: HalfSpaceGrid) -> float:
+    """Largest product of grid scales the linear engine forms, per unit data
+    (inf when one overflows).
+
+    With kx = 4 d / dx^2 the largest horizontal stiffness (formed from
+    dx * h), w the largest vertical dual weight and gv the largest vertical
+    conductance: the per-mode factorization multiplies gv by rho <= w kx + gv,
+    and the squared residual norm sums node diagonals <= dx^d (w kx + 2 gv).
+    """
+    dx = grid.dx
+    w = grid.y_dual_w.max()
+    gv = grid.vertical_conductance.max()
+    with np.errstate(all="ignore"):
+        kx = 4.0 * grid.d / (dx * dx)
+        return float(np.max([dx * dx, kx, gv * (w * kx + gv),
+                             grid.n_nodes * dx ** grid.d * (w * kx + 2.0 * gv)]))
 
 
 @dataclass

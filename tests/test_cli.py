@@ -149,12 +149,23 @@ def test_ragged_coupling_exits_2(tmp_path, capsys):
     _exits_2_with_one_line(tmp_path, capsys, "solve", cfg, "coupling")
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_underflowing_horizontal_spacing_exits_2(tmp_path, capsys, d):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d, L, code", [
+    *[(d, L, 2) for d in (1, 2) for L in (1e-155, 1e-153, 1e155, 1e200, 1e300)],
+    (2, 1e154, 2),
+    *[(d, L, 0) for d in (1, 2) for L in (1e-150, 1e150)]])
+def test_grid_scale_check_at_extreme_spacings(tmp_path, capsys, d, L, code):
+    # the spacing check covers every product of grid scales the engine
+    # forms, so no overflow surfaces later as a warning or an exit 3
     cfg = tiny_config(fractional={"s": 0.5, "N": d},
-                      grid={"d": d, "L": 1e-155, "Y": 1.0, "nx": 13, "ny": 8})
+                      grid={"d": d, "L": L, "Y": 1.0, "nx": 13, "ny": 8})
     cfg["problem"]["boundary_data"] = {"kind": "constant", "values": [1.0, 1.0]}
-    _exits_2_with_one_line(tmp_path, capsys, "solve", cfg, "spacing")
+    if code == 2:
+        _exits_2_with_one_line(tmp_path, capsys, "solve", cfg, "spacing")
+    else:
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["solve", "--config", path,
+                         "--out", os.path.join(tmp_path, "ok")]) == 0
 
 
 def test_solve_writes_json_report(tmp_path, capsys):

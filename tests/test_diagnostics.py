@@ -126,15 +126,16 @@ def test_perturbed_reduces_to_two_phase_off_the_core():
 
 def test_perturbed_coupling_term_nonnegative():
     s = 0.3
-    p = FracParams(s=s, N=1)
-    g = build_grid(GridConfig(d=1, L=6.0, Y=6.0, nx=129, ny=128, grading_p=1.0), p)
     rng = np.random.default_rng(8)
-    f1 = Field(g, rng.standard_normal(g.shape))
-    f2 = Field(g, rng.standard_normal(g.shape))
-    radii = np.array([1.5, 2.5, 3.5])
-    with_c = acf_perturbed((f1, f2), radii, nu_prime=0.2, coupling=5.0)
-    without = acf_perturbed((f1, f2), radii, nu_prime=0.2, coupling=1e-12)
-    assert np.all(with_c.values >= without.values - 1e-12 * np.abs(with_c.values))
+    for d, nx in ((1, 129), (2, 25)):
+        g = build_grid(GridConfig(d=d, L=6.0, Y=6.0, nx=nx, ny=nx - 1,
+                                  grading_p=1.0), FracParams(s=s, N=d))
+        f1 = Field(g, rng.standard_normal(g.shape))
+        f2 = Field(g, rng.standard_normal(g.shape))
+        radii = np.array([1.5, 2.5, 3.5])
+        with_c = acf_perturbed((f1, f2), radii, nu_prime=0.2, coupling=5.0)
+        without = acf_perturbed((f1, f2), radii, nu_prime=0.2, coupling=1e-12)
+        assert np.all(with_c.values >= without.values - 1e-12 * np.abs(with_c.values))
 
 
 def test_almgren_landmarks_and_identity():
@@ -321,3 +322,50 @@ def test_d2_almgren_smoke():
     one = acf_one_phase(fld, (0.0, 0.0), radii, "acf_vanish")
     dev = (one.values.max() - one.values.min()) / one.values.mean()
     assert dev < 0.10
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_cell_gradient_exact_on_affine_fields(d):
+    # the edge differences of an affine field are its slopes on every
+    # cell, also across the graded layers: exact up to the round-off of a
+    # difference of nodal values over one spacing
+    p = FracParams(s=0.3, N=d)
+    g = build_grid(GridConfig(d=d, L=0.8, Y=0.8, nx=17, ny=16), p)
+    assert g.grading_p > 1.0
+    slopes = (0.7, -1.3, 2.1)[:d] + (-0.4,)
+    fld = field_from_function(
+        g, lambda *c: 1.5 + sum(k * ci for k, ci in zip(slopes, c)))
+    comps = _CellGeometry(g, (0.1,) * d).cell_gradient(fld)
+    assert len(comps) == d + 1
+    roundoff = 4.0 * np.finfo(float).eps * np.abs(fld.values).max()
+    for k, comp, h in zip(slopes, comps, [g.dx] * d + [g.dy]):
+        assert comp.shape == (16,) * d + (16,)
+        assert np.all(np.abs(comp - k) * h <= roundoff)
+
+
+def _x2_independent_pair(s):
+    """The same (x1, y) field on a d = 1 grid and, constant in x2, on d = 2."""
+    fn = lambda x, y: np.exp(2.0 * x) * np.cos(y) + 0.3 * y
+    grids = [build_grid(GridConfig(d=d, L=0.8, Y=0.8, nx=17, ny=16),
+                        FracParams(s=s, N=d)) for d in (1, 2)]
+    return (field_from_function(grids[0], fn),
+            field_from_function(grids[1], lambda x1, x2, y: fn(x1, y) + 0.0 * x2))
+
+
+def test_d2_x2_gradient_of_x2_independent_field_vanishes():
+    f1, f2 = _x2_independent_pair(0.5)
+    g1 = _CellGeometry(f1.grid, (0.1,)).cell_gradient(f1)
+    g2 = _CellGeometry(f2.grid, (0.1, -0.2)).cell_gradient(f2)
+    assert np.all(g2[1] == 0.0)
+    for one, two in ((g1[0], g2[0]), (g1[1], g2[2])):
+        assert np.allclose(two, one[:, None, :], rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("variant", ["acf_halfspace", "acf_codim1"])
+def test_d2_hypothesis_violation_matches_d1_on_x2_independent_field(variant):
+    f1, f2 = _x2_independent_pair(0.75)
+    radii = np.array([0.2, 0.3, 0.4])
+    one = acf_one_phase(f1, (0.1,), radii, variant)
+    two = acf_one_phase(f2, (0.1, -0.2), radii, variant)
+    assert 0.0 < one.hypothesis_violation < 1.0
+    assert two.hypothesis_violation == one.hypothesis_violation
