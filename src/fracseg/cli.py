@@ -221,16 +221,20 @@ def cmd_diagnose(cfg: dict, args, snapshot: str) -> RunReport:
         radii = np.geomspace(rr["start"], rr["stop"], rr["num"])
     else:
         radii = np.linspace(rr["start"], rr["stop"], rr["num"])
-    center = tuple(dg.get("center", [0.0] * fields[0].grid.d))
+    d = fields[0].grid.d
+    center = tuple(dg.get("center", [0.0] * d))
     tol = dg.get("tolerances", {}).get("monotonicity", 0.02)
     quantities = dg.get("quantities", ["almgren"])
-    rows = ["r,value,quantity,center_x,tolerance,violation_flag"]
+    # one center column per trace coordinate; every diagnostic checks that
+    # the center has d of them before any row is written
+    rows = [",".join(("r", "value", "quantity", *("center_x", "center_x2")[:d],
+                      "tolerance", "violation_flag"))]
 
     def add_rows(radii, values, quantity, tolerance, flag):
         for r, v in zip(radii, values):
             rows.append(",".join(format(c, ".12g") if not isinstance(c, str)
                                  else c for c in
-                                 (r, v, quantity, center[0], tolerance, flag)))
+                                 (r, v, quantity, *center, tolerance, flag)))
 
     def add_profile(prof):
         rep = monotonicity_check(prof, tol)

@@ -10,10 +10,9 @@ machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import beta, betainc
 
 SOLUTION_TAGS = ("vanish_trace", "halfspace", "codim1", "fundamental")
 
@@ -193,62 +192,31 @@ def kernel_eval(kernel: RegularizedKernel, X):
     return kernel.profile(r)
 
 
-def _comparison_density(t, a):
-    return (1.0 + t * t) ** (0.5 * a - 1.0)
-
-
-_TAIL_CUT = 1.0e4
-
-
-def _comparison_tail(x, a):
-    """Integral of the density over [x, inf) for x >= the tail cut.
-
-    Two-term expansion of t^{a-2}(1 + t^-2)^{(a-2)/2}; the next term is
-    O(x^{a-5}), far below the quadrature tolerance at the cut.
-    """
-    return x ** (a - 1.0) / (1.0 - a) + 0.5 * (a - 2.0) * x ** (a - 3.0) / (3.0 - a)
-
-
-def _comparison_segment(lo, hi, a):
-    """Adaptive quadrature of the density over [lo, hi] within [0, cut]."""
-    pts = [p for p in (1.0, 10.0, 100.0, 1000.0) if lo < p < hi]
-    seg, _ = quad(_comparison_density, lo, hi, args=(a,),
-                  epsabs=1e-11, epsrel=1e-12, limit=500, points=pts or None)
-    return seg
-
-
-@lru_cache(maxsize=32)
 def comparison_mass(a: float) -> float:
     """Total integral of (1+t^2)^{(a-2)/2} over the line (a in (-1,1))."""
-    return 2.0 * (_comparison_segment(0.0, _TAIL_CUT, a) + _comparison_tail(_TAIL_CUT, a))
+    return float(beta(0.5, 0.5 * (1.0 - a)))
 
 
 def comparison_f(x, p: FracParams):
     """Normalized antiderivative of (1+t^2)^{(a-2)/2}; increasing, range (0,1).
 
-    Computed by adaptive quadrature (absolute tolerance 1e-10), splitting at
-    t = 0 and switching to the tail asymptotic beyond |t| = 1e4.
+    The mass beyond |x| is I(1/(1+x^2); s, 1/2) / 2, a regularized incomplete
+    Beta function, so this is the Student-t CDF with 2s degrees of freedom
+    at x sqrt(2s).  For |x| < 1 the same call takes the complementary
+    I(x^2/(1+x^2); 1/2, s), which keeps the digits of x that 1/(1+x^2)
+    rounds away; both arguments are u^2/(1+u^2) with u = min(|x|, 1/|x|),
+    which cannot overflow.  The left tail keeps full relative accuracy.
     """
-    a = p.a
-    mass = comparison_mass(a)
+    s = p.s
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    flat = np.atleast_1d(x).ravel()
-    out = np.empty_like(flat)
-    for i, xi in enumerate(flat):
-        if np.isnan(xi):
-            out[i] = np.nan
-        elif xi >= _TAIL_CUT:
-            out[i] = 1.0 - _comparison_tail(xi, a) / mass
-        elif xi <= -_TAIL_CUT:
-            out[i] = _comparison_tail(-xi, a) / mass
-        else:
-            sign = 1.0 if xi >= 0 else -1.0
-            seg = _comparison_segment(0.0, abs(xi), a)
-            out[i] = 0.5 + sign * seg / mass
-    if scalar:
-        return float(out[0])
-    return out.reshape(np.shape(x))
+    ax = np.abs(x)
+    near = ax < 1.0
+    u = np.where(near, ax, 1.0 / np.maximum(ax, 1.0))
+    ib = betainc(np.where(near, 0.5, s), np.where(near, s, 0.5),
+                 u * u / (1.0 + u * u))
+    beyond = np.where(near, 0.5 - 0.5 * ib, 0.5 * ib)
+    out = np.where(x < 0, beyond, 1.0 - beyond)
+    return float(out) if out.ndim == 0 else out
 
 
 def poisson_kernel(xi, y, p: FracParams):

@@ -17,8 +17,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .core import FracParams, comparison_f, comparison_mass
 
@@ -223,54 +221,26 @@ def _pv_line(u: Callable, s: float, x: np.ndarray, tail: DecayTail,
 
 
 # --------------------------------------------------------------------------
-# tabulated comparison profile (the PV operand of the decay estimate)
+# comparison profile (the PV operand of the decay estimate)
 # --------------------------------------------------------------------------
 
-#: |x| beyond which ComparisonProfile switches to its tail asymptotic
-_PROFILE_CUT = 1.0e4
-
-
-@lru_cache(maxsize=32)
-def _master_table(s: float) -> tuple:
-    """ComparisonProfile's asinh-spaced master grid of 2001 nodes and the
-    adaptive-quadrature values on it, tabulated once per order (the values
-    depend on a = 1 - 2s only)."""
-    u = np.linspace(-math.asinh(_PROFILE_CUT), math.asinh(_PROFILE_CUT), 2001)
-    vals = comparison_f(np.sinh(u), FracParams(s=s))
-    u.flags.writeable = vals.flags.writeable = False
-    return u, vals
-
-
 class ComparisonProfile:
-    """Fast evaluator of the comparison function with its far-field model.
+    """The comparison function with its far-field model.
 
-    Tabulates the adaptive-quadrature values on an asinh-spaced master grid
-    and interpolates with a cubic spline; beyond |x| = 1e4 it switches to the
-    tail asymptotic.  `tail` is the DecayTail consumed by frac_lap_pv.
+    Evaluates the closed form `comparison_f` (an incomplete Beta function);
+    `tail` is the DecayTail consumed by frac_lap_pv.
     """
 
     def __init__(self, params: FracParams):
         self.params = params
         a = params.a
-        self._spline = CubicSpline(*_master_table(params.s))
         coef = 1.0 / ((1.0 - a) * comparison_mass(a))
         self.tail = DecayTail(left_limit=0.0, right_limit=1.0,
                               left_coef=coef, right_coef=-coef,
                               exponent=a - 1.0)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        a = self.params.a
-        out = self._spline(np.arcsinh(np.clip(x, -_PROFILE_CUT, _PROFILE_CUT)))
-        hi = x > _PROFILE_CUT
-        lo = x < -_PROFILE_CUT
-        if np.any(hi):
-            xs = np.where(hi, x, 1.0)  # keep the power off negative bases
-            out = np.where(hi, 1.0 + self.tail.right_coef * xs ** (a - 1.0), out)
-        if np.any(lo):
-            xs = np.where(lo, -x, 1.0)  # keep the power off 0
-            out = np.where(lo, self.tail.left_coef * xs ** (a - 1.0), out)
-        return out
+        return comparison_f(x, self.params)
 
 
 def comparison_pv(params: FracParams, x, h: float = 0.02, pad: float = 50.0):

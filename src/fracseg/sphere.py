@@ -22,6 +22,7 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 from scipy.linalg import lapack
+from scipy.special import beta, betainc
 
 from .core import FracParams, gamma_map
 from .errors import ConfigurationError, ConvergenceError
@@ -100,45 +101,24 @@ class CapPair:
             raise ValueError("caps overlap: t1 + t2 must not exceed pi")
 
 
-_SIN_SERIES_CUT = 0.2
+def _int_sin_pow(a: float, lo, hi) -> np.ndarray:
+    """Integral of sin(alpha)^a over each cell [lo, hi] within [0, pi], a > -1.
 
-
-def _sin_pow_primitive_near0(t: np.ndarray, a: float):
-    """Primitive of sin(alpha)^a for alpha <= the series cut.
-
-    sin^a = alpha^a (1 - a alpha^2/6 + (a^2/72 - a/180) alpha^4 + O(alpha^6));
-    the truncation is ~1e-9 relative at the cut.
+    Closed form: on [0, pi/2] the primitive is
+    P(t) = B((1+a)/2, 1/2) I(sin^2 t; (1+a)/2, 1/2) / 2.  The part of a cell
+    beyond pi/2 is mirrored to P(pi - lo) - P(pi - hi), which keeps the
+    cells next to pi to full relative accuracy (B - P would cancel there).
     """
-    t = np.asarray(t, dtype=float)
-    return (t ** (1.0 + a) / (1.0 + a)
-            - (a / 6.0) * t ** (3.0 + a) / (3.0 + a)
-            + (a * a / 72.0 - a / 180.0) * t ** (5.0 + a) / (5.0 + a))
+    p = 0.5 * (1.0 + a)
+    half = 0.5 * math.pi
 
+    def prim(t):
+        return 0.5 * beta(p, 0.5) * betainc(p, 0.5, np.sin(t) ** 2)
 
-def _int_sin_pow(a: float, lo: float, hi: float) -> float:
-    """Integral of sin(alpha)^a over [lo, hi] within [0, pi], a > -1.
-
-    Series primitives near the (integrable) endpoint singularities, adaptive
-    quadrature in the middle.
-    """
-    if hi <= lo:
-        return 0.0
-    total = 0.0
-    cut0 = _SIN_SERIES_CUT
-    cut1 = math.pi - _SIN_SERIES_CUT
-    left = (max(lo, 0.0), min(hi, cut0))
-    if left[1] > left[0]:
-        total += float(_sin_pow_primitive_near0(left[1], a)
-                       - _sin_pow_primitive_near0(left[0], a))
-    right = (max(lo, cut1), min(hi, math.pi))
-    if right[1] > right[0]:
-        total += float(_sin_pow_primitive_near0(math.pi - right[0], a)
-                       - _sin_pow_primitive_near0(math.pi - right[1], a))
-    mid = (max(lo, cut0), min(hi, cut1))
-    if mid[1] > mid[0]:
-        val, _ = quad(lambda t: math.sin(t) ** a, mid[0], mid[1], limit=200)
-        total += val
-    return total
+    left = prim(np.minimum(hi, half)) - prim(np.minimum(lo, half))
+    right = (prim(math.pi - np.maximum(lo, half))
+             - prim(math.pi - np.maximum(hi, half)))
+    return left + right
 
 
 @dataclass(frozen=True)
@@ -229,11 +209,11 @@ def _half_circle_forms(mesh: HemisphereMesh):
     a = mesh.params.a
     al = mesh.alpha
     n = al.size
-    cell = np.array([_int_sin_pow(a, al[i], al[i + 1]) for i in range(n - 1)])
     mid = 0.5 * (al[:-1] + al[1:])
     edges = np.concatenate(([al[0]], mid, [al[-1]]))
-    mass = np.array([_int_sin_pow(a, edges[i], edges[i + 1]) for i in range(n)])
-    return cell / np.diff(al) ** 2, mass
+    ints = _int_sin_pow(a, np.concatenate((al[:-1], edges[:-1])),
+                        np.concatenate((al[1:], edges[1:])))
+    return ints[:n - 1] / np.diff(al) ** 2, ints[n - 1:]
 
 
 def _half_circle_pair(mesh: HemisphereMesh, ends: tuple):

@@ -238,6 +238,26 @@ def test_diagnose_radius_beyond_grid_exits_2(tmp_path, capsys):
     assert "exceeds grid bound" in capsys.readouterr().err
 
 
+def test_diagnose_d2_writes_both_center_coordinates(tmp_path):
+    cfg = tiny_config(fractional={"s": 0.5, "N": 2},
+                      grid={"d": 2, "L": 2.0, "Y": 1.0, "nx": 13, "ny": 8})
+    cfg["diagnostics"] = {"center": [0.0, 0.3], "quantities": ["pohozaev"],
+                          "radii": {"start": 0.2, "stop": 0.6, "num": 3}}
+    g = build_grid(GridConfig(**cfg["grid"]), FracParams(s=0.5, N=2))
+    x1, x2, y = np.meshgrid(g.x, g.x, g.y, indexing="ij")
+    snap = os.path.join(tmp_path, "fields.bin")
+    write_snapshot(snap, [Field(g, np.exp(-x1 ** 2 - (x2 - 0.3) ** 2 - y))])
+    out = os.path.join(tmp_path, "od2")
+    assert cli.main(["diagnose", snap, "--config", write_config(tmp_path, cfg),
+                     "--out", out]) == 0
+    with open(os.path.join(out, "diagnostics.csv")) as fh:
+        header, *rows = [line.strip().split(",") for line in fh]
+    assert header == ["r", "value", "quantity", "center_x", "center_x2",
+                      "tolerance", "violation_flag"]
+    assert len(rows) == 3
+    assert all(float(r[3]) == 0.0 and float(r[4]) == 0.3 for r in rows)
+
+
 def test_diagnose_pohozaev(tmp_path, capsys):
     cfg = tiny_config()
     path = write_config(tmp_path, cfg)

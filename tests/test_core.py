@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
+from scipy.special import stdtr
 
 from fracseg.core import (FracParams, NamedSolution, RegularizedKernel,
                           comparison_f, dtn_exact, eval_solution,
@@ -206,6 +207,37 @@ def test_comparison_f_derivative_decay():
         fp = (comparison_f(ts + h, p) - comparison_f(ts - h, p)) / (2 * h)
         ratio = fp * ts ** (2.0 - p.a)
         assert ratio.max() / ratio.min() - 1.0 < 0.01
+
+
+def test_comparison_f_is_the_student_t_cdf():
+    # independent special-function route: F(x) = stdtr(2s, x sqrt(2s))
+    for s in S_GRID:
+        p = FracParams(s=s, N=1)
+        x = np.linspace(-50.0, 50.0, 2001)
+        ref = stdtr(2 * s, x * math.sqrt(2 * s))
+        assert np.abs(comparison_f(x, p) - ref).max() <= 1e-13
+        x = -np.geomspace(1e-3, 1e14, 300)
+        ref = stdtr(2 * s, x * math.sqrt(2 * s))
+        assert np.abs(comparison_f(x, p) / ref - 1.0).max() <= 1e-12
+
+
+def test_comparison_f_near_zero_keeps_its_digits():
+    # F(x) = 1/2 + (x - (1+2s) x^3/6 + O(x^5)) / B(1/2, s); 1/(1+x^2) rounds
+    # to 1 here, so this pins the complementary argument used for |x| < 1
+    x = np.array([-1e-5, -1e-8, -1e-12, -1e-300, 0.0, 1e-300, 1e-12, 1e-8, 1e-5])
+    for s in S_GRID:
+        p = FracParams(s=s, N=1)
+        mass = math.sqrt(math.pi) * gamma_fn(s) / gamma_fn(0.5 + s)
+        ref = 0.5 + (x - (1 + 2 * s) * x ** 3 / 6) / mass
+        assert np.abs(comparison_f(x, p) - ref).max() <= 2e-16
+
+
+def test_comparison_f_propagates_nan():
+    p = FracParams(s=0.5, N=1)
+    assert math.isnan(comparison_f(math.nan, p))
+    out = comparison_f(np.array([-1.0, np.nan, 0.0, np.nan]), p)
+    assert np.array_equal(np.isnan(out), [False, True, False, True])
+    assert out[2] == 0.5
 
 
 def test_poisson_kernel_mass_and_values():

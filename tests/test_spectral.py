@@ -1,9 +1,11 @@
 """Fourier-symbol and principal-value fractional-Laplacian oracles."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from fracseg import spectral
 from fracseg.core import FracParams, comparison_f
 from fracseg.spectral import (ComparisonProfile, PeriodicGrid1D, comparison_pv,
                               frac_lap_pv, frac_lap_symbol)
@@ -83,43 +85,49 @@ def test_pv_input_validation():
 
 
 def test_comparison_profile_matches_quadrature():
+    # independent oracle: adaptive quadrature of the density over (-inf, x],
+    # normalized by sqrt(pi) G((1-a)/2) / G(1-a/2)
     for s in (0.25, 0.75):
         p = FracParams(s=s, N=1)
-        prof = ComparisonProfile(p)
+        a = p.a
+        mass = math.sqrt(math.pi) * math.gamma((1 - a) / 2) / math.gamma(1 - a / 2)
         xs = np.array([-50.0, -3.0, 0.0, 2.0, 40.0])
-        assert np.abs(prof(xs) - comparison_f(xs, p)).max() < 1e-6
+        direct = [quad(lambda t: (1 + t * t) ** (0.5 * a - 1.0), -np.inf, x,
+                       epsabs=1e-13, epsrel=1e-12, limit=400)[0] for x in xs]
+        got = ComparisonProfile(p)(xs)
+        assert np.abs(got - np.array(direct) / mass).max() < 1e-9
 
 
-def test_comparison_profile_tabulates_once_per_order(monkeypatch):
-    calls = []
-    quadrature = spectral.comparison_f
+def test_comparison_profile_is_comparison_f():
+    x = np.concatenate((np.linspace(-2e4, 2e4, 4001), [-1e300, 1e300, np.nan]))
+    for s in S_GRID:
+        p = FracParams(s=s, N=1)
+        assert np.array_equal(ComparisonProfile(p)(x), comparison_f(x, p),
+                              equal_nan=True)
 
-    def counting(x, p):
-        calls.append(p.s)
-        return quadrature(x, p)
 
-    monkeypatch.setattr(spectral, "comparison_f", counting)
-    spectral._master_table.cache_clear()
-    xs = np.linspace(-20.0, 20.0, 41)
-    first = ComparisonProfile(FracParams(s=0.3, N=1))(xs)
-    again = ComparisonProfile(FracParams(s=0.3, N=2))(xs)
-    comparison_pv(FracParams(s=0.3, N=1), xs[:5])
-    assert calls == [0.3]
-    assert np.array_equal(first, again)
+def test_comparison_left_tail_matches_decay_tail():
+    # the DecayTail that frac_lap_pv integrates beyond its lattice is the
+    # leading term of the profile's left tail
+    x = -np.geomspace(1e4, 1e14, 50)
+    for s in S_GRID:
+        p = FracParams(s=s, N=1)
+        prof = ComparisonProfile(p)
+        model = prof.tail.left_coef * np.abs(x) ** prof.tail.exponent
+        assert np.abs(prof(x) / model - 1.0).max() < 1e-7
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_comparison_profile_far_tail_emits_no_warning():
-    # beyond |x| = 1e4 the profile is its tail asymptotic; a grid holding
-    # both 0 and such points must not raise the power of 0 to a - 1 < 0
+    # a grid holding both 0 and points far out, and inputs at the edge of
+    # the floating-point range, evaluate without a RuntimeWarning
     p = FracParams(s=0.5, N=1)
     prof = ComparisonProfile(p)
     x = np.linspace(-2e4, 2e4, 100001)
     assert 0.0 in x
-    got = prof(x)
-    lo = x < -1e4
-    assert np.array_equal(got[lo], prof.tail.left_coef * np.abs(x[lo]) ** (p.a - 1.0))
-    assert np.array_equal(got[~lo], prof(x[~lo]))
+    assert np.all(np.isfinite(prof(x)))
+    edge = prof(np.array([-np.inf, -1e300, 1e300, np.inf]))
+    assert np.array_equal(edge, [0.0, 0.0, 1.0, 1.0])
 
 
 def test_comparison_estimate_holds():

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
+from scipy.integrate import quad
+from scipy.special import beta as beta_fn
 
 from fracseg import sphere
 from fracseg.core import FracParams
@@ -31,6 +33,38 @@ def test_half_circle_landmarks():
         assert abs(lam_f) < 1e-8
         lam_h, _ = lambda1(mesh, EquatorRegion.half(1))
         assert lam_h == pytest.approx(s * (1 - s), rel=2e-3)
+
+
+def _sin_pow_series(d, a):
+    """Three-term primitive of sin^a near 0: an independent oracle for d
+    below 1e-2, where the next term is below 1e-12 relative."""
+    return (d ** (1 + a) / (1 + a) - (a / 6) * d ** (3 + a) / (3 + a)
+            + (a * a / 72 - a / 180) * d ** (5 + a) / (5 + a))
+
+
+@pytest.mark.parametrize("ntheta", [64, 256])
+@pytest.mark.parametrize("s", S_GRID)
+def test_half_circle_cell_integrals(s, ntheta):
+    a = 1.0 - 2.0 * s
+    al = HemisphereMesh(params=FracParams(s=s, N=1), ntheta=ntheta).alpha
+    lo, hi = al[:-1], al[1:]
+    cells = sphere._int_sin_pow(a, lo, hi)
+    assert cells.sum() == pytest.approx(beta_fn(0.5 * (1 + a), 0.5), rel=1e-13)
+    # near pi the series runs in d = pi - alpha, exact in floating point for
+    # alpha >= pi/2; the mirrored closed form must keep these digits.  Only
+    # the mild grading at s = 3/4 with 64 cells puts no cell this close.
+    near0 = hi <= 1e-2
+    nearpi = lo >= math.pi - 1e-2
+    assert near0.any() == nearpi.any() == (s < 0.7 or ntheta > 64)
+    ref0 = _sin_pow_series(hi[near0], a) - _sin_pow_series(lo[near0], a)
+    refpi = (_sin_pow_series(math.pi - lo[nearpi], a)
+             - _sin_pow_series(math.pi - hi[nearpi], a))
+    assert np.all(np.abs(cells[near0] / ref0 - 1.0) <= 1e-12)
+    assert np.all(np.abs(cells[nearpi] / refpi - 1.0) <= 1e-12)
+    mid = (lo >= 1e-2) & (hi <= math.pi - 1e-2)
+    ref = [quad(lambda t: math.sin(t) ** a, l, h, epsabs=0.0, epsrel=1e-13)[0]
+           for l, h in zip(lo[mid], hi[mid])]
+    assert np.abs(cells[mid] / np.array(ref) - 1.0).max() <= 1e-11
 
 
 def test_hemisphere_landmarks():
