@@ -30,7 +30,8 @@ from .spectral import (ComparisonProfile, PeriodicGrid1D, comparison_pv,
                        frac_lap_pv, frac_lap_symbol, pv_calibration_constant)
 from .sphere import EquatorRegion, HemisphereMesh, lambda1, lambda1_codim1, \
     nu_acf_caps
-from .system import CompetitionProblem, Reaction, bump, solve_system, sweep_beta
+from .system import (OUTER_TOL, CompetitionProblem, Reaction, bump, solve_system,
+                     sweep_beta)
 
 
 @dataclass
@@ -169,7 +170,7 @@ def cmd_solve(cfg: dict, args) -> RunReport:
     sups = [float(np.abs(f.values).max()) for f in res.fields]
     report.meta.update(outer_iters=res.outer_iters, sup_norms=sups,
                        residual=res.residual_history[-1])
-    report.add("solver converged", res.residual_history[-1], 1e-8,
+    report.add("solver converged", res.residual_history[-1], OUTER_TOL,
                res.converged)
     if "json" in formats:
         path = _out_path(cfg, args, "solve.json")
@@ -457,6 +458,13 @@ def main(argv=None) -> int:
         return 2
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        if args.json:
+            report = RunReport(args.command, meta={"failure": {
+                "message": str(exc), "residual": exc.residual,
+                "iterations": exc.iterations, "history": exc.history}})
+            report.add("numerical failure", exc.residual, None, False,
+                       detail=str(exc))
+            sys.stdout.write(report.to_json())
         return 3
     _emit(report, args)
     return 0 if report.passed else 1

@@ -367,12 +367,16 @@ def trace_area(grid: HalfSpaceGrid) -> np.ndarray:
     return reduce(np.multiply.outer, [grid.x_dual] * grid.d, 1.0)
 
 
-def _inv_sqrt_diagonal(d: np.ndarray) -> np.ndarray:
-    """Symmetric Jacobi scaling; the matched trace conductance scales like
-    y1^{-2s}, which would otherwise dominate the residual norm."""
-    if np.any(d <= 0):
+def _check_residual(what: str, diag, r, b) -> None:
+    """Raise unless ||D r|| <= 1e-8 ||D b|| with D = diag^-1/2 (a zero b passes
+    with a zero r, NaN fails); the Jacobi scaling keeps the y1^{-2s} matched
+    trace conductance from dominating the norms."""
+    if np.any(diag <= 0):
         raise ConvergenceError("operator lost positive diagonal")
-    return 1.0 / np.sqrt(d)
+    dh = 1.0 / np.sqrt(diag)
+    res = float(np.linalg.norm(dh * r)) / (float(np.linalg.norm(dh * b)) or 1.0)
+    if not np.isfinite(res) or res > 1e-8:
+        raise ConvergenceError(f"{what} failed its residual check", residual=res)
 
 
 #: Most free horizontal nodes (nx'^d) a TraceSystem serves; with Dirichlet
@@ -508,40 +512,50 @@ class TraceSystem:
         c = (rows[0] + gv0 * self.area * z[0]).ravel()
         return dvals, b, z, c
 
+    def _on_trace(self, value) -> np.ndarray:
+        """value (a scalar or trace-shaped) times area on the free trace nodes."""
+        return np.broadcast_to(value, self.grid.shape[:-1])[self._box[:-1]] * self.area
+
+    def trace_solve(self, load: tuple, m, g0) -> np.ndarray:
+        """Trace row of solve(load, m, g0): the free nodes solve
+        (S + diag(m area)) t = c + g0 area by Cholesky, checked by the
+        equilibrated residual of that system; Dirichlet nodes keep the load."""
+        dvals, _, _, c = load
+        trace = dvals[..., 0].copy()
+        if c is None:
+            return trace
+        absorb, rhs = self._on_trace(m).ravel(), c + self._on_trace(g0).ravel()
+        St = self.schur.copy()
+        St.flat[::c.size + 1] += absorb
+        try:  # a NaN right-hand side reaches the residual check
+            t = sla.cho_solve(sla.cho_factor(St, overwrite_a=True), rhs,
+                              check_finite=False)
+        except (np.linalg.LinAlgError, ValueError) as exc:  # not SPD, or NaN
+            raise ConvergenceError("condensed trace solve failed") from exc
+        _check_residual("condensed trace solve", np.diagonal(self.schur) + absorb,
+                        rhs - self.schur @ t - absorb * t, rhs)
+        trace[self._box[:-1]] = t.reshape(self.area.shape)
+        return trace
+
     def solve(self, load: tuple, m, g0) -> np.ndarray:
         """Grid-shaped solution for a load with trace absorption m and source g0.
 
-        The trace t solves (S + diag(m area)) t = c + g0 area by Cholesky;
-        the interior is the load's z plus its response to t.  With a
-        Dirichlet trace the solution is z.  Every solve is checked by the
-        equilibrated residual of the reduced system, through the assembled
-        operator on the solved field.
+        The trace is trace_solve's; the interior is the load's z plus its
+        response to the trace.  With a Dirichlet trace the solution is z.
+        Every solve is checked by the equilibrated residual of the reduced
+        system, through the assembled operator on the solved field.
         """
         dvals, b, z, c = load
         box, diag, b = self._box, self._diag.copy(), b.copy()
-        if c is not None:  # the Neumann row d_nu^a v = g0 - m v
-            hshape = self.grid.shape[:-1]
-            absorb = np.broadcast_to(m, hshape)[box[:-1]] * self.area
-            ga = np.broadcast_to(g0, hshape)[box[:-1]] * self.area
-            diag[..., 0] += absorb
-            b[..., 0] += ga
-        dh = _inv_sqrt_diagonal(diag)
-        bnorm = float(np.linalg.norm(dh * b))
         v = dvals.copy()
-        if bnorm == 0.0:
-            return v
         x = v[box]  # a view: writing x writes v
         if c is None:
             x[:] = np.moveaxis(z, 0, -1)
         else:
-            St = self.schur.copy()
-            St.flat[::c.size + 1] += absorb.ravel()
-            try:
-                t = sla.cho_solve(sla.cho_factor(St, overwrite_a=True),
-                                  c + ga.ravel())
-            except (np.linalg.LinAlgError, ValueError) as exc:  # not SPD, or NaN
-                raise ConvergenceError("condensed trace solve failed") from exc
-            t = t.reshape(self.area.shape)
+            t = self.trace_solve(load, m, g0)[box[:-1]]
+            absorb, ga = self._on_trace(m), self._on_trace(g0)  # d_nu^a v = g0 - m v
+            diag[..., 0] += absorb
+            b[..., 0] += ga
             x[..., 0] = t
             q = self._to_modes(self.area * t)
             interior = z + self._from_modes(self._resp * q)
@@ -549,10 +563,7 @@ class TraceSystem:
         r = (self.grid.operator @ v.ravel()).reshape(self.grid.shape)[box]
         if c is not None:
             r[..., 0] += absorb * t - ga
-        res = float(np.linalg.norm(dh * r)) / bnorm
-        if not np.isfinite(res) or res > 1e-8:
-            raise ConvergenceError("linear solve failed its residual check",
-                                   residual=res)
+        _check_residual("linear solve", diag, r, b)
         return v
 
 

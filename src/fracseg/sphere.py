@@ -134,7 +134,6 @@ class HemisphereMesh:
     params: FracParams
     ntheta: int = 64
     nphi: int = 128
-    grading: float | None = None
 
     def __post_init__(self):
         if self.params.N not in (1, 2):
@@ -147,8 +146,6 @@ class HemisphereMesh:
     @property
     def grading_exp(self) -> float:
         """Equator clustering exponent; resolves the t^{2s} Dirichlet layers."""
-        if self.grading is not None:
-            return self.grading
         return min(8.0, max(1.0, 1.0 / self.params.s))
 
     @cached_property
@@ -159,7 +156,7 @@ class HemisphereMesh:
         th = 0.5 * math.pi * (1.0 - (1.0 - i / self.ntheta) ** g)
         if np.any(np.diff(th) <= 0):
             raise ConfigurationError(
-                "polar grading underflows the node spacing; lower grading")
+                "polar grading underflows the node spacing; lower ntheta")
         return th
 
     @cached_property

@@ -24,6 +24,8 @@ from .grid import (BoundaryData, Field, GridConfig, TraceSystem, build_grid,
                    dirichlet_data, trace_area)
 
 REACTION_KINDS = ("zero", "linear", "logistic")
+OUTER_TOL = 1e-8  # max change of the traces over one Gauss-Seidel sweep
+MAX_OUTER = 500
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,6 @@ class SolveResult:
     residual_history: list
     outer_iters: int
     converged: bool
-    monotone_violations: int = 0
 
     @property
     def traces(self) -> list:
@@ -106,17 +107,18 @@ def bump(center: float, width: float = 0.5, height: float = 1.0):
     return fn
 
 
-def solve_system(prob: CompetitionProblem, warm_start=None, tol: float = 1e-8,
-                 max_outer: int = 500,
+def solve_system(prob: CompetitionProblem, warm_start=None,
                  engine: TraceSystem | None = None) -> SolveResult:
-    """Gauss-Seidel outer iteration (ascending component index) until the
-    max-norm change of successive iterates drops below tol.
+    """Gauss-Seidel outer iteration (ascending component index) on the k
+    traces, one checked trace_solve per step, until their max-norm change
+    over a sweep drops below OUTER_TOL; then each field is built once, by
+    the engine's checked solve on its component's last step data.
 
     Nonnegative boundary data yields nonnegative fields (the frozen-neighbor
     absorption only adds to the M-matrix diagonal).  Raises ConvergenceError
-    with the residual history if the sweep cap is exceeded or NaNs appear.
-    engine, the linear engine of the same grid and walls, carries its
-    factorization over from an earlier solve (sweep_beta passes one).
+    with the residual history if the sweep cap is exceeded.  engine, the
+    linear engine of the same grid and walls, carries its factorization over
+    from an earlier solve (sweep_beta passes one).
     """
     grid = build_grid(prob.grid_config, prob.params)
     if engine is None:
@@ -129,44 +131,38 @@ def solve_system(prob: CompetitionProblem, warm_start=None, tol: float = 1e-8,
     if warm_start is not None:
         if len(warm_start) != k:
             raise ConfigurationError("warm start must supply every component")
-        vals = [np.array(f.values if isinstance(f, Field) else f, dtype=float)
+        vals = [np.asarray(f.values if isinstance(f, Field) else f, dtype=float)
                 for f in warm_start]
-        for v in vals:
-            if v.shape != grid.shape:
-                raise ConfigurationError("warm start grid does not match")
+        if any(v.shape != grid.shape for v in vals):
+            raise ConfigurationError("warm start grid does not match")
+        traces = [v[..., 0] for v in vals]
     else:
-        vals = [np.zeros(grid.shape) for _ in range(k)]
+        traces = [np.zeros(grid.shape[:-1]) for _ in range(k)]
 
     history = []
-    converged = False
-    outer = 0
-    for outer in range(1, max_outer + 1):
+    data = [None] * k  # each component's last (m, g0)
+    for outer in range(1, MAX_OUTER + 1):
         change = 0.0
         for i in range(k):
-            m = prob.beta * sum(prob.coupling[i, j] * vals[j][..., 0] ** 2
+            m = prob.beta * sum(prob.coupling[i, j] * traces[j] ** 2
                                 for j in range(k) if j != i)
-            new = engine.solve(loads[i], m, prob.reactions[i](vals[i][..., 0]))
-            change = max(change, float(np.abs(new - vals[i]).max()))
-            vals[i] = new
-        if not all(np.all(np.isfinite(v)) for v in vals):
-            raise ConvergenceError("NaN detected in outer iteration",
-                                   iterations=outer, history=history)
+            data[i] = (m, prob.reactions[i](traces[i]))
+            new = engine.trace_solve(loads[i], *data[i])
+            change = max(change, float(np.abs(new - traces[i]).max()))
+            traces[i] = new
         history.append(change)
-        if change <= tol:
-            converged = True
+        if change <= OUTER_TOL:
             break
-    if not converged:
+    else:
         raise ConvergenceError(
-            f"outer iteration cap {max_outer} exceeded (last change "
-            f"{history[-1]:.3e})", residual=history[-1], iterations=max_outer,
+            f"outer iteration cap {MAX_OUTER} exceeded (last change "
+            f"{history[-1]:.3e})", residual=history[-1], iterations=MAX_OUTER,
             history=history)
 
-    tail = history[5:]
-    monotone_violations = int(np.sum(np.diff(tail) > 0)) if len(tail) > 1 else 0
-    fields = [Field(grid, v, component=i) for i, v in enumerate(vals)]
+    fields = [Field(grid, engine.solve(load, *d), component=i)
+              for i, (load, d) in enumerate(zip(loads, data))]
     return SolveResult(fields=fields, residual_history=history,
-                       outer_iters=outer, converged=converged,
-                       monotone_violations=monotone_violations)
+                       outer_iters=outer, converged=True)
 
 
 def trace_overlap(result: SolveResult) -> float:

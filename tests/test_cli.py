@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fracseg.cli as cli
+import fracseg.system as system_mod
 from fracseg.core import FracParams
 from fracseg.errors import ConvergenceError
 from fracseg.grid import (Field, GridConfig, atomic_write_bytes, build_grid,
@@ -378,7 +379,7 @@ def test_oracle_cos_mode(tmp_path):
     assert np.abs(data["fraclap_pv"] - data["fraclap_symbol"]).max() < 0.05
 
 
-def test_exit_code_3_on_numerical_failure(tmp_path, monkeypatch):
+def test_exit_code_3_on_numerical_failure(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise ConvergenceError("synthetic blowup", residual=1.0)
 
@@ -386,6 +387,36 @@ def test_exit_code_3_on_numerical_failure(tmp_path, monkeypatch):
     path = write_config(tmp_path, tiny_config())
     assert cli.main(["solve", "--config", path,
                      "--out", os.path.join(tmp_path, "o3")]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_exit_3_json_failure_report(tmp_path, monkeypatch, capsys):
+    # the history ConvergenceError carries reaches the --json report
+    monkeypatch.setattr(system_mod, "MAX_OUTER", 3)
+    cfg = tiny_config()
+    cfg["problem"]["beta"] = 1e4
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["solve", "--config", path, "--json",
+                     "--out", os.path.join(tmp_path, "o")]) == 3
+    out = capsys.readouterr()
+    assert "numerical failure" in out.err
+    report = json.loads(out.out)
+    assert report["passed"] is False
+    [check] = report["checks"]
+    assert set(check) == {"name", "value", "threshold", "passed", "detail"}
+    assert check["name"] == "numerical failure" and check["threshold"] is None
+    failure = report["meta"]["failure"]
+    assert failure["iterations"] == 3 and len(failure["history"]) == 3
+    assert check["value"] == failure["residual"] == failure["history"][-1]
+    assert check["detail"] == failure["message"]
+
+
+def test_nan_reaction_exits_3(tmp_path, monkeypatch):
+    monkeypatch.setattr(system_mod.Reaction, "__call__",
+                        lambda self, u: np.full_like(u, np.nan))
+    path = write_config(tmp_path, tiny_config())
+    assert cli.main(["solve", "--config", path,
+                     "--out", os.path.join(tmp_path, "o")]) == 3
 
 
 def test_no_partial_files_left(tmp_path):

@@ -41,6 +41,34 @@ def test_no_module_imports_private_names():
     assert offenders == {}
 
 
+def private_attributes(source: str) -> list[str]:
+    """Every x._name attribute access where x is not self or cls: another
+    object's or module's private name."""
+    return [f"line {node.lineno}: {ast.unparse(node)}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and _private(node.attr)
+            and not (isinstance(node.value, ast.Name)
+                     and node.value.id in ("self", "cls"))]
+
+
+def test_guard_sees_private_attributes():
+    src = ("def f(engine, grid):\n"
+           "    return engine._box, grid.operator._shape, sla._impl.f()\n"
+           "class A:\n    def g(self, other):\n"
+           "        return self._x + other._y + type(self)._z\n")
+    assert sorted(hit.split(": ")[1] for hit in private_attributes(src)) == [
+        "engine._box", "grid.operator._shape", "other._y", "sla._impl",
+        "type(self)._z"]
+    assert private_attributes("class A:\n    def f(self):\n"
+                              "        return self._x, cls._y, x.__class__\n") == []
+
+
+def test_no_module_reads_private_attributes():
+    offenders = {path.name: hits for path in sorted(PACKAGE.glob("*.py"))
+                 if (hits := private_attributes(path.read_text(encoding="utf-8")))}
+    assert offenders == {}
+
+
 #: module-level imports kept on purpose although the module never reads them:
 #: the traced benchmark (perfbench/layers.py) replaces grid.spla to count
 #: factorizations; drop the entry when the benchmark stops hooking it

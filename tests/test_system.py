@@ -89,14 +89,13 @@ def test_logistic_reaction_stays_bounded():
 
 
 def test_warm_start_agrees_with_cold():
-    tol = 1e-8
     prob = make_problem(beta=1e3)
     seed = solve_system(make_problem(beta=1e2))
-    warm = solve_system(prob, warm_start=seed.fields, tol=tol)
-    cold = solve_system(prob, tol=tol)
+    warm = solve_system(prob, warm_start=seed.fields)
+    cold = solve_system(prob)
     diff = max(np.abs(a.values - b.values).max()
                for a, b in zip(warm.fields, cold.fields))
-    assert diff <= 10 * tol
+    assert diff <= 10 * system_mod.OUTER_TOL
 
 
 def test_warm_start_validation():
@@ -107,17 +106,69 @@ def test_warm_start_validation():
         solve_system(prob, warm_start=[np.zeros(prob.grid_config.nx)])
 
 
-def test_outer_cap_raises():
+def test_outer_cap_raises(monkeypatch):
+    monkeypatch.setattr(system_mod, "MAX_OUTER", 3)
     with pytest.raises(ConvergenceError) as err:
-        solve_system(make_problem(beta=1e4), max_outer=3)
+        solve_system(make_problem(beta=1e4))
     assert err.value.history is not None
 
 
 def test_residual_history_contracts():
     res = solve_system(make_problem(beta=1e2))
     hist = np.array(res.residual_history)
-    assert res.monotone_violations <= 1
+    assert np.sum(np.diff(hist[5:]) > 0) <= 1  # non-monotone steps
     assert hist[-1] <= 1e-8
+
+
+def test_each_step_is_one_trace_solve(monkeypatch):
+    # k trace solves per outer step, then one field solve (which takes its
+    # trace from one more trace solve) per component
+    calls = {"solve": 0, "trace_solve": 0}
+
+    def counting(name):
+        method = getattr(TraceSystem, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(TraceSystem, name, counting(name))
+    res = solve_system(make_problem(beta=1e3, nx=65, ny=24))
+    assert calls == {"solve": 2, "trace_solve": 2 * res.outer_iters + 2}
+
+
+def test_trace_solve_checks_its_residual(monkeypatch):
+    # a Cholesky solve 1e-6 off fails the condensed system's 1e-8 gate
+    g = _d1(0.5, 33, 16)
+    engine = TraceSystem(g)
+    load = engine.load(dirichlet_data(g, BoundaryData(top=1.0, sides=1.0)))
+    cho_solve = grid_mod.sla.cho_solve
+    monkeypatch.setattr(grid_mod.sla, "cho_solve",
+                        lambda *a, **kw: cho_solve(*a, **kw) * (1.0 + 1e-6))
+    with pytest.raises(ConvergenceError, match="condensed") as err:
+        engine.trace_solve(load, 10.0, 0.1)
+    assert err.value.residual > 1e-8
+
+
+def test_final_field_gate_catches_wrong_schur():
+    # the steps' condensed gate uses the same S, so a Schur complement 1 %
+    # off converges on the trace; the field gate through the assembled
+    # operator rejects the result
+    prob = make_problem(beta=1e2, nx=65, ny=24)
+    engine = TraceSystem(build_grid(prob.grid_config, prob.params))
+    engine.schur *= 1.01
+    with pytest.raises(ConvergenceError, match="linear solve failed"):
+        solve_system(prob, engine=engine)
+
+
+def test_nan_reaction_raises(monkeypatch):
+    monkeypatch.setattr(Reaction, "__call__",
+                        lambda self, u: np.full_like(u, np.nan))
+    with pytest.raises(ConvergenceError) as err:
+        solve_system(make_problem(beta=1e2, nx=65, ny=24))
+    assert np.isnan(err.value.residual)
 
 
 def test_sweep_segregation_and_boundedness():
@@ -249,6 +300,9 @@ class _SparseLU(TraceSystem):
         xs += lu.solve(dh * r)
         v[self.unk] = dh * xs
         return v.reshape(self.grid.shape)
+
+    def trace_solve(self, load, m, g0):
+        return self.solve(load, m, g0)[..., 0]
 
 
 @pytest.mark.parametrize("s, bound", [(0.5, 1e-12), (0.75, 2e-8)])
