@@ -10,6 +10,7 @@ flat binary layout, and every file is written atomically.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -34,6 +35,21 @@ from .system import (OUTER_TOL, CompetitionProblem, Reaction, bump, solve_system
                      sweep_beta)
 
 
+def _nonfinite(value) -> bool:
+    return isinstance(value, float) and not math.isfinite(value)
+
+
+def _finite_or_null(value):
+    """value with every non-finite float, at any depth, replaced by None."""
+    if _nonfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 @dataclass
 class RunReport:
     command: str
@@ -51,10 +67,19 @@ class RunReport:
         return all(c["passed"] for c in self.checks)
 
     def to_json(self) -> str:
+        """Strict JSON: a non-finite number is written as null; a check whose
+        value or threshold is non-finite names it in its detail."""
+        checks = []
+        for c in self.checks:
+            bad = {k: c[k] for k in ("value", "threshold") if _nonfinite(c[k])}
+            if bad:
+                note = ", ".join(f"{k} {v}" for k, v in bad.items())
+                c = dict(c, detail=f"{c['detail']} ({note})".lstrip())
+            checks.append(c)
         payload = {"command": self.command, "passed": self.passed,
-                   "checks": self.checks, "files": self.files,
-                   "meta": self.meta}
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+                   "checks": checks, "files": self.files, "meta": self.meta}
+        return json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
 
     def table(self) -> str:
         lines = []
@@ -66,6 +91,19 @@ class RunReport:
         return "\n".join(lines)
 
 
+@functools.lru_cache(maxsize=1)
+def _config_validator():
+    """Validator of the shipped config schema; the schema itself is checked
+    against its meta-schema once per process."""
+    import jsonschema
+
+    schema = json.loads(
+        resources.files("fracseg").joinpath("config_schema.json").read_text())
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def load_config(path: str) -> dict:
     """Parse and schema-validate a JSON run configuration."""
     import jsonschema
@@ -75,12 +113,9 @@ def load_config(path: str) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    schema = json.loads(
-        resources.files("fracseg").joinpath("config_schema.json").read_text())
-    try:
-        jsonschema.validate(cfg, schema)
-    except jsonschema.ValidationError as exc:
-        raise ConfigurationError(f"config violates schema: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_config_validator().iter_errors(cfg))
+    if error is not None:
+        raise ConfigurationError(f"config violates schema: {error.message}")
     return cfg
 
 

@@ -379,9 +379,30 @@ def _check_residual(what: str, diag, r, b) -> None:
         raise ConvergenceError(f"{what} failed its residual check", residual=res)
 
 
+def _block_eliminate(S, w, off, rhs) -> np.ndarray:
+    """[[S + diag(w0), diag(off)], [diag(off), S + diag(w1)]]^-1 rhs: with
+    S + diag(w0) = L L^T and X = L^-1 diag(off), the Schur complement
+    S + diag(w1) - X^T X = R R^T takes the second block; the first follows
+    by back substitution.  Both Cholesky factors raise LinAlgError when not
+    positive definite."""
+    A = S.copy()
+    A.flat[::off.size + 1] += w[0]
+    L = sla.cholesky(A, lower=True, overwrite_a=True, check_finite=False)
+    Linv = sla.lapack.dtrtri(L, lower=1, overwrite_c=1)[0]  # L's diagonal is positive
+    X = Linv * off
+    M = S.copy()
+    M.flat[::off.size + 1] += w[1]
+    M -= X.T @ X
+    R = sla.cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
+    y = Linv @ rhs[0]
+    d1 = sla.cho_solve(R, rhs[1] - X.T @ y, check_finite=False)
+    return np.stack([Linv.T @ (y - X @ d1), d1])
+
+
 #: Most free horizontal nodes (nx'^d) a TraceSystem serves; with Dirichlet
 #: sides nx <= 4098 in d = 1 and nx <= 66 in d = 2.  The dense Schur
-#: complement and its Cholesky copy take 16 n^2 bytes, 268 MB at the cap.
+#: complement and its Cholesky copy take 16 n^2 bytes, 268 MB at the cap;
+#: a pair_solve holds four more n x n arrays while it runs.
 TRACE_CAP = 4096
 
 
@@ -536,6 +557,23 @@ class TraceSystem:
                         rhs - self.schur @ t - absorb * t, rhs)
         trace[self._box[:-1]] = t.reshape(self.area.shape)
         return trace
+
+    def free_nodes(self) -> tuple:
+        """Index of the free trace nodes in a trace-shaped array; area, the
+        load's c and schur list them in the row-major order of this index."""
+        return self._box[:-1]
+
+    def pair_solve(self, w, off, rhs) -> np.ndarray:
+        """Solve the two-component system on the free trace nodes
+        [[S + diag(w0), diag(off)], [diag(off), S + diag(w1)]] d = rhs, with
+        w, rhs and d of shape (2, n) and off of shape (n,), by block
+        elimination, checked by the equilibrated residual of that system
+        (<= 1e-8).  Raises LinAlgError when the matrix is not positive
+        definite."""
+        d = _block_eliminate(self.schur, w, off, rhs)
+        _check_residual("Newton step", np.diagonal(self.schur) + w,
+                        rhs - d @ self.schur - w * d - off * d[::-1], rhs)
+        return d
 
     def solve(self, load: tuple, m, g0) -> np.ndarray:
         """Grid-shaped solution for a load with trace absorption m and source g0.

@@ -1,21 +1,35 @@
 """Steady states of the k-component competition system in extension form.
 
 Each component satisfies L_a v_i = 0 in the volume with the nonlinear trace
-flux d_nu^a v_i = f_i(v_i) - beta v_i sum_j a_ij v_j^2.  The solver runs a
-component-wise Gauss-Seidel sweep: every component solves a linear extension
-problem whose absorption m(x) = beta sum a_ij v_j(x,0)^2 freezes the other
-components (semi-implicit, sign-preserving) and whose source term is the
-lagged reaction.  Sweeping the coupling strength beta with warm starts
-produces the segregation data: trace overlaps, sup norms and Hölder
-seminorms per beta.
+flux d_nu^a v_i = f_i(v_i) - beta v_i sum_j a_ij v_j^2.  Condensed onto the
+free trace nodes (S the engine's Dirichlet-to-Neumann Schur complement) the
+system reads F_i(t) = S t_i - c_i + area (beta t_i sum_j a_ij t_j^2 - f_i(t_i))
+= 0, the gradient of the energy
+
+    E(t) = sum_i (t_i^T S t_i / 2 - c_i^T t_i - area . Phi_i(t_i))
+           + beta/2 sum_{i<j} a_ij sum area t_i^2 t_j^2,    Phi_i' = f_i.
+
+For two components the solver takes damped Newton steps on E (Armijo
+backtracking on E itself); a Gauss-Seidel sweep, in which every component
+solves its linear extension problem with the absorption
+m = beta sum_j a_ij t_j^2 of the other components frozen and the reaction
+lagged, is the fallback step, and the only step for k != 2.  Sweeping the
+coupling strength beta with warm starts produces the segregation data: trace
+overlaps, sup norms and Hölder seminorms per beta.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy
 
 from .core import FracParams
 from .diagnostics import trace_seminorm
@@ -24,8 +38,12 @@ from .grid import (BoundaryData, Field, GridConfig, TraceSystem, build_grid,
                    dirichlet_data, trace_area)
 
 REACTION_KINDS = ("zero", "linear", "logistic")
-OUTER_TOL = 1e-8  # max change of the traces over one Gauss-Seidel sweep
+#: stop at a full Newton correction (k = 2), or a Gauss-Seidel sweep change
+#: (k != 2), of at most this max norm on the traces
+OUTER_TOL = 1e-8
 MAX_OUTER = 500
+ARMIJO = 1e-4  # sufficient decrease: E falls by this share of the slope
+MAX_HALVINGS = 30  # of the Newton step length before the fallback step
 
 
 @dataclass(frozen=True)
@@ -47,6 +65,25 @@ class Reaction:
         if self.kind == "linear":
             return self.lam * u
         return self.lam * u * (1.0 - u)
+
+    def slope(self, u: np.ndarray) -> np.ndarray:
+        """f'(u)."""
+        if self.kind == "zero":
+            return np.zeros_like(u)
+        if self.kind == "linear":
+            return np.full_like(u, self.lam)
+        return self.lam * (1.0 - 2.0 * u)
+
+    def primitive_change(self, u: np.ndarray, du: np.ndarray) -> np.ndarray:
+        """Phi(u + du) - Phi(u) for the primitive Phi of f, in a form that
+        keeps its digits when du is small."""
+        if self.kind == "zero":
+            return np.zeros_like(u)
+        half = du * (u + 0.5 * du)  # ((u + du)^2 - u^2) / 2
+        if self.kind == "linear":
+            return self.lam * half
+        v = u + du
+        return self.lam * (half - du * (u * u + u * v + v * v) / 3.0)
 
 
 @dataclass
@@ -107,18 +144,118 @@ def bump(center: float, width: float = 0.5, height: float = 1.0):
     return fn
 
 
+#: the OpenBLAS builds numpy and scipy bundle: package, library pattern
+#: beside it, suffix of the thread-count functions
+_OPENBLAS = ((np, "numpy.libs/libscipy_openblas64_-*.so", "64_"),
+             (scipy, "scipy.libs/libscipy_openblas-*.so", ""))
+
+
+@functools.cache
+def _blas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of every bundled OpenBLAS found;
+    looked up on first use."""
+    controls = []
+    for package, pattern, suffix in _OPENBLAS:
+        site = os.path.dirname(os.path.dirname(package.__file__))
+        for path in glob.glob(os.path.join(site, pattern)):
+            try:
+                lib = ctypes.CDLL(path)
+                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+                put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            controls.append((get, put))
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every bundled OpenBLAS on one thread, then restore
+    the counts: on the dense trace systems threads cost more than they save
+    (measured up to 1023 free trace nodes on a 2-core machine)."""
+    controls = _blas_thread_controls()
+    saved = [get() for get, _ in controls]
+    try:
+        for _, put in controls:
+            put(1)
+        yield
+    finally:
+        for (_, put), n in zip(controls, saved):
+            put(n)
+
+
+def _gauss_seidel(engine, prob, loads, X, unpack):
+    """One Gauss-Seidel sweep (ascending component index) over the free
+    trace values X, in place: per component one checked trace_solve with the
+    others' absorption frozen and the reaction lagged.  Returns the max
+    change."""
+    free, change = engine.free_nodes(), 0.0
+    for i in range(prob.k):
+        m = prob.beta * (prob.coupling[i] @ X ** 2)
+        new = engine.trace_solve(loads[i], unpack(m),
+                                 unpack(prob.reactions[i](X[i])))[free].ravel()
+        change = max(change, float(np.abs(new - X[i]).max()))
+        X[i] = new
+    return change
+
+
+def _newton_step(engine, prob, X, c):
+    """One damped Newton step on E for two components: the new free trace
+    values and the max norm of the full correction J^-1 F, or None when the
+    Hessian is not positive definite or the backtracking gives up."""
+    S, area = engine.schur, engine.area.ravel()
+    b = prob.beta * prob.coupling[0, 1]
+    f = prob.reactions
+    SXc = X @ S - c  # rows S t_i - c_i (S is symmetric)
+    Q = X * X
+    F = SXc + area * (b * X * Q[::-1] - [f[i](X[i]) for i in range(2)])
+    W = area * (b * Q[::-1] - [f[i].slope(X[i]) for i in range(2)])
+    try:
+        D = engine.pair_solve(W, 2.0 * b * area * X[0] * X[1], -F)
+    except np.linalg.LinAlgError:
+        return None
+    size = float(np.abs(D).max())
+    if size <= OUTER_TOL:
+        return X + D, size
+    slope, lin = float(np.sum(F * D)), float(np.sum(SXc * D))
+    quad = 0.5 * float(np.sum((D @ S) * D))
+    alpha = 1.0
+    for _ in range(MAX_HALVINGS):
+        step = alpha * D
+        dQ = step * (2.0 * X + step)  # (X + step)^2 - Q, to its digits
+        change = (alpha * lin + alpha * alpha * quad
+                  - sum(area @ f[i].primitive_change(X[i], step[i])
+                        for i in range(2))
+                  + 0.25 * b * float(np.sum(area * dQ * (2.0 * Q + dQ)[::-1])))
+        if change <= ARMIJO * alpha * slope:
+            return X + step, size
+        alpha *= 0.5
+    return None
+
+
 def solve_system(prob: CompetitionProblem, warm_start=None,
                  engine: TraceSystem | None = None) -> SolveResult:
-    """Gauss-Seidel outer iteration (ascending component index) on the k
-    traces, one checked trace_solve per step, until their max-norm change
-    over a sweep drops below OUTER_TOL; then each field is built once, by
-    the engine's checked solve on its component's last step data.
+    """Minimize E on the free trace values, then build each field once, by
+    the engine's checked solve with its component's absorption and reaction
+    at the final traces.
+
+    For k = 2 every outer step is one damped Newton step whose linear solve
+    is checked on its own Hessian system, or a Gauss-Seidel sweep of checked
+    trace_solve calls when the Hessian is not positive definite or the
+    backtracking gives up; the loop stops at a full Newton correction of at
+    most OUTER_TOL, which bounds the error to second order.  For k != 2
+    every step is a sweep, and the loop stops at a sweep change of at most
+    OUTER_TOL.  Both loops run with the bundled BLAS on one thread.
 
     Nonnegative boundary data yields nonnegative fields (the frozen-neighbor
     absorption only adds to the M-matrix diagonal).  Raises ConvergenceError
-    with the residual history if the sweep cap is exceeded.  engine, the
-    linear engine of the same grid and walls, carries its factorization over
-    from an earlier solve (sweep_beta passes one).
+    with the per-step history (Newton correction or sweep change) when
+    MAX_OUTER steps do not converge, when a step fails (the history then
+    ends with the failed step's residual) or when a field fails its gate.
+    engine, the linear engine of the same grid and walls, carries its
+    factorization over from an earlier solve (sweep_beta passes one).
     """
     grid = build_grid(prob.grid_config, prob.params)
     if engine is None:
@@ -127,7 +264,7 @@ def solve_system(prob: CompetitionProblem, warm_start=None,
         raise ConfigurationError("engine was built for another grid")
     loads = [engine.load(dirichlet_data(grid, BoundaryData(top=v, sides=v)))
              for v in prob.dirichlet]
-    k = prob.k
+    k, free = prob.k, engine.free_nodes()
     if warm_start is not None:
         if len(warm_start) != k:
             raise ConfigurationError("warm start must supply every component")
@@ -135,32 +272,48 @@ def solve_system(prob: CompetitionProblem, warm_start=None,
                 for f in warm_start]
         if any(v.shape != grid.shape for v in vals):
             raise ConfigurationError("warm start grid does not match")
-        traces = [v[..., 0] for v in vals]
+        X = np.array([v[..., 0][free].ravel() for v in vals])
     else:
-        traces = [np.zeros(grid.shape[:-1]) for _ in range(k)]
+        X = np.zeros((k, engine.area.size))
 
+    def unpack(x):  # free values -> a trace-shaped array, 0 on Dirichlet nodes
+        t = np.zeros(grid.shape[:-1])
+        t[free] = x.reshape(engine.area.shape)
+        return t
+
+    c = np.array([load[3] for load in loads])
     history = []
-    data = [None] * k  # each component's last (m, g0)
-    for outer in range(1, MAX_OUTER + 1):
-        change = 0.0
-        for i in range(k):
-            m = prob.beta * sum(prob.coupling[i, j] * traces[j] ** 2
-                                for j in range(k) if j != i)
-            data[i] = (m, prob.reactions[i](traces[i]))
-            new = engine.trace_solve(loads[i], *data[i])
-            change = max(change, float(np.abs(new - traces[i]).max()))
-            traces[i] = new
-        history.append(change)
-        if change <= OUTER_TOL:
-            break
-    else:
-        raise ConvergenceError(
-            f"outer iteration cap {MAX_OUTER} exceeded (last change "
-            f"{history[-1]:.3e})", residual=history[-1], iterations=MAX_OUTER,
-            history=history)
-
-    fields = [Field(grid, engine.solve(load, *d), component=i)
-              for i, (load, d) in enumerate(zip(loads, data))]
+    with _one_blas_thread():
+        for outer in range(1, MAX_OUTER + 1):
+            try:
+                step = _newton_step(engine, prob, X, c) if k == 2 else None
+                if step is None:
+                    history.append(_gauss_seidel(engine, prob, loads, X, unpack))
+                    done = k != 2 and history[-1] <= OUTER_TOL
+                else:
+                    X, change = step
+                    history.append(change)
+                    done = change <= OUTER_TOL
+            except ConvergenceError as exc:
+                raise ConvergenceError(
+                    f"outer step {outer}: {exc}", residual=exc.residual,
+                    iterations=outer, history=history + [exc.residual]) from exc
+            if done:
+                break
+        else:
+            raise ConvergenceError(
+                f"outer iteration cap {MAX_OUTER} exceeded (last step "
+                f"{history[-1]:.3e})", residual=history[-1],
+                iterations=MAX_OUTER, history=history)
+        fields = []
+        for i, load in enumerate(loads):
+            m = prob.beta * (prob.coupling[i] @ X ** 2)
+            try:
+                v = engine.solve(load, unpack(m), unpack(prob.reactions[i](X[i])))
+            except ConvergenceError as exc:  # the field gate
+                raise ConvergenceError(str(exc), residual=exc.residual,
+                                       iterations=outer, history=history) from exc
+            fields.append(Field(grid, v, component=i))
     return SolveResult(fields=fields, residual_history=history,
                        outer_iters=outer, converged=True)
 
@@ -193,7 +346,7 @@ class SweepRow:
 class BetaSweep:
     rows: list
     results: list = field(default_factory=list, repr=False)
-    factorizations: int = 0  # operator factorizations (any kind) over the sweep
+    factorizations: int = 0  # engine set-ups over the sweep (one TraceSystem)
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows])

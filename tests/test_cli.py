@@ -279,7 +279,7 @@ def test_diagnose_pohozaev(tmp_path, capsys):
     assert all(np.isfinite(values))
     (check,) = report["checks"]
     assert check["name"] == "pohozaev residual"
-    assert check["threshold"] == float("inf")
+    assert check["threshold"] is None and "threshold inf" in check["detail"]
     assert check["value"] == pytest.approx(max(map(abs, values)), rel=1e-9)
     cfg["diagnostics"]["radii"]["stop"] = 5.0
     path = write_config(tmp_path, cfg)
@@ -417,6 +417,55 @@ def test_nan_reaction_exits_3(tmp_path, monkeypatch):
     path = write_config(tmp_path, tiny_config())
     assert cli.main(["solve", "--config", path,
                      "--out", os.path.join(tmp_path, "o")]) == 3
+
+
+def test_nan_reaction_json_report_is_strict(tmp_path, monkeypatch, capsys):
+    # a step failure carries the loop state, and its NaN residual is written
+    # as null with a string detail
+    monkeypatch.setattr(system_mod.Reaction, "__call__",
+                        lambda self, u: np.full_like(u, np.nan))
+    path = write_config(tmp_path, tiny_config())
+    assert cli.main(["solve", "--config", path, "--json",
+                     "--out", os.path.join(tmp_path, "o")]) == 3
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)
+    failure = report["meta"]["failure"]
+    assert failure["iterations"] == 1 and failure["history"] == [None]
+    assert failure["residual"] is None
+    [check] = report["checks"]
+    assert check["value"] is None and "value nan" in check["detail"]
+
+
+def test_config_schema_checked_once_per_process(tmp_path, monkeypatch):
+    import jsonschema
+
+    schema = json.loads(cli.resources.files("fracseg")
+                        .joinpath("config_schema.json").read_text())
+    cls = jsonschema.validators.validator_for(schema)
+    check_schema, checked = cls.check_schema, []
+
+    def counting(schema, *args, **kwargs):
+        checked.append(schema)
+        return check_schema(schema, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "check_schema", counting)
+    cli._config_validator.cache_clear()
+    bad = tiny_config(extra_key=1)
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(bad, schema)
+    checked.clear()
+    try:
+        good = write_config(tmp_path, tiny_config())
+        assert cli.load_config(good) == cli.load_config(good) == tiny_config()
+        with pytest.raises(cli.ConfigurationError) as err:
+            cli.load_config(write_config(tmp_path, bad, name="bad.json"))
+    finally:
+        cli._config_validator.cache_clear()
+    assert checked == [schema]
+    assert str(err.value) == f"config violates schema: {want.value.message}"
 
 
 def test_no_partial_files_left(tmp_path):

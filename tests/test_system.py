@@ -1,5 +1,11 @@
 """Competition-system solver and beta sweeps."""
 
+import os
+import pathlib
+import subprocess
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -120,23 +126,44 @@ def test_residual_history_contracts():
     assert hist[-1] <= 1e-8
 
 
+def _counting(calls, owner, name, returned=None):
+    """Wrap owner.name to count its calls in calls[name], and in
+    calls[returned] the calls that returned something other than None."""
+    method = getattr(owner, name)
+
+    def wrapper(*args):
+        calls[name] += 1
+        out = method(*args)
+        if returned and out is not None:
+            calls[returned] += 1
+        return out
+    return wrapper
+
+
 def test_each_step_is_one_trace_solve(monkeypatch):
-    # k trace solves per outer step, then one field solve (which takes its
-    # trace from one more trace solve) per component
-    calls = {"solve": 0, "trace_solve": 0}
-
-    def counting(name):
-        method = getattr(TraceSystem, name)
-
-        def wrapper(self, *args):
-            calls[name] += 1
-            return method(self, *args)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(TraceSystem, name, counting(name))
+    # k = 2: every outer step tries one Newton solve; a step that falls back
+    # is one Gauss-Seidel sweep of k trace solves; then one field solve
+    # (which takes its trace from one more trace solve) per component
+    calls = dict.fromkeys(("solve", "trace_solve", "pair_solve",
+                           "_newton_step", "newton", "_gauss_seidel"), 0)
+    for name in ("solve", "trace_solve", "pair_solve"):
+        monkeypatch.setattr(TraceSystem, name, _counting(calls, TraceSystem, name))
+    monkeypatch.setattr(system_mod, "_newton_step",
+                        _counting(calls, system_mod, "_newton_step", "newton"))
+    monkeypatch.setattr(system_mod, "_gauss_seidel",
+                        _counting(calls, system_mod, "_gauss_seidel"))
     res = solve_system(make_problem(beta=1e3, nx=65, ny=24))
-    assert calls == {"solve": 2, "trace_solve": 2 * res.outer_iters + 2}
+    fallbacks = calls["_gauss_seidel"]
+    assert calls["_newton_step"] == calls["pair_solve"] == res.outer_iters
+    assert calls["newton"] + fallbacks == res.outer_iters
+    assert calls["solve"] == 2
+    assert calls["trace_solve"] == 2 * fallbacks + 2
+    # k != 2: every step is a sweep
+    calls.update(dict.fromkeys(calls, 0))
+    res = solve_system(make_problem(k=1, beta=1.0, nx=65, ny=24))
+    assert calls["pair_solve"] == calls["_newton_step"] == 0
+    assert calls["_gauss_seidel"] == res.outer_iters
+    assert calls["trace_solve"] == res.outer_iters + 1
 
 
 def test_trace_solve_checks_its_residual(monkeypatch):
@@ -152,6 +179,199 @@ def test_trace_solve_checks_its_residual(monkeypatch):
     assert err.value.residual > 1e-8
 
 
+def test_pair_solve_matches_dense_block_solve():
+    engine = TraceSystem(_d1(0.5, 33, 16))
+    S, n = engine.schur, engine.schur.shape[0]
+    rng = np.random.default_rng(3)
+    w, off = rng.uniform(0.0, 2.0, (2, n)), rng.uniform(-1.0, 1.0, n)
+    rhs = rng.standard_normal((2, n))
+    H = np.block([[S + np.diag(w[0]), np.diag(off)],
+                  [np.diag(off), S + np.diag(w[1])]])
+    want = np.linalg.solve(H, rhs.ravel()).reshape(2, n)
+    assert np.abs(engine.pair_solve(w, off, rhs) - want).max() <= 1e-12 * np.abs(want).max()
+    with pytest.raises(np.linalg.LinAlgError):  # the Schur complement is not SPD
+        engine.pair_solve(w, off + 10.0 * np.abs(S).max(), rhs)
+
+
+def test_newton_step_checks_its_residual(monkeypatch):
+    # a Newton solve 1e-6 off fails the Hessian system's 1e-8 gate; the error
+    # carries the loop state
+    eliminate = grid_mod._block_eliminate
+    monkeypatch.setattr(grid_mod, "_block_eliminate",
+                        lambda *args: eliminate(*args) * (1.0 + 1e-6))
+    with pytest.raises(ConvergenceError, match="Newton step failed") as err:
+        solve_system(make_problem(beta=1e2, nx=65, ny=24))
+    assert err.value.residual > 1e-8
+    assert err.value.iterations == 1
+    assert err.value.history == [err.value.residual]
+
+
+def test_failed_cholesky_falls_back_to_gauss_seidel(monkeypatch):
+    # the first three Newton solves find no positive definite Hessian; those
+    # steps are Gauss-Seidel sweeps and the solve still converges
+    prob = make_problem(beta=1e3, nx=65, ny=24)
+    want = solve_system(prob)
+    cholesky, failed = grid_mod.sla.cholesky, []
+
+    def failing(*args, **kwargs):
+        if len(failed) < 3:
+            failed.append(True)
+            raise np.linalg.LinAlgError("not positive definite")
+        return cholesky(*args, **kwargs)
+
+    monkeypatch.setattr(grid_mod.sla, "cholesky", failing)
+    sweeps = {"_gauss_seidel": 0}
+    monkeypatch.setattr(system_mod, "_gauss_seidel",
+                        _counting(sweeps, system_mod, "_gauss_seidel"))
+    got = solve_system(prob)
+    assert len(failed) == 3 and sweeps["_gauss_seidel"] >= 3
+    assert got.converged and got.residual_history[-1] <= system_mod.OUTER_TOL
+    assert max(np.abs(a.values - b.values).max()
+               for a, b in zip(got.fields, want.fields)) <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ["zero", "linear", "logistic"])
+def test_reaction_slope_and_primitive(kind):
+    f = Reaction(kind, 2.5)
+    u = np.linspace(-1.0, 2.0, 7)
+    primitive = {"zero": lambda v: 0.0 * v, "linear": lambda v: 1.25 * v * v,
+                 "logistic": lambda v: 2.5 * (v * v / 2 - v ** 3 / 3)}[kind]
+    for du in (0.3, 1e-9):
+        assert np.allclose(f.primitive_change(u, du),
+                           primitive(u + du) - primitive(u), rtol=1e-6, atol=1e-15)
+    assert np.allclose(f.slope(u), (f(u + 1e-6) - f(u - 1e-6)) / 2e-6, atol=1e-8)
+
+
+def _energy(engine, prob, X, c):
+    """E on the free trace values, summed term by term (two components)."""
+    area = engine.area.ravel()
+    total = 0.5 * prob.beta * prob.coupling[0, 1] * area @ (X[0] ** 2 * X[1] ** 2)
+    for i in range(2):
+        u = X[i]
+        total += 0.5 * u @ engine.schur @ u - c[i] @ u
+        total -= area @ prob.reactions[i].primitive_change(np.zeros_like(u), u)
+    return total
+
+
+@pytest.mark.parametrize("s, betas, reaction", [
+    (0.3, [1e2, 1e3, 1e4], Reaction("zero")),
+    (0.5, [1e1, 1e3], Reaction("logistic", 1.0))])
+def test_newton_steps_descend_the_energy(s, betas, reaction, monkeypatch):
+    steps = []
+    newton_step = system_mod._newton_step
+
+    def recording(engine, prob, X, c):
+        out = newton_step(engine, prob, X, c)
+        if out is not None:
+            steps.append((_energy(engine, prob, X, c),
+                          _energy(engine, prob, out[0], c)))
+        return out
+
+    monkeypatch.setattr(system_mod, "_newton_step", recording)
+    sweep_beta(make_problem(s=s, reactions=(reaction, reaction)), betas,
+               holder_alpha=0.03)
+    assert len(steps) >= 2 * len(betas)
+    for before, after in steps:
+        assert after <= before + 1e-13 * (abs(before) + 1.0)
+
+
+def _reference_gauss_seidel(prob, engine, traces, tol=1e-13):
+    """Fields of a plain Gauss-Seidel loop of trace_solve calls from the
+    given traces, run to a sweep change of tol (two components, zero
+    reactions)."""
+    g = engine.grid
+    loads = [engine.load(dirichlet_data(g, BoundaryData(top=v, sides=v)))
+             for v in prob.dirichlet]
+    traces = list(traces)
+    for _ in range(5000):
+        change = 0.0
+        for i in range(2):
+            new = engine.trace_solve(loads[i], prob.beta * traces[1 - i] ** 2, 0.0)
+            change = max(change, np.abs(new - traces[i]).max())
+            traces[i] = new
+        if change <= tol:
+            return [engine.solve(loads[i], prob.beta * traces[1 - i] ** 2, 0.0)
+                    for i in range(2)]
+    raise AssertionError(f"reference stopped at change {change:.1e}")
+
+
+def test_newton_matches_gauss_seidel_run_to_round_off():
+    # criterion-10 problem (quick grid), warm-started like a sweep; a sweep
+    # change of 1e-8 left Gauss-Seidel up to 1.4e-7 off on this workload
+    prob = make_problem()
+    engine = TraceSystem(build_grid(prob.grid_config, prob.params))
+    fields, traces = None, [np.zeros(prob.grid_config.nx)] * 2
+    for beta in (1e2, 1e3, 1e4):
+        p = replace(prob, beta=beta)
+        res = solve_system(p, warm_start=fields, engine=engine)
+        want = _reference_gauss_seidel(p, engine, traces)
+        assert max(np.abs(f.values - w).max()
+                   for f, w in zip(res.fields, want)) <= 1e-9
+        fields, traces = res.fields, [w[..., 0] for w in want]
+
+
+def test_s03_sweep_converges():
+    # perfbench NOTES defect 1: at s = 0.3 on 129 x 48 Gauss-Seidel alone
+    # stalled at beta = 1e4 (500 steps, last change 4.7e-8)
+    sweep = sweep_beta(make_problem(s=0.3), [1e2, 1e3, 1e4], holder_alpha=0.03)
+    assert np.all(sweep.column("outer_iters") <= 20)
+
+
+def _thread_counts():
+    return [get() for get, _ in system_mod._blas_thread_controls()]
+
+
+def test_one_blas_thread_restores_counts():
+    controls = system_mod._blas_thread_controls()
+    if not controls:
+        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+    saved = _thread_counts()
+    try:
+        for _, put in controls:
+            put(2)
+        with system_mod._one_blas_thread():
+            assert _thread_counts() == [1] * len(controls)
+        assert _thread_counts() == [2] * len(controls)
+        with pytest.raises(RuntimeError, match="inside"):
+            with system_mod._one_blas_thread():
+                raise RuntimeError("inside")
+        assert _thread_counts() == [2] * len(controls)
+    finally:
+        for (_, put), n in zip(controls, saved):
+            put(n)
+
+
+def test_one_blas_thread_is_a_no_op_without_openblas(monkeypatch):
+    monkeypatch.setattr(system_mod.glob, "glob", lambda pattern: [])
+    assert system_mod._blas_thread_controls.__wrapped__() == ()
+    monkeypatch.setattr(system_mod, "_blas_thread_controls", lambda: ())
+    assert solve_system(make_problem(beta=1e2, nx=33, ny=12)).converged
+
+
+def test_solve_system_runs_on_one_blas_thread(monkeypatch):
+    seen = []
+    pair_solve = TraceSystem.pair_solve
+
+    def recording(self, *args):
+        seen.append(_thread_counts())
+        return pair_solve(self, *args)
+
+    monkeypatch.setattr(TraceSystem, "pair_solve", recording)
+    before = _thread_counts()
+    solve_system(make_problem(beta=1e2, nx=65, ny=24))
+    assert _thread_counts() == before
+    assert seen and all(counts == [1] * len(before) for counts in seen)
+
+
+def test_blas_libraries_are_looked_up_on_first_use():
+    code = ("import fracseg.cli, fracseg.system as s\n"
+            "assert s._blas_thread_controls.cache_info().currsize == 0\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(pathlib.Path(system_mod.__file__).parents[1])]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def test_final_field_gate_catches_wrong_schur():
     # the steps' condensed gate uses the same S, so a Schur complement 1 %
     # off converges on the trace; the field gate through the assembled
@@ -159,8 +379,9 @@ def test_final_field_gate_catches_wrong_schur():
     prob = make_problem(beta=1e2, nx=65, ny=24)
     engine = TraceSystem(build_grid(prob.grid_config, prob.params))
     engine.schur *= 1.01
-    with pytest.raises(ConvergenceError, match="linear solve failed"):
+    with pytest.raises(ConvergenceError, match="linear solve failed") as err:
         solve_system(prob, engine=engine)
+    assert err.value.iterations == len(err.value.history) >= 1
 
 
 def test_nan_reaction_raises(monkeypatch):
