@@ -206,7 +206,7 @@ def cmd_solve(cfg: dict, args) -> RunReport:
     report.meta.update(outer_iters=res.outer_iters, sup_norms=sups,
                        residual=res.residual_history[-1])
     report.add("solver converged", res.residual_history[-1], OUTER_TOL,
-               res.converged)
+               res.residual_history[-1] <= OUTER_TOL)
     if "json" in formats:
         path = _out_path(cfg, args, "solve.json")
         report.files.append(path)

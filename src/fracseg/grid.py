@@ -285,16 +285,6 @@ def assemble_La(grid: HalfSpaceGrid) -> sps.csr_matrix:
     return (off + sps.diags(diag)).tocsr()
 
 
-def apply_operator(grid: HalfSpaceGrid, fld: Field) -> np.ndarray:
-    """Pointwise residual (A v) / dual-volume, grid-shaped.
-
-    Approximates L_a v at the nodes; exactly zero on constants and on fields
-    linear in a horizontal coordinate (interior rows).
-    """
-    r = grid.operator @ fld.values.ravel()
-    return (r / grid.node_volume.ravel()).reshape(grid.shape)
-
-
 def dtn_trace(grid: HalfSpaceGrid, fld: Field) -> np.ndarray:
     """Weighted Dirichlet-to-Neumann trace -2s (v(., y1) - v(., 0)) / y1^{2s}.
 
@@ -399,6 +389,49 @@ def _block_eliminate(S, w, off, rhs) -> np.ndarray:
     return np.stack([Linv.T @ (y - X @ d1), d1])
 
 
+class ModeChains:
+    """Stacked SPD tridiagonals T, one per mode, each on a chain of slots
+    0..n eliminated toward the boundary slot n: the separable kernel of
+    TraceSystem and the hemisphere solver.  shunt (*modes, n + 1) ties each
+    slot to zero, cond (broadcastable to (*modes, n)) joins slot i to i + 1
+    and closure ties slot 0, the far end, to zero; T acts on slots 0..n-1.
+    Factored from the far end, rho_i = shunt_i + c rho / (c + rho) with the
+    c and rho of slot i - 1 (rho_0 = shunt_0 + closure) gives the pivots
+    cond_i + rho_i and the boundary's Schur symbol rho_n.  Every term is
+    positive, while the closed form cond - cond^2 (T^-1)_{n-1,n-1} and a
+    factorization from the near end subtract nearly equal numbers: they lose
+    the symbol's digits under the y1^{-2s} trace conductance (1e12 at
+    s = 3/4) and at the hemisphere's small mode-0 symbol.
+    """
+
+    def __init__(self, shunt: np.ndarray, cond, closure):
+        cond = np.broadcast_to(cond, shunt[..., 1:].shape)
+        rho = np.empty(shunt.shape)
+        rho[..., 0] = shunt[..., 0] + closure
+        for i in range(1, rho.shape[-1]):
+            c, r = cond[..., i - 1], rho[..., i - 1]
+            rho[..., i] = shunt[..., i] + c * r / (c + r)
+        if not np.all(rho > 0):
+            raise ConvergenceError("mode chains are not positive definite")
+        self.pivots = cond + rho[..., :-1]
+        self.symbol = rho[..., -1]
+        # T = L diag(pivots) L^T with the modes' chains stacked far end first,
+        # the layout of LAPACK's ?pttrs; L's subdiagonal is 0 between modes
+        lower = np.zeros(self.pivots.shape)
+        lower[..., :-1] = -cond[..., :-1] / self.pivots[..., :-1]
+        self._lower = lower.ravel()[:-1]
+        unit = np.zeros(self.pivots.shape)
+        unit[..., -1] = cond[..., -1]
+        self.response = self.solve(unit)  # T^-1 of a unit boundary value
+
+    def solve(self, u: np.ndarray) -> np.ndarray:
+        """T^-1 u for every mode; u has the pivots' shape and is real or
+        complex (its real and imaginary parts are two right-hand sides)."""
+        rhs = np.ascontiguousarray(u).view(float).reshape(self.pivots.size, -1)
+        x = sla.lapack.dpttrs(self.pivots.ravel(), self._lower, rhs)[0]
+        return np.ascontiguousarray(x).view(u.dtype).reshape(u.shape)
+
+
 #: Most free horizontal nodes (nx'^d) a TraceSystem serves; with Dirichlet
 #: sides nx <= 4098 in d = 1 and nx <= 66 in d = 2.  The dense Schur
 #: complement and its Cholesky copy take 16 n^2 bytes, 268 MB at the cap;
@@ -418,8 +451,9 @@ class TraceSystem:
     Kronecker sum, A = Hx (x) Ky + Kx (x) Wy in d = 1 (one more Kx term in
     d = 2).  The engine diagonalizes the horizontal part once
     (Kx v = lambda Hx v; fast diagonalization), which splits A_ii into one
-    tridiagonal system in y per mode.  The Schur complement S = A_tt - A_ti A_ii^-1 A_it, the discrete
-    Dirichlet-to-Neumann map, is diagonal in the modes; each solve is the
+    tridiagonal chain in y per mode, all held by one ModeChains.  The Schur
+    complement S = A_tt - A_ti A_ii^-1 A_it, the discrete Dirichlet-to-Neumann
+    map, is diagonal in the modes with the chains' symbol; each solve is the
     dense SPD system (S + diag(m area)) t = c + g0 area plus the interior
     A_ii^-1 b_i of the load corrected by its precomputed response to t.
     With a Dirichlet trace each solve is purely spectral.  A grid with more
@@ -454,46 +488,21 @@ class TraceSystem:
                                       -1.0 / (g.dx * np.sqrt(h[:-1] * h[1:])))
         self._V = U / np.sqrt(h)[:, None]  # V^T Hx' V = I
         lam = reduce(np.add.outer, [lam] * g.d)
-        # per-mode tridiagonal T_k = lambda_k Wy + Ky on the rows 1..ny-1,
-        # factored from the Dirichlet top down (U D U^T).  Pivot j is
-        # gv_{j-1} + rho_j, where rho_j, the conductance row j sees upward,
-        # sums positive terms only: the y1^{-2s} trace conductance would
-        # cancel in a bottom-up factorization and in gv0 - gv0^2 (T_k^-1)_00.
-        gv, w = g.vertical_conductance, g.y_dual_w
-        col = (-1,) + (1,) * g.d
-        shunt = w.reshape(col) * lam
-        rho = np.empty((g.ny - 1,) + lam.shape)
-        rho[-1] = shunt[-2] + gv[-1]
-        for j in range(g.ny - 3, -1, -1):
-            rho[j] = shunt[j + 1] + gv[j + 1] * rho[j + 1] / (gv[j + 1] + rho[j + 1])
-        self._piv = gv[:-1].reshape(col) + rho
-        if not np.all(self._piv > 0):
-            raise ConvergenceError("operator lost positive diagonal")
-        self._mult = -gv[1:-1].reshape(col) / self._piv[1:]
+        # per mode k one chain lambda_k Wy + Ky: the top Dirichlet row closes
+        # the far end, rows ny-1..1 are its slots and the trace row its boundary
+        gv = g.vertical_conductance
+        self._chains = ModeChains(np.multiply.outer(lam, g.y_dual_w[g.ny - 1::-1]),
+                                  gv[-2::-1], gv[-1])
         self.factorizations += 1
         if trace_dirichlet:
             self.schur = np.zeros((0, 0))
             return
-        e0 = np.zeros(rho.shape)
-        e0[0] = 1.0
-        self._resp = gv[0] * self._tridiag_solve(e0)  # interior response to t
+        # interior response to t, rows first like the interior values
+        self._resp = np.moveaxis(self._chains.response, -1, 0)[::-1]
         # the Dirichlet-to-Neumann symbol per mode, S = (Hx'V) diag(sigma) (Hx'V)^T
-        sigma = (shunt[0] + gv[0] * rho[0] / self._piv[0]).ravel()
-        if not np.all(sigma > 0):
-            raise ConvergenceError("condensed trace operator is not positive")
         P = reduce(np.kron, [h[:, None] * self._V] * g.d)
-        P *= np.sqrt(sigma)
+        P *= np.sqrt(self._chains.symbol.ravel())
         self.schur = P @ P.T
-
-    def _tridiag_solve(self, u: np.ndarray) -> np.ndarray:
-        """T_k^-1 u for every mode, rows first; overwrites u."""
-        mult = self._mult
-        for j in range(u.shape[0] - 2, -1, -1):
-            u[j] -= mult[j] * u[j + 1]
-        u /= self._piv
-        for j in range(1, u.shape[0]):
-            u[j] -= mult[j - 1] * u[j - 1]
-        return u
 
     def _to_modes(self, u: np.ndarray) -> np.ndarray:
         """V^T along every horizontal axis (the last d axes of u)."""
@@ -506,8 +515,10 @@ class TraceSystem:
         return self._V @ u if self.grid.d == 2 else u
 
     def _interior_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """A_ii^-1 rhs for rows-first interior values."""
-        return self._from_modes(self._tridiag_solve(self._to_modes(rhs)))
+        """A_ii^-1 rhs for rows-first interior values (row 1 first); the
+        chains hold the modes first and the far end first."""
+        u = self._chains.solve(np.moveaxis(self._to_modes(rhs)[::-1], 0, -1))
+        return self._from_modes(np.moveaxis(u, -1, 0)[::-1])
 
     def serves(self, grid: HalfSpaceGrid, layout: tuple) -> bool:
         """Whether this engine was built for grid and the boundary layout

@@ -21,11 +21,11 @@ import scipy.linalg as sla
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 from scipy.integrate import quad
-from scipy.linalg import lapack
 from scipy.special import beta, betainc
 
 from .core import FracParams, gamma_map
 from .errors import ConfigurationError, ConvergenceError
+from .grid import ModeChains
 
 _TWO_PI = 2.0 * math.pi
 
@@ -275,18 +275,14 @@ class _HemisphereSolver:
 
     Only equator nodes are ever Dirichlet, and away from the equator the
     pencil is rotation invariant: in the orthonormal real Fourier basis in
-    phi each mode is one tridiagonal in theta, and the pole couples to mode
-    0 only.  The interior (pole and rings 1..nt-1), all modes stacked, is one
-    SPD tridiagonal factored once.  Eliminating it leaves on the equator
-    ring a circulant whose symbol rho(k) comes from the downward recurrence
-    rho_i = g_{i-1} rho_{i-1} / (g_{i-1} + rho_{i-1}) + g_phi,i lambda_k
-    - sigma m_i, a sum of positive terms for sigma < 0 (the closed form
-    d - g^2 (T^-1)_ll would take the small symbol of mode 0 as a difference
-    of large numbers).  The circulant restricted to the free equator nodes
-    is Cholesky factored once.  Each solve is one interior solve, a dense
-    triangular solve on the free equator and the precomputed interior
-    response to equator values, and is checked by its backward error
-    against the sparse pencil A = (K - sigma M)_ff.
+    phi each mode is one tridiagonal chain in theta from the pole to the
+    equator, and the pole couples to mode 0 only.  One ModeChains holds
+    every mode's chain.  Eliminating the interior (pole and rings 1..nt-1)
+    leaves on the equator ring a circulant with the chains' symbol,
+    Cholesky factored once on the free equator nodes.  Each solve is one
+    interior solve, a dense triangular solve on the free equator and the
+    chains' interior response to equator values, and is checked by its
+    backward error against the sparse pencil A = (K - sigma M)_ff.
 
     The shift sigma is small and negative, so the shifted pencil stays
     definite even when the full-equator null vector is present.  K and M
@@ -302,33 +298,21 @@ class _HemisphereSolver:
         self.M = sps.diags(_node_mass(mesh)[self.free]).tocsr()
         self.sigma = sigma = -1e-8 * float(self.K.diagonal().mean())
         lam = 4.0 * np.sin(math.pi * np.arange(nph // 2 + 1) / nph) ** 2
-        shunt = g_phi[:, None] * lam - sigma * mass[1:, None]  # ring i at row i-1
-        # interior blocks, one per mode: slot 0 holds the pole in mode 0 and
-        # is a decoupled unit row in the others, slots 1..nt-1 the rings
-        d = np.ones((lam.size, nt))
-        d[0, 0] = nph * g_theta[0] - sigma * mass[0]
-        d[:, 1:] = (g_theta[:-1] + g_theta[1:]) + shunt[:-1].T
-        e = np.zeros((lam.size, nt))
-        e[0, 0] = -g_theta[0] * math.sqrt(nph)
-        e[:, 1:-1] = -g_theta[1:-1]
-        self._d, self._e, info = lapack.dpttrf(d.ravel(), e.ravel()[:-1])
-        if info != 0 or not np.all(self._d > 0):
-            raise ConvergenceError("hemisphere pencil is not positive definite")
-        unit = np.zeros(d.shape)
-        unit[:, -1] = g_theta[-1]
-        self._resp = self._interior(unit)  # interior response to equator data
-        # equator symbol; in modes k > 0 the pole value is zero, so ring 1
-        # sees the whole pole conductance
-        pole = -sigma * mass[0] / nph
-        rho = np.full(lam.size, g_theta[0])
-        rho[0] = g_theta[0] * pole / (g_theta[0] + pole)
-        rho += shunt[0]
-        for i in range(1, nt):
-            rho = g_theta[i] * rho / (g_theta[i] + rho) + shunt[i]
-        if not np.all(rho > 0):
-            raise ConvergenceError("hemisphere pencil is not positive definite")
+        # one chain per mode: the pole slot at the far end, rings 1..nt-1 and
+        # the equator ring as the boundary.  In mode 0 the pole is unit-scaled
+        # (its value times sqrt(nphi)) and joins ring 1 by g_theta[0]; in the
+        # others it is a decoupled unit row and ring 1 sees g_theta[0] against
+        # zero
+        shunt = np.empty((lam.size, nt + 1))
+        shunt[:, 1:] = (g_phi[:, None] * lam - sigma * mass[1:, None]).T
+        shunt[0, 0] = -sigma * mass[0] / nph
+        shunt[1:, 0] = 1.0
+        shunt[1:, 1] += g_theta[0]
+        cond = np.tile(g_theta, (lam.size, 1))
+        cond[1:, 0] = 0.0
+        self._chains = ModeChains(shunt, cond, 0.0)
         self._free = np.flatnonzero(free_eq)
-        circ = np.fft.irfft(rho, nph)
+        circ = np.fft.irfft(self._chains.symbol, nph)
         S = circ[np.subtract.outer(self._free, self._free) % nph]
         try:
             self._chol = sla.cho_factor(S)
@@ -341,28 +325,21 @@ class _HemisphereSolver:
         self._n_int = 1 + (nt - 1) * nph
         self._nphi = nph
 
-    def _interior(self, modes: np.ndarray) -> np.ndarray:
-        """A_II^-1 in modes (rows: modes, columns: pole slot and rings);
-        real and imaginary parts are two right-hand sides."""
-        rhs = np.column_stack((modes.real.ravel(), modes.imag.ravel()))
-        x, _ = lapack.dpttrs(self._d, self._e, rhs)
-        return (x[:, 0] + 1j * x[:, 1]).reshape(modes.shape)
-
     def solve(self, b: np.ndarray) -> np.ndarray:
         nph, ni = self._nphi, self._n_int
         rings = np.fft.rfft(b[1:ni].reshape(-1, nph), axis=1, norm="ortho")
         z = np.zeros((rings.shape[1], rings.shape[0] + 1), dtype=complex)
-        z[0, 0] = b[0]
+        z[0, 0] = b[0] / math.sqrt(nph)  # the unit-scaled pole
         z[:, 1:] = rings.T
-        z = self._interior(z)
+        z = self._chains.solve(z)
         below = np.fft.irfft(z[:, -1], nph, norm="ortho")  # z on ring nt-1
         eq = np.zeros(nph)
         eq[self._free] = sla.cho_solve(  # NaN is caught by the check below
             self._chol, b[ni:] + self._g_eq * below[self._free],
             check_finite=False)
-        z += self._resp * np.fft.rfft(eq, norm="ortho")[:, None]
+        z += self._chains.response * np.fft.rfft(eq, norm="ortho")[:, None]
         x = np.empty_like(b)
-        x[0] = z[0, 0].real
+        x[0] = z[0, 0].real / math.sqrt(nph)
         x[1:ni] = np.fft.irfft(z[:, 1:].T, nph, axis=1, norm="ortho").ravel()
         x[ni:] = eq[self._free]
         res = float(np.abs(self._A @ x - b).max())
@@ -428,13 +405,6 @@ def lambda1_codim1(mesh: HemisphereMesh):
     for target in (0.5 * math.pi, 1.5 * math.pi):
         free_eq[int(np.argmin(np.abs(phi - target)))] = False
     return _lowest_pair(mesh, free_eq)[0]
-
-
-def eigenfunction_sign_definite(vec: np.ndarray, rtol: float = 1e-8) -> bool:
-    scale = np.abs(vec).max()
-    if scale == 0:
-        return True
-    return vec.min() >= -rtol * scale or vec.max() <= rtol * scale
 
 
 @dataclass

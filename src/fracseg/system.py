@@ -128,7 +128,6 @@ class SolveResult:
     fields: list
     residual_history: list
     outer_iters: int
-    converged: bool
 
     @property
     def traces(self) -> list:
@@ -315,7 +314,7 @@ def solve_system(prob: CompetitionProblem, warm_start=None,
                                        iterations=outer, history=history) from exc
             fields.append(Field(grid, v, component=i))
     return SolveResult(fields=fields, residual_history=history,
-                       outer_iters=outer, converged=True)
+                       outer_iters=outer)
 
 
 def trace_overlap(result: SolveResult) -> float:

@@ -5,11 +5,12 @@ import os
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import block_diag
 
 from fracseg.core import FracParams, NamedSolution, dtn_exact, eval_solution
 from fracseg.errors import ConfigurationError, ConvergenceError
-from fracseg.grid import (BoundaryData, Field, GridConfig, TraceSystem,
-                          apply_operator, build_grid, dirichlet_data, dtn_trace,
+from fracseg.grid import (BoundaryData, Field, GridConfig, ModeChains,
+                          TraceSystem, build_grid, dirichlet_data, dtn_trace,
                           field_from_function, grid_coordinates,
                           interpolate_field, read_snapshot, snapshot_csv,
                           solve_linear, write_snapshot)
@@ -108,7 +109,7 @@ def test_harmonic_layer_residual_decays():
         for n in (32, 64):
             g = small_grid(s=s, nx=n + 1, ny=n)
             fld = sample(g, lambda x, y: y ** (2 * s) + 0.0 * x)
-            r = apply_operator(g, fld)
+            r = (g.operator @ fld.values.ravel()).reshape(g.shape) / g.node_volume
             mask = ((g.y[None, :] >= 0.25) & (g.y[None, :] <= 0.9)
                     & (np.abs(g.x[:, None]) <= 0.9))
             errs.append(np.abs(r[mask]).max())
@@ -223,6 +224,75 @@ def test_residual_check_catches_wrong_schur():
     load = engine.load(dirichlet_data(g, BoundaryData(top=1.0, sides=1.0)))
     with pytest.raises(ConvergenceError, match="residual check"):
         engine.solve(load, 0.0, 0.1)
+
+
+def chain_data(seed=0):
+    """Three modes of five slots plus a boundary slot: a near conductance of
+    1e12, the s = 3/4 trace conductance's scale (mode 0); shunts of 1e-9 with
+    an open far end, the hemisphere's small mode-0 symbol (mode 1); and one
+    plain chain (mode 2)."""
+    rng = np.random.default_rng(seed)
+    shunt = rng.uniform(0.5, 2.0, (3, 6))
+    cond = rng.uniform(0.5, 2.0, (3, 5))
+    closure = rng.uniform(0.5, 2.0, 3)
+    cond[0, -1] = 1e12
+    shunt[1] *= 1e-9
+    closure[1] = 0.0
+    return shunt, cond, closure
+
+
+def chain_matrix(shunt, cond, closure):
+    """The stacked chains' interior matrix T, one tridiagonal block per mode."""
+    blocks = []
+    for sh, c, c0 in zip(shunt, cond, closure):
+        d = np.concatenate(([c0], c[:-1])) + c + sh[:-1]
+        blocks.append(np.diag(d) - np.diag(c[:-1], 1) - np.diag(c[:-1], -1))
+    return block_diag(*blocks)
+
+
+def test_mode_chains_solve_matches_dense():
+    shunt, cond, closure = chain_data()
+    chains = ModeChains(shunt, cond, closure)
+    T = chain_matrix(shunt, cond, closure)
+    rng = np.random.default_rng(1)
+    u = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    want = np.linalg.solve(T, u.ravel()).reshape(u.shape)
+    assert np.abs(chains.solve(u) - want).max() <= 1e-12 * np.abs(want).max()
+    real = chains.solve(u.real)
+    assert real.dtype == float
+    assert np.abs(real - want.real).max() <= 1e-12 * np.abs(want).max()
+    unit = np.zeros(u.shape)
+    unit[:, -1] = cond[:, -1]
+    want = np.linalg.solve(T, unit.ravel()).reshape(u.shape)
+    assert np.abs(chains.response - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.all(chains.pivots > 0)
+
+
+def test_mode_chains_symbol_matches_dense_schur():
+    # the Schur complement shunt_n + c - c^2 (T^-1)_{n-1,n-1}, with T
+    # assembled and solved in 40 digits: float64 would round 1e12 + O(1)
+    mpmath = pytest.importorskip("mpmath")
+    shunt, cond, closure = chain_data()
+    chains = ModeChains(shunt, cond, closure)
+    with mpmath.workdps(40):
+        for sh, c, c0, got in zip(shunt, cond, closure, chains.symbol):
+            sh, c = [mpmath.mpf(v) for v in sh], [mpmath.mpf(v) for v in c]
+            left = [mpmath.mpf(c0)] + c[:-1]
+            T = mpmath.zeros(5, 5)
+            for i in range(5):
+                T[i, i] = left[i] + c[i] + sh[i]
+                if i < 4:
+                    T[i, i + 1] = T[i + 1, i] = -c[i]
+            x = mpmath.lu_solve(T, mpmath.matrix([0] * 4 + [1]))
+            want = sh[-1] + c[-1] - c[-1] ** 2 * x[4]
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_mode_chains_reject_a_negative_shunt():
+    shunt, cond, closure = chain_data()
+    shunt[2, 0] = -10.0
+    with pytest.raises(ConvergenceError):
+        ModeChains(shunt, cond, closure)
 
 
 def test_d2_operator_and_solve():

@@ -12,8 +12,7 @@ from scipy.special import beta as beta_fn
 from fracseg import sphere
 from fracseg.core import FracParams
 from fracseg.errors import ConfigurationError, ConvergenceError
-from fracseg.sphere import (CapPair, EquatorRegion, HemisphereMesh,
-                            eigenfunction_sign_definite, lambda1,
+from fracseg.sphere import (CapPair, EquatorRegion, HemisphereMesh, lambda1,
                             lambda1_codim1, nu_acf_caps)
 
 S_GRID = (0.25, 0.5, 0.75)
@@ -21,6 +20,13 @@ S_GRID = (0.25, 0.5, 0.75)
 
 def mesh2(s, nt=64, nph=128):
     return HemisphereMesh(params=FracParams(s=s, N=2), ntheta=nt, nphi=nph)
+
+
+def eigenfunction_sign_definite(vec: np.ndarray, rtol: float = 1e-8) -> bool:
+    scale = np.abs(vec).max()
+    if scale == 0:
+        return True
+    return vec.min() >= -rtol * scale or vec.max() <= rtol * scale
 
 
 def test_half_circle_landmarks():
