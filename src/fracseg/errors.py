@@ -6,7 +6,7 @@ class ConfigurationError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve hit its iteration cap before reaching tolerance."""
+    """A numerical solve hit its iteration cap or failed a gate or a factorization."""
 
     def __init__(self, message, residual=None, iterations=None, history=None):
         super().__init__(message)

@@ -120,11 +120,6 @@ class HalfSpaceGrid:
         return g
 
     @cached_property
-    def node_volume(self) -> np.ndarray:
-        """Plain (unweighted) dual volume of every node, grid-shaped."""
-        return np.multiply.outer(trace_area(self), self.y_dual_len)
-
-    @cached_property
     def operator(self) -> sps.csr_matrix:
         return assemble_La(self)
 
@@ -173,7 +168,7 @@ def _engine_scale(grid: HalfSpaceGrid) -> float:
     With kx = 4 d / dx^2 the largest horizontal stiffness (formed from
     dx * h), w the largest vertical dual weight and gv the largest vertical
     conductance: the per-mode factorization multiplies gv by rho <= w kx + gv,
-    and the squared residual norm sums node diagonals <= dx^d (w kx + 2 gv).
+    and the gates bound ||A|| by 2 max diag <= dx^d (w kx + 4 gv).
     """
     dx = grid.dx
     w = grid.y_dual_w.max()
@@ -357,15 +352,16 @@ def trace_area(grid: HalfSpaceGrid) -> np.ndarray:
     return reduce(np.multiply.outer, [grid.x_dual] * grid.d, 1.0)
 
 
-def _check_residual(what: str, diag, r, b) -> None:
-    """Raise unless ||D r|| <= 1e-8 ||D b|| with D = diag^-1/2 (a zero b passes
-    with a zero r, NaN fails); the Jacobi scaling keeps the y1^{-2s} matched
-    trace conductance from dominating the norms."""
-    if np.any(diag <= 0):
-        raise ConvergenceError("operator lost positive diagonal")
-    dh = 1.0 / np.sqrt(diag)
-    res = float(np.linalg.norm(dh * r)) / (float(np.linalg.norm(dh * b)) or 1.0)
-    if not np.isfinite(res) or res > 1e-8:
+#: Largest normwise backward error a checked solve may leave
+BACKWARD_TOL = 1e-12
+
+
+def check_backward_error(what: str, r, a_norm: float, x, b) -> None:
+    """Raise ConvergenceError carrying ||r|| / (a_norm ||x|| + ||b||), max norms,
+    unless it is <= BACKWARD_TOL; r = +-(b - A x), ||A|| <= a_norm, 0 / 0 passes."""
+    scale = a_norm * float(np.abs(x).max()) + float(np.abs(b).max())
+    res = float(np.abs(r).max()) / (scale or 1.0)
+    if not res <= BACKWARD_TOL:
         raise ConvergenceError(f"{what} failed its residual check", residual=res)
 
 
@@ -434,8 +430,9 @@ class ModeChains:
 
 #: Most free horizontal nodes (nx'^d) a TraceSystem serves; with Dirichlet
 #: sides nx <= 4098 in d = 1 and nx <= 66 in d = 2.  The dense Schur
-#: complement and its Cholesky copy take 16 n^2 bytes, 268 MB at the cap;
-#: a pair_solve holds four more n x n arrays while it runs.
+#: complement and its Cholesky copy take 16 n^2 bytes, 268 MB at the cap (in
+#: d = 1 the bases V and Hx'V as much again); a pair_solve holds four more
+#: n x n arrays while it runs.
 TRACE_CAP = 4096
 
 
@@ -499,10 +496,12 @@ class TraceSystem:
             return
         # interior response to t, rows first like the interior values
         self._resp = np.moveaxis(self._chains.response, -1, 0)[::-1]
-        # the Dirichlet-to-Neumann symbol per mode, S = (Hx'V) diag(sigma) (Hx'V)^T
-        P = reduce(np.kron, [h[:, None] * self._V] * g.d)
-        P *= np.sqrt(self._chains.symbol.ravel())
+        # the DtN map, S = (Hx'V) diag(sigma) (Hx'V)^T, is an M-matrix with
+        # row sums >= 0: ||S|| <= 2 max diag(S)
+        self._hV = h[:, None] * self._V
+        P = reduce(np.kron, [self._hV] * g.d) * np.sqrt(self._chains.symbol.ravel())
         self.schur = P @ P.T
+        self._schur_norm = 2.0 * float(np.einsum("ij,ij->i", P, P).max())
 
     def _to_modes(self, u: np.ndarray) -> np.ndarray:
         """V^T along every horizontal axis (the last d axes of u)."""
@@ -513,6 +512,15 @@ class TraceSystem:
         """V along every horizontal axis; inverts _to_modes."""
         u = u @ self._V.T
         return self._V @ u if self.grid.d == 2 else u
+
+    def _schur_apply(self, t: np.ndarray) -> np.ndarray:
+        """S t for rows t of free trace values through the modes, not the
+        dense S the solves factor, so a wrong S fails their gates; Hx'V per
+        axis never forms the tiny trace area of an extreme grid."""
+        if self.grid.d == 1:
+            return (self._chains.symbol * (t @ self._hV)) @ self._hV.T
+        u = self._hV.T @ t.reshape(t.shape[:-1] + self.area.shape) @ self._hV
+        return (self._hV @ (self._chains.symbol * u) @ self._hV.T).reshape(t.shape)
 
     def _interior_solve(self, rhs: np.ndarray) -> np.ndarray:
         """A_ii^-1 rhs for rows-first interior values (row 1 first); the
@@ -551,7 +559,7 @@ class TraceSystem:
     def trace_solve(self, load: tuple, m, g0) -> np.ndarray:
         """Trace row of solve(load, m, g0): the free nodes solve
         (S + diag(m area)) t = c + g0 area by Cholesky, checked by the
-        equilibrated residual of that system; Dirichlet nodes keep the load."""
+        backward error of that system; Dirichlet nodes keep the load."""
         dvals, _, _, c = load
         trace = dvals[..., 0].copy()
         if c is None:
@@ -559,13 +567,14 @@ class TraceSystem:
         absorb, rhs = self._on_trace(m).ravel(), c + self._on_trace(g0).ravel()
         St = self.schur.copy()
         St.flat[::c.size + 1] += absorb
-        try:  # a NaN right-hand side reaches the residual check
+        try:  # a NaN right-hand side reaches the backward-error check
             t = sla.cho_solve(sla.cho_factor(St, overwrite_a=True), rhs,
                               check_finite=False)
         except (np.linalg.LinAlgError, ValueError) as exc:  # not SPD, or NaN
             raise ConvergenceError("condensed trace solve failed") from exc
-        _check_residual("condensed trace solve", np.diagonal(self.schur) + absorb,
-                        rhs - self.schur @ t - absorb * t, rhs)
+        check_backward_error("condensed trace solve",
+                             rhs - self._schur_apply(t) - absorb * t,
+                             self._schur_norm + np.abs(absorb).max(), t, rhs)
         trace[self._box[:-1]] = t.reshape(self.area.shape)
         return trace
 
@@ -578,12 +587,12 @@ class TraceSystem:
         """Solve the two-component system on the free trace nodes
         [[S + diag(w0), diag(off)], [diag(off), S + diag(w1)]] d = rhs, with
         w, rhs and d of shape (2, n) and off of shape (n,), by block
-        elimination, checked by the equilibrated residual of that system
-        (<= 1e-8).  Raises LinAlgError when the matrix is not positive
-        definite."""
+        elimination, checked by the backward error of that system.  Raises
+        LinAlgError when the matrix is not positive definite."""
         d = _block_eliminate(self.schur, w, off, rhs)
-        _check_residual("Newton step", np.diagonal(self.schur) + w,
-                        rhs - d @ self.schur - w * d - off * d[::-1], rhs)
+        r = rhs - self._schur_apply(d) - w * d - off * d[::-1]
+        a_norm = self._schur_norm + np.abs(w).max() + np.abs(off).max()
+        check_backward_error("Newton step", r, a_norm, d, rhs)
         return d
 
     def solve(self, load: tuple, m, g0) -> np.ndarray:
@@ -591,8 +600,8 @@ class TraceSystem:
 
         The trace is trace_solve's; the interior is the load's z plus its
         response to the trace.  With a Dirichlet trace the solution is z.
-        Every solve is checked by the equilibrated residual of the reduced
-        system, through the assembled operator on the solved field.
+        The field gate takes its backward error through the assembled operator,
+        whose zero row sums and off-diagonals <= 0 give ||A|| <= 2 max diag.
         """
         dvals, b, z, c = load
         box, diag, b = self._box, self._diag.copy(), b.copy()
@@ -612,7 +621,7 @@ class TraceSystem:
         r = (self.grid.operator @ v.ravel()).reshape(self.grid.shape)[box]
         if c is not None:
             r[..., 0] += absorb * t - ga
-        _check_residual("linear solve", diag, r, b)
+        check_backward_error("linear solve", r, 2.0 * diag.max(), x, b)
         return v
 
 

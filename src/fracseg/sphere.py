@@ -25,7 +25,7 @@ from scipy.special import beta, betainc
 
 from .core import FracParams, gamma_map
 from .errors import ConfigurationError, ConvergenceError
-from .grid import ModeChains
+from .grid import ModeChains, check_backward_error
 
 _TWO_PI = 2.0 * math.pi
 
@@ -265,11 +265,6 @@ def _stiffness(mesh: HemisphereMesh) -> sps.csr_matrix:
     return (K - sps.diags(np.asarray(K.sum(axis=1)).ravel())).tocsr()
 
 
-#: Largest normwise backward error, ||A x - b|| / (||A|| ||x|| + ||b||) in
-#: the max norm, a hemisphere solve may leave.
-_BACKWARD_TOL = 1e-12
-
-
 class _HemisphereSolver:
     """x = (K - sigma M)_ff^-1 b on the free nodes of an N = 2 mesh.
 
@@ -342,11 +337,7 @@ class _HemisphereSolver:
         x[0] = z[0, 0].real / math.sqrt(nph)
         x[1:ni] = np.fft.irfft(z[:, 1:].T, nph, axis=1, norm="ortho").ravel()
         x[ni:] = eq[self._free]
-        res = float(np.abs(self._A @ x - b).max())
-        scale = self._A_norm * float(np.abs(x).max()) + float(np.abs(b).max())
-        if not res <= _BACKWARD_TOL * scale:
-            raise ConvergenceError("hemisphere solve failed its backward-error "
-                                   "check", residual=res / scale)
+        check_backward_error("hemisphere solve", b - self._A @ x, self._A_norm, x, b)
         return x
 
 

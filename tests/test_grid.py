@@ -10,10 +10,10 @@ from scipy.linalg import block_diag
 from fracseg.core import FracParams, NamedSolution, dtn_exact, eval_solution
 from fracseg.errors import ConfigurationError, ConvergenceError
 from fracseg.grid import (BoundaryData, Field, GridConfig, ModeChains,
-                          TraceSystem, build_grid, dirichlet_data, dtn_trace,
-                          field_from_function, grid_coordinates,
-                          interpolate_field, read_snapshot, snapshot_csv,
-                          solve_linear, write_snapshot)
+                          TraceSystem, build_grid, check_backward_error,
+                          dirichlet_data, dtn_trace, field_from_function,
+                          grid_coordinates, interpolate_field, read_snapshot,
+                          snapshot_csv, solve_linear, trace_area, write_snapshot)
 
 
 def small_grid(s=0.5, d=1, nx=33, ny=16, L=1.0, Y=1.0, grading=None):
@@ -109,7 +109,8 @@ def test_harmonic_layer_residual_decays():
         for n in (32, 64):
             g = small_grid(s=s, nx=n + 1, ny=n)
             fld = sample(g, lambda x, y: y ** (2 * s) + 0.0 * x)
-            r = (g.operator @ fld.values.ravel()).reshape(g.shape) / g.node_volume
+            volume = np.multiply.outer(trace_area(g), g.y_dual_len)
+            r = (g.operator @ fld.values.ravel()).reshape(g.shape) / volume
             mask = ((g.y[None, :] >= 0.25) & (g.y[None, :] <= 0.9)
                     & (np.abs(g.x[:, None]) <= 0.9))
             errs.append(np.abs(r[mask]).max())
@@ -214,10 +215,23 @@ def test_solver_errors():
         solve_linear(g, BoundaryData(top=1.0, sides=1.0, neumann_m=-1.0))
 
 
+def test_backward_error_gate():
+    A = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    b = np.array([1.0, 0.0])
+    x = np.linalg.solve(A, b)
+    check_backward_error("exact", b - A @ x, 3.0, x, b)
+    check_backward_error("zero system", np.zeros(2), 3.0, np.zeros(2), np.zeros(2))
+    with pytest.raises(ConvergenceError, match="off failed its residual check") as err:
+        check_backward_error("off", b - A @ (x * (1.0 + 1e-9)), 3.0, x, b)
+    assert err.value.residual > 1e-12
+    with pytest.raises(ConvergenceError) as err:
+        check_backward_error("nan", np.array([np.nan, 0.0]), 3.0, x, b)
+    assert np.isnan(err.value.residual)
+
+
 def test_residual_check_catches_wrong_schur():
     # a Schur complement 1 % off solves a nearby system without complaint;
-    # the residual of the reduced system through the assembled operator
-    # rejects the result
+    # the condensed gate takes S t through the modes and rejects the result
     g = small_grid()
     engine = TraceSystem(g)
     engine.schur *= 1.01

@@ -12,6 +12,7 @@ from scipy.special import beta as beta_fn
 from fracseg import sphere
 from fracseg.core import FracParams
 from fracseg.errors import ConfigurationError, ConvergenceError
+from fracseg.grid import BACKWARD_TOL
 from fracseg.sphere import (CapPair, EquatorRegion, HemisphereMesh, lambda1,
                             lambda1_codim1, nu_acf_caps)
 
@@ -264,6 +265,16 @@ def test_sphere_makes_no_sparse_lu(monkeypatch):
             EquatorRegion.half(1))
     assert shapes == []
     assert shift_inverts and all(op is not None for op in shift_inverts)
+
+
+def test_lambda1_checks_every_solve(monkeypatch):
+    # an equator solve 1e-6 off fails the shared backward-error gate
+    cho_solve = sphere.sla.cho_solve
+    monkeypatch.setattr(sphere.sla, "cho_solve",
+                        lambda *a, **kw: cho_solve(*a, **kw) * (1.0 + 1e-6))
+    with pytest.raises(ConvergenceError, match="hemisphere solve failed") as err:
+        lambda1(mesh2(0.5, nt=16, nph=32), EquatorRegion.half(2))
+    assert err.value.residual > BACKWARD_TOL
 
 
 def test_hemisphere_solver_rejects_nan():

@@ -168,7 +168,8 @@ def test_each_step_is_one_trace_solve(monkeypatch):
 
 
 def test_trace_solve_checks_its_residual(monkeypatch):
-    # a Cholesky solve 1e-6 off fails the condensed system's 1e-8 gate
+    # a Cholesky solve 1e-6 off fails the condensed system's backward-error
+    # gate (it reads 3e-7)
     g = _d1(0.5, 33, 16)
     engine = TraceSystem(g)
     load = engine.load(dirichlet_data(g, BoundaryData(top=1.0, sides=1.0)))
@@ -195,8 +196,8 @@ def test_pair_solve_matches_dense_block_solve():
 
 
 def test_newton_step_checks_its_residual(monkeypatch):
-    # a Newton solve 1e-6 off fails the Hessian system's 1e-8 gate; the error
-    # carries the loop state
+    # a Newton solve 1e-6 off fails the Hessian system's backward-error gate
+    # (it reads 3e-8); the error carries the loop state
     eliminate = grid_mod._block_eliminate
     monkeypatch.setattr(grid_mod, "_block_eliminate",
                         lambda *args: eliminate(*args) * (1.0 + 1e-6))
@@ -374,13 +375,26 @@ def test_blas_libraries_are_looked_up_on_first_use():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-def test_final_field_gate_catches_wrong_schur():
-    # the steps' condensed gate uses the same S, so a Schur complement 1 %
-    # off converges on the trace; the field gate through the assembled
-    # operator rejects the result
-    prob = make_problem(beta=1e2, nx=65, ny=24)
+@pytest.mark.parametrize("s, nx, ny", [(0.5, 65, 24), (0.75, 257, 96)])
+def test_step_gate_catches_wrong_schur(s, nx, ny):
+    # the Newton step factors the dense S but checks its residual with S
+    # taken through the modes, so a Schur complement 1 % off fails the first
+    # step; at s = 3/4 a wrong trace is below the field's round-off
+    prob = make_problem(s=s, beta=1e2, nx=nx, ny=ny)
     engine = TraceSystem(build_grid(prob.grid_config, prob.params))
     engine.schur *= 1.01
+    with pytest.raises(ConvergenceError, match="Newton step failed") as err:
+        solve_system(prob, engine=engine)
+    assert err.value.iterations == 1
+    assert err.value.history == [err.value.residual]
+
+
+def test_final_field_gate_catches_wrong_interior():
+    # the trace steps never see the interior response; the field gate
+    # through the assembled operator does
+    prob = make_problem(beta=1e2, nx=65, ny=24)
+    engine = TraceSystem(build_grid(prob.grid_config, prob.params))
+    engine._resp *= 1.0 + 1e-6
     with pytest.raises(ConvergenceError, match="linear solve failed") as err:
         solve_system(prob, engine=engine)
     assert err.value.iterations == len(err.value.history) >= 1
@@ -583,6 +597,9 @@ SEPARABLE_CASES = {
                             BoundaryData(top=lambda x, y: y + 0 * x,
                                          sides=lambda x, y: y + 0 * x,
                                          trace_dirichlet=0.0)),
+    "neumann-source-s075": (_d1(0.75, 65, 32),
+                            BoundaryData(top=0.0, sides=0.0,
+                                         neumann_g0=lambda x, y: np.exp(-4.0 * x * x))),
     "d2-neumann": (build_grid(GridConfig(d=2, L=1.0, Y=1.0, nx=17, ny=8),
                               FracParams(s=0.5, N=2)),
                    BoundaryData(top=1.0, sides=1.0,
