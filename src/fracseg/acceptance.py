@@ -1,10 +1,10 @@
 """The acceptance suite: every release criterion as an executable check.
 
 Each check returns a CheckResult with the measured value, its threshold and
-the pass verdict; run_all executes the full list.  The quick mode reduces
-resolutions and doubles tolerances, keeping the same pass contract.  These
-functions are the single source of truth for both the CLI `verify`
-subcommand and the pytest acceptance module.
+the pass verdict; run_all executes the full list and times each check.  The
+quick mode reduces resolutions and doubles tolerances, keeping the same pass
+contract.  These functions are the single source of truth for both the CLI
+`verify` subcommand and the pytest acceptance module.
 """
 
 from __future__ import annotations
@@ -49,17 +49,6 @@ class CheckResult:
                 f"threshold={self.threshold:.4g} ({self.seconds:.1f}s) {self.detail}")
 
 
-def _timed(fn):
-    def wrapper(quick: bool = False) -> CheckResult:
-        t0 = time.perf_counter()
-        res = fn(quick)
-        res.seconds = time.perf_counter() - t0
-        return res
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
-
-
 def _tol(base: float, quick: bool) -> float:
     return 2.0 * base if quick else base
 
@@ -83,7 +72,6 @@ def _diag_grid(s: float, nx: int):
 # criteria
 # --------------------------------------------------------------------------
 
-@_timed
 def check_gamma_landmarks(quick: bool = False) -> CheckResult:
     """1. homogeneity-map landmarks and round trips."""
     worst = 0.0
@@ -109,7 +97,6 @@ def _dtn_amplitude(s: float, k: int, nx: int, ny: int) -> float:
     return float(tau @ c / (c @ c))
 
 
-@_timed
 def check_dtn_symbol(quick: bool = False) -> CheckResult:
     """2. DtN of cos(kx) scales like k^{2s} (ratio test, constant free)."""
     nx, ny = (256, 128) if quick else (512, 256)
@@ -126,7 +113,6 @@ def check_dtn_symbol(quick: bool = False) -> CheckResult:
                        detail="; ".join(detail))
 
 
-@_timed
 def check_hemisphere_landmarks(quick: bool = False) -> CheckResult:
     """3. hemisphere eigenvalue landmarks, refinement rate, codim-1 value."""
     nt, nph = (32, 64) if quick else (64, 128)
@@ -163,7 +149,6 @@ def check_hemisphere_landmarks(quick: bool = False) -> CheckResult:
                        detail=f"codim1 lam={lam:.4f} (refine ratio {ratio:.2f})")
 
 
-@_timed
 def check_nu_acf_scan(quick: bool = False) -> CheckResult:
     """4. cap-partition scan: 0 < nu_hat <= s + 0.02, endpoint values = s."""
     nt, nph = (32, 64) if quick else (64, 128)
@@ -188,7 +173,6 @@ def check_nu_acf_scan(quick: bool = False) -> CheckResult:
                        detail="; ".join(details))
 
 
-@_timed
 def check_almgren(quick: bool = False) -> CheckResult:
     """5. frequency is the homogeneity on explicit profiles; log-H identity."""
     nx = 384 if quick else 1024
@@ -205,7 +189,6 @@ def check_almgren(quick: bool = False) -> CheckResult:
     return CheckResult("almgren frequency suite", worst, tol, worst <= tol)
 
 
-@_timed
 def check_acf_monotonicity(quick: bool = False) -> CheckResult:
     """6. ACF variants constant on matched profiles; solved-field audit."""
     nx = 384 if quick else 1024
@@ -243,7 +226,6 @@ def check_acf_monotonicity(quick: bool = False) -> CheckResult:
                        tol, ok, detail=f"solved-field violations {viols}")
 
 
-@_timed
 def check_pohozaev(quick: bool = False) -> CheckResult:
     """7. Pohozaev residual small on exact profiles, large off them."""
     nx = 384 if quick else 768
@@ -265,7 +247,6 @@ def check_pohozaev(quick: bool = False) -> CheckResult:
                        detail=f"off-solution residual {off:.2f} (needs >= 0.10)")
 
 
-@_timed
 def check_decay_bound(quick: bool = False) -> CheckResult:
     """8. absorbing-trace decay: sup over the inner half trace <= (1+d)/M + 5h."""
     delta = 0.1
@@ -287,7 +268,6 @@ def check_decay_bound(quick: bool = False) -> CheckResult:
                        detail="; ".join(detail))
 
 
-@_timed
 def check_comparison_estimate(quick: bool = False) -> CheckResult:
     """9. (-Delta)^s f >= -c f with stable fitted c; far-field slope a-1."""
     worst_stab = 0.0
@@ -321,7 +301,6 @@ def _nu_hat_coarse(s: float) -> float:
     return nu_acf_caps(mesh, np.linspace(0.0, math.pi, 5)).nu_hat
 
 
-@_timed
 def check_beta_sweep(quick: bool = False) -> CheckResult:
     """10. segregation sweep: overlap falls, beta*overlap stays bounded,
     the small-exponent Hölder seminorm stays essentially flat."""
@@ -357,7 +336,6 @@ def check_beta_sweep(quick: bool = False) -> CheckResult:
                        ok, detail="; ".join(details))
 
 
-@_timed
 def check_oracle_consistency(quick: bool = False) -> CheckResult:
     """11. PV and symbol oracles agree on band-limited data."""
     grid = PeriodicGrid1D(n=128 if quick else 256)
@@ -393,7 +371,9 @@ ALL_CHECKS = (
 def run_all(quick: bool = False, progress=None) -> list:
     results = []
     for fn in ALL_CHECKS:
+        t0 = time.perf_counter()
         res = fn(quick=quick)
+        res.seconds = time.perf_counter() - t0
         results.append(res)
         if progress is not None:
             progress(res)

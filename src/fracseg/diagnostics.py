@@ -431,17 +431,12 @@ def pohozaev_residual(fields, center, r: float) -> float:
 # Hölder seminorms
 # --------------------------------------------------------------------------
 
-_EXACT_LIMIT = 4000
-_HOLDER_SEED = 20240211
+def holder_seminorm(values, coords, alpha: float, region=None) -> float:
+    """Max of |v(X) - v(X')| / |X - X'|^alpha over all node pairs.
 
-
-def holder_seminorm(values, coords, alpha: float, region=None,
-                    pair_budget: int = 200_000) -> float:
-    """Max of |v(X) - v(X')| / |X - X'|^alpha over node pairs.
-
-    Exhaustive when the region holds at most 4000 nodes; otherwise a
-    deterministic sample stratified by pair distance (index lags covering all
-    dyadic scales plus seeded random pairs, capped at pair_budget).
+    Exact: rows are compared against every node in blocks of about 2e6
+    pairs, so the cost grows as n^2 (on a 2-core machine 0.3-0.6 s at 4097
+    nodes in d = 1 and 0.9-1.4 s at 65^2-66^2 nodes in d = 2).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -460,42 +455,17 @@ def holder_seminorm(values, coords, alpha: float, region=None,
     if n < 2:
         raise ValueError("region must contain at least two nodes")
 
-    if n <= _EXACT_LIMIT:
-        best = 0.0
-        block = max(1, 2_000_000 // n)
-        for i0 in range(0, n - 1, block):
-            i1 = min(i0 + block, n - 1)
-            dv = np.abs(values[i0:i1, None] - values[None, :])
-            dd = np.linalg.norm(coords[i0:i1, None, :] - coords[None, :, :], axis=-1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = dv / dd ** alpha
-            q[np.arange(i1 - i0), np.arange(i0, i1)] = 0.0  # self pairs
-            best = max(best, float(np.max(q)))
-        return best
-
-    rng = np.random.default_rng(_HOLDER_SEED)
-    ii, jj = [], []
-    lag = 1
-    while lag < n:
-        base = np.arange(0, n - lag)
-        ii.append(base)
-        jj.append(base + lag)
-        lag *= 2
-    ii = np.concatenate(ii)
-    jj = np.concatenate(jj)
-    if ii.size > pair_budget // 2:
-        keep = rng.choice(ii.size, size=pair_budget // 2, replace=False)
-        keep.sort()
-        ii, jj = ii[keep], jj[keep]
-    extra = pair_budget - ii.size
-    ri = rng.integers(0, n, size=extra)
-    rj = rng.integers(0, n, size=extra)
-    ok = ri != rj
-    ii = np.concatenate([ii, ri[ok]])
-    jj = np.concatenate([jj, rj[ok]])
-    dv = np.abs(values[ii] - values[jj])
-    dd = np.linalg.norm(coords[ii] - coords[jj], axis=-1)
-    return float(np.max(dv / dd ** alpha))
+    best = 0.0
+    block = max(1, 2_000_000 // n)
+    for i0 in range(0, n - 1, block):
+        i1 = min(i0 + block, n - 1)
+        dv = np.abs(values[i0:i1, None] - values[None, :])
+        dd = np.linalg.norm(coords[i0:i1, None, :] - coords[None, :, :], axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = dv / dd ** alpha
+        q[np.arange(i1 - i0), np.arange(i0, i1)] = 0.0  # self pairs
+        best = max(best, float(np.max(q)))
+    return best
 
 
 def trace_seminorm(fld: Field, alpha: float, x_window=None) -> float:

@@ -98,10 +98,6 @@ class HalfSpaceGrid:
         return np.concatenate(([0.0], mid, [self.Y]))
 
     @cached_property
-    def y_dual_len(self) -> np.ndarray:
-        return np.diff(self.y_dual_edges)
-
-    @cached_property
     def y_dual_w(self) -> np.ndarray:
         """Integral of y^a over each vertical dual cell (exact)."""
         return _pow_integral(self.y_dual_edges[:-1], self.y_dual_edges[1:], self.params.a)
@@ -172,8 +168,8 @@ def _engine_scale(grid: HalfSpaceGrid) -> float:
     """
     dx = grid.dx
     w = grid.y_dual_w.max()
-    gv = grid.vertical_conductance.max()
     with np.errstate(all="ignore"):
+        gv = grid.vertical_conductance.max()
         kx = 4.0 * grid.d / (dx * dx)
         return float(np.max([dx * dx, kx, gv * (w * kx + gv),
                              grid.n_nodes * dx ** grid.d * (w * kx + 2.0 * gv)]))
@@ -391,10 +387,11 @@ class ModeChains:
     TraceSystem and the hemisphere solver.  shunt (*modes, n + 1) ties each
     slot to zero, cond (broadcastable to (*modes, n)) joins slot i to i + 1
     and closure ties slot 0, the far end, to zero; T acts on slots 0..n-1.
-    Factored from the far end, rho_i = shunt_i + c rho / (c + rho) with the
+    Factored from the far end, rho_i = shunt_i + c (rho / (c + rho)) with the
     c and rho of slot i - 1 (rho_0 = shunt_0 + closure) gives the pivots
-    cond_i + rho_i and the boundary's Schur symbol rho_n.  Every term is
-    positive, while the closed form cond - cond^2 (T^-1)_{n-1,n-1} and a
+    cond_i + rho_i and the boundary's Schur symbol rho_n; the quotient comes
+    first because the product c rho underflows at extreme grid scales.
+    Every term is positive, while the closed form cond - cond^2 (T^-1)_{n-1,n-1} and a
     factorization from the near end subtract nearly equal numbers: they lose
     the symbol's digits under the y1^{-2s} trace conductance (1e12 at
     s = 3/4) and at the hemisphere's small mode-0 symbol.
@@ -406,7 +403,7 @@ class ModeChains:
         rho[..., 0] = shunt[..., 0] + closure
         for i in range(1, rho.shape[-1]):
             c, r = cond[..., i - 1], rho[..., i - 1]
-            rho[..., i] = shunt[..., i] + c * r / (c + r)
+            rho[..., i] = shunt[..., i] + c * (r / (c + r))
         if not np.all(rho > 0):
             raise ConvergenceError("mode chains are not positive definite")
         self.pivots = cond + rho[..., :-1]
@@ -483,6 +480,7 @@ class TraceSystem:
         # Kx' v = lambda Hx' v through the symmetric Hx'^-1/2 Kx' Hx'^-1/2
         lam, U = sla.eigh_tridiagonal(deg / (g.dx * h),
                                       -1.0 / (g.dx * np.sqrt(h[:-1] * h[1:])))
+        lam = np.maximum(lam, 0.0)  # zero-flux lambda_0 carries a round-off sign
         self._V = U / np.sqrt(h)[:, None]  # V^T Hx' V = I
         lam = reduce(np.add.outer, [lam] * g.d)
         # per mode k one chain lambda_k Wy + Ky: the top Dirichlet row closes

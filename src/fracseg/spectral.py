@@ -137,34 +137,21 @@ def _discontinuity_flags(u: np.ndarray) -> np.ndarray:
     return d2 > 50.0 * scale
 
 
-def frac_lap_pv(u, s: float, grid: PeriodicGrid1D | None = None, x=None,
-                tail: DecayTail | None = None, h: float = 0.02,
-                pad: float = 50.0) -> PVResult:
-    """Principal-value quadrature of (-Delta)^s u.
+def frac_lap_pv(u, s: float, grid: PeriodicGrid1D) -> PVResult:
+    """Principal-value quadrature of (-Delta)^s on periodic samples.
 
-    Two input modes:
-
-    * periodic samples: u is an array on `grid`; returns values at all nodes.
-    * decaying line function: u is a callable evaluated on a uniform lattice
-      of spacing h covering the points x plus a pad, with the far field
-      handled analytically through `tail`.
-
-    The quadrature constant is calibrated once per s against the symbol
-    oracle on the lowest mode.  Nodes sitting on an apparent sample
-    discontinuity are flagged in the result rather than rejected.
+    u is an array on `grid`; returns values at all nodes.  The quadrature
+    constant is calibrated once per (s, grid) against the symbol oracle on
+    the lowest mode.  Nodes sitting on an apparent sample discontinuity are
+    flagged in the result rather than rejected.  The decaying-line
+    quadrature lives in `comparison_pv`.
     """
-    if grid is not None and not callable(u):
-        u = np.asarray(u, dtype=float)
-        if u.shape != (grid.n,):
-            raise ValueError("sample count does not match the grid")
-        c = _calibration(s, grid.n, grid.L)
-        vals = c * _pv_periodic_raw(u, s, grid)
-        return PVResult(vals, _discontinuity_flags(u))
-    if not callable(u):
-        raise TypeError("u must be periodic samples with a grid, or a callable")
-    if x is None or tail is None:
-        raise ValueError("line mode needs evaluation points x and a DecayTail")
-    return _pv_line(u, s, np.asarray(x, dtype=float), tail, h, pad)
+    u = np.asarray(u, dtype=float)
+    if u.shape != (grid.n,):
+        raise ValueError("sample count does not match the grid")
+    c = _calibration(s, grid.n, grid.L)
+    vals = c * _pv_periodic_raw(u, s, grid)
+    return PVResult(vals, _discontinuity_flags(u))
 
 
 #: where the geometric far-field mesh of the line PV quadrature ends
@@ -228,7 +215,7 @@ class ComparisonProfile:
     """The comparison function with its far-field model.
 
     Evaluates the closed form `comparison_f` (an incomplete Beta function);
-    `tail` is the DecayTail consumed by frac_lap_pv.
+    `tail` is the DecayTail consumed by comparison_pv.
     """
 
     def __init__(self, params: FracParams):
@@ -244,7 +231,12 @@ class ComparisonProfile:
 
 
 def comparison_pv(params: FracParams, x, h: float = 0.02, pad: float = 50.0):
-    """(-Delta)^s of the comparison profile at the points x."""
+    """(-Delta)^s of the comparison profile at the points x.
+
+    Line PV quadrature: the profile is sampled on a uniform lattice of
+    spacing h covering x plus a pad, and its far field is integrated
+    through its DecayTail (`ComparisonProfile.tail`).
+    """
     profile = ComparisonProfile(params)
-    return frac_lap_pv(profile, params.s, x=np.asarray(x, dtype=float),
-                       tail=profile.tail, h=h, pad=pad)
+    return _pv_line(profile, params.s, np.asarray(x, dtype=float),
+                    profile.tail, h, pad)

@@ -26,7 +26,7 @@ import functools
 import glob
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy
@@ -344,7 +344,6 @@ class SweepRow:
 @dataclass
 class BetaSweep:
     rows: list
-    results: list = field(default_factory=list, repr=False)
     factorizations: int = 0  # engine set-ups over the sweep (one TraceSystem)
 
     def column(self, name: str) -> np.ndarray:
@@ -364,13 +363,13 @@ class BetaSweep:
         return "\n".join(lines) + "\n"
 
 
-def sweep_beta(prob: CompetitionProblem, betas, holder_alpha: float,
-               keep_results: bool = False) -> BetaSweep:
+def sweep_beta(prob: CompetitionProblem, betas, holder_alpha: float) -> BetaSweep:
     """Solve along an increasing beta list, warm-starting each solve.
 
-    Records per beta: sup norms, trace overlap, beta * overlap, and the trace
-    Hölder seminorm at holder_alpha restricted to the inner half of the
-    trace (|x| <= L/2).
+    Records per beta: sup norms, trace overlap, beta * overlap, and the exact
+    trace Hölder seminorm at holder_alpha restricted to the inner half of the
+    trace (|x| <= L/2).  One TraceSystem serves every beta; the solved
+    fields are not kept (callers that need them run solve_system).
     """
     betas = np.asarray(betas, dtype=float)
     if betas.size == 0 or np.any(np.diff(betas) <= 0):
@@ -379,7 +378,6 @@ def sweep_beta(prob: CompetitionProblem, betas, holder_alpha: float,
     grid = build_grid(prob.grid_config, prob.params)
     engine = TraceSystem(grid)
     rows = []
-    results = []
     fields = None
     for b in betas:
         start = time.perf_counter()
@@ -402,7 +400,4 @@ def sweep_beta(prob: CompetitionProblem, betas, holder_alpha: float,
             holder_alpha=holder_alpha, holder_seminorm=semi,
             outer_iters=res.outer_iters,
             seconds=time.perf_counter() - start))
-        if keep_results:
-            results.append(res)
-    return BetaSweep(rows=rows, results=results,
-                     factorizations=engine.factorizations)
+    return BetaSweep(rows=rows, factorizations=engine.factorizations)

@@ -151,15 +151,24 @@ def test_ragged_coupling_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("d, L, code", [
-    *[(d, L, 2) for d in (1, 2) for L in (1e-155, 1e-153, 1e155, 1e200, 1e300)],
-    (2, 1e154, 2),
-    *[(d, L, 0) for d in (1, 2) for L in (1e-150, 1e150)]])
-def test_grid_scale_check_at_extreme_spacings(tmp_path, capsys, d, L, code):
+@pytest.mark.parametrize("s, d, L, Y, ny, code", [
+    *[pytest.param(0.5, d, L, 1.0, 8, code, id=f"{d}-{L:g}-{code}")
+      for d, L, code in [
+          *[(d, L, 2) for d in (1, 2)
+            for L in (1e-155, 1e-153, 1e155, 1e200, 1e300)],
+          (2, 1e154, 2),
+          *[(d, L, 0) for d in (1, 2) for L in (1e-150, 1e150)]]],
+    # s = 0.95, ny = 32: the vertical conductance face_w / dy overflows
+    # inside the check at 1e-150; at 1e150 the grid passes and solves
+    pytest.param(0.95, 1, 1e-150, 1e-150, 32, 2, id="s0.95-1-1e-150-2"),
+    pytest.param(0.95, 1, 1e150, 1e150, 32, 0, id="s0.95-1-1e+150-0")])
+def test_grid_scale_check_at_extreme_spacings(tmp_path, capsys, s, d, L, Y, ny,
+                                              code):
     # the spacing check covers every product of grid scales the engine
-    # forms, so no overflow surfaces later as a warning or an exit 3
-    cfg = tiny_config(fractional={"s": 0.5, "N": d},
-                      grid={"d": d, "L": L, "Y": 1.0, "nx": 13, "ny": 8})
+    # forms, so no overflow surfaces later as a warning or an exit 3, and
+    # none surfaces as a warning before the check rejects the grid
+    cfg = tiny_config(fractional={"s": s, "N": d},
+                      grid={"d": d, "L": L, "Y": Y, "nx": 13, "ny": ny})
     cfg["problem"]["boundary_data"] = {"kind": "constant", "values": [1.0, 1.0]}
     if code == 2:
         _exits_2_with_one_line(tmp_path, capsys, "solve", cfg, "spacing")

@@ -109,12 +109,25 @@ def test_harmonic_layer_residual_decays():
         for n in (32, 64):
             g = small_grid(s=s, nx=n + 1, ny=n)
             fld = sample(g, lambda x, y: y ** (2 * s) + 0.0 * x)
-            volume = np.multiply.outer(trace_area(g), g.y_dual_len)
+            volume = np.multiply.outer(trace_area(g), np.diff(g.y_dual_edges))
             r = (g.operator @ fld.values.ravel()).reshape(g.shape) / volume
             mask = ((g.y[None, :] >= 0.25) & (g.y[None, :] <= 0.9)
                     & (np.abs(g.x[:, None]) <= 0.9))
             errs.append(np.abs(r[mask]).max())
         assert errs[0] / errs[1] >= 1.5
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d, nx", [(1, 33), (2, 9)])
+def test_zero_flux_solve_at_extreme_scale(d, nx):
+    # zero-flux sides put lambda_0 = 0 in the mode chains; at L = Y = 1e150
+    # its round-off sign and the product c rho underflowing must not break
+    # positivity.  Constant top data with a free, flux-free trace is solved
+    # by the constant.
+    g = small_grid(s=0.95, d=d, nx=nx, ny=32, L=1e150, Y=1e150)
+    fld = solve_linear(g, BoundaryData(top=1.0, sides=None))
+    assert np.all(np.isfinite(fld.values))
+    assert np.abs(fld.values - 1.0).max() < 1e-10
 
 
 def test_dtn_trace_exact_on_layer_and_constant():

@@ -112,3 +112,38 @@ def test_every_module_import_is_used():
         if hits:
             offenders[path.name] = hits
     assert offenders == {}
+
+
+def unread_private_names(source: str) -> dict[str, int]:
+    """Every private module-level function, class or constant that the module
+    itself never reads, with its line."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = [t.id for t in (node.targets if isinstance(node, ast.Assign)
+                                      else [node.target])
+                       if isinstance(t, ast.Name)]
+        else:
+            continue
+        defined.update({name: node.lineno for name in targets if _private(name)})
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return {name: line for name, line in defined.items() if name not in read}
+
+
+def test_guard_sees_unread_private_names():
+    src = ("_LIMIT = 4000\n_SEED: int = 1\n_USED = 2\n__version__ = '1'\n"
+           "def _helper():\n    return _USED\n"
+           "class _Box:\n    pass\n"
+           "def public():\n    _local = 3\n    return _helper()\n")
+    assert unread_private_names(src) == {"_LIMIT": 1, "_SEED": 2, "_Box": 7}
+    assert unread_private_names("def _f():\n    pass\nx = [_f]\n") == {}
+
+
+def test_every_private_name_is_read_in_its_module():
+    offenders = {path.name: hits for path in sorted(PACKAGE.glob("*.py"))
+                 if (hits := unread_private_names(path.read_text(encoding="utf-8")))}
+    assert offenders == {}

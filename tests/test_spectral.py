@@ -78,10 +78,6 @@ def test_pv_input_validation():
     g = PeriodicGrid1D(n=64)
     with pytest.raises(ValueError):
         frac_lap_pv(np.ones(32), 0.5, grid=g)
-    with pytest.raises(ValueError):
-        frac_lap_pv(lambda x: x, 0.5)  # line mode without x/tail
-    with pytest.raises(TypeError):
-        frac_lap_pv("nope", 0.5)
 
 
 def test_comparison_profile_matches_quadrature():
@@ -107,7 +103,7 @@ def test_comparison_profile_is_comparison_f():
 
 
 def test_comparison_left_tail_matches_decay_tail():
-    # the DecayTail that frac_lap_pv integrates beyond its lattice is the
+    # the DecayTail that comparison_pv integrates beyond its lattice is the
     # leading term of the profile's left tail
     x = -np.geomspace(1e4, 1e14, 50)
     for s in S_GRID:

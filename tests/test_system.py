@@ -542,20 +542,30 @@ class _SparseLU(TraceSystem):
         return self.solve(load, m, g0)[..., 0]
 
 
+def _warm_sweep(prob, betas, engine):
+    """The solved fields along betas, each solve warm-started from the last
+    on the one engine, as sweep_beta solves them."""
+    fields, out = None, []
+    for beta in betas:
+        fields = solve_system(replace(prob, beta=beta), warm_start=fields,
+                              engine=engine).fields
+        out.append(fields)
+    return out
+
+
 @pytest.mark.parametrize("s, bound", [(0.5, 1e-12), (0.75, 2e-8)])
-def test_condensed_matches_sparse_path(s, bound, monkeypatch):
+def test_condensed_matches_sparse_path(s, bound):
     # criterion-10 problem (quick grid); at s = 0.75 the two paths may stop
     # one outer iteration apart, so they agree to within 2 x outer tol
     betas = [1e2, 1e3, 1e4]
-    dense = sweep_beta(make_problem(s=s), betas, holder_alpha=0.05,
-                       keep_results=True)
-    monkeypatch.setattr(system_mod, "TraceSystem", _SparseLU)
-    sparse = sweep_beta(make_problem(s=s), betas, holder_alpha=0.05,
-                        keep_results=True)
-    assert dense.factorizations == 1
+    prob = make_problem(s=s)
+    grid = build_grid(prob.grid_config, prob.params)
+    condensed = TraceSystem(grid)
+    dense = _warm_sweep(prob, betas, condensed)
+    sparse = _warm_sweep(prob, betas, _SparseLU(grid))
+    assert condensed.factorizations == 1
     diff = max(np.abs(a.values - b.values).max()
-               for ra, rb in zip(dense.results, sparse.results)
-               for a, b in zip(ra.fields, rb.fields))
+               for fa, fb in zip(dense, sparse) for a, b in zip(fa, fb))
     assert diff <= bound
 
 
