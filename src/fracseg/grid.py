@@ -361,26 +361,6 @@ def check_backward_error(what: str, r, a_norm: float, x, b) -> None:
         raise ConvergenceError(f"{what} failed its residual check", residual=res)
 
 
-def _block_eliminate(S, w, off, rhs) -> np.ndarray:
-    """[[S + diag(w0), diag(off)], [diag(off), S + diag(w1)]]^-1 rhs: with
-    S + diag(w0) = L L^T and X = L^-1 diag(off), the Schur complement
-    S + diag(w1) - X^T X = R R^T takes the second block; the first follows
-    by back substitution.  Both Cholesky factors raise LinAlgError when not
-    positive definite."""
-    A = S.copy()
-    A.flat[::off.size + 1] += w[0]
-    L = sla.cholesky(A, lower=True, overwrite_a=True, check_finite=False)
-    Linv = sla.lapack.dtrtri(L, lower=1, overwrite_c=1)[0]  # L's diagonal is positive
-    X = Linv * off
-    M = S.copy()
-    M.flat[::off.size + 1] += w[1]
-    M -= X.T @ X
-    R = sla.cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
-    y = Linv @ rhs[0]
-    d1 = sla.cho_solve(R, rhs[1] - X.T @ y, check_finite=False)
-    return np.stack([Linv.T @ (y - X @ d1), d1])
-
-
 class ModeChains:
     """Stacked SPD tridiagonals T, one per mode, each on a chain of slots
     0..n eliminated toward the boundary slot n: the separable kernel of
@@ -427,9 +407,10 @@ class ModeChains:
 
 #: Most free horizontal nodes (nx'^d) a TraceSystem serves; with Dirichlet
 #: sides nx <= 4098 in d = 1 and nx <= 66 in d = 2.  The dense Schur
-#: complement and its Cholesky copy take 16 n^2 bytes, 268 MB at the cap (in
-#: d = 1 the bases V and Hx'V as much again); a pair_solve holds four more
-#: n x n arrays while it runs.
+#: complement and a trace solve's Cholesky copy take 16 n^2 bytes, 268 MB at
+#: the cap (in d = 1 the bases V and Hx'V as much again); a Newton step of k
+#: components factors one (k n)^2 array, 4 n^2 at k = 2 and 9 n^2 (1.2 GB at
+#: the cap) at k = 3.
 TRACE_CAP = 4096
 
 
@@ -554,25 +535,45 @@ class TraceSystem:
         """value (a scalar or trace-shaped) times area on the free trace nodes."""
         return np.broadcast_to(value, self.grid.shape[:-1])[self._box[:-1]] * self.area
 
+    def block_solve(self, w, off, rhs) -> np.ndarray:
+        """Solve H d = rhs on the free trace nodes of k components: H has
+        S + diag(w_i + off_ii) on block (i, i) and diag(off_ij) on block
+        (i, j), with w, rhs and d of shape (k, n) and off of shape (k, k, n),
+        symmetric in i and j.  One Cholesky factorization, checked by the
+        backward error of H d = rhs with S taken through the modes; raises
+        LinAlgError when H is not positive definite."""
+        k, n = w.shape
+        H = np.zeros((k * n, k * n))
+        for i in range(k):
+            H[i * n:(i + 1) * n, i * n:(i + 1) * n] = self.schur
+        diags = off.copy()
+        diags[range(k), range(k)] += w
+        nodes = np.arange(k * n).reshape(k, n)
+        H[nodes[:, None], nodes] += diags
+        # the Fortran-order view of the symmetric H is factored in place; NaN
+        # data reaches the backward-error check
+        d = sla.cho_solve(sla.cho_factor(H.T, lower=True, overwrite_a=True,
+                                         check_finite=False),
+                          rhs.ravel(), check_finite=False).reshape(k, n)
+        r = rhs - self._schur_apply(d) - w * d - (off * d).sum(axis=1)
+        a_norm = self._schur_norm + np.abs(w).max() + np.abs(off).sum(axis=1).max()
+        check_backward_error("condensed trace solve", r, a_norm, d, rhs)
+        return d
+
     def trace_solve(self, load: tuple, m, g0) -> np.ndarray:
         """Trace row of solve(load, m, g0): the free nodes solve
-        (S + diag(m area)) t = c + g0 area by Cholesky, checked by the
-        backward error of that system; Dirichlet nodes keep the load."""
+        (S + diag(m area)) t = c + g0 area, the one-component block_solve;
+        Dirichlet nodes keep the load."""
         dvals, _, _, c = load
         trace = dvals[..., 0].copy()
         if c is None:
             return trace
-        absorb, rhs = self._on_trace(m).ravel(), c + self._on_trace(g0).ravel()
-        St = self.schur.copy()
-        St.flat[::c.size + 1] += absorb
-        try:  # a NaN right-hand side reaches the backward-error check
-            t = sla.cho_solve(sla.cho_factor(St, overwrite_a=True), rhs,
-                              check_finite=False)
-        except (np.linalg.LinAlgError, ValueError) as exc:  # not SPD, or NaN
+        try:
+            t = self.block_solve(self._on_trace(m).reshape(1, -1),
+                                 np.zeros((1, 1, c.size)),
+                                 (c + self._on_trace(g0).ravel())[None])
+        except np.linalg.LinAlgError as exc:
             raise ConvergenceError("condensed trace solve failed") from exc
-        check_backward_error("condensed trace solve",
-                             rhs - self._schur_apply(t) - absorb * t,
-                             self._schur_norm + np.abs(absorb).max(), t, rhs)
         trace[self._box[:-1]] = t.reshape(self.area.shape)
         return trace
 
@@ -580,18 +581,6 @@ class TraceSystem:
         """Index of the free trace nodes in a trace-shaped array; area, the
         load's c and schur list them in the row-major order of this index."""
         return self._box[:-1]
-
-    def pair_solve(self, w, off, rhs) -> np.ndarray:
-        """Solve the two-component system on the free trace nodes
-        [[S + diag(w0), diag(off)], [diag(off), S + diag(w1)]] d = rhs, with
-        w, rhs and d of shape (2, n) and off of shape (n,), by block
-        elimination, checked by the backward error of that system.  Raises
-        LinAlgError when the matrix is not positive definite."""
-        d = _block_eliminate(self.schur, w, off, rhs)
-        r = rhs - self._schur_apply(d) - w * d - off * d[::-1]
-        a_norm = self._schur_norm + np.abs(w).max() + np.abs(off).max()
-        check_backward_error("Newton step", r, a_norm, d, rhs)
-        return d
 
     def solve(self, load: tuple, m, g0) -> np.ndarray:
         """Grid-shaped solution for a load with trace absorption m and source g0.

@@ -9,13 +9,12 @@ system reads F_i(t) = S t_i - c_i + area (beta t_i sum_j a_ij t_j^2 - f_i(t_i))
     E(t) = sum_i (t_i^T S t_i / 2 - c_i^T t_i - area . Phi_i(t_i))
            + beta/2 sum_{i<j} a_ij sum area t_i^2 t_j^2,    Phi_i' = f_i.
 
-For two components the solver takes damped Newton steps on E (Armijo
-backtracking on E itself); a Gauss-Seidel sweep, in which every component
-solves its linear extension problem with the absorption
-m = beta sum_j a_ij t_j^2 of the other components frozen and the reaction
-lagged, is the fallback step, and the only step for k != 2.  Sweeping the
-coupling strength beta with warm starts produces the segregation data: trace
-overlaps, sup norms and Hölder seminorms per beta.
+For every k the solver takes damped Newton steps on E (Armijo backtracking
+on E itself); a Gauss-Seidel sweep, in which every component solves its
+linear extension problem with the absorption m = beta sum_j a_ij t_j^2 of
+the other components frozen and the reaction lagged, is the fallback step.
+Sweeping the coupling strength beta with warm starts produces the segregation
+data: trace overlaps, sup norms and Hölder seminorms per beta.
 """
 
 from __future__ import annotations
@@ -38,8 +37,7 @@ from .grid import (BoundaryData, Field, GridConfig, TraceSystem, build_grid,
                    dirichlet_data, trace_area)
 
 REACTION_KINDS = ("zero", "linear", "logistic")
-#: stop at a full Newton correction (k = 2), or a Gauss-Seidel sweep change
-#: (k != 2), of at most this max norm on the traces
+#: stop at a full Newton correction of at most this max norm on the traces
 OUTER_TOL = 1e-8
 MAX_OUTER = 500
 ARMIJO = 1e-4  # sufficient decrease: E falls by this share of the slope
@@ -117,7 +115,7 @@ class CompetitionProblem:
         off = c[~np.eye(self.k, dtype=bool)]
         if self.k > 1 and np.any(off <= 0):
             raise ConfigurationError("off-diagonal couplings must be positive")
-        self.coupling = c
+        self.coupling = 0.5 * (c + c.T)  # E needs an exactly symmetric one
         if len(self.reactions) != self.k or len(self.dirichlet) != self.k:
             raise ConfigurationError("need one reaction and one boundary spec "
                                      "per component")
@@ -201,18 +199,18 @@ def _gauss_seidel(engine, prob, loads, X, unpack):
 
 
 def _newton_step(engine, prob, X, c):
-    """One damped Newton step on E for two components: the new free trace
-    values and the max norm of the full correction J^-1 F, or None when the
-    Hessian is not positive definite or the backtracking gives up."""
+    """One damped Newton step on E: the new free trace values and the max
+    norm of the full correction J^-1 F, or None when the Hessian is not
+    positive definite or the backtracking gives up."""
     S, area = engine.schur, engine.area.ravel()
-    b = prob.beta * prob.coupling[0, 1]
-    f = prob.reactions
+    C, f, k = prob.beta * prob.coupling, prob.reactions, prob.k
     SXc = X @ S - c  # rows S t_i - c_i (S is symmetric)
     Q = X * X
-    F = SXc + area * (b * X * Q[::-1] - [f[i](X[i]) for i in range(2)])
-    W = area * (b * Q[::-1] - [f[i].slope(X[i]) for i in range(2)])
+    CQ = C @ Q
+    F = SXc + area * (X * CQ - [f[i](X[i]) for i in range(k)])
+    W = area * (CQ - [f[i].slope(X[i]) for i in range(k)])
     try:
-        D = engine.pair_solve(W, 2.0 * b * area * X[0] * X[1], -F)
+        D = engine.block_solve(W, 2.0 * C[..., None] * (area * X)[:, None] * X, -F)
     except np.linalg.LinAlgError:
         return None
     size = float(np.abs(D).max())
@@ -226,8 +224,8 @@ def _newton_step(engine, prob, X, c):
         dQ = step * (2.0 * X + step)  # (X + step)^2 - Q, to its digits
         change = (alpha * lin + alpha * alpha * quad
                   - sum(area @ f[i].primitive_change(X[i], step[i])
-                        for i in range(2))
-                  + 0.25 * b * float(np.sum(area * dQ * (2.0 * Q + dQ)[::-1])))
+                        for i in range(k))
+                  + 0.25 * float(np.sum(area * dQ * (C @ (2.0 * Q + dQ)))))
         if change <= ARMIJO * alpha * slope:
             return X + step, size
         alpha *= 0.5
@@ -240,13 +238,12 @@ def solve_system(prob: CompetitionProblem, warm_start=None,
     the engine's checked solve with its component's absorption and reaction
     at the final traces.
 
-    For k = 2 every outer step is one damped Newton step whose linear solve
-    is checked on its own Hessian system, or a Gauss-Seidel sweep of checked
-    trace_solve calls when the Hessian is not positive definite or the
-    backtracking gives up; the loop stops at a full Newton correction of at
-    most OUTER_TOL, which bounds the error to second order.  For k != 2
-    every step is a sweep, and the loop stops at a sweep change of at most
-    OUTER_TOL.  Both loops run with the bundled BLAS on one thread.
+    Every outer step is one damped Newton step whose linear solve is checked
+    on its own Hessian system, or a Gauss-Seidel sweep of checked trace_solve
+    calls when the Hessian is not positive definite or the backtracking gives
+    up.  The loop stops at a full Newton correction of at most OUTER_TOL,
+    which bounds the error to second order; a fallback sweep never stops it.
+    The loop runs with the bundled BLAS on one thread.
 
     Nonnegative boundary data yields nonnegative fields (the frozen-neighbor
     absorption only adds to the M-matrix diagonal).  Raises ConvergenceError
@@ -285,19 +282,17 @@ def solve_system(prob: CompetitionProblem, warm_start=None,
     with _one_blas_thread():
         for outer in range(1, MAX_OUTER + 1):
             try:
-                step = _newton_step(engine, prob, X, c) if k == 2 else None
+                step = _newton_step(engine, prob, X, c)
                 if step is None:
                     history.append(_gauss_seidel(engine, prob, loads, X, unpack))
-                    done = k != 2 and history[-1] <= OUTER_TOL
-                else:
-                    X, change = step
-                    history.append(change)
-                    done = change <= OUTER_TOL
+                    continue
+                X, change = step
+                history.append(change)
             except ConvergenceError as exc:
                 raise ConvergenceError(
                     f"outer step {outer}: {exc}", residual=exc.residual,
                     iterations=outer, history=history + [exc.residual]) from exc
-            if done:
+            if change <= OUTER_TOL:
                 break
         else:
             raise ConvergenceError(

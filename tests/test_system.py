@@ -23,15 +23,14 @@ from fracseg.system import (CompetitionProblem, Reaction, bump, solve_system,
 
 def make_problem(s=0.5, beta=0.0, k=2, nx=129, ny=48, L=2.0, Y=1.5,
                  reactions=None):
-    coupling = np.zeros((k, k)) if k == 1 else np.array([[0.0, 1.0], [1.0, 0.0]])
     if reactions is None:
         reactions = tuple(Reaction("zero") for _ in range(k))
-    centers = [0.0] if k == 1 else [-1.0, 1.0]
+    centers = [0.0] if k == 1 else np.linspace(-1.0, 1.0, k)
     return CompetitionProblem(
         params=FracParams(s=s, N=1),
         grid_config=GridConfig(d=1, L=L, Y=Y, nx=nx, ny=ny),
-        k=k, beta=beta, coupling=coupling, reactions=reactions,
-        dirichlet=tuple(bump(c) for c in centers))
+        k=k, beta=beta, coupling=np.ones((k, k)) - np.eye(k),
+        reactions=reactions, dirichlet=tuple(bump(c) for c in centers))
 
 
 def test_problem_validation():
@@ -95,6 +94,32 @@ def test_logistic_reaction_stays_bounded():
         assert f.values.max() <= 1.5
 
 
+def test_strong_logistic_single_component_converges():
+    # Gauss-Seidel steps alone, with the reaction lagged, diverged here; the
+    # Hessian S - diag(lam area) at the zero start is indefinite, so three
+    # fallback sweeps come first and Newton steps on E finish the solve
+    prob = make_problem(k=1, beta=10.0, reactions=(Reaction("logistic", 5.0),))
+    res = solve_system(prob)
+    assert res.residual_history[-1] <= system_mod.OUTER_TOL
+    v = res.fields[0].values
+    assert v.min() >= 0.0 and v.max() <= 1.0 + 1e-12
+
+
+def test_coupling_is_stored_exactly_symmetric():
+    # a coupling symmetric only to allclose gives a Hessian whose (i, j) and
+    # (j, i) blocks differ, which its Cholesky solve cannot satisfy; the
+    # problem keeps the symmetric part and solves like it
+    asym = np.array([[0.0, 1.0], [1.0 + 5e-9, 0.0]])
+    prob = replace(make_problem(beta=1e3, nx=65, ny=24), coupling=asym)
+    assert np.array_equal(prob.coupling, prob.coupling.T)
+    got = solve_system(prob)
+    mean = 1.0 + 2.5e-9
+    want = solve_system(replace(prob, coupling=np.array([[0.0, mean], [mean, 0.0]])))
+    assert got.residual_history[-1] <= system_mod.OUTER_TOL
+    assert max(np.abs(a.values - b.values).max()
+               for a, b in zip(got.fields, want.fields)) <= 1e-12
+
+
 def test_warm_start_agrees_with_cold():
     prob = make_problem(beta=1e3)
     seed = solve_system(make_problem(beta=1e2))
@@ -142,29 +167,27 @@ def _counting(calls, owner, name, returned=None):
 
 
 def test_each_step_is_one_trace_solve(monkeypatch):
-    # k = 2: every outer step tries one Newton solve; a step that falls back
-    # is one Gauss-Seidel sweep of k trace solves; then one field solve
-    # (which takes its trace from one more trace solve) per component
-    calls = dict.fromkeys(("solve", "trace_solve", "pair_solve",
+    # for every k each outer step tries one Newton solve; a step that falls
+    # back is one Gauss-Seidel sweep of k trace solves; then one field solve
+    # (which takes its trace from one more trace solve) per component; every
+    # trace solve is one block solve
+    calls = dict.fromkeys(("solve", "trace_solve", "block_solve",
                            "_newton_step", "newton", "_gauss_seidel"), 0)
-    for name in ("solve", "trace_solve", "pair_solve"):
+    for name in ("solve", "trace_solve", "block_solve"):
         monkeypatch.setattr(TraceSystem, name, _counting(calls, TraceSystem, name))
     monkeypatch.setattr(system_mod, "_newton_step",
                         _counting(calls, system_mod, "_newton_step", "newton"))
     monkeypatch.setattr(system_mod, "_gauss_seidel",
                         _counting(calls, system_mod, "_gauss_seidel"))
-    res = solve_system(make_problem(beta=1e3, nx=65, ny=24))
-    fallbacks = calls["_gauss_seidel"]
-    assert calls["_newton_step"] == calls["pair_solve"] == res.outer_iters
-    assert calls["newton"] + fallbacks == res.outer_iters
-    assert calls["solve"] == 2
-    assert calls["trace_solve"] == 2 * fallbacks + 2
-    # k != 2: every step is a sweep
-    calls.update(dict.fromkeys(calls, 0))
-    res = solve_system(make_problem(k=1, beta=1.0, nx=65, ny=24))
-    assert calls["pair_solve"] == calls["_newton_step"] == 0
-    assert calls["_gauss_seidel"] == res.outer_iters
-    assert calls["trace_solve"] == res.outer_iters + 1
+    for k, beta in ((1, 1.0), (2, 1e3), (3, 1e3)):
+        calls.update(dict.fromkeys(calls, 0))
+        res = solve_system(make_problem(k=k, beta=beta, nx=65, ny=24))
+        fallbacks = calls["_gauss_seidel"]
+        assert calls["_newton_step"] == res.outer_iters
+        assert calls["newton"] + fallbacks == res.outer_iters
+        assert calls["solve"] == k
+        assert calls["trace_solve"] == k * fallbacks + k
+        assert calls["block_solve"] == res.outer_iters + calls["trace_solve"]
 
 
 def test_trace_solve_checks_its_residual(monkeypatch):
@@ -181,31 +204,36 @@ def test_trace_solve_checks_its_residual(monkeypatch):
     assert err.value.residual > 1e-8
 
 
-def test_pair_solve_matches_dense_block_solve():
+def test_block_solve_matches_dense_solve():
     engine = TraceSystem(_d1(0.5, 33, 16))
     S, n = engine.schur, engine.schur.shape[0]
     rng = np.random.default_rng(3)
-    w, off = rng.uniform(0.0, 2.0, (2, n)), rng.uniform(-1.0, 1.0, n)
-    rhs = rng.standard_normal((2, n))
-    H = np.block([[S + np.diag(w[0]), np.diag(off)],
-                  [np.diag(off), S + np.diag(w[1])]])
-    want = np.linalg.solve(H, rhs.ravel()).reshape(2, n)
-    assert np.abs(engine.pair_solve(w, off, rhs) - want).max() <= 1e-12 * np.abs(want).max()
-    with pytest.raises(np.linalg.LinAlgError):  # the Schur complement is not SPD
-        engine.pair_solve(w, off + 10.0 * np.abs(S).max(), rhs)
+    for k in (2, 3):
+        w, rhs = rng.uniform(0.0, 2.0, (k, n)), rng.standard_normal((k, n))
+        coupled = (1.0 - np.eye(k))[..., None]
+        off = rng.uniform(-0.5, 0.5, (k, k, n)) / (k - 1)  # SPD with S + diag(w)
+        off = (off + off.transpose(1, 0, 2)) * coupled
+        H = np.block([[(S if i == j else 0.0) + np.diag(w[i] * (i == j) + off[i, j])
+                       for j in range(k)] for i in range(k)])
+        want = np.linalg.solve(H, rhs.ravel()).reshape(k, n)
+        got = engine.block_solve(w, off, rhs)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        with pytest.raises(np.linalg.LinAlgError):  # not positive definite
+            engine.block_solve(w, off + 10.0 * np.abs(S).max() * coupled, rhs)
 
 
 def test_newton_step_checks_its_residual(monkeypatch):
     # a Newton solve 1e-6 off fails the Hessian system's backward-error gate
-    # (it reads 3e-8); the error carries the loop state
-    eliminate = grid_mod._block_eliminate
-    monkeypatch.setattr(grid_mod, "_block_eliminate",
-                        lambda *args: eliminate(*args) * (1.0 + 1e-6))
-    with pytest.raises(ConvergenceError, match="Newton step failed") as err:
-        solve_system(make_problem(beta=1e2, nx=65, ny=24))
-    assert err.value.residual > 1e-8
-    assert err.value.iterations == 1
-    assert err.value.history == [err.value.residual]
+    # for every k (it reads 3e-8 at k = 2); the error carries the loop state
+    cho_solve = grid_mod.sla.cho_solve
+    monkeypatch.setattr(grid_mod.sla, "cho_solve",
+                        lambda *a, **kw: cho_solve(*a, **kw) * (1.0 + 1e-6))
+    for k in (1, 2, 3):
+        with pytest.raises(ConvergenceError, match="condensed trace solve failed") as err:
+            solve_system(make_problem(k=k, beta=1e2, nx=65, ny=24))
+        assert err.value.residual > 1e-8
+        assert err.value.iterations == 1
+        assert err.value.history == [err.value.residual]
 
 
 def test_failed_cholesky_falls_back_to_gauss_seidel(monkeypatch):
@@ -213,15 +241,16 @@ def test_failed_cholesky_falls_back_to_gauss_seidel(monkeypatch):
     # steps are Gauss-Seidel sweeps and the solve still converges
     prob = make_problem(beta=1e3, nx=65, ny=24)
     want = solve_system(prob)
-    cholesky, failed = grid_mod.sla.cholesky, []
+    cho_factor, failed = grid_mod.sla.cho_factor, []
+    n = prob.grid_config.nx - 2  # free trace nodes
 
-    def failing(*args, **kwargs):
-        if len(failed) < 3:
+    def failing(a, *args, **kwargs):
+        if a.shape[0] == 2 * n and len(failed) < 3:  # a Newton system
             failed.append(True)
             raise np.linalg.LinAlgError("not positive definite")
-        return cholesky(*args, **kwargs)
+        return cho_factor(a, *args, **kwargs)
 
-    monkeypatch.setattr(grid_mod.sla, "cholesky", failing)
+    monkeypatch.setattr(grid_mod.sla, "cho_factor", failing)
     sweeps = {"_gauss_seidel": 0}
     monkeypatch.setattr(system_mod, "_gauss_seidel",
                         _counting(sweeps, system_mod, "_gauss_seidel"))
@@ -245,20 +274,23 @@ def test_reaction_slope_and_primitive(kind):
 
 
 def _energy(engine, prob, X, c):
-    """E on the free trace values, summed term by term (two components)."""
-    area = engine.area.ravel()
-    total = 0.5 * prob.beta * prob.coupling[0, 1] * area @ (X[0] ** 2 * X[1] ** 2)
-    for i in range(2):
+    """E on the free trace values, summed term by term."""
+    area, total = engine.area.ravel(), 0.0
+    for i in range(prob.k):
         u = X[i]
         total += 0.5 * u @ engine.schur @ u - c[i] @ u
         total -= area @ prob.reactions[i].primitive_change(np.zeros_like(u), u)
+        for j in range(i + 1, prob.k):
+            total += 0.5 * prob.beta * prob.coupling[i, j] * area @ (u ** 2 * X[j] ** 2)
     return total
 
 
-@pytest.mark.parametrize("s, betas, reaction", [
-    (0.3, [1e2, 1e3, 1e4], Reaction("zero")),
-    (0.5, [1e1, 1e3], Reaction("logistic", 1.0))])
-def test_newton_steps_descend_the_energy(s, betas, reaction, monkeypatch):
+@pytest.mark.parametrize("s, betas, reaction, k", [
+    (0.3, [1e2, 1e3, 1e4], Reaction("zero"), 2),
+    (0.5, [1e1, 1e3], Reaction("logistic", 1.0), 2),
+    (0.5, [1e2, 1e3, 1e4], Reaction("logistic", 1.0), 3)],
+    ids=["0.3-betas0-reaction0", "0.5-betas1-reaction1", "0.5-betas2-reaction2-k3"])
+def test_newton_steps_descend_the_energy(s, betas, reaction, k, monkeypatch):
     steps = []
     newton_step = system_mod._newton_step
 
@@ -270,7 +302,7 @@ def test_newton_steps_descend_the_energy(s, betas, reaction, monkeypatch):
         return out
 
     monkeypatch.setattr(system_mod, "_newton_step", recording)
-    sweep_beta(make_problem(s=s, reactions=(reaction, reaction)), betas,
+    sweep_beta(make_problem(s=s, k=k, reactions=(reaction,) * k), betas,
                holder_alpha=0.03)
     assert len(steps) >= 2 * len(betas)
     for before, after in steps:
@@ -279,37 +311,56 @@ def test_newton_steps_descend_the_energy(s, betas, reaction, monkeypatch):
 
 def _reference_gauss_seidel(prob, engine, traces, tol=1e-13):
     """Fields of a plain Gauss-Seidel loop of trace_solve calls from the
-    given traces, run to a sweep change of tol (two components, zero
-    reactions)."""
+    given traces, run to a sweep change of tol (zero reactions)."""
     g = engine.grid
     loads = [engine.load(dirichlet_data(g, BoundaryData(top=v, sides=v)))
              for v in prob.dirichlet]
     traces = list(traces)
+
+    def absorption(i):
+        return prob.beta * sum(a * t ** 2 for a, t in zip(prob.coupling[i], traces))
+
     for _ in range(5000):
         change = 0.0
-        for i in range(2):
-            new = engine.trace_solve(loads[i], prob.beta * traces[1 - i] ** 2, 0.0)
+        for i in range(prob.k):
+            new = engine.trace_solve(loads[i], absorption(i), 0.0)
             change = max(change, np.abs(new - traces[i]).max())
             traces[i] = new
         if change <= tol:
-            return [engine.solve(loads[i], prob.beta * traces[1 - i] ** 2, 0.0)
-                    for i in range(2)]
+            return [engine.solve(loads[i], absorption(i), 0.0)
+                    for i in range(prob.k)]
     raise AssertionError(f"reference stopped at change {change:.1e}")
 
 
-def test_newton_matches_gauss_seidel_run_to_round_off():
-    # criterion-10 problem (quick grid), warm-started like a sweep; a sweep
-    # change of 1e-8 left Gauss-Seidel up to 1.4e-7 off on this workload
-    prob = make_problem()
+def _matches_gauss_seidel_along(prob, betas):
+    """Solve along betas warm-started on one engine, as sweep_beta does, and
+    check every solve against the reference run from the last reference
+    traces; returns the outer iterations per beta."""
     engine = TraceSystem(build_grid(prob.grid_config, prob.params))
-    fields, traces = None, [np.zeros(prob.grid_config.nx)] * 2
-    for beta in (1e2, 1e3, 1e4):
+    fields, traces = None, [np.zeros(prob.grid_config.nx)] * prob.k
+    iters = []
+    for beta in betas:
         p = replace(prob, beta=beta)
         res = solve_system(p, warm_start=fields, engine=engine)
         want = _reference_gauss_seidel(p, engine, traces)
         assert max(np.abs(f.values - w).max()
                    for f, w in zip(res.fields, want)) <= 1e-9
         fields, traces = res.fields, [w[..., 0] for w in want]
+        iters.append(res.outer_iters)
+    return iters
+
+
+def test_newton_matches_gauss_seidel_run_to_round_off():
+    # criterion-10 problem (quick grid), warm-started like a sweep; a sweep
+    # change of 1e-8 left Gauss-Seidel up to 1.4e-7 off on this workload
+    _matches_gauss_seidel_along(make_problem(), (1e2, 1e3, 1e4))
+
+
+def test_three_component_sweep():
+    # bumps at -1, 0 and 1: Gauss-Seidel steps alone took 14, 106, 55 and 158
+    # steps to a sweep change of 1e-8
+    iters = _matches_gauss_seidel_along(make_problem(k=3), (1e2, 1e3, 1e4, 1e5))
+    assert max(iters) <= 20
 
 
 def test_s03_sweep_converges():
@@ -353,13 +404,13 @@ def test_one_blas_thread_is_a_no_op_without_openblas(monkeypatch):
 
 def test_solve_system_runs_on_one_blas_thread(monkeypatch):
     seen = []
-    pair_solve = TraceSystem.pair_solve
+    block_solve = TraceSystem.block_solve
 
     def recording(self, *args):
         seen.append(_thread_counts())
-        return pair_solve(self, *args)
+        return block_solve(self, *args)
 
-    monkeypatch.setattr(TraceSystem, "pair_solve", recording)
+    monkeypatch.setattr(TraceSystem, "block_solve", recording)
     before = _thread_counts()
     solve_system(make_problem(beta=1e2, nx=65, ny=24))
     assert _thread_counts() == before
@@ -383,7 +434,7 @@ def test_step_gate_catches_wrong_schur(s, nx, ny):
     prob = make_problem(s=s, beta=1e2, nx=nx, ny=ny)
     engine = TraceSystem(build_grid(prob.grid_config, prob.params))
     engine.schur *= 1.01
-    with pytest.raises(ConvergenceError, match="Newton step failed") as err:
+    with pytest.raises(ConvergenceError, match="condensed trace solve failed") as err:
         solve_system(prob, engine=engine)
     assert err.value.iterations == 1
     assert err.value.history == [err.value.residual]
