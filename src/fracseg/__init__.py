@@ -9,8 +9,7 @@ bounds and uniform Hölder-seminorm behavior under strong competition.
 """
 
 from .core import (FracParams, NamedSolution, RegularizedKernel, comparison_f,
-                   dtn_exact, eval_solution, gamma_inverse, gamma_map,
-                   kernel_eval, poisson_kernel)
+                   dtn_exact, eval_solution, gamma_inverse, gamma_map)
 from .errors import ConfigurationError, ConvergenceError
 from .grid import (BoundaryData, Field, GridConfig, HalfSpaceGrid, assemble_La,
                    build_grid, dtn_trace, field_from_function,

@@ -98,7 +98,9 @@ def _dtn_amplitude(s: float, k: int, nx: int, ny: int) -> float:
 
 
 def check_dtn_symbol(quick: bool = False) -> CheckResult:
-    """2. DtN of cos(kx) scales like k^{2s} (ratio test, constant free)."""
+    """2. DtN of cos(kx) scales like k^{2s} (ratio test) and equals d_s k^{2s}
+    with the extension's constant d_s = 2^{1-2s} G(1-s) / G(s) (absolute
+    test); both under the same threshold."""
     nx, ny = (256, 128) if quick else (512, 256)
     tol = _tol(0.03, quick)
     worst = 0.0
@@ -108,8 +110,11 @@ def check_dtn_symbol(quick: bool = False) -> CheckResult:
         for (ka, kb) in ((2, 1), (4, 2), (4, 1)):
             err = abs(amps[ka] / amps[kb] / (ka / kb) ** (2.0 * s) - 1.0)
             worst = max(worst, err)
-        detail.append(f"s={s}: c_dtn={amps[1]:.4f}")
-    return CheckResult("dtn symbol ratios", worst, tol, worst <= tol,
+        d_s = 2.0 ** (1.0 - 2.0 * s) * math.gamma(1.0 - s) / math.gamma(s)
+        for k, amp in amps.items():
+            worst = max(worst, abs(amp / (d_s * k ** (2.0 * s)) - 1.0))
+        detail.append(f"s={s}: c_dtn/d_s={amps[1] / d_s:.5f}")
+    return CheckResult("dtn symbol", worst, tol, worst <= tol,
                        detail="; ".join(detail))
 
 

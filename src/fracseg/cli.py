@@ -28,7 +28,7 @@ from .grid import (GridConfig, atomic_write_text, read_snapshot, snapshot_csv,
 from .diagnostics import (acf_one_phase, almgren, monotonicity_check,
                           pohozaev_residual, trace_seminorm)
 from .spectral import (ComparisonProfile, PeriodicGrid1D, comparison_pv,
-                       frac_lap_pv, frac_lap_symbol, pv_calibration_constant)
+                       frac_lap_pv, frac_lap_symbol, pv_constant)
 from .sphere import EquatorRegion, HemisphereMesh, lambda1, lambda1_codim1, \
     nu_acf_caps
 from .system import (OUTER_TOL, CompetitionProblem, Reaction, bump, solve_system,
@@ -229,8 +229,7 @@ def cmd_sweep(cfg: dict, args) -> RunReport:
     ov = sweep.column("overlap")
     report.meta.update(overlaps=list(map(float, ov)),
                        outer_iters=[r.outer_iters for r in sweep.rows],
-                       seconds=[r.seconds for r in sweep.rows],
-                       factorizations=sweep.factorizations)
+                       seconds=[r.seconds for r in sweep.rows])
     report.add("sweep completed", float(ov[-1]), float(ov[0]), True,
                detail=f"{len(betas)} beta values")
     return report
@@ -398,21 +397,10 @@ def cmd_oracle(cfg: dict, args) -> RunReport:
     path = _out_path(cfg, args, "oracle.csv")
     atomic_write_text(path, "\n".join(rows) + "\n")
     report.files.append(path)
-    from scipy.special import gamma as gamma_fn
-
-    # the calibrated constant should match the closed-form kernel
-    # normalization of the 1-D operator; recorded, never asserted
-    c_cal = pv_calibration_constant(s)
-    c_literature = 4.0 ** s * gamma_fn(0.5 + s) / (
-        math.sqrt(math.pi) * abs(gamma_fn(-s)))
-    report.meta.update(calibration_constant=c_cal,
-                       literature_constant=float(c_literature))
+    report.meta.update(pv_constant=pv_constant(s))
     if fn["kind"] != "comparison":
         err = float(np.abs(pv - sym).max() / np.abs(sym).max())
         report.add("pv vs symbol", err, 0.02, err <= 0.02)
-    else:
-        report.add("comparison oracle emitted", float(np.nanmax(np.abs(pv))),
-                   math.inf, True)
     return report
 
 

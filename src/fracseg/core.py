@@ -1,10 +1,9 @@
 """Scalar maps, kernels and closed-form model solutions of the extension problem.
 
 Everything in this module is a pure function of its inputs.  The objects here
-(homogeneity map, regularized kernel, explicit homogeneous solutions, the
-1-D comparison profile and the half-space Poisson kernel) serve as fixtures
-and building blocks for the grid solver, the diagnostics and the eigenvalue
-machinery.
+(homogeneity map, regularized kernel, explicit homogeneous solutions and the
+1-D comparison profile) serve as fixtures and building blocks for the grid
+solver, the diagnostics and the eigenvalue machinery.
 """
 
 from __future__ import annotations
@@ -186,12 +185,6 @@ class RegularizedKernel:
         return float(out) if out.ndim == 0 else out
 
 
-def kernel_eval(kernel: RegularizedKernel, X):
-    """Evaluate the regularized kernel at points X in the closed half-space."""
-    _, _, r = _split_point(X)
-    return kernel.profile(r)
-
-
 def comparison_mass(a: float) -> float:
     """Total integral of (1+t^2)^{(a-2)/2} over the line (a in (-1,1))."""
     return float(beta(0.5, 0.5 * (1.0 - a)))
@@ -218,18 +211,3 @@ def comparison_f(x, p: FracParams):
     out = np.where(x < 0, beyond, 1.0 - beyond)
     return float(out) if out.ndim == 0 else out
 
-
-def poisson_kernel(xi, y, p: FracParams):
-    """Half-space Poisson kernel, unit mass in xi for every y > 0.
-
-    P(xi, y) = C_a * y^{1-a} / (xi^2 + y^2)^{1-a/2} with C_a fixed by the
-    normalization; it satisfies P(xi, y) = P(xi/y, 1) / y.
-    """
-    a = p.a
-    xi = np.asarray(xi, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0):
-        raise ValueError("poisson_kernel requires y > 0")
-    c = 1.0 / comparison_mass(a)
-    out = c * y ** (1.0 - a) / (xi * xi + y * y) ** (1.0 - 0.5 * a)
-    return float(out) if np.ndim(out) == 0 else out

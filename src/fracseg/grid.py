@@ -448,7 +448,6 @@ class TraceSystem:
         self.grid, self.layout, self._box = grid, (sides, trace_dirichlet), box
         self.area = trace_area(grid)[box[:-1]]  # of the free trace nodes
         self._diag = grid.operator.diagonal().reshape(grid.shape)[box]
-        self.factorizations = 0
         self._separate(box[0], sides, trace_dirichlet)
 
     def _separate(self, xs: slice, sides: bool, trace_dirichlet: bool) -> None:
@@ -469,7 +468,6 @@ class TraceSystem:
         gv = g.vertical_conductance
         self._chains = ModeChains(np.multiply.outer(lam, g.y_dual_w[g.ny - 1::-1]),
                                   gv[-2::-1], gv[-1])
-        self.factorizations += 1
         if trace_dirichlet:
             self.schur = np.zeros((0, 0))
             return

@@ -3,10 +3,10 @@
 Two routes to (-Delta)^s in one dimension: the Fourier multiplier |k|^{2s}
 on a periodic grid, and a principal-value quadrature of the singular
 integral with symmetric excision of the singular cell and a second-order
-local correction.  The quadrature constant is calibrated once against the
-symbol oracle on the lowest mode, after which the two routes must agree on
-band-limited data; that agreement is what makes them usable as mutual
-checks and as cross-validation for the extension solver.
+local correction.  The quadrature carries the closed-form kernel constant
+C_{1,s} (`pv_constant`), so neither route is fitted to the other; their
+agreement on band-limited data is what makes them usable as mutual checks
+and as cross-validation for the extension solver.
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ class PeriodicGrid1D:
 
 
 class PVResult(NamedTuple):
-    values: np.ndarray
-    discontinuity_warning: np.ndarray
+    values: np.ndarray  # the only field; perfbench/workloads.py reads .values
 
 
 class DecayTail(NamedTuple):
@@ -101,7 +100,8 @@ def _periodic_weights(n: int, L: float, s: float):
 
 
 def _pv_periodic_raw(u: np.ndarray, s: float, grid: PeriodicGrid1D) -> np.ndarray:
-    """Uncalibrated PV quadrature at every node of a periodic grid."""
+    """PV quadrature of (u(x) - u(y)) / |x - y|^{1+2s}, without the constant,
+    at every node of a periodic grid."""
     n, dx = grid.n, grid.dx
     w, tail = _periodic_weights(n, grid.L, s)
     conv = np.fft.irfft(np.fft.rfft(u) * np.fft.rfft(w), n=n)
@@ -115,43 +115,24 @@ def _pv_periodic_raw(u: np.ndarray, s: float, grid: PeriodicGrid1D) -> np.ndarra
     return out
 
 
-@lru_cache(maxsize=64)
-def _calibration(s: float, n: int, L: float) -> float:
-    """One-point constant fixing the PV quadrature against the symbol oracle."""
-    grid = PeriodicGrid1D(n=n, L=L)
-    u = np.cos(grid.x / L)
-    raw = _pv_periodic_raw(u, s, grid)
-    amp = float(raw @ u) / float(u @ u)
-    return (1.0 / L) ** (2.0 * s) / amp
-
-
-def pv_calibration_constant(s: float) -> float:
-    """The calibrated quadrature constant (reference grid n=4096, L=1)."""
-    return _calibration(s, 4096, 1.0)
-
-
-def _discontinuity_flags(u: np.ndarray) -> np.ndarray:
-    """Flag nodes whose second difference is wildly out of scale."""
-    d2 = np.abs(np.roll(u, -1) - 2.0 * u + np.roll(u, 1))
-    scale = np.median(d2) + 1e-300
-    return d2 > 50.0 * scale
+def pv_constant(s: float) -> float:
+    """The kernel constant C_{1,s} = 4^s G(1/2 + s) / (sqrt(pi) |G(-s)|) of
+    (-Delta)^s u(x) = C_{1,s} PV int (u(x) - u(y)) / |x - y|^{1+2s} dy."""
+    return 4.0 ** s * math.gamma(0.5 + s) / (math.sqrt(math.pi)
+                                             * abs(math.gamma(-s)))
 
 
 def frac_lap_pv(u, s: float, grid: PeriodicGrid1D) -> PVResult:
     """Principal-value quadrature of (-Delta)^s on periodic samples.
 
-    u is an array on `grid`; returns values at all nodes.  The quadrature
-    constant is calibrated once per (s, grid) against the symbol oracle on
-    the lowest mode.  Nodes sitting on an apparent sample discontinuity are
-    flagged in the result rather than rejected.  The decaying-line
-    quadrature lives in `comparison_pv`.
+    u is an array on `grid`; returns values at all nodes, scaled by the
+    closed-form constant `pv_constant(s)`.  On smooth data the error falls
+    like dx^{2 - 2s}.  The decaying-line quadrature lives in `comparison_pv`.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.n,):
         raise ValueError("sample count does not match the grid")
-    c = _calibration(s, grid.n, grid.L)
-    vals = c * _pv_periodic_raw(u, s, grid)
-    return PVResult(vals, _discontinuity_flags(u))
+    return PVResult(pv_constant(s) * _pv_periodic_raw(u, s, grid))
 
 
 #: where the geometric far-field mesh of the line PV quadrature ends
@@ -160,7 +141,6 @@ _FAR_CUT = 1.0e8
 
 def _pv_line(u: Callable, s: float, x: np.ndarray, tail: DecayTail,
              h: float, pad: float) -> PVResult:
-    c = pv_calibration_constant(s)
     # lattice anchored at 0 so every (snapped) evaluation point is a node;
     # it always covers [-pad, pad], where the far-field model is not yet valid
     jx = np.rint(x / h).astype(np.int64)
@@ -200,11 +180,7 @@ def _pv_line(u: Callable, s: float, x: np.ndarray, tail: DecayTail,
         power = coef * mid ** tail.exponent
         dist = np.abs(sign * mid[None, :] - xc[:, None])
         vals -= (dist ** (-1.0 - 2.0 * s) * power[None, :]) @ dg
-
-    d2 = np.abs(np.diff(uval, 2))
-    scale = np.median(d2) + 1e-300
-    warn = d2[np.clip(ix - 1, 0, d2.size - 1)] > 50.0 * scale
-    return PVResult(c * vals, warn)
+    return PVResult(pv_constant(s) * vals)
 
 
 # --------------------------------------------------------------------------

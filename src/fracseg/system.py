@@ -339,7 +339,6 @@ class SweepRow:
 @dataclass
 class BetaSweep:
     rows: list
-    factorizations: int = 0  # engine set-ups over the sweep (one TraceSystem)
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows])
@@ -395,4 +394,4 @@ def sweep_beta(prob: CompetitionProblem, betas, holder_alpha: float) -> BetaSwee
             holder_alpha=holder_alpha, holder_seminorm=semi,
             outer_iters=res.outer_iters,
             seconds=time.perf_counter() - start))
-    return BetaSweep(rows=rows, factorizations=engine.factorizations)
+    return BetaSweep(rows=rows)

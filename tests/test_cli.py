@@ -1,6 +1,7 @@
 """Command-line interface: configs, reports, outputs, exit codes."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -335,7 +336,6 @@ def test_sweep_json_reports_per_beta_solver_data(tmp_path, capsys):
     assert len(meta["outer_iters"]) == len(meta["seconds"]) == 2
     assert all(n >= 1 for n in meta["outer_iters"])
     assert all(t > 0 for t in meta["seconds"])
-    assert meta["factorizations"] == 1
 
 
 def test_eigen_landmarks(tmp_path, capsys):
@@ -386,6 +386,24 @@ def test_oracle_cos_mode(tmp_path):
     # |k|^{2s} = 2 at k = 2, s = 1/2
     assert np.abs(data["fraclap_symbol"] - 2.0 * data["u"]).max() < 1e-10
     assert np.abs(data["fraclap_pv"] - data["fraclap_symbol"]).max() < 0.05
+
+
+def test_oracle_comparison_mode(tmp_path, capsys):
+    # line data has no periodic symbol, so the run emits the table and
+    # reports no check
+    cfg = {"fractional": {"s": 0.5},
+           "oracle": {"function": {"kind": "comparison"}}}
+    path = write_config(tmp_path, cfg)
+    out = os.path.join(tmp_path, "oc")
+    assert cli.main(["oracle", "--config", path, "--out", out, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    data = np.genfromtxt(os.path.join(out, "oracle.csv"), delimiter=",",
+                         names=True)
+    assert data.size == 401
+    assert np.all(np.isfinite(data["fraclap_pv"]))
+    assert report["checks"] == []
+    assert report["meta"]["pv_constant"] == pytest.approx(1.0 / math.pi,
+                                                          rel=1e-14)
 
 
 def test_exit_code_3_on_numerical_failure(tmp_path, monkeypatch, capsys):

@@ -10,8 +10,7 @@ from scipy.special import stdtr
 
 from fracseg.core import (FracParams, NamedSolution, RegularizedKernel,
                           comparison_f, dtn_exact, eval_solution,
-                          gamma_inverse, gamma_map, kernel_eval,
-                          poisson_kernel)
+                          gamma_inverse, gamma_map)
 
 S_GRID = (0.25, 0.5, 0.75)
 
@@ -82,7 +81,7 @@ def test_kernel_seam_and_values():
     # C^1 matching forces value 1 at the seam
     assert k.profile(1.0) == pytest.approx(1.0, rel=1e-14)
     # inner branch at the origin: (N + 2(1-s))/2, frozen for N=2, s=0.5
-    assert kernel_eval(k, np.array([0.0, 0.0, 0.0])) == pytest.approx(1.5)
+    assert k.profile(0.0) == pytest.approx(1.5)
     # outer branch is the bare power
     for s in S_GRID:
         for N in (2, 3):
@@ -118,7 +117,7 @@ def test_kernel_validation():
         RegularizedKernel(eps=1.0, params=FracParams(s=0.75, N=1))  # N <= 2s
     k = RegularizedKernel(eps=1.0, params=FracParams(s=0.3, N=2))
     with pytest.raises(ValueError):
-        kernel_eval(k, np.array([0.0, -0.5]))  # below the trace
+        k.profile(-0.5)  # a negative radius
 
 
 def test_named_solution_values():
@@ -238,18 +237,3 @@ def test_comparison_f_propagates_nan():
     out = comparison_f(np.array([-1.0, np.nan, 0.0, np.nan]), p)
     assert np.array_equal(np.isnan(out), [False, True, False, True])
     assert out[2] == 0.5
-
-
-def test_poisson_kernel_mass_and_values():
-    for s in S_GRID:
-        p = FracParams(s=s, N=1)
-        mass, _ = quad(lambda xi: poisson_kernel(xi, 0.3, p), -np.inf, np.inf,
-                       limit=400)
-        assert mass == pytest.approx(1.0, abs=1e-8)
-    p = FracParams(s=0.5, N=1)
-    assert poisson_kernel(0.0, 1.0, p) == pytest.approx(1.0 / math.pi, rel=1e-10)
-    # scaling P(xi, y) = P(xi/y, 1)/y, checked at (2, 2)
-    assert poisson_kernel(2.0, 2.0, p) == pytest.approx(
-        0.5 * poisson_kernel(1.0, 1.0, p), rel=1e-12)
-    with pytest.raises(ValueError):
-        poisson_kernel(0.0, 0.0, p)

@@ -114,12 +114,10 @@ def test_every_module_import_is_used():
     assert offenders == {}
 
 
-def unread_private_names(source: str) -> dict[str, int]:
-    """Every private module-level function, class or constant that the module
-    itself never reads, with its line."""
-    tree = ast.parse(source)
+def module_level_names(source: str) -> dict[str, int]:
+    """Every module-level function, class or constant, with its line."""
     defined = {}
-    for node in tree.body:
+    for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             targets = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -128,10 +126,17 @@ def unread_private_names(source: str) -> dict[str, int]:
                        if isinstance(t, ast.Name)]
         else:
             continue
-        defined.update({name: node.lineno for name in targets if _private(name)})
-    read = {n.id for n in ast.walk(tree)
+        defined.update({name: node.lineno for name in targets})
+    return defined
+
+
+def unread_private_names(source: str) -> dict[str, int]:
+    """Every private module-level function, class or constant that the module
+    itself never reads, with its line."""
+    read = {n.id for n in ast.walk(ast.parse(source))
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-    return {name: line for name, line in defined.items() if name not in read}
+    return {name: line for name, line in module_level_names(source).items()
+            if _private(name) and name not in read}
 
 
 def test_guard_sees_unread_private_names():
@@ -147,3 +152,68 @@ def test_every_private_name_is_read_in_its_module():
     offenders = {path.name: hits for path in sorted(PACKAGE.glob("*.py"))
                  if (hits := unread_private_names(path.read_text(encoding="utf-8")))}
     assert offenders == {}
+
+
+#: public module-level names kept on purpose although no package module
+#: outside __init__ and nothing under perfbench/ reads them
+UNREAD_PUBLIC_ALLOWED = {
+    # the closed-form trace derivative is the reference that tests compare
+    # dtn_trace against on the half-space profile
+    ("core.py", "dtn_exact"),
+}
+
+
+def read_names(source: str) -> set[str]:
+    """Every name a module reads: loaded names and attributes, names it
+    imports, and string constants (the traced benchmark patches functions
+    by their name, `tr.patch(cli, "main", ...)`)."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return read
+
+
+def unread_public_names(modules: dict[str, str], readers: list[str]) -> dict:
+    """Every public name of the given {file name: source} modules that none
+    of the reader sources reads, as {file name: {name: line}}."""
+    read = set().union(*(read_names(src) for src in readers))
+    found = {}
+    for name, source in modules.items():
+        hits = {n: line for n, line in module_level_names(source).items()
+                if not n.startswith("_") and n not in read
+                and (name, n) not in UNREAD_PUBLIC_ALLOWED}
+        if hits:
+            found[name] = hits
+    return found
+
+
+def test_guard_sees_unread_public_names():
+    mod = ("LIMIT = 4\nTAGS: tuple = ()\n_PRIVATE = 1\n"
+           "def used():\n    return 1\n"
+           "def hooked():\n    pass\n"
+           "class Box:\n    pass\n"
+           "def dtn_exact():\n    pass\n")
+    readers = [mod, "from .m import used\nx = m.LIMIT + used()\n",
+               "patch(m, 'hooked')\n"]
+    assert unread_public_names({"m.py": mod}, readers) == {
+        "m.py": {"TAGS": 2, "Box": 8, "dtn_exact": 10}}
+    assert unread_public_names({"core.py": mod}, readers) == {
+        "core.py": {"TAGS": 2, "Box": 8}}
+
+
+def test_every_public_name_is_read_outside_tests():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "__init__.py"}  # re-exports the public names
+    bench = sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
+    assert bench
+    readers = list(sources.values()) + [p.read_text(encoding="utf-8")
+                                        for p in bench]
+    assert unread_public_names(sources, readers) == {}

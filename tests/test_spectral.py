@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from fracseg.core import FracParams, comparison_f
 from fracseg.spectral import (ComparisonProfile, PeriodicGrid1D, comparison_pv,
-                              frac_lap_pv, frac_lap_symbol)
+                              frac_lap_pv, frac_lap_symbol, pv_constant)
 
 S_GRID = (0.25, 0.5, 0.75)
 
@@ -65,13 +65,31 @@ def test_pv_symbol_agreement_band_limited():
         assert np.abs(pv - sym).max() / np.abs(sym).max() < 0.02
 
 
-def test_pv_discontinuity_flag():
-    g = PeriodicGrid1D(n=128)
-    u = np.where(np.abs(g.x) < 1.0, 1.0, 0.0) + 0.01 * np.cos(g.x)
-    res = frac_lap_pv(u, 0.5, grid=g)
-    assert res.discontinuity_warning.any()
-    smooth = frac_lap_pv(np.cos(g.x), 0.5, grid=g)
-    assert not smooth.discontinuity_warning.any()
+def test_pv_constant_is_the_kernel_normalization():
+    # 1/C_{1,s} = int (1 - cos z) / |z|^{1+2s} dz over the line: adaptive
+    # quadrature on [0, 1] (1 - cos z written 2 sin^2(z/2)), the integrable
+    # tail 1/(2s), and the oscillatory tail by the weight='cos' rule
+    for s in S_GRID:
+        near = quad(lambda z: 2.0 * np.sin(0.5 * z) ** 2 * z ** (-1.0 - 2.0 * s),
+                    0.0, 1.0, epsabs=1e-12)[0]
+        tail = quad(lambda z: z ** (-1.0 - 2.0 * s), 1.0, np.inf,
+                    weight="cos", wvar=1.0, epsabs=1e-12)[0]
+        inverse = 2.0 * (near + 0.5 / s - tail)
+        assert abs(pv_constant(s) * inverse - 1.0) <= 1e-9
+
+
+def test_pv_converges_to_the_symbol_at_order_two_minus_two_s():
+    # with the closed-form constant nothing is fitted: the PV error on
+    # cos(2x) falls like dx^{2 - 2s}
+    for s in S_GRID:
+        errs = []
+        for n in (1024, 4096):
+            g = PeriodicGrid1D(n=n)
+            u = np.cos(2.0 * g.x)
+            errs.append(np.abs(frac_lap_pv(u, s, grid=g).values
+                               - frac_lap_symbol(u, s, g)).max())
+        order = math.log(errs[0] / errs[1], 4.0)
+        assert abs(order - (2.0 - 2.0 * s)) <= 0.25
 
 
 def test_pv_input_validation():

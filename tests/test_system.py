@@ -614,15 +614,14 @@ def test_condensed_matches_sparse_path(s, bound):
     condensed = TraceSystem(grid)
     dense = _warm_sweep(prob, betas, condensed)
     sparse = _warm_sweep(prob, betas, _SparseLU(grid))
-    assert condensed.factorizations == 1
     diff = max(np.abs(a.values - b.values).max()
                for fa, fb in zip(dense, sparse) for a, b in zip(fa, fb))
     assert diff <= bound
 
 
 def test_sweep_factors_interior_once(monkeypatch):
-    # the separable engine makes no sparse LU; its setup is the one
-    # factorization of the sweep; patching the shared scipy.sparse.linalg
+    # the separable engine makes no sparse LU, and one TraceSystem (one
+    # set-up) serves every beta; patching the shared scipy.sparse.linalg
     # module counts a spla.splu call from any module
     shapes = []
     splu = spla.splu
@@ -631,11 +630,18 @@ def test_sweep_factors_interior_once(monkeypatch):
         shapes.append(A.shape)
         return splu(A, *args, **kwargs)
 
+    engines = []
+
+    class CountingTraceSystem(TraceSystem):
+        def __init__(self, *args, **kwargs):
+            engines.append(self)
+            super().__init__(*args, **kwargs)
+
     monkeypatch.setattr(spla, "splu", counting_splu)
-    sweep = sweep_beta(make_problem(nx=65, ny=24), [1e2, 1e3, 1e4],
-                       holder_alpha=0.05)
+    monkeypatch.setattr(system_mod, "TraceSystem", CountingTraceSystem)
+    sweep_beta(make_problem(nx=65, ny=24), [1e2, 1e3, 1e4], holder_alpha=0.05)
     assert shapes == []
-    assert sweep.factorizations == 1
+    assert len(engines) == 1
 
 
 def _d1(s, nx, ny, L=1.0, Y=1.0, grading_p=None):
