@@ -16,11 +16,10 @@ from .grid import (BoundaryData, Field, GridConfig, HalfSpaceGrid, assemble_La,
                    interpolate_field, read_snapshot, solve_linear,
                    write_snapshot)
 from .diagnostics import (MonotonicityReport, RadialProfile, acf_one_phase,
-                          acf_perturbed, acf_two_phase, almgren,
-                          holder_seminorm, log_derivative_residual,
+                          almgren, holder_seminorm, log_derivative_residual,
                           monotonicity_check, pohozaev_residual,
                           trace_seminorm)
-from .spectral import (ComparisonProfile, DecayTail, PeriodicGrid1D, PVResult,
+from .spectral import (ComparisonProfile, PeriodicGrid1D, PVResult,
                        comparison_pv, frac_lap_pv, frac_lap_symbol)
 from .sphere import (CapPair, EquatorRegion, HemisphereMesh, lambda1,
                      lambda1_codim1, nu_acf_caps)

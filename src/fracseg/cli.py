@@ -226,12 +226,9 @@ def cmd_sweep(cfg: dict, args) -> RunReport:
     path = _out_path(cfg, args, "sweep.csv")
     atomic_write_text(path, sweep.to_csv())
     report.files.append(path)
-    ov = sweep.column("overlap")
-    report.meta.update(overlaps=list(map(float, ov)),
+    report.meta.update(overlaps=list(map(float, sweep.column("overlap"))),
                        outer_iters=[r.outer_iters for r in sweep.rows],
                        seconds=[r.seconds for r in sweep.rows])
-    report.add("sweep completed", float(ov[-1]), float(ov[0]), True,
-               detail=f"{len(betas)} beta values")
     return report
 
 

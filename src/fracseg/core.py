@@ -13,15 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import beta, betainc
 
-SOLUTION_TAGS = ("vanish_trace", "halfspace", "codim1", "fundamental")
-
-#: homogeneity degree of each named solution, as a function of (s, N)
-_DEGREES = {
-    "vanish_trace": lambda s, N: 2.0 * s,
-    "halfspace": lambda s, N: s,
-    "codim1": lambda s, N: 2.0 * s - 1.0,
-    "fundamental": lambda s, N: 2.0 * s - N,
-}
+SOLUTION_TAGS = ("vanish_trace", "halfspace", "codim1")
 
 
 @dataclass(frozen=True)
@@ -81,7 +73,6 @@ class NamedSolution:
     vanish_trace  y^{2s}                        degree 2s, trace == 0
     halfspace     ((|(x1,y)| + x1)/2)^s         degree s,  trace == 0 on x1 <= 0
     codim1        (x1^2 + y^2)^{(2s-1)/2}       degree 2s-1, needs s > 1/2
-    fundamental   |X|^{2s-N}                    degree 2s-N, needs N > 2s
     """
 
     tag: str
@@ -92,16 +83,10 @@ class NamedSolution:
             raise ValueError(f"unknown solution tag {self.tag!r}")
         if self.tag == "codim1" and self.params.s <= 0.5:
             raise ValueError("codim1 solution requires s > 1/2")
-        if self.tag == "fundamental" and self.params.N <= 2.0 * self.params.s:
-            raise ValueError("fundamental solution requires N > 2s")
-
-    @property
-    def degree(self) -> float:
-        return _DEGREES[self.tag](self.params.s, self.params.N)
 
 
 def _split_point(X):
-    """Split points (..., m) into (x1, y, |X|); y is the last coordinate."""
+    """Split points (..., m) into (x1, y); y is the last coordinate."""
     X = np.asarray(X, dtype=float)
     if X.shape[-1] < 2:
         raise ValueError("points must have at least (x1, y) coordinates")
@@ -109,25 +94,20 @@ def _split_point(X):
     y = X[..., -1]
     if np.any(y < 0):
         raise ValueError("points must lie in the closed upper half-space y >= 0")
-    r = np.sqrt(np.sum(X * X, axis=-1))
-    return x1, y, r
+    return x1, y
 
 
 def eval_solution(sol: NamedSolution, X):
     """Evaluate a named solution at points X of shape (..., m), y last."""
     s = sol.params.s
-    x1, y, r = _split_point(X)
+    x1, y = _split_point(X)
     if sol.tag == "vanish_trace":
         out = y ** (2.0 * s)
     elif sol.tag == "halfspace":
         rho = np.hypot(x1, y)
         out = (0.5 * (rho + x1)) ** s
-    elif sol.tag == "codim1":
+    else:  # codim1
         out = np.hypot(x1, y) ** (2.0 * s - 1.0)
-    else:  # fundamental
-        if np.any(r == 0):
-            raise ValueError("fundamental solution is singular at X = 0")
-        out = r ** (2.0 * s - sol.params.N)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -1,9 +1,9 @@
 """Monotone-quantity diagnostics on half-space fields.
 
 Computes the radially scaled functionals whose monotonicity in r encodes the
-growth of segregation profiles (the one-phase, two-phase and perturbed
-variants), the frequency quotient E/H, the half-ball Pohozaev residual, and
-Hölder seminorms; plus the audit that counts monotonicity violations.
+growth of segregation profiles (the one-phase variants), the frequency
+quotient E/H, the half-ball Pohozaev residual, and Hölder seminorms; plus
+the audit that counts monotonicity violations.
 
 All quadratures are cell-midpoint sums over the grid cells with the same
 cell-averaged y^a weights the assembly uses.  Radial cutoffs are smoothed
@@ -39,7 +39,6 @@ class RadialProfile:
     radii: np.ndarray
     values: np.ndarray
     quantity: str
-    hypothesis_violation: float | None = None
 
 
 @dataclass
@@ -237,10 +236,6 @@ def _as_field_list(fields) -> list[Field]:
     return list(fields)
 
 
-def _trace_scale(fld: Field) -> float:
-    return float(np.max(np.abs(fld.values))) + 1e-300
-
-
 def acf_one_phase(fld: Field, center, radii, variant: str) -> RadialProfile:
     """One-phase scaled kernel energy r^{-exp} int y^a |grad v|^2 K(X).
 
@@ -259,68 +254,7 @@ def acf_one_phase(fld: Field, center, radii, variant: str) -> RadialProfile:
     kern = _kernel_profile(grid, eps=float(np.hypot(grid.dx, grid.y[1])))
     integrand = geo.kernel_energy(fld, kern)
     vals = geo.volume_integral(integrand, radii) / radii ** ACF_EXPONENTS[variant](p.s)
-
-    tr = fld.trace
-    x1 = (grid.x - geo.center[0]).reshape((-1,) + (1,) * (grid.d - 1))
-    if variant == "acf_vanish":
-        mask = np.ones_like(tr, dtype=bool)
-    elif variant == "acf_halfspace":
-        mask = np.broadcast_to(x1 <= 0.0, tr.shape)
-    else:  # codim1: the trace hyperplane x1 = center closest nodes
-        mask = np.broadcast_to(np.abs(x1) <= 0.5 * grid.dx, tr.shape)
-    violation = float(np.max(np.abs(tr[mask]))) / _trace_scale(fld) if mask.any() else 0.0
-    return RadialProfile(geo.center, radii, vals, variant, violation)
-
-
-def acf_two_phase(fields, center, radii, nu: float) -> RadialProfile:
-    """Product of the two one-phase kernel energies, each scaled by r^{-2 nu}."""
-    f1, f2 = _as_field_list(fields)
-    grid = f1.grid
-    geo = _CellGeometry(grid, center)
-    radii = geo.check_radii(radii)
-    kern = _kernel_profile(grid, eps=float(np.hypot(grid.dx, grid.y[1])))
-    prod = np.ones_like(radii, dtype=float)
-    for f in (f1, f2):
-        prod = prod * (geo.volume_integral(geo.kernel_energy(f, kern), radii)
-                       / radii ** (2.0 * nu))
-    overlap = float(np.max(np.abs(f1.trace * f2.trace)))
-    overlap /= _trace_scale(f1) * _trace_scale(f2)
-    return RadialProfile(geo.center, radii, prod, "acf_two_phase", overlap)
-
-
-def acf_perturbed(fields, radii, nu_prime: float, coupling: float) -> RadialProfile:
-    """Perturbed two-phase functional with the epsilon=1 kernel, centered at
-    the origin.
-
-    Each factor is r^{-2 nu'} (volume energy with the regularized kernel plus
-    the trace coupling term int a12 v_i^2 v_j^2 K); defined for radii above
-    the regularization scale, hence the r > 1 use here.  The trace cells are
-    the bottom faces of the volume cells (area dx^d, width sqrt(d) dx),
-    carrying the cell averages of the trace values.
-    """
-    f1, f2 = _as_field_list(fields)
-    grid = f1.grid
-    p = grid.params
-    geo = _CellGeometry(grid, (0.0,) * grid.d)
-    radii = geo.check_radii(radii)
-    ker = RegularizedKernel(eps=1.0, params=p)
-    kvals = ker.profile(geo.R)
-
-    tR = np.sqrt(sum(o[..., 0] ** 2 for o in geo.off))
-    tarea = grid.dx ** grid.d
-    twidth = np.sqrt(grid.d) * grid.dx
-    tvals = [_pair_mean(f.trace, range(grid.d)) for f in (f1, f2)]
-    tker = ker.profile(tR)
-    couple = coupling * tvals[0] ** 2 * tvals[1] ** 2 * tker * tarea
-    ramp = np.array([
-        float(np.sum(couple * np.clip((r - tR) / twidth + 0.5, 0.0, 1.0)))
-        for r in radii])
-
-    prod = np.ones_like(radii, dtype=float)
-    for f in (f1, f2):
-        vol = geo.volume_integral(geo.energy_density(f) * kvals, radii)
-        prod = prod * ((vol + ramp) / radii ** (2.0 * nu_prime))
-    return RadialProfile(geo.center, radii, prod, "acf_perturbed")
+    return RadialProfile(geo.center, radii, vals, variant)
 
 
 class AlmgrenProfiles(NamedTuple):

@@ -199,11 +199,11 @@ class Field:
         return Field(self.grid, self.values.copy(), self.component)
 
 
-def field_from_function(grid: HalfSpaceGrid, fn, component: int = 0) -> Field:
+def field_from_function(grid: HalfSpaceGrid, fn) -> Field:
     """Sample fn(x1[, x2], y) on the grid nodes (broadcasting arrays)."""
     coords = grid_coordinates(grid)
     vals = np.broadcast_to(np.asarray(fn(*coords), dtype=float), grid.shape)
-    return Field(grid, vals.copy(), component)
+    return Field(grid, vals.copy())
 
 
 def grid_coordinates(grid: HalfSpaceGrid):

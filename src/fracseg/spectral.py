@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,16 +52,6 @@ class PeriodicGrid1D:
 
 class PVResult(NamedTuple):
     values: np.ndarray  # the only field; perfbench/workloads.py reads .values
-
-
-class DecayTail(NamedTuple):
-    """Far-field model u(xi) ~ limit + coef * |xi|^exponent on each side."""
-
-    left_limit: float
-    right_limit: float
-    left_coef: float
-    right_coef: float
-    exponent: float
 
 
 def frac_lap_symbol(u, s: float, grid: PeriodicGrid1D) -> np.ndarray:
@@ -135,12 +125,41 @@ def frac_lap_pv(u, s: float, grid: PeriodicGrid1D) -> PVResult:
     return PVResult(pv_constant(s) * _pv_periodic_raw(u, s, grid))
 
 
+# --------------------------------------------------------------------------
+# comparison profile (the PV operand of the decay estimate)
+# --------------------------------------------------------------------------
+
 #: where the geometric far-field mesh of the line PV quadrature ends
 _FAR_CUT = 1.0e8
 
 
-def _pv_line(u: Callable, s: float, x: np.ndarray, tail: DecayTail,
-             h: float, pad: float) -> PVResult:
+class ComparisonProfile:
+    """The comparison function, with the coefficient of its far field: the
+    profile approaches 0 on the left and 1 on the right by
+    tail_coef * |xi|^{a-1}.
+
+    Evaluates the closed form `comparison_f` (an incomplete Beta function).
+    """
+
+    def __init__(self, params: FracParams):
+        self.params = params
+        a = params.a
+        self.tail_coef = 1.0 / ((1.0 - a) * comparison_mass(a))
+
+    def __call__(self, x):
+        return comparison_f(x, self.params)
+
+
+def comparison_pv(params: FracParams, x, h: float = 0.02, pad: float = 50.0):
+    """(-Delta)^s of the comparison profile at the points x.
+
+    Line PV quadrature: the profile is sampled on a uniform lattice of
+    spacing h covering x plus a pad, and its far field beyond the lattice is
+    integrated through the limits 0 and 1 and the tail terms
+    -+tail_coef |xi|^{a-1} of `ComparisonProfile`.
+    """
+    profile = ComparisonProfile(params)
+    s, x = params.s, np.asarray(x, dtype=float)
     # lattice anchored at 0 so every (snapped) evaluation point is a node;
     # it always covers [-pad, pad], where the far-field model is not yet valid
     jx = np.rint(x / h).astype(np.int64)
@@ -148,7 +167,7 @@ def _pv_line(u: Callable, s: float, x: np.ndarray, tail: DecayTail,
     jlo = min(int(jx.min()) - jpad, -jpad)
     jhi = max(int(jx.max()) + jpad, jpad)
     nodes = h * np.arange(jlo, jhi + 1)
-    uval = np.asarray(u(nodes), dtype=float)
+    uval = np.asarray(profile(nodes), dtype=float)
     ix = jx - jlo
 
     # exact kernel integrals over every lattice cell, per evaluation point
@@ -164,55 +183,21 @@ def _pv_line(u: Callable, s: float, x: np.ndarray, tail: DecayTail,
     upp = (uval[ix + 1] - 2.0 * ucenter + uval[ix - 1]) / h ** 2
     vals -= upp * ((_EXCISE_CELLS + 0.5) * h) ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
 
-    # far field: constants analytically, the power part on a geometric mesh
+    # far field: the limits 1 (right) and 0 (left) analytically, the power
+    # part on a geometric mesh
     lo_edge = nodes[0] - 0.5 * h
     hi_edge = nodes[-1] + 0.5 * h
     xc = h * jx
-    vals += (ucenter - tail.right_limit) * (hi_edge - xc) ** (-2.0 * s) / (2.0 * s)
-    vals += (ucenter - tail.left_limit) * (xc - lo_edge) ** (-2.0 * s) / (2.0 * s)
-    for sign, coef, edge in ((+1, tail.right_coef, hi_edge),
-                             (-1, tail.left_coef, lo_edge)):
+    vals += (ucenter - 1.0) * (hi_edge - xc) ** (-2.0 * s) / (2.0 * s)
+    vals += ucenter * (xc - lo_edge) ** (-2.0 * s) / (2.0 * s)
+    for sign, coef, edge in ((+1, -profile.tail_coef, hi_edge),
+                             (-1, profile.tail_coef, lo_edge)):
         start = abs(edge)
         m = int(math.ceil(math.log(_FAR_CUT / start) / math.log(1.05)))
         g = start * 1.05 ** np.arange(m + 1)
         mid = np.sqrt(g[:-1] * g[1:])
         dg = np.diff(g)
-        power = coef * mid ** tail.exponent
+        power = coef * mid ** (params.a - 1.0)
         dist = np.abs(sign * mid[None, :] - xc[:, None])
         vals -= (dist ** (-1.0 - 2.0 * s) * power[None, :]) @ dg
     return PVResult(pv_constant(s) * vals)
-
-
-# --------------------------------------------------------------------------
-# comparison profile (the PV operand of the decay estimate)
-# --------------------------------------------------------------------------
-
-class ComparisonProfile:
-    """The comparison function with its far-field model.
-
-    Evaluates the closed form `comparison_f` (an incomplete Beta function);
-    `tail` is the DecayTail consumed by comparison_pv.
-    """
-
-    def __init__(self, params: FracParams):
-        self.params = params
-        a = params.a
-        coef = 1.0 / ((1.0 - a) * comparison_mass(a))
-        self.tail = DecayTail(left_limit=0.0, right_limit=1.0,
-                              left_coef=coef, right_coef=-coef,
-                              exponent=a - 1.0)
-
-    def __call__(self, x):
-        return comparison_f(x, self.params)
-
-
-def comparison_pv(params: FracParams, x, h: float = 0.02, pad: float = 50.0):
-    """(-Delta)^s of the comparison profile at the points x.
-
-    Line PV quadrature: the profile is sampled on a uniform lattice of
-    spacing h covering x plus a pad, and its far field is integrated
-    through its DecayTail (`ComparisonProfile.tail`).
-    """
-    profile = ComparisonProfile(params)
-    return _pv_line(profile, params.s, np.asarray(x, dtype=float),
-                    profile.tail, h, pad)

@@ -12,7 +12,8 @@ system reads F_i(t) = S t_i - c_i + area (beta t_i sum_j a_ij t_j^2 - f_i(t_i))
 For every k the solver takes damped Newton steps on E (Armijo backtracking
 on E itself); a Gauss-Seidel sweep, in which every component solves its
 linear extension problem with the absorption m = beta sum_j a_ij t_j^2 of
-the other components frozen and the reaction lagged, is the fallback step.
+the other components frozen and the reaction lagged (`Reaction.split`), is
+the fallback step.
 Sweeping the coupling strength beta with warm starts produces the segregation
 data: trace overlaps, sup norms and Hölder seminorms per beta.
 """
@@ -71,6 +72,17 @@ class Reaction:
         if self.kind == "linear":
             return np.full_like(u, self.lam)
         return self.lam * (1.0 - 2.0 * u)
+
+    def split(self, u: np.ndarray) -> tuple:
+        """(absorption, source) for the fallback sweep's f ~ source -
+        absorption * u_new.  Logistic with lam > 0 lags -lam u^2 as the
+        absorption lam u+ with the source lam u+, u+ = max(u, 0), so every
+        sweep is an M-matrix solve with nonnegative data (positive-part
+        splitting); every other reaction is the source f(u)."""
+        if self.kind == "logistic" and self.lam > 0:
+            pos = self.lam * np.maximum(u, 0.0)
+            return pos, pos
+        return np.zeros_like(u), self(u)
 
     def primitive_change(self, u: np.ndarray, du: np.ndarray) -> np.ndarray:
         """Phi(u + du) - Phi(u) for the primitive Phi of f, in a form that
@@ -186,13 +198,17 @@ def _one_blas_thread():
 def _gauss_seidel(engine, prob, loads, X, unpack):
     """One Gauss-Seidel sweep (ascending component index) over the free
     trace values X, in place: per component one checked trace_solve with the
-    others' absorption frozen and the reaction lagged.  Returns the max
-    change."""
+    others' absorption frozen and the reaction lagged through its split.
+    Returns the max change; raises ConvergenceError when the lagged data are
+    no longer finite (the iterates diverged)."""
     free, change = engine.free_nodes(), 0.0
     for i in range(prob.k):
-        m = prob.beta * (prob.coupling[i] @ X ** 2)
-        new = engine.trace_solve(loads[i], unpack(m),
-                                 unpack(prob.reactions[i](X[i])))[free].ravel()
+        absorb, source = prob.reactions[i].split(X[i])
+        m = prob.beta * (prob.coupling[i] @ X ** 2) + absorb
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(source))):
+            raise ConvergenceError("fallback sweep diverged: its lagged data "
+                                   "are not finite", residual=float("inf"))
+        new = engine.trace_solve(loads[i], unpack(m), unpack(source))[free].ravel()
         change = max(change, float(np.abs(new - X[i]).max()))
         X[i] = new
     return change
@@ -249,7 +265,8 @@ def solve_system(prob: CompetitionProblem, warm_start=None,
     absorption only adds to the M-matrix diagonal).  Raises ConvergenceError
     with the per-step history (Newton correction or sweep change) when
     MAX_OUTER steps do not converge, when a step fails (the history then
-    ends with the failed step's residual) or when a field fails its gate.
+    ends with the failed step's residual, inf for a diverged fallback
+    sweep) or when a field fails its gate.
     engine, the linear engine of the same grid and walls, carries its
     factorization over from an earlier solve (sweep_beta passes one).
     """
@@ -279,7 +296,8 @@ def solve_system(prob: CompetitionProblem, warm_start=None,
 
     c = np.array([load[3] for load in loads])
     history = []
-    with _one_blas_thread():
+    # a diverging fallback sweep overflows before it is caught
+    with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         for outer in range(1, MAX_OUTER + 1):
             try:
                 step = _newton_step(engine, prob, X, c)

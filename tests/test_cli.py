@@ -332,7 +332,9 @@ def test_sweep_json_reports_per_beta_solver_data(tmp_path, capsys):
     path = write_config(tmp_path, tiny_config())
     out = os.path.join(tmp_path, "sj")
     assert cli.main(["sweep", "--config", path, "--out", out, "--json"]) == 0
-    meta = json.loads(capsys.readouterr().out)["meta"]
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"] == []  # a sweep that ran has nothing to fail
+    meta = report["meta"]
     assert len(meta["outer_iters"]) == len(meta["seconds"]) == 2
     assert all(n >= 1 for n in meta["outer_iters"])
     assert all(t > 0 for t in meta["seconds"])
@@ -531,3 +533,41 @@ def test_documented_example_config(tmp_path):
     assert fields[0].values.max() == pytest.approx(1.0, abs=1e-9)
     assert fields[0].trace.max() == pytest.approx(0.09957, rel=1e-3)
     assert fields[1].trace.max() == pytest.approx(0.09957, rel=1e-3)
+
+
+def _example_with_reaction(tmp_path, kind):
+    """The shipped config at beta = 10 with the reaction kind at lam = 5 on
+    both species."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(repo, "examples_config", "two_species.json")) as fh:
+        cfg = json.load(fh)
+    cfg["problem"]["beta"] = 10.0
+    cfg["problem"]["reactions"] = [{"kind": kind, "lam": 5.0}] * 2
+    return write_config(tmp_path, cfg)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_strong_logistic_fallback_sweeps_converge(tmp_path, capsys):
+    # lam = 5 lies above the DtN's first eigenvalue, so the Hessian at the
+    # zero start is indefinite and the first steps are fallback sweeps;
+    # lagging -lam u^2 as absorption keeps each an M-matrix solve
+    path = _example_with_reaction(tmp_path, "logistic")
+    out = os.path.join(tmp_path, "lg")
+    assert cli.main(["solve", "--config", path, "--out", out, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"][0]["passed"]
+    assert report["meta"]["outer_iters"] < 50
+    assert all(0.0 < v <= 1.0 for v in report["meta"]["sup_norms"])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverging_fallback_sweeps_exit_3_with_one_line(tmp_path, capsys):
+    # linear lam = 5 has no bounded steady state here: the sweeps grow until
+    # the lagged data overflow, which is reported as a divergence, with no
+    # numpy warning before it
+    path = _example_with_reaction(tmp_path, "linear")
+    out = os.path.join(tmp_path, "ln")
+    assert cli.main(["solve", "--config", path, "--out", out]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "fallback sweep diverged" in err[0]

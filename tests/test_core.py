@@ -136,25 +136,20 @@ def test_named_solution_values():
 def test_named_solution_homogeneity():
     rng = np.random.default_rng(5)
     pts = np.abs(rng.standard_normal((40, 2))) + 0.1
-    for s, tag, N in ((0.25, "vanish_trace", 1), (0.5, "halfspace", 1),
-                      (0.75, "codim1", 1), (0.3, "fundamental", 2)):
-        sol = NamedSolution(tag, FracParams(s=s, N=N))
+    for s, tag in ((0.25, "vanish_trace"), (0.5, "halfspace"), (0.75, "codim1")):
+        degree = {"vanish_trace": 2 * s, "halfspace": s, "codim1": 2 * s - 1}[tag]
+        sol = NamedSolution(tag, FracParams(s=s, N=1))
         base = eval_solution(sol, pts)
         for lam in (0.5, 2.0, 3.0):
             scaled = eval_solution(sol, lam * pts)
-            assert np.allclose(scaled, lam ** sol.degree * base, rtol=1e-12)
+            assert np.allclose(scaled, lam ** degree * base, rtol=1e-12)
 
 
 def test_named_solution_validation():
     with pytest.raises(ValueError):
         NamedSolution("codim1", FracParams(s=0.5, N=2))
     with pytest.raises(ValueError):
-        NamedSolution("fundamental", FracParams(s=0.75, N=1))
-    with pytest.raises(ValueError):
         NamedSolution("nope", FracParams(s=0.5, N=1))
-    fund = NamedSolution("fundamental", FracParams(s=0.3, N=2))
-    with pytest.raises(ValueError):
-        eval_solution(fund, np.zeros(3))
 
 
 def test_dtn_exact():

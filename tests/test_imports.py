@@ -217,3 +217,67 @@ def test_every_public_name_is_read_outside_tests():
     readers = list(sources.values()) + [p.read_text(encoding="utf-8")
                                         for p in bench]
     assert unread_public_names(sources, readers) == {}
+
+
+def class_members(source: str) -> dict[str, int]:
+    """Every public method, property and annotated field of the module-level
+    classes, as {"Class.member": line}."""
+    found = {}
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = item.name
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                name = item.target.id
+            else:
+                continue
+            if not name.startswith("_"):
+                found[f"{node.name}.{name}"] = item.lineno
+    return found
+
+
+def read_member_names(source: str) -> set[str]:
+    """read_names plus every keyword argument name: a field set by keyword
+    at construction is in use."""
+    return read_names(source) | {n.arg for n in ast.walk(ast.parse(source))
+                                 if isinstance(n, ast.keyword) and n.arg}
+
+
+def unread_class_members(modules: dict[str, str], readers: list[str]) -> dict:
+    """Every public class member of the given {file name: source} modules
+    whose name none of the reader sources reads, as {file name: {member: line}}."""
+    read = set().union(*(read_member_names(src) for src in readers))
+    found = {}
+    for name, source in modules.items():
+        hits = {m: line for m, line in class_members(source).items()
+                if m.split(".", 1)[1] not in read}
+        if hits:
+            found[name] = hits
+    return found
+
+
+def test_guard_sees_unread_class_members():
+    mod = ("class A:\n    x: int = 0\n    y: float = 1.0\n    _p: int = 2\n"
+           "    z = 3\n"
+           "    def used(self):\n        return self.x\n"
+           "    @property\n    def prop(self):\n        return 1\n"
+           "    def hooked(self):\n        pass\n"
+           "    def __call__(self):\n        pass\n"
+           "class B:\n    w: int\n")
+    readers = [mod, "A(y=2.0).used()\n", "patch(A, 'hooked')\n"]
+    assert unread_class_members({"m.py": mod}, readers) == {
+        "m.py": {"A.prop": 9, "B.w": 16}}
+    assert unread_class_members({"m.py": mod}, readers + ["b.w + a.prop\n"]) == {}
+
+
+def test_every_class_member_is_read_outside_tests():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "__init__.py"}
+    bench = sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
+    assert bench and any(class_members(src) for src in sources.values())
+    readers = list(sources.values()) + [p.read_text(encoding="utf-8")
+                                        for p in bench]
+    assert unread_class_members(sources, readers) == {}

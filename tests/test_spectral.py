@@ -121,13 +121,13 @@ def test_comparison_profile_is_comparison_f():
 
 
 def test_comparison_left_tail_matches_decay_tail():
-    # the DecayTail that comparison_pv integrates beyond its lattice is the
-    # leading term of the profile's left tail
+    # the far-field term tail_coef |x|^{a-1} that comparison_pv integrates
+    # beyond its lattice is the leading term of the profile's left tail
     x = -np.geomspace(1e4, 1e14, 50)
     for s in S_GRID:
         p = FracParams(s=s, N=1)
         prof = ComparisonProfile(p)
-        model = prof.tail.left_coef * np.abs(x) ** prof.tail.exponent
+        model = prof.tail_coef * np.abs(x) ** (p.a - 1.0)
         assert np.abs(prof(x) / model - 1.0).max() < 1e-7
 
 
