@@ -197,6 +197,8 @@ class _CellGeometry:
         radii = np.asarray(radii, dtype=float)
         if radii.ndim != 1 or radii.size < 1:
             raise ValueError("radii must be a one-dimensional list")
+        if not np.all(radii > 0):
+            raise ValueError("radii must be positive")
         if np.any(np.diff(radii) <= 0):
             raise ValueError("radii must be strictly increasing")
         rmax = self.max_radius()
@@ -205,15 +207,35 @@ class _CellGeometry:
         return radii
 
     def volume_integral(self, weighted: np.ndarray, radii: np.ndarray) -> np.ndarray:
-        """Integral over B_r of an already y^a-weighted cell density.
+        """Integral over B_r of an already y^a-weighted cell density, every
+        radius in one pass.
 
-        The ramp vanishes on cells with R - width >= r, so the sums run over
-        the cells inside the largest radius only.
+        The ramp vanishes on cells with R - width >= r and is exactly 1 on
+        cells with R + width <= r.  So each cell adds its whole mass to every
+        radius from the first at or beyond R + width on (one cumulative
+        bincount gives these inside sums for all radii), and only the band
+        pairs, a radius in (R - width, R + width), go through the ramp.  The
+        radii may come in any order; the values follow it.
         """
-        near = self.R - self.width < np.max(radii)
+        radii = np.asarray(radii, dtype=float)
+        order = np.argsort(radii)
+        rs = radii[order]
+        near = self.R - self.width < rs[-1]
         base = (weighted * self.vol)[near]
         R, width = self.R[near], self.width[near]
-        return np.array([float(np.sum(base * self._ramp(r, R, width))) for r in radii])
+        first = np.searchsorted(rs, R + width)
+        out = np.cumsum(np.bincount(first, weights=base, minlength=rs.size + 1))
+        # one (cell, radius) pair for each band radius lo <= k < first of a cell
+        lo = np.searchsorted(rs, R - width, side="right")
+        count = first - lo
+        cell = np.repeat(np.arange(base.size), count)
+        k = lo[cell] + np.arange(cell.size) - np.repeat(np.cumsum(count) - count, count)
+        out = out[:rs.size] + np.bincount(
+            k, weights=base[cell] * self._ramp(rs[k], R[cell], width[cell]),
+            minlength=rs.size)
+        vals = np.empty_like(out)
+        vals[order] = out
+        return vals
 
     def surface_integral(self, weighted: np.ndarray, radii: np.ndarray) -> np.ndarray:
         """Shell average over the sphere of radius r (one-cell hat kernel)."""

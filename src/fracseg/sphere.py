@@ -200,6 +200,28 @@ class HemisphereMesh:
         mass[0] *= self.nphi
         return g_theta, g_phi, mass
 
+    @cached_property
+    def stiffness(self) -> sps.csr_matrix:
+        """Stiffness of the weighted hemisphere (N = 2) on all mesh nodes,
+        built once per mesh and shared by every region solved on it.
+
+        Node 0 is the pole, ring i occupies nodes 1 + (i - 1) nphi + j.
+        """
+        g_theta, g_phi, _ = self.rings
+        nt, nph = self.ntheta, self.nphi
+        ring = 1 + np.arange(nt * nph).reshape(nt, nph)
+        p = np.concatenate((np.zeros(nph, dtype=ring.dtype), ring[:-1].ravel(),
+                            ring.ravel()))
+        q = np.concatenate((ring[0], ring[1:].ravel(),
+                            np.roll(ring, -1, axis=1).ravel()))
+        g = np.concatenate((np.full(nph, g_theta[0]), np.repeat(g_theta[1:], nph),
+                            np.repeat(g_phi, nph)))
+        n = 1 + nt * nph
+        K = sps.coo_matrix((np.concatenate((-g, -g)),
+                            (np.concatenate((p, q)), np.concatenate((q, p)))),
+                           shape=(n, n)).tocsr()
+        return (K - sps.diags(np.asarray(K.sum(axis=1)).ravel())).tocsr()
+
 
 def _half_circle_forms(mesh: HemisphereMesh):
     """Edge conductances and lumped node masses of the weighted half-circle."""
@@ -245,26 +267,6 @@ def _node_mass(mesh: HemisphereMesh) -> np.ndarray:
     return np.concatenate((mass[:1], np.repeat(mass[1:], mesh.nphi)))
 
 
-def _stiffness(mesh: HemisphereMesh) -> sps.csr_matrix:
-    """Stiffness of the weighted hemisphere (N = 2) on all mesh nodes.
-
-    Node 0 is the pole, ring i occupies nodes 1 + (i - 1) nphi + j.
-    """
-    g_theta, g_phi, _ = mesh.rings
-    nt, nph = mesh.ntheta, mesh.nphi
-    ring = 1 + np.arange(nt * nph).reshape(nt, nph)
-    p = np.concatenate((np.zeros(nph, dtype=ring.dtype), ring[:-1].ravel(),
-                        ring.ravel()))
-    q = np.concatenate((ring[0], ring[1:].ravel(), np.roll(ring, -1, axis=1).ravel()))
-    g = np.concatenate((np.full(nph, g_theta[0]), np.repeat(g_theta[1:], nph),
-                        np.repeat(g_phi, nph)))
-    n = 1 + nt * nph
-    K = sps.coo_matrix((np.concatenate((-g, -g)),
-                        (np.concatenate((p, q)), np.concatenate((q, p)))),
-                       shape=(n, n)).tocsr()
-    return (K - sps.diags(np.asarray(K.sum(axis=1)).ravel())).tocsr()
-
-
 class _HemisphereSolver:
     """x = (K - sigma M)_ff^-1 b on the free nodes of an N = 2 mesh.
 
@@ -289,7 +291,7 @@ class _HemisphereSolver:
         nt, nph = mesh.ntheta, mesh.nphi
         self.free = np.ones(1 + nt * nph, dtype=bool)
         self.free[-nph:] = free_eq
-        self.K = _stiffness(mesh)[self.free][:, self.free]
+        self.K = mesh.stiffness[self.free][:, self.free]
         self.M = sps.diags(_node_mass(mesh)[self.free]).tocsr()
         self.sigma = sigma = -1e-8 * float(self.K.diagonal().mean())
         lam = 4.0 * np.sin(math.pi * np.arange(nph // 2 + 1) / nph) ** 2
@@ -341,16 +343,21 @@ class _HemisphereSolver:
         return x
 
 
-#: ARPACK tolerance and iteration cap of the N = 2 eigen-iteration
+#: ARPACK tolerance, iteration cap and Lanczos basis size of the N = 2
+#: eigen-iteration.  ARPACK fills the whole basis before its first
+#: convergence test, so its default of 20 vectors for one eigenpair costs 21
+#: shift-invert solves per eigenvalue; 6 vectors converge in 7 to 13.
 _ARPACK_TOL = 1e-9
 _ARPACK_MAXITER = 2000
+_ARPACK_NCV = 6
 
 
 def _lowest_pair(mesh: HemisphereMesh, free_eq: np.ndarray):
     """Smallest eigenpair of the N = 2 pencil, u = 0 on the equator outside
-    free_eq: shift-invert Lanczos (ARPACK) from a deterministic start vector,
-    with the inverse applied by a _HemisphereSolver.  Returns the eigenvalue
-    and the eigenvector on all mesh nodes.
+    free_eq: shift-invert Lanczos (ARPACK) on a basis of _ARPACK_NCV vectors
+    from a deterministic start vector, with the inverse applied by a
+    _HemisphereSolver.  Returns the eigenvalue and the eigenvector on all
+    mesh nodes.
     """
     pencil = _HemisphereSolver(mesh, free_eq)
     K = pencil.K
@@ -358,8 +365,8 @@ def _lowest_pair(mesh: HemisphereMesh, free_eq: np.ndarray):
     try:
         vals, vecs = spla.eigsh(K, k=1, M=pencil.M, sigma=pencil.sigma,
                                 which="LM", v0=np.ones(K.shape[0]),
-                                tol=_ARPACK_TOL, maxiter=_ARPACK_MAXITER,
-                                OPinv=OPinv)
+                                ncv=_ARPACK_NCV, tol=_ARPACK_TOL,
+                                maxiter=_ARPACK_MAXITER, OPinv=OPinv)
     except spla.ArpackNoConvergence as exc:  # pragma: no cover
         raise ConvergenceError("eigen-iteration did not converge",
                                iterations=_ARPACK_MAXITER) from exc
@@ -373,7 +380,8 @@ def lambda1(mesh: HemisphereMesh, omega: EquatorRegion):
 
     Returns (eigenvalue, eigenfunction on all mesh nodes); the eigenfunction
     is normalized sign-definite, first nonzero entry positive.  The N = 2
-    iteration is ARPACK's (tolerance _ARPACK_TOL); the N = 1 solve is direct.
+    iteration is ARPACK's (tolerance _ARPACK_TOL, a Lanczos basis of
+    _ARPACK_NCV vectors); the N = 1 solve is direct.
     """
     if mesh.params.N == 1:
         lam, vec = _half_circle_pair(
@@ -422,14 +430,13 @@ def nu_acf_caps(mesh: HemisphereMesh, radii_grid=None) -> CapScanResult:
     if radii_grid is None:
         radii_grid = np.linspace(0.0, math.pi, 9)
     radii_grid = np.asarray(radii_grid, dtype=float)
-    lam_cache: dict[float, float] = {}
+    pair_cache: dict[float, tuple] = {}
 
-    def lam_of(t: float) -> float:
+    def pair_of(t: float) -> tuple:
         key = round(float(t), 12)
-        if key not in lam_cache:
-            region = EquatorRegion.cap(0.0, t)
-            lam_cache[key], _ = lambda1(mesh, region)
-        return lam_cache[key]
+        if key not in pair_cache:
+            pair_cache[key] = lambda1(mesh, EquatorRegion.cap(0.0, t))
+        return pair_cache[key]
 
     table = []
     best = (math.inf, None)
@@ -437,21 +444,25 @@ def nu_acf_caps(mesh: HemisphereMesh, radii_grid=None) -> CapScanResult:
         for t2 in radii_grid:
             if t1 > t2 or t1 + t2 > math.pi + 1e-12:
                 continue
-            l1, l2 = lam_of(t1), lam_of(t2)
+            l1, l2 = pair_of(t1)[0], pair_of(t2)[0]
             g1, g2 = gamma_map(l1, p), gamma_map(l2, p)
             mean = 0.5 * (g1 + g2)
             table.append((float(t1), float(t2), l1, l2, g1, g2, mean))
             if mean < best[0]:
                 best = (mean, CapPair(float(t1), float(t2)))
-    overlap = _support_overlap(mesh, best[1])
+    overlap = _support_overlap(mesh, best[1], pair_of(best[1].t1)[1])
     return CapScanResult(s=p.s, nu_hat=best[0], argmin=best[1], table=table,
                          support_overlap=overlap)
 
 
-def _support_overlap(mesh: HemisphereMesh, pair: CapPair) -> float:
-    """Mass-weighted overlap of the optimal eigenfunction pair's supports."""
+def _support_overlap(mesh: HemisphereMesh, pair: CapPair, u1: np.ndarray) -> float:
+    """Mass-weighted overlap of the optimal eigenfunction pair's supports.
+
+    u1 is the scan's eigenfunction of cap(0, t1).  The cap about pi is
+    solved anew: it is not the rotation of the scan's cap(0, t2), since a
+    rotation may round its boundary nodes, which are ties, differently.
+    """
     m = _node_mass(mesh)
-    _, u1 = lambda1(mesh, EquatorRegion.cap(0.0, pair.t1))
     _, u2 = lambda1(mesh, EquatorRegion.cap(math.pi, pair.t2))
     a1, a2 = np.abs(u1), np.abs(u2)
     both = float(np.sum(m * a1 * a2))

@@ -105,19 +105,42 @@ def test_quadrature_translation_invariance():
 
 
 def test_volume_integral_matches_full_grid_sum():
-    # the quadrature sums only the cells inside the largest radius; the
-    # full-grid sum of the same ramp is the reference, equal up to the
-    # order of summation
+    # the one-pass quadrature (inside sums by cumulative bincount, the ramp
+    # on band cells only) against the full-grid sum of the same ramp, equal
+    # up to the order of summation.  The radii come unsorted, closer than a
+    # cell diagonal (several in one cell's band), on the band edges
+    # R +- width of a cell, and single; graded layers (grading_p = 2, the
+    # default at s = 1/2) give every row its own width
     rng = np.random.default_rng(3)
+    graded = build_grid(GridConfig(d=1, L=0.8, Y=0.8, nx=65, ny=64, grading_p=2.0),
+                        FracParams(s=0.5, N=1))
     for g, center in ((diag_grid(0.5, nx=128), (0.1,)),
                       (build_grid(GridConfig(d=2, L=0.8, Y=0.8, nx=17, ny=16),
-                                  FracParams(s=0.5, N=2)), (0.0, 0.1))):
+                                  FracParams(s=0.5, N=2)), (0.0, 0.1)),
+                      (graded, (0.05,))):
         geo = _CellGeometry(g, center)
         w = rng.random(geo.R.shape)
-        radii = np.array([0.45, 0.1, 0.3])
-        ref = [np.sum(w * geo.vol * geo._ramp(r, geo.R, geo.width)) for r in radii]
-        got = geo.volume_integral(w, radii)
-        assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+        step = 0.25 * float(geo.width.min())
+        cell = np.unravel_index(np.argmin(np.abs(geo.R - 0.4)), geo.R.shape)
+        for radii in ([0.45, 0.1, 0.3], 0.3 + step * np.array([3, 0, 5, 1, 4, 2]),
+                      [geo.R[cell] + geo.width[cell], geo.R[cell] - geo.width[cell]],
+                      [0.37]):
+            ref = [np.sum(w * geo.vol * geo._ramp(r, geo.R, geo.width)) for r in radii]
+            got = geo.volume_integral(w, np.array(radii))
+            assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+    assert np.ptp(geo.width) > 0.0  # the graded grid's rows differ in width
+
+
+def test_radii_must_be_positive():
+    g = diag_grid(0.5, nx=64)
+    fld = field_from_function(g, lambda x, y: x + y)
+    for radii in ([-0.1, 0.1, 0.2], [0.0, 0.1, 0.2]):
+        with pytest.raises(ValueError, match="radii must be positive"):
+            acf_one_phase(fld, (0.0,), radii, "acf_vanish")
+        with pytest.raises(ValueError, match="radii must be positive"):
+            almgren(fld, (0.0,), radii)
+        with pytest.raises(ValueError, match="radii must be positive"):
+            pohozaev_residual(fld, (0.0,), radii[0])
 
 
 def test_pohozaev_residuals():

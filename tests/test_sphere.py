@@ -192,7 +192,9 @@ def test_nu_scan_deterministic_table():
 
 def _sparse_lu_lambda1(mesh, free_eq):
     """Reference: the pencil assembled edge by edge from the ring
-    coefficients and shift-inverted through one sparse LU."""
+    coefficients and shift-inverted through one sparse LU on ARPACK's
+    default basis.  Returns the eigenvalue and the M-normalized eigenvector
+    on all mesh nodes."""
     g_theta, g_phi, mass = mesh.rings
     nt, nph = mesh.ntheta, mesh.nphi
     n = 1 + nt * nph
@@ -218,10 +220,21 @@ def _sparse_lu_lambda1(mesh, free_eq):
     sigma = -1e-8 * float(Kf.diagonal().mean())
     lu = spla.splu((Kf - sigma * Mf).tocsc())
     OPinv = spla.LinearOperator(Kf.shape, matvec=lu.solve, dtype=float)
-    vals = spla.eigsh(Kf, k=1, M=Mf, sigma=sigma, which="LM",
-                      v0=np.ones(Kf.shape[0]), tol=1e-9, OPinv=OPinv,
-                      return_eigenvectors=False)
-    return max(float(vals[0]), 0.0)
+    vals, vecs = spla.eigsh(Kf, k=1, M=Mf, sigma=sigma, which="LM",
+                            v0=np.ones(Kf.shape[0]), tol=1e-9, OPinv=OPinv)
+    vec = np.zeros(n)
+    vec[free] = vecs[:, 0]
+    return max(float(vals[0]), 0.0), vec
+
+
+def _mass_distance(mesh, u, v):
+    """Mass-norm distance of u and v after scaling each to unit mass norm
+    and aligning their signs."""
+    m = sphere._node_mass(mesh)
+    u = u / math.sqrt(np.sum(m * u * u))
+    v = v / math.sqrt(np.sum(m * v * v))
+    v = v if np.sum(m * u * v) >= 0 else -v
+    return math.sqrt(np.sum(m * (u - v) ** 2))
 
 
 @pytest.mark.parametrize("s", S_GRID)
@@ -231,16 +244,46 @@ def test_hemisphere_engine_matches_sparse_lu(s):
         regions = {"empty": EquatorRegion.empty(2), "half": EquatorRegion.half(2),
                    "cap": EquatorRegion.cap(0.4, 1.1), "full": EquatorRegion.full(2)}
         for name, region in regions.items():
-            lam, _ = lambda1(mesh, region)
-            ref = _sparse_lu_lambda1(mesh, region.contains(mesh.phi))
+            lam, vec = lambda1(mesh, region)
+            ref, ref_vec = _sparse_lu_lambda1(mesh, region.contains(mesh.phi))
             if name == "full":
                 assert abs(lam - ref) <= 1e-10
             else:
                 assert lam == pytest.approx(ref, rel=1e-10, abs=0.0)
+            assert _mass_distance(mesh, vec, ref_vec) <= 1e-8
         free_eq = np.ones(nph, dtype=bool)
         free_eq[[nph // 4, 3 * nph // 4]] = False  # the nodes at phi = pi/2, 3pi/2
-        ref = _sparse_lu_lambda1(mesh, free_eq)
+        ref, _ = _sparse_lu_lambda1(mesh, free_eq)
         assert lambda1_codim1(mesh) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+def test_lanczos_basis_sized_for_one_eigenpair(monkeypatch):
+    # ARPACK fills its whole basis before the first convergence test: the
+    # default 20 vectors cost 21 solves per eigenvalue.  One pencil per
+    # eigenvalue, so count the checked solves of each
+    counts = {}
+    solve = sphere._HemisphereSolver.solve
+
+    def counting_solve(self, b):
+        counts[self] = counts.get(self, 0) + 1
+        return solve(self, b)
+
+    monkeypatch.setattr(sphere._HemisphereSolver, "solve", counting_solve)
+    nu_acf_caps(mesh2(0.5, 64, 128))
+    assert len(counts) == 10  # nine caps and the pair's cap about pi
+    assert max(counts.values()) <= 13
+    counts.clear()
+    lambda1_codim1(mesh2(0.75, 64, 512))
+    assert len(counts) == 1 and max(counts.values()) <= 13
+
+
+def test_scan_overlap_reuses_the_t1_eigenpair():
+    # the scan hands its cap(0, t1) eigenvector to the overlap; a fresh
+    # solve of that cap gives the same overlap to the bit
+    mesh = mesh2(0.5, nt=24, nph=48)
+    res = nu_acf_caps(mesh)
+    _, u1 = lambda1(mesh, EquatorRegion.cap(0.0, res.argmin.t1))
+    assert res.support_overlap == sphere._support_overlap(mesh, res.argmin, u1)
 
 
 def test_sphere_makes_no_sparse_lu(monkeypatch):
