@@ -121,9 +121,9 @@ class _CellGeometry:
                  for k in axes]
         return tuple(c / g.dx for c in comps[:-1]) + (comps[-1] / g.dy,)
 
-    def energy_density(self, fld: Field) -> np.ndarray:
-        """y^a-weighted |grad v|^2 per cell, with the matched bottom row."""
-        comps = self.cell_gradient(fld)
+    def energy_density(self, comps: tuple) -> np.ndarray:
+        """y^a-weighted |grad v|^2 per cell of cell_gradient's comps, with
+        the matched bottom row."""
         horiz = sum(c * c for c in comps[:-1])
         return self.wy * horiz + self.wy_vert * comps[-1] ** 2
 
@@ -135,7 +135,7 @@ class _CellGeometry:
         lattice of the bilinear interpolant (d = 1 grids; the d = 2 core is
         left at cell resolution).
         """
-        base = self.energy_density(fld) * kern(self.R)
+        base = self.energy_density(self.cell_gradient(fld)) * kern(self.R)
         if self.grid.d != 1:
             return base
         g = self.grid
@@ -164,12 +164,11 @@ class _CellGeometry:
                        2.0 * g.params.s * g.y[1] ** a, wya)
         ys = 0.5 * (ylo + yhi)
         dens = (wya * gx * gx + wyv * gy * gy) * kern(np.hypot(xs, ys))
-        base = base.copy()
         base[ci, cj] = dens.mean(axis=(1, 2))
         return base
 
-    def radial_derivative(self, fld: Field) -> np.ndarray:
-        comps = self.cell_gradient(fld)
+    def radial_derivative(self, comps: tuple) -> np.ndarray:
+        """d_r v per cell from cell_gradient's comps."""
         rad = sum(o * c for o, c in zip(self.off, comps[:-1]))
         rad = rad + self.ym * comps[-1]
         return rad / np.maximum(self.R, 1e-300)
@@ -182,10 +181,6 @@ class _CellGeometry:
         inner = out <= 1.0
         res = np.where(inner, 0.5 * out * out, 1.0 - 0.5 * (2.0 - out) ** 2)
         return res
-
-    def _hat(self, r: float) -> np.ndarray:
-        t = np.abs(self.R - r) / self.width
-        return np.maximum(0.0, 1.0 - t) / self.width
 
     def max_radius(self) -> float:
         """Largest radius keeping a one-cell margin inside the grid."""
@@ -238,9 +233,15 @@ class _CellGeometry:
         return vals
 
     def surface_integral(self, weighted: np.ndarray, radii: np.ndarray) -> np.ndarray:
-        """Shell average over the sphere of radius r (one-cell hat kernel)."""
-        base = weighted * self.vol
-        return np.array([float(np.sum(base * self._hat(r))) for r in radii])
+        """Shell average over the sphere of radius r: the one-cell hat kernel
+        (1 - t) / width, t = |R - r| / width, summed over the cells t < 1."""
+        out = []
+        for r in radii:
+            t = np.abs(self.R - r) / self.width
+            shell = t < 1.0
+            out.append(np.sum(weighted[shell] * self.vol[shell]
+                              * ((1.0 - t[shell]) / self.width[shell])))
+        return np.array(out)
 
 
 def _kernel_profile(grid: HalfSpaceGrid, eps: float):
@@ -337,7 +338,7 @@ def almgren(fields, center, radii) -> AlmgrenProfiles:
     p = grid.params
     geo = _CellGeometry(grid, center)
     radii = geo.check_radii(radii)
-    energy = sum(geo.energy_density(f) for f in flist)
+    energy = sum(geo.energy_density(geo.cell_gradient(f)) for f in flist)
     E = geo.volume_integral(energy, radii) * radii ** (2.0 * p.s - p.N)
     H = _sphere_mass(geo, flist, radii) * radii ** (2.0 * p.s - p.N - 1.0)
     if np.any(H <= 0):
@@ -375,8 +376,9 @@ def pohozaev_residual(fields, center, r: float) -> float:
     p = grid.params
     geo = _CellGeometry(grid, center)
     radii = geo.check_radii(np.array([r], dtype=float))
-    energy = sum(geo.energy_density(f) for f in flist)
-    radial = geo.wy * sum(geo.radial_derivative(f) ** 2 for f in flist)
+    grads = [geo.cell_gradient(f) for f in flist]
+    energy = sum(geo.energy_density(g) for g in grads)
+    radial = geo.wy * sum(geo.radial_derivative(g) ** 2 for g in grads)
     t1 = (2.0 * p.s - p.N) * geo.volume_integral(energy, radii)[0]
     t2 = r * geo.surface_integral(energy, radii)[0]
     t3 = 2.0 * r * geo.surface_integral(radial, radii)[0]

@@ -111,7 +111,6 @@ class HalfSpaceGrid:
         """
         s = self.params.s
         g = self.face_w / self.dy
-        g = g.copy()
         g[0] = 2.0 * s * self.y[1] ** (-2.0 * s)
         return g
 
@@ -122,8 +121,6 @@ class HalfSpaceGrid:
 
 def _pow_integral(lo, hi, a):
     """Exact integral of y^a over [lo, hi], elementwise (a > -1)."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
     return (hi ** (1.0 + a) - lo ** (1.0 + a)) / (1.0 + a)
 
 
@@ -147,6 +144,8 @@ def build_grid(config: GridConfig, params: FracParams) -> HalfSpaceGrid:
     face_w = _pow_integral(y[:-1], y[1:], params.a) / np.diff(y)
     if not np.all(np.isfinite(face_w)) or np.any(face_w <= 0):
         raise ConfigurationError("degenerate vertical grading: non-positive face weight")
+    for arr in (x, y, face_w):  # the engine solve_linear keeps relies on them
+        arr.setflags(write=False)
     grid = HalfSpaceGrid(
         d=config.d, L=config.L, Y=config.Y, nx=config.nx, ny=config.ny,
         grading_p=p, params=params, x=x, y=y, face_w=face_w,
@@ -194,9 +193,6 @@ class Field:
     @property
     def trace(self) -> np.ndarray:
         return self.values[..., 0]
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy(), self.component)
 
 
 def field_from_function(grid: HalfSpaceGrid, fn) -> Field:
@@ -506,8 +502,8 @@ class TraceSystem:
         return self._from_modes(np.moveaxis(u, -1, 0)[::-1])
 
     def serves(self, grid: HalfSpaceGrid, layout: tuple) -> bool:
-        """Whether this engine was built for grid and the boundary layout
-        (sides, trace_dirichlet)."""
+        """Whether this engine was built for grid, compared by value, and the
+        boundary layout (sides, trace_dirichlet)."""
         g = self.grid
         return (g.params == grid.params and g.L == grid.L
                 and g.shape == grid.shape and np.array_equal(g.y, grid.y)
@@ -610,6 +606,9 @@ class TraceSystem:
         return v
 
 
+_engine = None  # solve_linear's last engine
+
+
 def solve_linear(grid: HalfSpaceGrid, bdata: BoundaryData) -> Field:
     """Solve L_a v = 0 with the given boundary data.
 
@@ -617,10 +616,14 @@ def solve_linear(grid: HalfSpaceGrid, bdata: BoundaryData) -> Field:
     trace stencil; with m >= 0 the reduced system is an M-matrix, so
     nonnegative data yields a nonnegative solution.  Solved by a TraceSystem
     of the boundary's layout on its free box, which rejects a grid above
-    TRACE_CAP before any grid-shaped array is made.
+    TRACE_CAP before any grid-shaped array is made.  The last engine is reused
+    for an equal grid and layout (TraceSystem.serves); at most one is alive.
     """
-    engine = TraceSystem(grid, bdata.sides is not None,
-                         bdata.trace_dirichlet is not None)
+    global _engine
+    layout = (bdata.sides is not None, bdata.trace_dirichlet is not None)
+    if _engine is None or not _engine.serves(grid, layout):
+        _engine = None  # freed before the next is built
+        _engine = TraceSystem(grid, *layout)
     dvals = dirichlet_data(grid, bdata)
     m = g0 = 0.0
     if bdata.trace_dirichlet is None:
@@ -628,7 +631,7 @@ def solve_linear(grid: HalfSpaceGrid, bdata: BoundaryData) -> Field:
         m = _materialize(bdata.neumann_m, grid, (..., 0))
         if np.any(m < 0):
             raise ConfigurationError("absorption coefficient m must be >= 0")
-    return Field(grid, engine.solve(engine.load(dvals), m, g0))
+    return Field(grid, _engine.solve(_engine.load(dvals), m, g0))
 
 
 # --------------------------------------------------------------------------

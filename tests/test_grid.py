@@ -1,12 +1,14 @@
 """Finite-volume discretization and linear solver on the truncated half-space."""
 
 import os
+import weakref
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import block_diag
 
+import fracseg.grid as grid_mod
 from fracseg.core import FracParams, NamedSolution, dtn_exact, eval_solution
 from fracseg.errors import ConfigurationError, ConvergenceError
 from fracseg.grid import (BoundaryData, Field, GridConfig, ModeChains,
@@ -226,6 +228,93 @@ def test_solver_errors():
     g = small_grid()
     with pytest.raises(ConfigurationError):
         solve_linear(g, BoundaryData(top=1.0, sides=1.0, neumann_m=-1.0))
+
+
+def test_grid_arrays_are_read_only():
+    # solve_linear's kept engine serves every equal grid, so an in-place
+    # write must not leave its chains stale
+    g = small_grid()
+    for arr in (g.x, g.y, g.face_w):
+        with pytest.raises(ValueError):
+            arr[1] = 0.5
+
+
+@pytest.fixture
+def built_engines(monkeypatch):
+    """Empty solve_linear's engine slot (monkeypatch restores it) and count
+    the engines it builds; each entry holds a weak reference to the engine
+    and whether every earlier engine was dead when it was built."""
+    monkeypatch.setattr(grid_mod, "_engine", None)
+    built = []
+
+    class Counting(TraceSystem):
+        def __init__(self, *args, **kwargs):
+            earlier_dead = all(ref() is None for ref, _ in built)
+            super().__init__(*args, **kwargs)
+            built.append((weakref.ref(self), earlier_dead))
+
+    monkeypatch.setattr(grid_mod, "TraceSystem", Counting)
+    return built
+
+
+REUSE_CONFIG = dict(s=0.4, nx=17, ny=8, L=1.0, Y=1.0, grading=2.0)
+NEUMANN = BoundaryData(top=lambda x, y: np.cos(2.0 * x) + y, sides=1.0,
+                       neumann_m=2.0, neumann_g0=0.3)
+
+
+def test_solve_linear_reuses_engine_for_equal_grids(built_engines):
+    grids = [small_grid(**REUSE_CONFIG) for _ in range(3)]
+    for g in grids:
+        assert solve_linear(g, NEUMANN).grid is g
+    assert len(built_engines) == 1
+
+
+@pytest.mark.parametrize("change", [dict(s=0.45), dict(grading=3.0), dict(Y=1.5),
+                                    dict(nx=19), dict(ny=9), dict(L=1.5)])
+def test_solve_linear_rebuilds_for_another_grid(built_engines, change):
+    solve_linear(small_grid(**REUSE_CONFIG), NEUMANN)
+    solve_linear(small_grid(**{**REUSE_CONFIG, **change}), NEUMANN)
+    assert len(built_engines) == 2
+
+
+def test_solve_linear_rebuilds_for_another_layout(built_engines):
+    g = small_grid(**REUSE_CONFIG)
+    for bd in (NEUMANN, BoundaryData(top=1.0, sides=None),
+               BoundaryData(top=1.0, sides=1.0, trace_dirichlet=0.5)):
+        solve_linear(g, bd)
+    assert len(built_engines) == 3
+
+
+def test_reused_engine_fields_match_fresh_solves(built_engines):
+    # a mixed sequence of equal and different grids and layouts; every field
+    # is bit-identical to a new engine's solve (m and g0 are scalars here)
+    other = {**REUSE_CONFIG, "s": 0.7}
+    sequence = [
+        (REUSE_CONFIG, NEUMANN),
+        (REUSE_CONFIG, BoundaryData(top=0.5, sides=0.5, neumann_g0=-0.2)),
+        (REUSE_CONFIG, BoundaryData(top=0.0, sides=None,
+                                    trace_dirichlet=lambda x, y: np.cos(x))),
+        (REUSE_CONFIG, NEUMANN),
+        (other, NEUMANN),
+        (other, BoundaryData(top=2.0, sides=1.0, neumann_m=5.0)),
+    ]
+    for config, bd in sequence:
+        g = small_grid(**config)
+        fld = solve_linear(g, bd)
+        engine = TraceSystem(g, bd.sides is not None,
+                             bd.trace_dirichlet is not None)
+        load = engine.load(dirichlet_data(g, bd))
+        assert fld.grid is g
+        assert np.array_equal(fld.values,
+                              engine.solve(load, bd.neumann_m, bd.neumann_g0))
+    assert len(built_engines) == 4
+
+
+def test_solve_linear_frees_its_engine_before_building_the_next(built_engines):
+    for s in (0.3, 0.4, 0.5):
+        solve_linear(small_grid(**{**REUSE_CONFIG, "s": s}), NEUMANN)
+    assert [earlier_dead for _, earlier_dead in built_engines] == [True] * 3
+    assert built_engines[-1][0]() is grid_mod._engine
 
 
 def test_backward_error_gate():

@@ -680,8 +680,12 @@ SEPARABLE_CASES = {
 def test_separable_matches_sparse_lu(case, monkeypatch):
     g, bd = SEPARABLE_CASES[case]
     got = solve_linear(g, bd).values
+    # empty solve_linear's engine slot, or the second solve reuses the first
+    # engine; monkeypatch puts the old engine back afterwards
+    monkeypatch.setattr(grid_mod, "_engine", None)
     monkeypatch.setattr(grid_mod, "TraceSystem", _SparseLU)
     want = solve_linear(g, bd).values
+    assert isinstance(grid_mod._engine, _SparseLU)
     assert np.abs(got - want).max() <= 1e-12
 
 
