@@ -319,26 +319,6 @@ def _free_block(grid: HalfSpaceGrid, sides: bool, trace_dirichlet: bool):
     return (xs,) * grid.d + (slice(int(trace_dirichlet), grid.ny),)
 
 
-def dirichlet_data(grid: HalfSpaceGrid, bdata: BoundaryData) -> np.ndarray:
-    """Grid-shaped Dirichlet values: bdata on the Dirichlet nodes of its
-    layout, zero on the free box."""
-    dvals = np.zeros(grid.shape)
-
-    def put(sl, spec):
-        dvals[sl] = _materialize(spec, grid, sl)
-
-    if bdata.sides is not None:
-        for axis in range(grid.d):
-            for edge in (0, -1):
-                sl = [slice(None)] * (grid.d + 1)
-                sl[axis] = edge
-                put(tuple(sl), bdata.sides)
-    put((..., -1), bdata.top)
-    if bdata.trace_dirichlet is not None:
-        put((..., 0), bdata.trace_dirichlet)
-    return dvals
-
-
 def trace_area(grid: HalfSpaceGrid) -> np.ndarray:
     """Horizontal dual measure of each trace node (a new array)."""
     return reduce(np.multiply.outer, [grid.x_dual] * grid.d, 1.0)
@@ -414,8 +394,10 @@ class TraceSystem:
     """Linear extension solves on one grid with one boundary layout.
 
     The layout says whether the lateral walls (sides) and the trace row are
-    Dirichlet; the top row always is.  The other nodes form a box, and the
-    engine works on grid-shaped arrays restricted to it.  Eliminating the
+    Dirichlet; the top row always is.  The other nodes form a box.  On the
+    trace side the engine speaks flat free values: the free trace nodes in
+    the row-major order of the box, the order of area, the load's c and
+    schur (free_values makes them from a trace-shaped array).  Eliminating the
     Dirichlet nodes leaves the reduced operator A on the box: the free trace
     nodes t and the interior nodes i.  The Neumann row d_nu^a v = g0 - m v
     only adds m * area to the t diagonal.  On the tensor grid A is a
@@ -442,7 +424,9 @@ class TraceSystem:
                 f"nx <= {TRACE_CAP + 2} in d = 1 and "
                 f"nx <= {int(TRACE_CAP ** 0.5) + 2} in d = 2")
         self.grid, self.layout, self._box = grid, (sides, trace_dirichlet), box
-        self.area = trace_area(grid)[box[:-1]]  # of the free trace nodes
+        area = trace_area(grid)[box[:-1]]
+        self._trace_shape = area.shape  # of the box's trace row
+        self.area = area.ravel()  # of the free trace nodes
         self._diag = grid.operator.diagonal().reshape(grid.shape)[box]
         self._separate(box[0], sides, trace_dirichlet)
 
@@ -492,7 +476,7 @@ class TraceSystem:
         axis never forms the tiny trace area of an extreme grid."""
         if self.grid.d == 1:
             return (self._chains.symbol * (t @ self._hV)) @ self._hV.T
-        u = self._hV.T @ t.reshape(t.shape[:-1] + self.area.shape) @ self._hV
+        u = self._hV.T @ t.reshape(t.shape[:-1] + self._trace_shape) @ self._hV
         return (self._hV @ (self._chains.symbol * u) @ self._hV.T).reshape(t.shape)
 
     def _interior_solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -509,25 +493,38 @@ class TraceSystem:
                 and g.shape == grid.shape and np.array_equal(g.y, grid.y)
                 and self.layout == layout)
 
-    def load(self, dvals: np.ndarray) -> tuple:
-        """Grid-shaped Dirichlet values dvals (zero on the box), the reduced
-        right-hand side b = -(A dvals) on the box, the interior
-        z = A_ii^-1 b_i (rows first) and b condensed onto the free trace
-        (None with a Dirichlet trace)."""
+    def load(self, bdata: BoundaryData) -> tuple:
+        """The Dirichlet values dvals of bdata on this layout's Dirichlet
+        nodes (zero on the box), the reduced right-hand side b = -(A dvals)
+        on the box, the interior z = A_ii^-1 b_i (rows first) and b
+        condensed onto the free trace (None with a Dirichlet trace)."""
         g = self.grid
+        sides, trace_dirichlet = self.layout
+        dvals = np.zeros(g.shape)
+
+        def put(sl, spec):
+            dvals[sl] = _materialize(spec, g, sl)
+
+        if sides:
+            for axis in range(g.d):
+                for edge in (0, -1):
+                    put((slice(None),) * axis + (edge,), bdata.sides)
+        put((..., -1), bdata.top)
+        if trace_dirichlet:
+            put((..., 0), bdata.trace_dirichlet)
         b = -(g.operator @ dvals.ravel()).reshape(g.shape)[self._box]
         rows = np.moveaxis(b, -1, 0)
         rows = np.ascontiguousarray(rows)  # BLAS is 6x slower on the view
-        if self.layout[1]:
+        if trace_dirichlet:
             return dvals, b, self._interior_solve(rows), None
         z = self._interior_solve(rows[1:])
         gv0 = g.vertical_conductance[0]
-        c = (rows[0] + gv0 * self.area * z[0]).ravel()
+        c = rows[0].ravel() + gv0 * self.area * z[0].ravel()
         return dvals, b, z, c
 
-    def _on_trace(self, value) -> np.ndarray:
-        """value (a scalar or trace-shaped) times area on the free trace nodes."""
-        return np.broadcast_to(value, self.grid.shape[:-1])[self._box[:-1]] * self.area
+    def free_values(self, trace: np.ndarray) -> np.ndarray:
+        """The free nodes of a trace-shaped array as flat free values."""
+        return trace[self._box[:-1]].ravel()
 
     def block_solve(self, w, off, rhs) -> np.ndarray:
         """Solve H d = rhs on the free trace nodes of k components: H has
@@ -555,29 +552,21 @@ class TraceSystem:
         return d
 
     def trace_solve(self, load: tuple, m, g0) -> np.ndarray:
-        """Trace row of solve(load, m, g0): the free nodes solve
-        (S + diag(m area)) t = c + g0 area, the one-component block_solve;
-        Dirichlet nodes keep the load."""
-        dvals, _, _, c = load
-        trace = dvals[..., 0].copy()
-        if c is None:
-            return trace
+        """Free trace values of solve(load, m, g0) for a free trace: they
+        solve (S + diag(m area)) t = c + g0 area, the one-component
+        block_solve; m and g0 are scalars or free values."""
+        c = load[3]
         try:
-            t = self.block_solve(self._on_trace(m).reshape(1, -1),
+            t = self.block_solve((m * self.area).reshape(1, -1),
                                  np.zeros((1, 1, c.size)),
-                                 (c + self._on_trace(g0).ravel())[None])
+                                 (c + g0 * self.area)[None])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError("condensed trace solve failed") from exc
-        trace[self._box[:-1]] = t.reshape(self.area.shape)
-        return trace
-
-    def free_nodes(self) -> tuple:
-        """Index of the free trace nodes in a trace-shaped array; area, the
-        load's c and schur list them in the row-major order of this index."""
-        return self._box[:-1]
+        return t[0]
 
     def solve(self, load: tuple, m, g0) -> np.ndarray:
-        """Grid-shaped solution for a load with trace absorption m and source g0.
+        """Grid-shaped solution for a load with trace absorption m and source
+        g0, scalars or free values.
 
         The trace is trace_solve's; the interior is the load's z plus its
         response to the trace.  With a Dirichlet trace the solution is z.
@@ -591,13 +580,15 @@ class TraceSystem:
         if c is None:
             x[:] = np.moveaxis(z, 0, -1)
         else:
-            t = self.trace_solve(load, m, g0)[box[:-1]]
-            absorb, ga = self._on_trace(m), self._on_trace(g0)  # d_nu^a v = g0 - m v
+            t = self.trace_solve(load, m, g0)
+            # d_nu^a v = g0 - m v
+            absorb, ga, q = (np.reshape(u * self.area, self._trace_shape)
+                             for u in (m, g0, t))
+            t = t.reshape(self._trace_shape)
             diag[..., 0] += absorb
             b[..., 0] += ga
             x[..., 0] = t
-            q = self._to_modes(self.area * t)
-            interior = z + self._from_modes(self._resp * q)
+            interior = z + self._from_modes(self._resp * self._to_modes(q))
             x[..., 1:] = np.moveaxis(interior, 0, -1)
         r = (self.grid.operator @ v.ravel()).reshape(self.grid.shape)[box]
         if c is not None:
@@ -606,7 +597,21 @@ class TraceSystem:
         return v
 
 
-_engine = None  # solve_linear's last engine
+_engine = None  # the last engine trace_system built
+
+
+def trace_system(grid: HalfSpaceGrid, sides: bool = True,
+                 trace_dirichlet: bool = False) -> TraceSystem:
+    """The engine of grid and the boundary layout (sides, trace_dirichlet)
+    for every linear solve: the last one when it serves them
+    (TraceSystem.serves compares the grid by value), else a new one, built
+    after the last is freed, so at most one is alive."""
+    global _engine
+    layout = (sides, trace_dirichlet)
+    if _engine is None or not _engine.serves(grid, layout):
+        _engine = None  # freed before the next is built
+        _engine = TraceSystem(grid, *layout)
+    return _engine
 
 
 def solve_linear(grid: HalfSpaceGrid, bdata: BoundaryData) -> Field:
@@ -614,24 +619,22 @@ def solve_linear(grid: HalfSpaceGrid, bdata: BoundaryData) -> Field:
 
     The bottom-row equations impose the Neumann flux through the matched
     trace stencil; with m >= 0 the reduced system is an M-matrix, so
-    nonnegative data yields a nonnegative solution.  Solved by a TraceSystem
-    of the boundary's layout on its free box, which rejects a grid above
-    TRACE_CAP before any grid-shaped array is made.  The last engine is reused
-    for an equal grid and layout (TraceSystem.serves); at most one is alive.
+    nonnegative data yields a nonnegative solution.  Solved by the
+    trace_system of the boundary's layout, which rejects a grid above
+    TRACE_CAP before any grid-shaped array is made; m and g0 reach it as
+    free values.
     """
-    global _engine
-    layout = (bdata.sides is not None, bdata.trace_dirichlet is not None)
-    if _engine is None or not _engine.serves(grid, layout):
-        _engine = None  # freed before the next is built
-        _engine = TraceSystem(grid, *layout)
-    dvals = dirichlet_data(grid, bdata)
+    trace_dirichlet = bdata.trace_dirichlet is not None
+    engine = trace_system(grid, bdata.sides is not None, trace_dirichlet)
+    load = engine.load(bdata)
     m = g0 = 0.0
-    if bdata.trace_dirichlet is None:
+    if not trace_dirichlet:
         g0 = _materialize(bdata.neumann_g0, grid, (..., 0))
         m = _materialize(bdata.neumann_m, grid, (..., 0))
         if np.any(m < 0):
             raise ConfigurationError("absorption coefficient m must be >= 0")
-    return Field(grid, _engine.solve(_engine.load(dvals), m, g0))
+        m, g0 = engine.free_values(m), engine.free_values(g0)
+    return Field(grid, engine.solve(load, m, g0))
 
 
 # --------------------------------------------------------------------------

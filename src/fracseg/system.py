@@ -34,8 +34,8 @@ import scipy
 from .core import FracParams
 from .diagnostics import trace_seminorm
 from .errors import ConfigurationError, ConvergenceError
-from .grid import (BoundaryData, Field, GridConfig, TraceSystem, build_grid,
-                   dirichlet_data, trace_area)
+from .grid import (BoundaryData, Field, GridConfig, build_grid, trace_area,
+                   trace_system)
 
 REACTION_KINDS = ("zero", "linear", "logistic")
 #: stop at a full Newton correction of at most this max norm on the traces
@@ -195,20 +195,20 @@ def _one_blas_thread():
             put(n)
 
 
-def _gauss_seidel(engine, prob, loads, X, unpack):
+def _gauss_seidel(engine, prob, loads, X):
     """One Gauss-Seidel sweep (ascending component index) over the free
     trace values X, in place: per component one checked trace_solve with the
     others' absorption frozen and the reaction lagged through its split.
     Returns the max change; raises ConvergenceError when the lagged data are
     no longer finite (the iterates diverged)."""
-    free, change = engine.free_nodes(), 0.0
+    change = 0.0
     for i in range(prob.k):
         absorb, source = prob.reactions[i].split(X[i])
         m = prob.beta * (prob.coupling[i] @ X ** 2) + absorb
         if not (np.all(np.isfinite(m)) and np.all(np.isfinite(source))):
             raise ConvergenceError("fallback sweep diverged: its lagged data "
                                    "are not finite", residual=float("inf"))
-        new = engine.trace_solve(loads[i], unpack(m), unpack(source))[free].ravel()
+        new = engine.trace_solve(loads[i], m, source)
         change = max(change, float(np.abs(new - X[i]).max()))
         X[i] = new
     return change
@@ -218,7 +218,7 @@ def _newton_step(engine, prob, X, c):
     """One damped Newton step on E: the new free trace values and the max
     norm of the full correction J^-1 F, or None when the Hessian is not
     positive definite or the backtracking gives up."""
-    S, area = engine.schur, engine.area.ravel()
+    S, area = engine.schur, engine.area
     C, f, k = prob.beta * prob.coupling, prob.reactions, prob.k
     SXc = X @ S - c  # rows S t_i - c_i (S is symmetric)
     Q = X * X
@@ -248,11 +248,12 @@ def _newton_step(engine, prob, X, c):
     return None
 
 
-def solve_system(prob: CompetitionProblem, warm_start=None,
-                 engine: TraceSystem | None = None) -> SolveResult:
+def solve_system(prob: CompetitionProblem, warm_start=None) -> SolveResult:
     """Minimize E on the free trace values, then build each field once, by
     the engine's checked solve with its component's absorption and reaction
-    at the final traces.
+    at the final traces.  The engine is grid.trace_system's, so solves on
+    equal grids (a beta sweep) share one set-up; warm_start, the fields of
+    an earlier solve on the grid, gives the first traces.
 
     Every outer step is one damped Newton step whose linear solve is checked
     on its own Hessian system, or a Gauss-Seidel sweep of checked trace_solve
@@ -267,33 +268,19 @@ def solve_system(prob: CompetitionProblem, warm_start=None,
     MAX_OUTER steps do not converge, when a step fails (the history then
     ends with the failed step's residual, inf for a diverged fallback
     sweep) or when a field fails its gate.
-    engine, the linear engine of the same grid and walls, carries its
-    factorization over from an earlier solve (sweep_beta passes one).
     """
     grid = build_grid(prob.grid_config, prob.params)
-    if engine is None:
-        engine = TraceSystem(grid)
-    elif not engine.serves(grid, (True, False)):  # Dirichlet walls, free trace
-        raise ConfigurationError("engine was built for another grid")
-    loads = [engine.load(dirichlet_data(grid, BoundaryData(top=v, sides=v)))
-             for v in prob.dirichlet]
-    k, free = prob.k, engine.free_nodes()
+    engine = trace_system(grid)  # Dirichlet walls, free trace
+    loads = [engine.load(BoundaryData(top=v, sides=v)) for v in prob.dirichlet]
+    k = prob.k
     if warm_start is not None:
         if len(warm_start) != k:
             raise ConfigurationError("warm start must supply every component")
-        vals = [np.asarray(f.values if isinstance(f, Field) else f, dtype=float)
-                for f in warm_start]
-        if any(v.shape != grid.shape for v in vals):
+        if any(f.grid.shape != grid.shape for f in warm_start):
             raise ConfigurationError("warm start grid does not match")
-        X = np.array([v[..., 0][free].ravel() for v in vals])
+        X = np.array([engine.free_values(f.trace) for f in warm_start])
     else:
         X = np.zeros((k, engine.area.size))
-
-    def unpack(x):  # free values -> a trace-shaped array, 0 on Dirichlet nodes
-        t = np.zeros(grid.shape[:-1])
-        t[free] = x.reshape(engine.area.shape)
-        return t
-
     c = np.array([load[3] for load in loads])
     history = []
     # a diverging fallback sweep overflows before it is caught
@@ -302,7 +289,7 @@ def solve_system(prob: CompetitionProblem, warm_start=None,
             try:
                 step = _newton_step(engine, prob, X, c)
                 if step is None:
-                    history.append(_gauss_seidel(engine, prob, loads, X, unpack))
+                    history.append(_gauss_seidel(engine, prob, loads, X))
                     continue
                 X, change = step
                 history.append(change)
@@ -321,7 +308,7 @@ def solve_system(prob: CompetitionProblem, warm_start=None,
         for i, load in enumerate(loads):
             m = prob.beta * (prob.coupling[i] @ X ** 2)
             try:
-                v = engine.solve(load, unpack(m), unpack(prob.reactions[i](X[i])))
+                v = engine.solve(load, m, prob.reactions[i](X[i]))
             except ConvergenceError as exc:  # the field gate
                 raise ConvergenceError(str(exc), residual=exc.residual,
                                        iterations=outer, history=history) from exc
@@ -380,22 +367,20 @@ def sweep_beta(prob: CompetitionProblem, betas, holder_alpha: float) -> BetaSwee
 
     Records per beta: sup norms, trace overlap, beta * overlap, and the exact
     trace Hölder seminorm at holder_alpha restricted to the inner half of the
-    trace (|x| <= L/2).  One TraceSystem serves every beta; the solved
+    trace (|x| <= L/2).  Every beta's solve_system gets the same engine
+    from grid.trace_system, so the operator is set up once; the solved
     fields are not kept (callers that need them run solve_system).
     """
     betas = np.asarray(betas, dtype=float)
     if betas.size == 0 or np.any(np.diff(betas) <= 0):
         raise ConfigurationError("betas must be a nonempty increasing list")
     x_window = 0.5 * prob.grid_config.L
-    grid = build_grid(prob.grid_config, prob.params)
-    engine = TraceSystem(grid)
     rows = []
     fields = None
     for b in betas:
         start = time.perf_counter()
         try:
-            res = solve_system(replace(prob, beta=float(b)), warm_start=fields,
-                               engine=engine)
+            res = solve_system(replace(prob, beta=float(b)), warm_start=fields)
         except ConvergenceError as exc:
             raise ConvergenceError(f"sweep failed at beta={b:g}: {exc}",
                                    residual=exc.residual,

@@ -151,6 +151,16 @@ def test_ragged_coupling_exits_2(tmp_path, capsys):
     _exits_2_with_one_line(tmp_path, capsys, "solve", cfg, "coupling")
 
 
+@pytest.mark.parametrize("boundary_data", [
+    {"kind": "separated_bumps", "centers": [0.0]},
+    {"kind": "constant", "values": [0.0, 0.5, 1.0]}], ids=["centers", "values"])
+def test_boundary_spec_count_exits_2(tmp_path, capsys, boundary_data):
+    # k = 2 needs one boundary spec per component
+    cfg = tiny_config()
+    cfg["problem"]["boundary_data"] = boundary_data
+    _exits_2_with_one_line(tmp_path, capsys, "solve", cfg, "per component")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("s, d, L, Y, ny, code", [
     *[pytest.param(0.5, d, L, 1.0, 8, code, id=f"{d}-{L:g}-{code}")

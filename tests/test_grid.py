@@ -13,9 +13,10 @@ from fracseg.core import FracParams, NamedSolution, dtn_exact, eval_solution
 from fracseg.errors import ConfigurationError, ConvergenceError
 from fracseg.grid import (BoundaryData, Field, GridConfig, ModeChains,
                           TraceSystem, build_grid, check_backward_error,
-                          dirichlet_data, dtn_trace, field_from_function,
-                          grid_coordinates, interpolate_field, read_snapshot,
-                          snapshot_csv, solve_linear, trace_area, write_snapshot)
+                          dtn_trace, field_from_function, grid_coordinates,
+                          interpolate_field, read_snapshot, snapshot_csv,
+                          solve_linear, trace_area, write_snapshot)
+from fracseg.system import CompetitionProblem, Reaction, solve_system
 
 
 def small_grid(s=0.5, d=1, nx=33, ny=16, L=1.0, Y=1.0, grading=None):
@@ -241,9 +242,9 @@ def test_grid_arrays_are_read_only():
 
 @pytest.fixture
 def built_engines(monkeypatch):
-    """Empty solve_linear's engine slot (monkeypatch restores it) and count
-    the engines it builds; each entry holds a weak reference to the engine
-    and whether every earlier engine was dead when it was built."""
+    """Empty the engine slot of trace_system (monkeypatch restores it) and
+    count the engines it builds; each entry holds a weak reference to the
+    engine and whether every earlier engine was dead when it was built."""
     monkeypatch.setattr(grid_mod, "_engine", None)
     built = []
 
@@ -303,7 +304,7 @@ def test_reused_engine_fields_match_fresh_solves(built_engines):
         fld = solve_linear(g, bd)
         engine = TraceSystem(g, bd.sides is not None,
                              bd.trace_dirichlet is not None)
-        load = engine.load(dirichlet_data(g, bd))
+        load = engine.load(bd)
         assert fld.grid is g
         assert np.array_equal(fld.values,
                               engine.solve(load, bd.neumann_m, bd.neumann_g0))
@@ -311,9 +312,16 @@ def test_reused_engine_fields_match_fresh_solves(built_engines):
 
 
 def test_solve_linear_frees_its_engine_before_building_the_next(built_engines):
+    # one-off and system solves alternate on different grids; both take
+    # their engine from the one slot
+    config = GridConfig(d=1, L=1.0, Y=1.0, nx=17, ny=8, grading_p=2.0)
     for s in (0.3, 0.4, 0.5):
         solve_linear(small_grid(**{**REUSE_CONFIG, "s": s}), NEUMANN)
-    assert [earlier_dead for _, earlier_dead in built_engines] == [True] * 3
+        solve_system(CompetitionProblem(
+            params=FracParams(s=s + 0.05, N=1), grid_config=config, k=1,
+            beta=0.0, coupling=np.zeros((1, 1)), reactions=(Reaction(),),
+            dirichlet=(1.0,)))
+    assert [earlier_dead for _, earlier_dead in built_engines] == [True] * 6
     assert built_engines[-1][0]() is grid_mod._engine
 
 
@@ -337,7 +345,7 @@ def test_residual_check_catches_wrong_schur():
     g = small_grid()
     engine = TraceSystem(g)
     engine.schur *= 1.01
-    load = engine.load(dirichlet_data(g, BoundaryData(top=1.0, sides=1.0)))
+    load = engine.load(BoundaryData(top=1.0, sides=1.0))
     with pytest.raises(ConvergenceError, match="residual check"):
         engine.solve(load, 0.0, 0.1)
 

@@ -15,8 +15,8 @@ import fracseg.grid as grid_mod
 import fracseg.system as system_mod
 from fracseg.core import FracParams
 from fracseg.errors import ConfigurationError, ConvergenceError
-from fracseg.grid import BoundaryData, GridConfig, TraceSystem, build_grid, \
-    dirichlet_data, dtn_trace, solve_linear
+from fracseg.grid import BoundaryData, Field, GridConfig, TraceSystem, \
+    build_grid, dtn_trace, solve_linear
 from fracseg.system import (CompetitionProblem, Reaction, bump, solve_system,
                             sweep_beta, trace_overlap)
 
@@ -132,10 +132,12 @@ def test_warm_start_agrees_with_cold():
 
 def test_warm_start_validation():
     prob = make_problem(beta=1.0)
-    with pytest.raises(ConfigurationError):
-        solve_system(prob, warm_start=[np.zeros((3, 3))] * 2)
-    with pytest.raises(ConfigurationError):
-        solve_system(prob, warm_start=[np.zeros(prob.grid_config.nx)])
+    other = build_grid(replace(prob.grid_config, nx=33, ny=12), prob.params)
+    with pytest.raises(ConfigurationError, match="grid does not match"):
+        solve_system(prob, warm_start=[Field(other, np.zeros(other.shape))] * 2)
+    grid = build_grid(prob.grid_config, prob.params)
+    with pytest.raises(ConfigurationError, match="every component"):
+        solve_system(prob, warm_start=[Field(grid, np.zeros(grid.shape))])
 
 
 def test_outer_cap_raises(monkeypatch):
@@ -195,7 +197,7 @@ def test_trace_solve_checks_its_residual(monkeypatch):
     # gate (it reads 3e-7)
     g = _d1(0.5, 33, 16)
     engine = TraceSystem(g)
-    load = engine.load(dirichlet_data(g, BoundaryData(top=1.0, sides=1.0)))
+    load = engine.load(BoundaryData(top=1.0, sides=1.0))
     cho_solve = grid_mod.sla.cho_solve
     monkeypatch.setattr(grid_mod.sla, "cho_solve",
                         lambda *a, **kw: cho_solve(*a, **kw) * (1.0 + 1e-6))
@@ -311,10 +313,8 @@ def test_newton_steps_descend_the_energy(s, betas, reaction, k, monkeypatch):
 
 def _reference_gauss_seidel(prob, engine, traces, tol=1e-13):
     """Fields of a plain Gauss-Seidel loop of trace_solve calls from the
-    given traces, run to a sweep change of tol (zero reactions)."""
-    g = engine.grid
-    loads = [engine.load(dirichlet_data(g, BoundaryData(top=v, sides=v)))
-             for v in prob.dirichlet]
+    given free trace values, run to a sweep change of tol (zero reactions)."""
+    loads = [engine.load(BoundaryData(top=v, sides=v)) for v in prob.dirichlet]
     traces = list(traces)
 
     def absorption(i):
@@ -334,18 +334,19 @@ def _reference_gauss_seidel(prob, engine, traces, tol=1e-13):
 
 def _matches_gauss_seidel_along(prob, betas):
     """Solve along betas warm-started on one engine, as sweep_beta does, and
-    check every solve against the reference run from the last reference
-    traces; returns the outer iterations per beta."""
-    engine = TraceSystem(build_grid(prob.grid_config, prob.params))
-    fields, traces = None, [np.zeros(prob.grid_config.nx)] * prob.k
+    check every solve against the reference run on that engine from the
+    last reference traces; returns the outer iterations per beta."""
+    engine = grid_mod.trace_system(build_grid(prob.grid_config, prob.params))
+    fields, traces = None, [np.zeros(engine.area.size)] * prob.k
     iters = []
     for beta in betas:
         p = replace(prob, beta=beta)
-        res = solve_system(p, warm_start=fields, engine=engine)
+        res = solve_system(p, warm_start=fields)
         want = _reference_gauss_seidel(p, engine, traces)
         assert max(np.abs(f.values - w).max()
                    for f, w in zip(res.fields, want)) <= 1e-9
-        fields, traces = res.fields, [w[..., 0] for w in want]
+        fields = res.fields
+        traces = [engine.free_values(w[..., 0]) for w in want]
         iters.append(res.outer_iters)
     return iters
 
@@ -427,27 +428,29 @@ def test_blas_libraries_are_looked_up_on_first_use():
 
 
 @pytest.mark.parametrize("s, nx, ny", [(0.5, 65, 24), (0.75, 257, 96)])
-def test_step_gate_catches_wrong_schur(s, nx, ny):
+def test_step_gate_catches_wrong_schur(s, nx, ny, monkeypatch):
     # the Newton step factors the dense S but checks its residual with S
     # taken through the modes, so a Schur complement 1 % off fails the first
     # step; at s = 3/4 a wrong trace is below the field's round-off
     prob = make_problem(s=s, beta=1e2, nx=nx, ny=ny)
     engine = TraceSystem(build_grid(prob.grid_config, prob.params))
     engine.schur *= 1.01
+    monkeypatch.setattr(grid_mod, "_engine", engine)  # the one solve_system gets
     with pytest.raises(ConvergenceError, match="condensed trace solve failed") as err:
-        solve_system(prob, engine=engine)
+        solve_system(prob)
     assert err.value.iterations == 1
     assert err.value.history == [err.value.residual]
 
 
-def test_final_field_gate_catches_wrong_interior():
+def test_final_field_gate_catches_wrong_interior(monkeypatch):
     # the trace steps never see the interior response; the field gate
     # through the assembled operator does
     prob = make_problem(beta=1e2, nx=65, ny=24)
     engine = TraceSystem(build_grid(prob.grid_config, prob.params))
     engine._resp *= 1.0 + 1e-6
+    monkeypatch.setattr(grid_mod, "_engine", engine)  # the one solve_system gets
     with pytest.raises(ConvergenceError, match="linear solve failed") as err:
-        solve_system(prob, engine=engine)
+        solve_system(prob)
     assert err.value.iterations == len(err.value.history) >= 1
 
 
@@ -565,16 +568,13 @@ class _SparseLU(TraceSystem):
         self.trace_rows = np.searchsorted(self.unk, nodes[self.trace_free])
         self._area = grid_mod.trace_area(grid).ravel()[self.trace_free]
 
-    def _on_trace(self, values):
-        trace = np.broadcast_to(values, self.grid.shape[:-1]).ravel()
-        return trace[self.trace_free] * self._area
-
     def solve(self, load, m, g0):
+        # m and g0 are scalars or free values (none with a Dirichlet trace)
         dvals = load[0]
         tr = self.trace_rows
         absorb = np.zeros(self.unk.size)
-        absorb[tr] = self._on_trace(m)
-        ga = self._on_trace(g0)
+        absorb[tr] = m * self._area
+        ga = g0 * self._area
         b = -(self.A_ud @ dvals.ravel()[self.dir])
         b[tr] += ga
         dh = 1.0 / np.sqrt(self.A_uu.diagonal() + absorb)
@@ -590,30 +590,31 @@ class _SparseLU(TraceSystem):
         return v.reshape(self.grid.shape)
 
     def trace_solve(self, load, m, g0):
-        return self.solve(load, m, g0)[..., 0]
+        return self.free_values(self.solve(load, m, g0)[..., 0])
 
 
-def _warm_sweep(prob, betas, engine):
+def _warm_sweep(prob, betas):
     """The solved fields along betas, each solve warm-started from the last
-    on the one engine, as sweep_beta solves them."""
+    on the engine of the slot, as sweep_beta solves them."""
     fields, out = None, []
     for beta in betas:
-        fields = solve_system(replace(prob, beta=beta), warm_start=fields,
-                              engine=engine).fields
+        fields = solve_system(replace(prob, beta=beta), warm_start=fields).fields
         out.append(fields)
     return out
 
 
 @pytest.mark.parametrize("s, bound", [(0.5, 1e-12), (0.75, 2e-8)])
-def test_condensed_matches_sparse_path(s, bound):
+def test_condensed_matches_sparse_path(s, bound, monkeypatch):
     # criterion-10 problem (quick grid); at s = 0.75 the two paths may stop
     # one outer iteration apart, so they agree to within 2 x outer tol
     betas = [1e2, 1e3, 1e4]
     prob = make_problem(s=s)
     grid = build_grid(prob.grid_config, prob.params)
-    condensed = TraceSystem(grid)
-    dense = _warm_sweep(prob, betas, condensed)
-    sparse = _warm_sweep(prob, betas, _SparseLU(grid))
+    dense = _warm_sweep(prob, betas)
+    # put the reference engine in the slot; monkeypatch restores the old one
+    monkeypatch.setattr(grid_mod, "_engine", _SparseLU(grid))
+    sparse = _warm_sweep(prob, betas)
+    assert isinstance(grid_mod._engine, _SparseLU)
     diff = max(np.abs(a.values - b.values).max()
                for fa, fb in zip(dense, sparse) for a, b in zip(fa, fb))
     assert diff <= bound
@@ -621,8 +622,9 @@ def test_condensed_matches_sparse_path(s, bound):
 
 def test_sweep_factors_interior_once(monkeypatch):
     # the separable engine makes no sparse LU, and one TraceSystem (one
-    # set-up) serves every beta; patching the shared scipy.sparse.linalg
-    # module counts a spla.splu call from any module
+    # set-up) serves every beta and a later solve on the sweep's grid;
+    # patching the shared scipy.sparse.linalg module counts a spla.splu call
+    # from any module
     shapes = []
     splu = spla.splu
 
@@ -638,9 +640,13 @@ def test_sweep_factors_interior_once(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting_splu)
-    monkeypatch.setattr(system_mod, "TraceSystem", CountingTraceSystem)
-    sweep_beta(make_problem(nx=65, ny=24), [1e2, 1e3, 1e4], holder_alpha=0.05)
+    monkeypatch.setattr(grid_mod, "_engine", None)
+    monkeypatch.setattr(grid_mod, "TraceSystem", CountingTraceSystem)
+    prob = make_problem(nx=65, ny=24)
+    sweep_beta(prob, [1e2, 1e3, 1e4], holder_alpha=0.05)
     assert shapes == []
+    assert len(engines) == 1
+    solve_system(replace(prob, beta=1e4))
     assert len(engines) == 1
 
 
@@ -737,7 +743,7 @@ def test_separable_engine_rejects_non_spd_and_nan():
     g = _d1(0.5, 33, 16)
     bd = BoundaryData(top=1.0, sides=1.0)
     engine = TraceSystem(g)
-    load = engine.load(dirichlet_data(g, bd))
+    load = engine.load(bd)
     with pytest.raises(ConvergenceError):
         engine.solve(load, np.nan, 0.1)
     with pytest.raises(ConvergenceError):
@@ -750,10 +756,10 @@ def test_engine_matches_one_shot_solve(nx):
                    FracParams(s=0.5, N=1))
     top = bump(0.3)
     engine = TraceSystem(g)
-    dvals = dirichlet_data(g, BoundaryData(top=top, sides=top))
+    load = engine.load(BoundaryData(top=top, sides=top))
     m = 50.0 * np.exp(-g.x ** 2)
     g0 = 0.2 * np.cos(g.x)
-    got = engine.solve(engine.load(dvals), m, g0)
+    got = engine.solve(load, engine.free_values(m), engine.free_values(g0))
     want = solve_linear(g, BoundaryData(top=top, sides=top, neumann_m=m,
                                         neumann_g0=g0))
     assert np.abs(got - want.values).max() <= 1e-12
@@ -772,16 +778,3 @@ def test_engine_rejects_grid_above_trace_cap(monkeypatch):
             TraceSystem(g)
         with pytest.raises(ConfigurationError, match="free horizontal nodes"):
             solve_linear(g, BoundaryData(top=1.0, sides=1.0))
-
-
-def test_solve_system_rejects_engine_of_other_grid():
-    prob = make_problem(nx=65, ny=24)
-    g = build_grid(prob.grid_config, prob.params)
-    engine = TraceSystem(g)
-    res = solve_system(prob, engine=engine)
-    assert res.residual_history[-1] <= system_mod.OUTER_TOL
-    for other in (make_problem(nx=67, ny=24), make_problem(s=0.75, nx=65, ny=24)):
-        with pytest.raises(ConfigurationError):
-            solve_system(other, engine=engine)
-    with pytest.raises(ConfigurationError):
-        solve_system(prob, engine=TraceSystem(g, sides=False))
