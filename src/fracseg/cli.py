@@ -108,9 +108,12 @@ def load_config(path: str) -> dict:
     """Parse and schema-validate a JSON run configuration."""
     import jsonschema
 
+    def reject(name):  # json accepts NaN and +-Infinity, the schema would too
+        raise ConfigurationError(f"config {path} holds the non-finite number {name}")
+
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=reject)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     error = jsonschema.exceptions.best_match(_config_validator().iter_errors(cfg))

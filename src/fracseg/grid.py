@@ -688,9 +688,9 @@ def read_snapshot(path: str) -> list[Field]:
     if version != _SNAP_VERSION:
         raise ValueError(f"{path}: unsupported snapshot version {version}")
     n = nx ** d * (ny + 1)
-    if len(raw) != head_size + k * n * 8:
+    if k == 0 or len(raw) != head_size + k * n * 8:
         raise ValueError(f"{path}: payload holds {len(raw) - head_size} bytes, "
-                         f"the header announces {k * n * 8}")
+                         f"the header announces {k} fields of {n * 8}")
     grid = build_grid(GridConfig(d=d, L=L, Y=Y, nx=nx, ny=ny, grading_p=p),
                       FracParams(s=s, N=N))
     fields = []

@@ -3,11 +3,11 @@
 Solves the first eigenvalue of the weighted Laplace-Beltrami form on the
 upper hemisphere with Dirichlet conditions on part of the equator: the
 Rayleigh quotient of int y^a |grad_T u|^2 over int y^a u^2, with y the
-vertical coordinate of the sphere point.  The N = 2 mesh is a (theta, phi)
-tensor grid with a collapsed pole and cells graded toward the equator; the
-N = 1 half-circle is kept as a cheap oracle.  The cap scan evaluates the
-mean homogeneity of antipodally centered equator caps and returns its
-minimum, an upper bound for the partition optimum.
+vertical coordinate of the sphere point.  The N = 2 mesh is a (psi, phi)
+tensor grid, psi the latitude, with a collapsed pole and cells graded
+toward the equator; the N = 1 half-circle is a cheap oracle.  The cap scan
+evaluates the mean homogeneity of antipodally centered equator caps and
+returns its minimum, an upper bound for the partition optimum.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
-from scipy.integrate import quad
-from scipy.special import beta, betainc
+from scipy.special import beta, betainc, hyp2f1
 
 from .core import FracParams, gamma_map
 from .errors import ConfigurationError, ConvergenceError
@@ -125,10 +124,10 @@ def _int_sin_pow(a: float, lo, hi) -> np.ndarray:
 class HemisphereMesh:
     """Tensor mesh of the upper hemisphere (N = 2) or half-circle (N = 1).
 
-    theta is the polar angle from the pole, graded toward the equator where
-    the eigenfunctions have their t^{gamma} boundary layers; phi is uniform
-    and periodic.  All metric coefficients are exact cell integrals of the
-    weighted surface measure.
+    psi is the angle above the equator, graded toward it where the
+    eigenfunctions have their t^{gamma} boundary layers; phi is uniform and
+    periodic.  All metric coefficients are exact cell integrals of the
+    weighted surface measure, in closed form.
     """
 
     params: FracParams
@@ -149,15 +148,11 @@ class HemisphereMesh:
         return min(8.0, max(1.0, 1.0 / self.params.s))
 
     @cached_property
-    def theta(self) -> np.ndarray:
-        """Node polar angles, pole first, equator last (N = 2)."""
-        g = self.grading_exp
+    def psi(self) -> np.ndarray:
+        """Node angles above the equator, pole first, equator last (N = 2),
+        exactly 0 on the equator and accurate to full precision next to it."""
         i = np.arange(self.ntheta + 1, dtype=float)
-        th = 0.5 * math.pi * (1.0 - (1.0 - i / self.ntheta) ** g)
-        if np.any(np.diff(th) <= 0):
-            raise ConfigurationError(
-                "polar grading underflows the node spacing; lower ntheta")
-        return th
+        return 0.5 * math.pi * (1.0 - i / self.ntheta) ** self.grading_exp
 
     @cached_property
     def alpha(self) -> np.ndarray:
@@ -179,24 +174,25 @@ class HemisphereMesh:
         nodes and the last ring is the equator.  g_theta[i] joins each node
         of ring i to its neighbour on ring i + 1 (the pole to every node of
         ring 1), g_phi[i - 1] joins phi-neighbours on ring i, and mass[i] is
-        the lumped mass of one node of ring i.  Weight cos(theta)^a against
-        the surface measure sin(theta) dtheta dphi; theta-cell integrals have
-        the exact primitive -cos^{1+a}/(1+a), phi conductances use numerical
-        quadrature of cos^a/sin over each ring's dual theta strip.
+        the lumped mass of one node of ring i.  The weight sin(psi)^a on
+        the surface measure cos(psi) dpsi dphi has the primitive
+        sin^{1+a}/(1+a) from the equator; phi conductances integrate
+        sin^a/cos dpsi = t^a/(1 - t^2) dt, t = sin(psi), over each ring's dual
+        strip: t^{1+a}/(1+a) 2F1(1, (1+a)/2; (3+a)/2; t^2) from the equator.
         """
         a = self.params.a
-        th = self.theta
+        psi = self.psi
         dphi = _TWO_PI / self.nphi
 
-        def wcell(t0, t1):  # integral of cos^a sin over [t0, t1]
-            return (np.cos(t0) ** (1 + a) - np.cos(t1) ** (1 + a)) / (1 + a)
+        def prim(p):  # integral of sin^a cos over [0, p]
+            return np.sin(p) ** (1 + a) / (1 + a)
 
-        dual = np.concatenate(([th[0]], 0.5 * (th[:-1] + th[1:]), [th[-1]]))
-        g_theta = wcell(th[:-1], th[1:]) / np.diff(th) ** 2 * dphi
-        g_phi = np.array([quad(lambda t: math.cos(t) ** a / math.sin(t),
-                               dual[i], dual[i + 1], limit=200)[0]
-                          for i in range(1, self.ntheta + 1)]) / dphi
-        mass = wcell(dual[:-1], dual[1:]) * dphi
+        dual = np.concatenate(([psi[0]], 0.5 * (psi[:-1] + psi[1:]), [psi[-1]]))
+        g_theta = (prim(psi[:-1]) - prim(psi[1:])) / np.diff(psi) ** 2 * dphi
+        t = np.sin(dual[1:])  # the pole, t = 1, bounds no phi strip
+        f = t ** (1 + a) / (1 + a) * hyp2f1(1.0, 0.5 * (1 + a), 0.5 * (3 + a), t * t)
+        g_phi = -np.diff(f) / dphi
+        mass = (prim(dual[:-1]) - prim(dual[1:])) * dphi
         mass[0] *= self.nphi
         return g_theta, g_phi, mass
 

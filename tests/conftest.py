@@ -1,0 +1,22 @@
+"""Shared fixtures."""
+
+import json
+import pathlib
+
+import pytest
+
+
+@pytest.fixture(scope="session")
+def verified_value():
+    """Check a verify value against tests/verified_values.json, the eleven
+    values of each mode recorded from a passing run: 1e-10 relative, or
+    1e-12 absolute where the recorded value is 0."""
+    path = pathlib.Path(__file__).with_name("verified_values.json")
+    recorded = json.loads(path.read_text(encoding="utf-8"))
+
+    def check(mode: str, name: str, value: float) -> None:
+        ref = recorded[mode][name]
+        assert abs(value - ref) <= (1e-10 * abs(ref) if ref else 1e-12), \
+            f"{mode} {name}: {value!r}, recorded {ref!r}"
+
+    return check

@@ -138,6 +138,21 @@ def _exits_2_with_one_line(tmp_path, capsys, command, cfg, words):
     assert err.startswith("configuration error:") and words in err
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    ("eigen", "fractional", "s", math.nan),
+    ("solve", "problem", "beta", math.nan),
+    ("solve", "problem", "beta", math.inf),
+    ("solve", "grid", "L", math.inf),
+    ("sweep", "problem", "betas", [10.0, -math.inf]),
+])
+def test_non_finite_config_number_exits_2(tmp_path, capsys, command, section,
+                                          key, value):
+    # json reads NaN and +-Infinity, and the schema's bounds let NaN through
+    cfg = tiny_config()
+    cfg[section][key] = value
+    _exits_2_with_one_line(tmp_path, capsys, command, cfg, "non-finite")
+
+
 def test_oracle_node_count_not_power_of_two_exits_2(tmp_path, capsys):
     # the schema admits any n in [16, 65536]; the periodic grid needs 2^k
     cfg = {"fractional": {"s": 0.5, "N": 1},
@@ -251,6 +266,18 @@ def test_diagnose_truncated_snapshot_exits_2(tmp_path, capsys):
     assert _diagnose(path, snap, tmp_path) == 2
     err = capsys.readouterr().err
     assert "payload" in err and len(err.strip().splitlines()) == 1
+
+
+def test_diagnose_snapshot_without_fields_exits_2(tmp_path, capsys):
+    path, snap = _diagnose_setup(tmp_path)
+    with open(snap, "rb") as fh:
+        raw = fh.read()
+    n = read_snapshot(snap)[0].values.size
+    with open(snap, "wb") as fh:  # a whole header announcing 0 components
+        fh.write(raw[:20] + (0).to_bytes(4, "little") + raw[24:-8 * n])
+    assert _diagnose(path, snap, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "announces 0 fields" in err and len(err.strip().splitlines()) == 1
 
 
 def test_diagnose_radius_beyond_grid_exits_2(tmp_path, capsys):
@@ -515,7 +542,7 @@ def test_no_partial_files_left(tmp_path):
     assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
 
 
-def test_verify_quick_json_schema(tmp_path, capsys):
+def test_verify_quick_json_schema(tmp_path, capsys, verified_value):
     assert cli.main(["verify", "--quick", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert set(report) == {"command", "passed", "checks", "files", "meta"}
@@ -523,6 +550,7 @@ def test_verify_quick_json_schema(tmp_path, capsys):
     assert len(report["checks"]) == 11
     for check in report["checks"]:
         assert set(check) == {"name", "value", "threshold", "passed", "detail"}
+        verified_value("quick", check["name"], check["value"])
     seconds = report["meta"]["seconds"]
     assert len(seconds) == 11
     assert all(isinstance(t, float) and t > 0 for t in seconds)

@@ -483,8 +483,9 @@ def test_snapshot_header_checks(tmp_path):
     with open(path, "rb") as fh:
         raw = fh.read()
     bad_version = raw[:4] + (2).to_bytes(4, "little") + raw[8:]
+    no_fields = raw[:20] + (0).to_bytes(4, "little") + raw[24:-8 * g.n_nodes]
     for name, payload in (("version", bad_version), ("long", raw + b"\0"),
-                          ("header", raw[:20])):
+                          ("header", raw[:20]), ("no fields", no_fields)):
         with open(path, "wb") as fh:
             fh.write(payload)
         with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
 """Package layout rules that no behavioural test sees."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "fracseg"
 
@@ -23,6 +26,16 @@ def private_imports(source: str) -> list[str]:
             continue
         found += [f"line {node.lineno}: {n}" for n in names if _private(n)]
     return found
+
+
+def test_import_loads_no_scipy_integrate_or_optimize():
+    # start-up cost: together they took 0.2-0.3 s of every command's launch
+    code = ("import sys, fracseg, fracseg.cli\n"
+            "loaded = {'scipy.integrate', 'scipy.optimize'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_guard_sees_private_imports():

@@ -116,6 +116,72 @@ def test_refinement_convergence():
     assert errs[0] / errs[1] >= 1.8
 
 
+def _ring_reference(mesh, mp):
+    """30-digit ring coefficients between the mesh's own float nodes.
+
+    The phi strips integrate sin^a/cos in w = sin^{1+a}(psi), where the
+    integrand 1/((1+a)(1 - w^{2/(1+a)})) has no equator singularity; in psi
+    itself mp.quad is 21 % off on the equator strip at s = 0.99, 64 rings.
+    Returns functions of the ring index.
+    """
+    psi = mesh.psi
+    dual = np.concatenate(([psi[0]], 0.5 * (psi[:-1] + psi[1:]), [psi[-1]]))
+    a = mp.mpf(mesh.params.a)
+    dphi = 2 * mp.pi / mesh.nphi
+
+    def w(p):
+        return mp.sin(mp.mpf(p)) ** (1 + a)
+
+    def g_theta(i):
+        gap = mp.mpf(psi[i]) - mp.mpf(psi[i + 1])
+        return (w(psi[i]) - w(psi[i + 1])) / (1 + a) / gap ** 2 * dphi
+
+    def g_phi(i):  # ring i >= 1, the dual strip [dual[i + 1], dual[i]]
+        f = lambda v: 1 / ((1 + a) * (1 - v ** (2 / (1 + a))))
+        return mp.quad(f, [w(dual[i + 1]), w(dual[i])]) / dphi
+
+    def mass(i):
+        cell = (w(dual[i]) - w(dual[i + 1])) / (1 + a) * dphi
+        return cell * mesh.nphi if i == 0 else cell
+
+    return g_theta, g_phi, mass
+
+
+@pytest.mark.parametrize("s, nt", [(s, nt) for s in S_GRID for nt in (32, 64, 128)]
+                         + [(0.1, 64), (0.99, 64)])
+def test_ring_coefficients_match_mpmath(s, nt):
+    mp = pytest.importorskip("mpmath")
+    mesh = mesh2(s, nt=nt)
+    g_theta, g_phi, mass = mesh.rings
+    strips = sorted({1, 2, 3, nt // 2, nt - 1, nt})  # the pole and equator too
+    with mp.workdps(30):
+        ref_theta, ref_phi, ref_mass = _ring_reference(mesh, mp)
+        for i in strips:
+            assert abs(g_phi[i - 1] / float(ref_phi(i)) - 1.0) <= 1e-11, i
+            assert abs(g_theta[i - 1] / float(ref_theta(i - 1)) - 1.0) <= 1e-10, i
+        for i in [0] + strips:
+            assert abs(mass[i] / float(ref_mass(i)) - 1.0) <= 1e-10, i
+
+
+def test_half_region_converges_near_s_one():
+    # the equator strips' weight sin^a/cos is singular for s > 1/2; an
+    # adaptive rule there put the half-region eigenvalue 80 % high at s = 0.99
+    s = 0.99
+    errs = [lambda1(mesh2(s, nt=nt, nph=2 * nt), EquatorRegion.half(2))[0]
+            / (s * (2 - s)) - 1.0 for nt in (32, 64)]
+    assert abs(errs[1]) <= 0.035
+    assert abs(errs[0]) / abs(errs[1]) >= 1.9  # first order: about halves
+
+
+def test_fine_polar_grading_keeps_every_ring():
+    # grading exponent 8: measured from the pole, these nodes rounded into
+    # pi/2; from the equator they stay distinct down to exactly 0
+    mesh = HemisphereMesh(params=FracParams(s=0.1, N=2), ntheta=1024)
+    assert mesh.psi[-1] == 0.0 and np.all(np.diff(mesh.psi) < 0)
+    for coef in mesh.rings:
+        assert np.all(np.isfinite(coef)) and np.all(coef > 0)
+
+
 def test_codim1_landmark_and_capacity_trend():
     # s > 1/2: the two-point constraint has positive capacity
     lam = lambda1_codim1(mesh2(0.9, nt=64, nph=128))
