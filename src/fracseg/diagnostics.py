@@ -78,26 +78,36 @@ def _pair_mean(a: np.ndarray, axes) -> np.ndarray:
 
 
 class _CellGeometry:
-    """Cell-centered geometry and reconstruction relative to a trace center.
+    """Cell-centered geometry and reconstruction relative to a trace center,
+    held only on the cells within the largest radius r plus one diagonal.
 
-    Every array is cell-shaped, (nx-1,)*d + (ny,), with one code path for
-    d = 1 and d = 2: the horizontal offsets of the cell midpoints from the
-    center, their height ym, distance R, plain volume vol, the y^a weights
-    wy (wy_vert for vertical derivatives) and the smoothing width, which is
-    the cell diagonal.
+    Those are the index box |x_k - c_k| - w <= r, y - w <= r of the cell
+    midpoints, w the largest cell diagonal (cells and nodes are its slices
+    of the grid).  R bounds every offset, so the box holds each cell that a
+    ramp (R - width < r) or shell (|R - r| < width) can touch, in the same
+    C order: every masked sum is bit-identical to the whole grid's.  Its
+    arrays are cell-shaped, with one code path for d = 1 and d = 2: the
+    horizontal offsets of the cell midpoints from the center, their height
+    ym, distance R, plain volume vol, the y^a weights wy (wy_vert for
+    vertical derivatives) and the smoothing width, the cell diagonal.
     """
 
-    def __init__(self, grid: HalfSpaceGrid, center: Sequence[float]):
+    def __init__(self, grid: HalfSpaceGrid, center: Sequence[float], radii):
         center = tuple(float(c) for c in np.atleast_1d(center))
         if len(center) != grid.d:
             raise ValueError(f"center must have {grid.d} trace coordinates")
-        self.grid = grid
-        self.center = center
+        self.grid, self.center = grid, center
+        self.radii = radii = np.asarray(radii, dtype=float)
+        if radii.ndim != 1 or radii.size < 1:
+            raise ValueError("radii must be a one-dimensional list")
+        if not np.all(radii > 0):
+            raise ValueError("radii must be positive")
+        if np.any(np.diff(radii) <= 0):
+            raise ValueError("radii must be strictly increasing")
+        rmax = self.max_radius()
+        if radii[-1] > rmax:
+            raise ValueError(f"largest radius {radii[-1]} exceeds grid bound {rmax:.4g}")
         d, dx, dy = grid.d, grid.dx, grid.dy
-        xmid = 0.5 * (grid.x[1:] + grid.x[:-1])
-        ymid = 0.5 * (grid.y[1:] + grid.y[:-1])
-        *off, self.ym = np.broadcast_arrays(*np.ix_(*[xmid - c for c in center], ymid))
-        self.off = tuple(off)
         # vertical-gradient energy weight: the bottom cell row is matched to
         # the y^{2s} boundary expansion (integrating y^a (d_y c1 y^{2s})^2
         # exactly), the same consistency device as the trace stencil
@@ -105,8 +115,17 @@ class _CellGeometry:
         wy_vert[0] = 2.0 * grid.params.s * grid.y[1] ** grid.params.a
         per_layer = np.stack([dx ** d * dy, np.hypot(np.sqrt(d) * dx, dy),
                               grid.face_w, wy_vert])
+        w_max = per_layer[1].max()
+        xoff = [0.5 * (grid.x[1:] + grid.x[:-1]) - c for c in center]
+        ymid = 0.5 * (grid.y[1:] + grid.y[:-1])
+        self.cells = tuple(slice(k[0], k[-1] + 1) for k in (
+            np.flatnonzero(np.abs(o) - w_max <= radii[-1]) for o in xoff + [ymid]))
+        self.nodes = tuple(slice(c.start, c.stop + 1) for c in self.cells)
+        *self.off, self.ym = np.broadcast_arrays(
+            *np.ix_(*[o[c] for o, c in zip(xoff + [ymid], self.cells)]))
         self.vol, self.width, self.wy, self.wy_vert = np.broadcast_to(
-            per_layer.reshape((4,) + (1,) * d + (-1,)), (4,) + self.ym.shape)
+            per_layer[:, self.cells[-1]].reshape((4,) + (1,) * d + (-1,)),
+            (4,) + self.ym.shape)
         self.R = np.sqrt(sum(o * o for o in self.off) + self.ym * self.ym)
 
     # -- reconstruction ---------------------------------------------------
@@ -114,12 +133,13 @@ class _CellGeometry:
         """Cell averages of the edge differences, one array per axis
         (x1[, x2], y): the difference along each axis, averaged over the
         cell's other axes and divided by dx or the layer's dy."""
-        v = fld.values
+        v = fld.values[self.nodes]
         g = self.grid
         axes = range(g.d + 1)
         comps = [_pair_mean(np.diff(v, axis=k), [j for j in axes if j != k])
                  for k in axes]
-        return tuple(c / g.dx for c in comps[:-1]) + (comps[-1] / g.dy,)
+        return (tuple(c / g.dx for c in comps[:-1])
+                + (comps[-1] / g.dy[self.cells[-1]],))
 
     def energy_density(self, comps: tuple) -> np.ndarray:
         """y^a-weighted |grad v|^2 per cell of cell_gradient's comps, with
@@ -141,21 +161,15 @@ class _CellGeometry:
         g = self.grid
         diag = float(np.hypot(g.dx, g.dy.max()))
         ci, cj = np.nonzero(self.R <= _CORE_CELLS * diag)
-        if ci.size == 0:
-            return base
-        v = fld.values
+        v = fld.values[self.nodes]  # ci, cj index the box: so do v and x
         t = (np.arange(_SUB) + 0.5) / _SUB
-        tx = t[None, :, None]
-        ty = t[None, None, :]
-        v00 = v[ci, cj][:, None, None]
-        v10 = v[ci + 1, cj][:, None, None]
-        v01 = v[ci, cj + 1][:, None, None]
-        v11 = v[ci + 1, cj + 1][:, None, None]
-        y0 = g.y[cj][:, None, None]
-        dyj = g.dy[cj][:, None, None]
+        tx, ty = t[None, :, None], t[None, None, :]
+        v00, v10, v01, v11 = (v[ci + i, cj + j][:, None, None]
+                              for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)))
+        y0, dyj = g.y[cj][:, None, None], g.dy[cj][:, None, None]
         gx = ((v10 - v00) * (1.0 - ty) + (v11 - v01) * ty) / g.dx
         gy = ((v01 - v00) * (1.0 - tx) + (v11 - v10) * tx) / dyj
-        xs = g.x[ci][:, None, None] + tx * g.dx - self.center[0]
+        xs = g.x[self.nodes[0]][ci][:, None, None] + tx * g.dx - self.center[0]
         ylo = y0 + (ty - 0.5 / _SUB) * dyj
         yhi = y0 + (ty + 0.5 / _SUB) * dyj
         a = g.params.a
@@ -176,30 +190,14 @@ class _CellGeometry:
     # -- smoothed radial quadratures ---------------------------------------
     @staticmethod
     def _ramp(r: float, R: np.ndarray, width: np.ndarray) -> np.ndarray:
-        t = (r - R) / width
-        out = np.clip(t + 1.0, 0.0, 2.0)
-        inner = out <= 1.0
-        res = np.where(inner, 0.5 * out * out, 1.0 - 0.5 * (2.0 - out) ** 2)
-        return res
+        out = np.clip((r - R) / width + 1.0, 0.0, 2.0)
+        return np.where(out <= 1.0, 0.5 * out * out, 1.0 - 0.5 * (2.0 - out) ** 2)
 
     def max_radius(self) -> float:
         """Largest radius keeping a one-cell margin inside the grid."""
         g = self.grid
         horiz = min(g.L - abs(c) for c in self.center)
         return min(horiz - g.dx, g.Y - g.dy[-1])
-
-    def check_radii(self, radii: np.ndarray) -> np.ndarray:
-        radii = np.asarray(radii, dtype=float)
-        if radii.ndim != 1 or radii.size < 1:
-            raise ValueError("radii must be a one-dimensional list")
-        if not np.all(radii > 0):
-            raise ValueError("radii must be positive")
-        if np.any(np.diff(radii) <= 0):
-            raise ValueError("radii must be strictly increasing")
-        rmax = self.max_radius()
-        if radii[-1] > rmax:
-            raise ValueError(f"largest radius {radii[-1]} exceeds grid bound {rmax:.4g}")
-        return radii
 
     def volume_integral(self, weighted: np.ndarray, radii: np.ndarray) -> np.ndarray:
         """Integral over B_r of an already y^a-weighted cell density, every
@@ -228,20 +226,15 @@ class _CellGeometry:
         out = out[:rs.size] + np.bincount(
             k, weights=base[cell] * self._ramp(rs[k], R[cell], width[cell]),
             minlength=rs.size)
-        vals = np.empty_like(out)
-        vals[order] = out
-        return vals
+        return out[np.argsort(order)]
 
-    def surface_integral(self, weighted: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    def surface_integral(self, weighted: np.ndarray, r: float) -> float:
         """Shell average over the sphere of radius r: the one-cell hat kernel
         (1 - t) / width, t = |R - r| / width, summed over the cells t < 1."""
-        out = []
-        for r in radii:
-            t = np.abs(self.R - r) / self.width
-            shell = t < 1.0
-            out.append(np.sum(weighted[shell] * self.vol[shell]
-                              * ((1.0 - t[shell]) / self.width[shell])))
-        return np.array(out)
+        t = np.abs(self.R - r) / self.width
+        shell = t < 1.0
+        return float(np.sum(weighted[shell] * self.vol[shell]
+                            * ((1.0 - t[shell]) / self.width[shell])))
 
 
 def _kernel_profile(grid: HalfSpaceGrid, eps: float):
@@ -272,12 +265,12 @@ def acf_one_phase(fld: Field, center, radii, variant: str) -> RadialProfile:
     p = grid.params
     if variant == "acf_codim1" and p.s <= 0.5:
         raise ValueError("codim1 variant requires s > 1/2")
-    geo = _CellGeometry(grid, center)
-    radii = geo.check_radii(radii)
+    geo = _CellGeometry(grid, center, radii)
     kern = _kernel_profile(grid, eps=float(np.hypot(grid.dx, grid.y[1])))
     integrand = geo.kernel_energy(fld, kern)
-    vals = geo.volume_integral(integrand, radii) / radii ** ACF_EXPONENTS[variant](p.s)
-    return RadialProfile(geo.center, radii, vals, variant)
+    vals = (geo.volume_integral(integrand, geo.radii)
+            / geo.radii ** ACF_EXPONENTS[variant](p.s))
+    return RadialProfile(geo.center, geo.radii, vals, variant)
 
 
 class AlmgrenProfiles(NamedTuple):
@@ -336,20 +329,16 @@ def almgren(fields, center, radii) -> AlmgrenProfiles:
     flist = _as_field_list(fields)
     grid = flist[0].grid
     p = grid.params
-    geo = _CellGeometry(grid, center)
-    radii = geo.check_radii(radii)
+    geo = _CellGeometry(grid, center, radii)
     energy = sum(geo.energy_density(geo.cell_gradient(f)) for f in flist)
-    E = geo.volume_integral(energy, radii) * radii ** (2.0 * p.s - p.N)
-    H = _sphere_mass(geo, flist, radii) * radii ** (2.0 * p.s - p.N - 1.0)
+    E = geo.volume_integral(energy, geo.radii) * geo.radii ** (2.0 * p.s - p.N)
+    H = _sphere_mass(geo, flist, geo.radii) * geo.radii ** (2.0 * p.s - p.N - 1.0)
     if np.any(H <= 0):
-        bad = radii[np.argmax(H <= 0)]
+        bad = geo.radii[np.argmax(H <= 0)]
         raise ValueError(f"frequency undefined: H vanishes near r = {bad:.4g}")
-    c = tuple(geo.center)
-    return AlmgrenProfiles(
-        RadialProfile(c, radii, E, "E"),
-        RadialProfile(c, radii, H, "H"),
-        RadialProfile(c, radii, E / H, "Nfreq"),
-    )
+    return AlmgrenProfiles(RadialProfile(geo.center, geo.radii, E, "E"),
+                           RadialProfile(geo.center, geo.radii, H, "H"),
+                           RadialProfile(geo.center, geo.radii, E / H, "Nfreq"))
 
 
 def log_derivative_residual(h_profile: RadialProfile, n_profile: RadialProfile):
@@ -374,14 +363,13 @@ def pohozaev_residual(fields, center, r: float) -> float:
     flist = _as_field_list(fields)
     grid = flist[0].grid
     p = grid.params
-    geo = _CellGeometry(grid, center)
-    radii = geo.check_radii(np.array([r], dtype=float))
+    geo = _CellGeometry(grid, center, [r])
     grads = [geo.cell_gradient(f) for f in flist]
     energy = sum(geo.energy_density(g) for g in grads)
     radial = geo.wy * sum(geo.radial_derivative(g) ** 2 for g in grads)
-    t1 = (2.0 * p.s - p.N) * geo.volume_integral(energy, radii)[0]
-    t2 = r * geo.surface_integral(energy, radii)[0]
-    t3 = 2.0 * r * geo.surface_integral(radial, radii)[0]
+    t1 = (2.0 * p.s - p.N) * geo.volume_integral(energy, geo.radii)[0]
+    t2 = r * geo.surface_integral(energy, r)
+    t3 = 2.0 * r * geo.surface_integral(radial, r)
     return float((t1 + t2 - t3) / (abs(t2) + 1e-300))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
-from scipy.special import beta, betainc, hyp2f1
+from scipy.special import beta, betainc, digamma, hyp2f1, poch
 
 from .core import FracParams, gamma_map
 from .errors import ConfigurationError, ConvergenceError
@@ -179,20 +179,32 @@ class HemisphereMesh:
         sin^{1+a}/(1+a) from the equator; phi conductances integrate
         sin^a/cos dpsi = t^a/(1 - t^2) dt, t = sin(psi), over each ring's dual
         strip: t^{1+a}/(1+a) 2F1(1, (1+a)/2; (3+a)/2; t^2) from the equator.
+        Above psi = pi/4, where t rounds to 1, both come from w = cos^2(psi):
+        1 - t^{1+a} = I_w(1, (1+a)/2) and 2F1's series in w (A&S 15.3.10).
         """
         a = self.params.a
         psi = self.psi
         dphi = _TWO_PI / self.nphi
 
-        def prim(p):  # integral of sin^a cos over [0, p]
-            return np.sin(p) ** (1 + a) / (1 + a)
+        def strip(hi, lo):  # integral of sin^a cos over [lo, hi]
+            out = np.sin(hi) ** (1 + a) / (1 + a) - np.sin(lo) ** (1 + a) / (1 + a)
+            pole = lo >= 0.25 * math.pi
+            co = betainc(1.0, 0.5 * (1 + a), np.cos(np.stack((lo[pole], hi[pole]))) ** 2)
+            out[pole] = (co[0] - co[1]) / (1 + a)
+            return out
 
         dual = np.concatenate(([psi[0]], 0.5 * (psi[:-1] + psi[1:]), [psi[-1]]))
-        g_theta = (prim(psi[:-1]) - prim(psi[1:])) / np.diff(psi) ** 2 * dphi
+        g_theta = strip(psi[:-1], psi[1:]) / np.diff(psi) ** 2 * dphi
         t = np.sin(dual[1:])  # the pole, t = 1, bounds no phi strip
         f = t ** (1 + a) / (1 + a) * hyp2f1(1.0, 0.5 * (1 + a), 0.5 * (3 + a), t * t)
+        pole = dual[1:] >= 0.25 * math.pi
+        w, b, total = np.cos(dual[1:][pole]) ** 2, 0.5 * (1 + a), 0.0
+        for n in range(60):  # w <= 1/2: the terms fall below 2^-60
+            total += w ** n * poch(b, n) / math.factorial(n) * (
+                digamma(n + 1.0) - digamma(b + n) - np.log(w))
+        f[pole] = t[pole] ** (1 + a) / 2 * total
         g_phi = -np.diff(f) / dphi
-        mass = (prim(dual[:-1]) - prim(dual[1:])) * dphi
+        mass = strip(dual[:-1], dual[1:]) * dphi
         mass[0] *= self.nphi
         return g_theta, g_phi, mass
 

@@ -8,9 +8,10 @@ import pytest
 
 @pytest.fixture(scope="session")
 def verified_value():
-    """Check a verify value against tests/verified_values.json, the eleven
-    values of each mode recorded from a passing run: 1e-10 relative, or
-    1e-12 absolute where the recorded value is 0."""
+    """Check a value against tests/verified_values.json, recorded from a
+    passing run: the eleven verify values of each mode and the
+    two_species sweep columns.  1e-10 relative, or 1e-12 absolute where the
+    recorded value is 0."""
     path = pathlib.Path(__file__).with_name("verified_values.json")
     recorded = json.loads(path.read_text(encoding="utf-8"))
 

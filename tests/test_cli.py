@@ -1,5 +1,6 @@
 """Command-line interface: configs, reports, outputs, exit codes."""
 
+import csv
 import json
 import math
 import os
@@ -571,6 +572,24 @@ def test_documented_example_config(tmp_path):
     assert fields[0].values.max() == pytest.approx(1.0, abs=1e-9)
     assert fields[0].trace.max() == pytest.approx(0.09957, rel=1e-3)
     assert fields[1].trace.max() == pytest.approx(0.09957, rel=1e-3)
+
+
+def test_two_species_sweep_matches_verified_values(tmp_path, capsys, verified_value):
+    # the shipped config's sweep columns, pinned like the verify values:
+    # the overlap at full precision from --json, the others from sweep.csv
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = os.path.join(repo, "examples_config", "two_species.json")
+    out = os.path.join(tmp_path, "sweep")
+    assert cli.main(["sweep", "--config", cfg, "--out", out, "--json"]) == 0
+    overlaps = json.loads(capsys.readouterr().out)["meta"]["overlaps"]
+    with open(os.path.join(out, "sweep.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["beta"] for row in rows] == ["100", "1000", "10000"]
+    for row, overlap in zip(rows, overlaps, strict=True):
+        beta = f"beta={row['beta']}"
+        verified_value("two_species sweep", f"overlap {beta}", overlap)
+        for column in ("beta_times_overlap", "holder_seminorm"):
+            verified_value("two_species sweep", f"{column} {beta}", float(row[column]))
 
 
 def _example_with_reaction(tmp_path, kind):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fracseg import diagnostics
 from fracseg.core import FracParams, NamedSolution, eval_solution
 from fracseg.diagnostics import (_CellGeometry, acf_one_phase, almgren,
                                  holder_seminorm, log_derivative_residual,
@@ -26,6 +27,12 @@ def explicit_field(grid, sol):
         return eval_solution(sol, pts)
 
     return field_from_function(grid, fn)
+
+
+def whole_geometry(g, center):
+    """The geometry of a largest radius at max_radius: every cell of the
+    grid for a center at 0."""
+    return _CellGeometry(g, center, [_CellGeometry(g, center, [g.dx]).max_radius()])
 
 
 def test_acf_constant_on_matched_profiles():
@@ -106,8 +113,9 @@ def test_quadrature_translation_invariance():
 
 def test_volume_integral_matches_full_grid_sum():
     # the one-pass quadrature (inside sums by cumulative bincount, the ramp
-    # on band cells only) against the full-grid sum of the same ramp, equal
-    # up to the order of summation.  The radii come unsorted, closer than a
+    # on band cells only) against the sum of the same ramp over every held
+    # cell (the ramp is 0 on the cells the window leaves out), equal up to
+    # the order of summation.  The radii come unsorted, closer than a
     # cell diagonal (several in one cell's band), on the band edges
     # R +- width of a cell, and single; graded layers (grading_p = 2, the
     # default at s = 1/2) give every row its own width
@@ -118,7 +126,7 @@ def test_volume_integral_matches_full_grid_sum():
                       (build_grid(GridConfig(d=2, L=0.8, Y=0.8, nx=17, ny=16),
                                   FracParams(s=0.5, N=2)), (0.0, 0.1)),
                       (graded, (0.05,))):
-        geo = _CellGeometry(g, center)
+        geo = _CellGeometry(g, center, [0.5])
         w = rng.random(geo.R.shape)
         step = 0.25 * float(geo.width.min())
         cell = np.unravel_index(np.argmin(np.abs(geo.R - 0.4)), geo.R.shape)
@@ -141,6 +149,11 @@ def test_radii_must_be_positive():
             almgren(fld, (0.0,), radii)
         with pytest.raises(ValueError, match="radii must be positive"):
             pohozaev_residual(fld, (0.0,), radii[0])
+    # checked before the window is sized from the largest radius
+    with pytest.raises(ValueError, match="radii must be a one-dimensional list"):
+        acf_one_phase(fld, (0.0,), [], "acf_vanish")
+    with pytest.raises(ValueError, match="radii must be a one-dimensional list"):
+        almgren(fld, (0.0,), [])
 
 
 def test_pohozaev_residuals():
@@ -254,7 +267,7 @@ def test_cell_gradient_exact_on_affine_fields(d):
     slopes = (0.7, -1.3, 2.1)[:d] + (-0.4,)
     fld = field_from_function(
         g, lambda *c: 1.5 + sum(k * ci for k, ci in zip(slopes, c)))
-    comps = _CellGeometry(g, (0.1,) * d).cell_gradient(fld)
+    comps = whole_geometry(g, (0.0,) * d).cell_gradient(fld)
     assert len(comps) == d + 1
     roundoff = 4.0 * np.finfo(float).eps * np.abs(fld.values).max()
     for k, comp, h in zip(slopes, comps, [g.dx] * d + [g.dy]):
@@ -273,8 +286,57 @@ def _x2_independent_pair(s):
 
 def test_d2_x2_gradient_of_x2_independent_field_vanishes():
     f1, f2 = _x2_independent_pair(0.5)
-    g1 = _CellGeometry(f1.grid, (0.1,)).cell_gradient(f1)
-    g2 = _CellGeometry(f2.grid, (0.1, -0.2)).cell_gradient(f2)
+    g1 = whole_geometry(f1.grid, (0.0,)).cell_gradient(f1)
+    g2 = whole_geometry(f2.grid, (0.0, 0.0)).cell_gradient(f2)
     assert np.all(g2[1] == 0.0)
     for one, two in ((g1[0], g2[0]), (g1[1], g2[2])):
         assert np.allclose(two, one[:, None, :], rtol=1e-13, atol=1e-13)
+
+
+class _AtMaxRadius(_CellGeometry):
+    """The geometry of the given radii with one more at max_radius: the
+    window of the largest admissible radius, the whole grid for a center
+    at 0."""
+
+    def __init__(self, grid, center, radii):
+        probe = _CellGeometry(grid, center, radii)
+        super().__init__(grid, center, np.append(probe.radii, probe.max_radius()))
+        self.radii = probe.radii
+
+
+@pytest.mark.parametrize("d, grading_p", [(1, 1.0), (1, 2.0), (2, 1.0)])
+def test_window_equals_whole_grid(d, grading_p, monkeypatch):
+    # each functional on the window of its own largest radius equals (==)
+    # the same on the window of a radius at max_radius, which for a center
+    # at 0 is the whole grid.  The field varies along x, and the centers
+    # off 0 by several cells read kernel_energy's core cells at a window
+    # offset other than the reference's
+    s = 0.3  # at s = 1/2, N = 1 the acf kernel is constant
+    n = 128 if d == 1 else 32
+    g = build_grid(GridConfig(d=d, L=0.8, Y=0.8, nx=n + 1, ny=n,
+                              grading_p=grading_p), FracParams(s=s, N=d))
+    fld = field_from_function(
+        g, lambda *c: np.exp(sum(c[:-1])) * np.cos(1.5 * c[-1]) + c[-1] ** (2 * s))
+    radii = np.geomspace(0.1, 0.4, 5)
+    zero = (0.0,) * d
+    off = (0.1, -0.15)[:d]  # 8 cells at d = 1; 2 and 3 at d = 2
+    runs = [lambda: acf_one_phase(fld, zero, radii, "acf_vanish").values,
+            lambda: acf_one_phase(fld, off, radii, "acf_halfspace").values,
+            lambda: almgren(fld, zero, radii).Nfreq.values,
+            lambda: almgren(fld, off, radii).E.values,
+            lambda: pohozaev_residual(fld, zero, 0.3),
+            lambda: pohozaev_residual(fld, off, 0.35)]
+    got = [run() for run in runs]
+    assert _AtMaxRadius(g, zero, radii).R.shape == (n,) * (d + 1)
+    assert _CellGeometry(g, off, radii).R.size < _AtMaxRadius(g, off, radii).R.size
+    monkeypatch.setattr(diagnostics, "_CellGeometry", _AtMaxRadius)
+    for value, run in zip(got, runs):
+        assert np.array_equal(value, run())
+
+
+def test_window_holds_the_reach_of_the_largest_radius():
+    # radii <= 0.5 on L = Y = 0.8 reach about 0.64 of each axis: a geometry
+    # back on the whole grid fails here
+    g = diag_grid(0.5, nx=256)
+    geo = _CellGeometry(g, (0.0,), RADII)
+    assert geo.R.size < 0.45 * (g.nx - 1) * g.ny

@@ -148,7 +148,7 @@ def _ring_reference(mesh, mp):
 
 
 @pytest.mark.parametrize("s, nt", [(s, nt) for s in S_GRID for nt in (32, 64, 128)]
-                         + [(0.1, 64), (0.99, 64)])
+                         + [(0.1, 64), (0.99, 64), (0.99, 1024)])
 def test_ring_coefficients_match_mpmath(s, nt):
     mp = pytest.importorskip("mpmath")
     mesh = mesh2(s, nt=nt)
