@@ -19,8 +19,8 @@ from .core import (FracParams, NamedSolution, eval_solution, gamma_inverse,
                    gamma_map)
 from .diagnostics import (acf_one_phase, almgren, log_derivative_residual,
                           monotonicity_check, pohozaev_residual)
-from .grid import (BoundaryData, GridConfig, build_grid, dtn_trace,
-                   field_from_function, solve_linear)
+from .grid import (BoundaryData, GridConfig, build_grid, field_from_function,
+                   solve_linear, trace_system)
 from .spectral import (ComparisonProfile, PeriodicGrid1D, comparison_pv,
                        frac_lap_pv, frac_lap_symbol)
 from .sphere import (EquatorRegion, HemisphereMesh, lambda1, lambda1_codim1,
@@ -87,15 +87,15 @@ def check_gamma_landmarks(quick: bool = False) -> CheckResult:
 
 
 def _dtn_amplitudes(s: float, nx: int, ny: int) -> dict:
-    """DtN amplitude of cos(kx) for k = 1, 2, 4, three solves on one engine."""
+    """DtN amplitude of cos(kx), k = 1, 2, 4, from one zero-flux engine's flux."""
     p = FracParams(s=s, N=1)
     g = build_grid(GridConfig(d=1, L=math.pi, Y=6.0, nx=nx, ny=ny), p)
+    engine = trace_system(g, sides=False)
+    load = engine.load(BoundaryData(top=0.0, sides=None))
     amps = {}
     for k in (1, 2, 4):
-        bd = BoundaryData(top=0.0, sides=None,
-                          trace_dirichlet=lambda x, y: np.cos(k * x))
         c = np.cos(k * g.x)
-        amps[k] = float(dtn_trace(g, solve_linear(g, bd)) @ c / (c @ c))
+        amps[k] = float(engine.trace_flux(load, c) @ c / (c @ c))
     return amps
 
 

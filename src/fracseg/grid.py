@@ -114,10 +114,6 @@ class HalfSpaceGrid:
         g[0] = 2.0 * s * self.y[1] ** (-2.0 * s)
         return g
 
-    @cached_property
-    def operator(self) -> sps.csr_matrix:
-        return assemble_La(self)
-
 
 def _pow_integral(lo, hi, a):
     """Exact integral of y^a over [lo, hi], elementwise (a > -1)."""
@@ -234,35 +230,46 @@ def interpolate_field(fld: Field, *coords) -> np.ndarray:
     return out
 
 
+def _faces(grid: HalfSpaceGrid):
+    """Every face as (lo, hi, g): nodes grid[lo] joined to grid[hi], one step
+    along an axis, by g = the dual measure of the other axes times the
+    conductance per unit measure across that axis, 1 / dx or the vertical."""
+    for axis in range(grid.d + 1):
+        measure = [grid.x_dual] * grid.d + [grid.y_dual_w]
+        measure[axis] = [1.0 / grid.dx] if axis < grid.d else grid.vertical_conductance
+        lead = (slice(None),) * axis
+        yield (lead + (slice(None, -1),), lead + (slice(1, None),),
+               reduce(np.multiply.outer, measure))
+
+
+def _face_flux(grid: HalfSpaceGrid, v: np.ndarray) -> np.ndarray:
+    """A v face by face, sum_q g_pq (v_p - v_q): each conductance multiplies
+    a difference; no diagonal sum rounds the y1^{-2s} trace conductance."""
+    out = np.zeros(grid.shape)
+    for lo, hi, g in _faces(grid):
+        f = g * (v[hi] - v[lo])
+        out[lo] -= f
+        out[hi] += f
+    return out
+
+
 def assemble_La(grid: HalfSpaceGrid) -> sps.csr_matrix:
     """Assemble the conservative flux form of L_a over all nodes.
 
     Symmetric positive semidefinite; every row sums to zero, so constants are
     in the kernel.  Entry (p, q) couples face-adjacent nodes with the face
-    conductance; Dirichlet conditions are applied at solve time.
+    conductance; Dirichlet conditions are applied at solve time.  The
+    reference form of _face_flux, which the linear engine uses instead.
     """
     nn = grid.n_nodes
     idx = np.arange(nn).reshape(grid.shape)
-    hx = [grid.x_dual] * grid.d
     rows, cols, vals = [], [], []
-
-    def add_faces(axis, g):
-        """Faces between nodes i and i + 1 along axis, conductance g."""
-        lead = (slice(None),) * axis
-        p, q = idx[lead + (slice(None, -1),)], idx[lead + (slice(1, None),)]
+    for lo, hi, g in _faces(grid):
+        p, q = idx[lo], idx[hi]
         g = np.broadcast_to(-g, p.shape).ravel()
         rows.extend((p.ravel(), q.ravel()))
         cols.extend((q.ravel(), p.ravel()))
         vals.extend((g, g))
-
-    # horizontal faces: the dual measure of the other axes times y^a / dx
-    for axis in range(grid.d):
-        g = reduce(np.multiply.outer, hx[1:] + [grid.y_dual_w]) / grid.dx
-        add_faces(axis, np.expand_dims(g, axis))
-    # vertical faces: horizontal dual measure times the conductance per unit
-    gv = grid.vertical_conductance
-    add_faces(grid.d, reduce(np.multiply.outer, hx + [gv]))
-
     off = sps.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(nn, nn),
@@ -390,6 +397,20 @@ class ModeChains:
 TRACE_CAP = 4096
 
 
+def _trig_basis(n: int, dx: float, sides: bool) -> tuple:
+    """Ascending eigenpairs (lambda, V) of Kx' v = lambda Hx' v, V^T Hx' V = I,
+    on n free nodes of spacing dx spanning P intervals, in closed form: DST-I
+    with Dirichlet sides, DCT-I with zero-flux sides (end modes halved)."""
+    P = n + 1 if sides else n - 1
+    k = np.arange(1, n + 1) if sides else np.arange(n)
+    table = (np.sin if sides else np.cos)(np.pi / P * np.arange(2 * P))
+    jk = np.multiply.outer(k, k)
+    jk %= 2 * P  # the angle pi j k / P mod 2 pi, in integers, indexes the table
+    V = (np.sqrt(2.0 / (P * dx)) * table)[jk]
+    V[:, [0, -1]] *= 1.0 if sides else np.sqrt(0.5)
+    return 4.0 / (dx * dx) * np.sin(np.pi / (2 * P) * k) ** 2, V
+
+
 class TraceSystem:
     """Linear extension solves on one grid with one boundary layout.
 
@@ -403,7 +424,7 @@ class TraceSystem:
     only adds m * area to the t diagonal.  On the tensor grid A is a
     Kronecker sum, A = Hx (x) Ky + Kx (x) Wy in d = 1 (one more Kx term in
     d = 2).  The engine diagonalizes the horizontal part once
-    (Kx v = lambda Hx v; fast diagonalization), which splits A_ii into one
+    (Kx v = lambda Hx v in the DST-I or DCT-I basis), which splits A_ii into one
     tridiagonal chain in y per mode, all held by one ModeChains.  The Schur
     complement S = A_tt - A_ti A_ii^-1 A_it, the discrete Dirichlet-to-Neumann
     map, is diagonal in the modes with the chains' symbol; each solve is the
@@ -427,21 +448,16 @@ class TraceSystem:
         area = trace_area(grid)[box[:-1]]
         self._trace_shape = area.shape  # of the box's trace row
         self.area = area.ravel()  # of the free trace nodes
-        self._diag = grid.operator.diagonal().reshape(grid.shape)[box]
+        # on the checkerboard chi = +-1, A chi = 2 chi diag(A) exactly
+        chi = reduce(np.multiply.outer, [(-1.0) ** np.arange(n) for n in grid.shape])
+        self._diag = (0.5 * chi * _face_flux(grid, chi))[box]
         self._separate(box[0], sides, trace_dirichlet)
 
     def _separate(self, xs: slice, sides: bool, trace_dirichlet: bool) -> None:
         """Horizontal eigenbasis, per-mode factors and the Schur complement."""
         g = self.grid
         h = g.x_dual[xs]
-        deg = np.full(h.size, 2.0)
-        if not sides:  # zero-flux sides
-            deg[[0, -1]] = 1.0
-        # Kx' v = lambda Hx' v through the symmetric Hx'^-1/2 Kx' Hx'^-1/2
-        lam, U = sla.eigh_tridiagonal(deg / (g.dx * h),
-                                      -1.0 / (g.dx * np.sqrt(h[:-1] * h[1:])))
-        lam = np.maximum(lam, 0.0)  # zero-flux lambda_0 carries a round-off sign
-        self._V = U / np.sqrt(h)[:, None]  # V^T Hx' V = I
+        lam, self._V = _trig_basis(h.size, g.dx, sides)
         lam = reduce(np.add.outer, [lam] * g.d)
         # per mode k one chain lambda_k Wy + Ky: the top Dirichlet row closes
         # the far end, rows ny-1..1 are its slots and the trace row its boundary
@@ -480,10 +496,15 @@ class TraceSystem:
         return (self._hV @ (self._chains.symbol * u) @ self._hV.T).reshape(t.shape)
 
     def _interior_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """A_ii^-1 rhs for rows-first interior values (row 1 first); the
-        chains hold the modes first and the far end first."""
+        """A_ii^-1 rhs in the modes for rows-first interior values (row 1
+        first); the chains hold the modes first and the far end first."""
         u = self._chains.solve(np.moveaxis(self._to_modes(rhs)[::-1], 0, -1))
-        return self._from_modes(np.moveaxis(u, -1, 0)[::-1])
+        return np.ascontiguousarray(np.moveaxis(u, -1, 0)[::-1])
+
+    def trace_flux(self, load: tuple, t: np.ndarray) -> np.ndarray:
+        """The discrete DtN map, d_nu^a v = (S t - c) / area, of the field with
+        free trace values t and the load's Dirichlet values; no solve."""
+        return (self._schur_apply(t) - load[3]) / self.area
 
     def serves(self, grid: HalfSpaceGrid, layout: tuple) -> bool:
         """Whether this engine was built for grid, compared by value, and the
@@ -496,8 +517,8 @@ class TraceSystem:
     def load(self, bdata: BoundaryData) -> tuple:
         """The Dirichlet values dvals of bdata on this layout's Dirichlet
         nodes (zero on the box), the reduced right-hand side b = -(A dvals)
-        on the box, the interior z = A_ii^-1 b_i (rows first) and b
-        condensed onto the free trace (None with a Dirichlet trace)."""
+        on the box, the interior z = A_ii^-1 b_i in the modes (rows first)
+        and b condensed onto the free trace (None with a Dirichlet trace)."""
         g = self.grid
         sides, trace_dirichlet = self.layout
         dvals = np.zeros(g.shape)
@@ -512,14 +533,14 @@ class TraceSystem:
         put((..., -1), bdata.top)
         if trace_dirichlet:
             put((..., 0), bdata.trace_dirichlet)
-        b = -(g.operator @ dvals.ravel()).reshape(g.shape)[self._box]
+        b = -_face_flux(g, dvals)[self._box]
         rows = np.moveaxis(b, -1, 0)
         rows = np.ascontiguousarray(rows)  # BLAS is 6x slower on the view
         if trace_dirichlet:
             return dvals, b, self._interior_solve(rows), None
         z = self._interior_solve(rows[1:])
         gv0 = g.vertical_conductance[0]
-        c = rows[0].ravel() + gv0 * self.area * z[0].ravel()
+        c = rows[0].ravel() + gv0 * self.area * self._from_modes(z[0]).ravel()
         return dvals, b, z, c
 
     def free_values(self, trace: np.ndarray) -> np.ndarray:
@@ -569,17 +590,16 @@ class TraceSystem:
         g0, scalars or free values.
 
         The trace is trace_solve's; the interior is the load's z plus its
-        response to the trace.  With a Dirichlet trace the solution is z.
-        The field gate takes its backward error through the assembled operator,
+        response to the trace (z with a Dirichlet trace), out of the modes.
+        The field gate takes its backward error with A applied face by face,
         whose zero row sums and off-diagonals <= 0 give ||A|| <= 2 max diag.
         """
         dvals, b, z, c = load
         box, diag, b = self._box, self._diag.copy(), b.copy()
         v = dvals.copy()
         x = v[box]  # a view: writing x writes v
-        if c is None:
-            x[:] = np.moveaxis(z, 0, -1)
-        else:
+        interior, modes = x, z
+        if c is not None:
             t = self.trace_solve(load, m, g0)
             # d_nu^a v = g0 - m v
             absorb, ga, q = (np.reshape(u * self.area, self._trace_shape)
@@ -588,9 +608,9 @@ class TraceSystem:
             diag[..., 0] += absorb
             b[..., 0] += ga
             x[..., 0] = t
-            interior = z + self._from_modes(self._resp * self._to_modes(q))
-            x[..., 1:] = np.moveaxis(interior, 0, -1)
-        r = (self.grid.operator @ v.ravel()).reshape(self.grid.shape)[box]
+            interior, modes = x[..., 1:], z + self._resp * self._to_modes(q)
+        interior[:] = np.moveaxis(self._from_modes(modes), 0, -1)
+        r = _face_flux(self.grid, v)[box]
         if c is not None:
             r[..., 0] += absorb * t - ga
         check_backward_error("linear solve", r, 2.0 * diag.max(), x, b)

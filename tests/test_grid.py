@@ -6,16 +6,16 @@ import weakref
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, eigh_tridiagonal
 
 import fracseg.grid as grid_mod
 from fracseg.core import FracParams, NamedSolution, dtn_exact, eval_solution
 from fracseg.errors import ConfigurationError, ConvergenceError
 from fracseg.grid import (BoundaryData, Field, GridConfig, ModeChains,
-                          TraceSystem, build_grid, check_backward_error,
-                          dtn_trace, field_from_function, grid_coordinates,
-                          interpolate_field, read_snapshot, snapshot_csv,
-                          solve_linear, trace_area, write_snapshot)
+                          TraceSystem, assemble_La, build_grid,
+                          check_backward_error, dtn_trace, field_from_function,
+                          grid_coordinates, interpolate_field, read_snapshot,
+                          snapshot_csv, solve_linear, trace_area, write_snapshot)
 from fracseg.system import CompetitionProblem, Reaction, solve_system
 
 
@@ -79,7 +79,7 @@ def test_field_validation():
 def test_operator_annihilates_constants_and_linears():
     for s in (0.25, 0.5, 0.75):
         g = small_grid(s=s)
-        A = g.operator
+        A = assemble_La(g)
         ones = np.ones(g.n_nodes)
         scale = np.abs(A).max()
         assert np.abs(A @ ones).max() <= 1e-12 * scale
@@ -93,7 +93,7 @@ def test_operator_annihilates_constants_and_linears():
 
 def test_operator_symmetry_and_positivity():
     g = small_grid(s=0.3)
-    A = g.operator
+    A = assemble_La(g)
     rng = np.random.default_rng(11)
     for _ in range(5):
         u = rng.standard_normal(g.n_nodes)
@@ -113,11 +113,60 @@ def test_harmonic_layer_residual_decays():
             g = small_grid(s=s, nx=n + 1, ny=n)
             fld = sample(g, lambda x, y: y ** (2 * s) + 0.0 * x)
             volume = np.multiply.outer(trace_area(g), np.diff(g.y_dual_edges))
-            r = (g.operator @ fld.values.ravel()).reshape(g.shape) / volume
+            r = (assemble_La(g) @ fld.values.ravel()).reshape(g.shape) / volume
             mask = ((g.y[None, :] >= 0.25) & (g.y[None, :] <= 0.9)
                     & (np.abs(g.x[:, None]) <= 0.9))
             errs.append(np.abs(r[mask]).max())
         assert errs[0] / errs[1] >= 1.5
+
+
+@pytest.mark.parametrize("d, s", [(1, 0.25), (1, 0.75), (2, 0.5)])
+def test_face_flux_matches_assembled_operator(d, s):
+    # the engine applies A face by face and reads its diagonal off the
+    # checkerboard; assemble_La is the reference.  Both diagonals sum the
+    # same 2d + 2 or fewer positive conductances, in another order
+    g = small_grid(s=s, d=d, nx=33 if d == 1 else 13)
+    A = assemble_La(g)
+    v = np.random.default_rng(3).standard_normal(g.shape)
+    got = grid_mod._face_flux(g, v)
+    want = (A @ v.ravel()).reshape(g.shape)
+    a_norm = np.abs(A).sum(axis=1).max()
+    assert np.abs(got - want).max() <= 1e-15 * a_norm * np.abs(v).max()
+    for sides in (True, False):
+        engine = TraceSystem(g, sides=sides)
+        diag = A.diagonal().reshape(g.shape)[engine._box]
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(engine._diag - diag) <= (2 * d + 1) * eps * diag)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("nx", [9, 129, 1025])
+@pytest.mark.parametrize("sides", [True, False])
+def test_trig_basis_is_the_horizontal_eigenbasis(d, nx, sides):
+    # the closed-form DST-I / DCT-I pairs against the pencil
+    # Kx' v = lambda Hx' v of the free horizontal nodes.  eigh_tridiagonal
+    # is backward stable, so lambda is compared normwise: its small
+    # eigenvalues carry eps ||Kx'|| of absolute error (1.6e-10 relative for
+    # lambda_1 at nx = 1025).  In d = 2 the engine diagonalizes the
+    # Kronecker sum, formed here where the engine serves it (nx = 9)
+    g = small_grid(d=d, nx=nx, ny=4)
+    h = g.x_dual[1:-1] if sides else g.x_dual
+    n = h.size
+    deg = np.full(n, 2.0)
+    if not sides:
+        deg[[0, -1]] = 1.0
+    lam, V = grid_mod._trig_basis(n, g.dx, sides)
+    want = eigh_tridiagonal(deg / (g.dx * h), -1.0 / (g.dx * np.sqrt(h[:-1] * h[1:])),
+                            eigvals_only=True)
+    assert np.abs(lam - want).max() <= 1e-12 * want.max()
+    K = (np.diag(deg) - np.eye(n, k=1) - np.eye(n, k=-1)) / g.dx
+    H = np.diag(h)
+    if d == 2 and n ** 2 <= grid_mod.TRACE_CAP:
+        K, H = np.kron(K, H) + np.kron(H, K), np.kron(H, H)
+        V, lam = np.kron(V, V), np.add.outer(lam, lam).ravel()
+    assert np.abs(V.T @ H @ V - np.eye(V.shape[1])).max() <= 1e-13
+    res = K @ V - H @ V * lam
+    assert np.abs(res).max() <= 1e-13 * np.abs(K).sum(axis=1).max() * np.abs(V).max()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -421,7 +470,7 @@ def test_mode_chains_reject_a_negative_shunt():
 
 def test_d2_operator_and_solve():
     g = small_grid(s=0.4, d=2, nx=9, ny=8)
-    A = g.operator
+    A = assemble_La(g)
     assert np.abs(A @ np.ones(g.n_nodes)).max() <= 1e-12 * np.abs(A).max()
     assert abs((A - A.T)).max() < 1e-12 * np.abs(A).max()
     bd = BoundaryData(top=1.5, sides=1.5)

@@ -15,8 +15,8 @@ import fracseg.grid as grid_mod
 import fracseg.system as system_mod
 from fracseg.core import FracParams
 from fracseg.errors import ConfigurationError, ConvergenceError
-from fracseg.grid import BoundaryData, Field, GridConfig, TraceSystem, \
-    build_grid, dtn_trace, solve_linear
+from fracseg.grid import BoundaryData, Field, GridConfig, ModeChains, \
+    TraceSystem, assemble_La, build_grid, dtn_trace, solve_linear
 from fracseg.system import (CompetitionProblem, Reaction, bump, solve_system,
                             sweep_beta, trace_overlap)
 
@@ -443,8 +443,8 @@ def test_step_gate_catches_wrong_schur(s, nx, ny, monkeypatch):
 
 
 def test_final_field_gate_catches_wrong_interior(monkeypatch):
-    # the trace steps never see the interior response; the field gate
-    # through the assembled operator does
+    # the trace steps never see the interior response; the field gate,
+    # which applies the operator face by face, does
     prob = make_problem(beta=1e2, nx=65, ny=24)
     engine = TraceSystem(build_grid(prob.grid_config, prob.params))
     engine._resp *= 1.0 + 1e-6
@@ -529,7 +529,7 @@ def test_d2_system_smoke():
 def _face_form(grid, v):
     """A v applied face by face, sum_q g_pq (v_p - v_q), on the flat nodes;
     the conductances g_pq are the assembled off-diagonal entries."""
-    A = grid.operator.tocoo()
+    A = assemble_La(grid).tocoo()
     off = A.row != A.col
     p, q, w = A.row[off], A.col[off], -A.data[off]
     v = v.ravel()
@@ -561,7 +561,7 @@ class _SparseLU(TraceSystem):
         super().__init__(grid, sides, trace_dirichlet)
         dmask = _dirichlet_mask(grid, sides, trace_dirichlet)
         self.unk, self.dir = np.flatnonzero(~dmask), np.flatnonzero(dmask)
-        A_u = grid.operator[self.unk]
+        A_u = assemble_La(grid)[self.unk]
         self.A_uu, self.A_ud = A_u[:, self.unk], A_u[:, self.dir]
         self.trace_free = ~dmask[..., 0].ravel()
         nodes = np.arange(grid.n_nodes).reshape(grid.shape)[..., 0].ravel()
@@ -711,32 +711,53 @@ def test_engine_residual_face_by_face(nx, ny):
     r = (_face_form(g, v).reshape(g.shape) + absorb * v)[free]
     dvals = np.where(free, 0.0, v)
     b = -_face_form(g, dvals).reshape(g.shape)[free]
-    dh = 1.0 / np.sqrt(g.operator.diagonal().reshape(g.shape) + absorb)[free]
+    dh = 1.0 / np.sqrt(assemble_La(g).diagonal().reshape(g.shape) + absorb)[free]
     assert np.linalg.norm(dh * r) <= 1e-9 * np.linalg.norm(dh * b)
 
 
 @pytest.mark.parametrize("s, tol", [(0.25, 1e-9), (0.5, 1e-9), (0.75, 1e-3)])
 def test_trace_schur_is_the_dtn_map(s, tol):
-    # criterion-2 grid family with zero-flux sides and a free trace: S / area
-    # is the discrete DtN map, so on cos(kx) it scales like k^{2s}.  It adds
-    # the trace row's own horizontal flux w0 * lambda_k (cos(kx) is an exact
-    # eigenvector of Kx) to the dtn_trace of the solved extension.  At s = 3/4
-    # dtn_trace multiplies v1 - v0 by 2s y1^{-2s} ~ 5e11, so its round-off
-    # floor is about 1e-4 of the amplitude.
+    # criterion-2 grid family with zero-flux sides, a free trace and zero
+    # top data: trace_flux is the discrete DtN map S / area.  cos(kx) is an
+    # exact eigenvector of Kx (the DCT-I mode 2k), so the flux is the symbol
+    # of that mode's chain times cos(kx), to 1e-9 at every s.  The flux adds
+    # the trace row's own horizontal flux w0 * lambda_k to the dtn_trace of
+    # the solved extension; at s = 3/4 dtn_trace multiplies v1 - v0 by
+    # 2s y1^{-2s} ~ 5e11, so its round-off floor is about 1e-4 of the
+    # amplitude.
     g = _d1(s, 256, 128, L=np.pi, Y=6.0)
     engine = TraceSystem(g, sides=False)
+    load = engine.load(BoundaryData(top=0.0, sides=None))
+    gv = g.vertical_conductance
     amps = {}
     for k in (1, 2, 4):
         c = np.cos(k * g.x)
-        amp = (engine.schur @ c / engine.area) @ c / (c @ c)
+        flux = engine.trace_flux(load, c)
+        lam = 2.0 / g.dx ** 2 * (1.0 - np.cos(k * g.dx))
+        symbol = ModeChains(lam * g.y_dual_w[None, g.ny - 1::-1], gv[-2::-1],
+                            gv[-1]).symbol[0]
+        assert np.abs(flux - symbol * c).max() <= 1e-9 * symbol
         fld = solve_linear(g, BoundaryData(top=0.0, sides=None,
                                            trace_dirichlet=lambda x, y: np.cos(k * x)))
-        lam = 2.0 / g.dx ** 2 * (1.0 - np.cos(k * g.dx))
+        amps[k] = flux @ c / (c @ c)
         solved = dtn_trace(g, fld) @ c / (c @ c)
-        assert amp - g.y_dual_w[0] * lam == pytest.approx(solved, rel=tol)
-        amps[k] = amp
+        assert amps[k] - g.y_dual_w[0] * lam == pytest.approx(solved, rel=tol)
     for a, b in ((2, 1), (4, 2), (4, 1)):
         assert amps[a] / amps[b] == pytest.approx((a / b) ** (2 * s), rel=0.03)
+
+
+@pytest.mark.parametrize("s", [0.25, 0.75])
+def test_trace_flux_of_a_solved_trace_is_its_neumann_data(s):
+    # the trace solve imposes d_nu^a v = g0 - m v, so the flux of its trace
+    # reads the Neumann data back, with the load's c taken off
+    g = _d1(s, 129, 64)
+    engine = TraceSystem(g)
+    load = engine.load(BoundaryData(top=bump(0.3), sides=bump(0.3)))
+    m, g0 = engine.free_values(50.0 * np.exp(-g.x ** 2)), 0.2
+    t = engine.trace_solve(load, m, g0)
+    flux = engine.trace_flux(load, t)
+    scale = np.abs(load[3] / engine.area).max()
+    assert np.abs(flux - (g0 - m * t)).max() <= 1e-12 * scale
 
 
 def test_separable_engine_rejects_non_spd_and_nan():
@@ -767,11 +788,13 @@ def test_engine_matches_one_shot_solve(nx):
 
 def test_engine_rejects_grid_above_trace_cap(monkeypatch):
     # with Dirichlet sides the cap is nx <= TRACE_CAP + 2 in d = 1 and
-    # nx <= 66 in d = 2; the check comes before the operator is assembled
-    def no_assembly(grid):
-        raise AssertionError("operator assembled above the cap")
+    # nx <= 66 in d = 2; the check comes before the first grid-sized step
+    # (the face fluxes) and the O(n^2) basis
+    def no_work(*args):
+        raise AssertionError("engine set-up ran above the cap")
 
-    monkeypatch.setattr(grid_mod, "assemble_La", no_assembly)
+    for name in ("_face_flux", "_trig_basis"):
+        monkeypatch.setattr(grid_mod, name, no_work)
     for d, nx in ((1, grid_mod.TRACE_CAP + 3), (2, 67)):
         g = build_grid(GridConfig(d=d, nx=nx, ny=4), FracParams(s=0.5, N=d))
         with pytest.raises(ConfigurationError, match="free horizontal nodes"):
