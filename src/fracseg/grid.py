@@ -448,9 +448,11 @@ class TraceSystem:
         area = trace_area(grid)[box[:-1]]
         self._trace_shape = area.shape  # of the box's trace row
         self.area = area.ravel()  # of the free trace nodes
-        # on the checkerboard chi = +-1, A chi = 2 chi diag(A) exactly
+        # on the checkerboard chi = +-1, A chi = 2 chi diag(A) exactly; solve
+        # reads only the box's trace row and the largest entry of the others
         chi = reduce(np.multiply.outer, [(-1.0) ** np.arange(n) for n in grid.shape])
-        self._diag = (0.5 * chi * _face_flux(grid, chi))[box]
+        diag = (0.5 * chi * _face_flux(grid, chi))[box]
+        self._diag = diag[..., 0].copy(), float(diag[..., 1:].max())
         self._separate(box[0], sides, trace_dirichlet)
 
     def _separate(self, xs: slice, sides: bool, trace_dirichlet: bool) -> None:
@@ -595,7 +597,7 @@ class TraceSystem:
         whose zero row sums and off-diagonals <= 0 give ||A|| <= 2 max diag.
         """
         dvals, b, z, c = load
-        box, diag, b = self._box, self._diag.copy(), b.copy()
+        box, b, (diag, rest) = self._box, b.copy(), self._diag
         v = dvals.copy()
         x = v[box]  # a view: writing x writes v
         interior, modes = x, z
@@ -605,7 +607,7 @@ class TraceSystem:
             absorb, ga, q = (np.reshape(u * self.area, self._trace_shape)
                              for u in (m, g0, t))
             t = t.reshape(self._trace_shape)
-            diag[..., 0] += absorb
+            diag = diag + absorb
             b[..., 0] += ga
             x[..., 0] = t
             interior, modes = x[..., 1:], z + self._resp * self._to_modes(q)
@@ -613,7 +615,7 @@ class TraceSystem:
         r = _face_flux(self.grid, v)[box]
         if c is not None:
             r[..., 0] += absorb * t - ga
-        check_backward_error("linear solve", r, 2.0 * diag.max(), x, b)
+        check_backward_error("linear solve", r, 2.0 * max(diag.max(), rest), x, b)
         return v
 
 

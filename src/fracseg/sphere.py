@@ -18,7 +18,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 from scipy.special import beta, betainc, digamma, hyp2f1, poch
 
@@ -208,28 +207,6 @@ class HemisphereMesh:
         mass[0] *= self.nphi
         return g_theta, g_phi, mass
 
-    @cached_property
-    def stiffness(self) -> sps.csr_matrix:
-        """Stiffness of the weighted hemisphere (N = 2) on all mesh nodes,
-        built once per mesh and shared by every region solved on it.
-
-        Node 0 is the pole, ring i occupies nodes 1 + (i - 1) nphi + j.
-        """
-        g_theta, g_phi, _ = self.rings
-        nt, nph = self.ntheta, self.nphi
-        ring = 1 + np.arange(nt * nph).reshape(nt, nph)
-        p = np.concatenate((np.zeros(nph, dtype=ring.dtype), ring[:-1].ravel(),
-                            ring.ravel()))
-        q = np.concatenate((ring[0], ring[1:].ravel(),
-                            np.roll(ring, -1, axis=1).ravel()))
-        g = np.concatenate((np.full(nph, g_theta[0]), np.repeat(g_theta[1:], nph),
-                            np.repeat(g_phi, nph)))
-        n = 1 + nt * nph
-        K = sps.coo_matrix((np.concatenate((-g, -g)),
-                            (np.concatenate((p, q)), np.concatenate((q, p)))),
-                           shape=(n, n)).tocsr()
-        return (K - sps.diags(np.asarray(K.sum(axis=1)).ravel())).tocsr()
-
 
 def _half_circle_forms(mesh: HemisphereMesh):
     """Edge conductances and lumped node masses of the weighted half-circle."""
@@ -275,6 +252,22 @@ def _node_mass(mesh: HemisphereMesh) -> np.ndarray:
     return np.concatenate((mass[:1], np.repeat(mass[1:], mesh.nphi)))
 
 
+def _ring_flux(mesh: HemisphereMesh, u: np.ndarray) -> np.ndarray:
+    """K u on all nodes of an N = 2 mesh, face by face, sum_q g_pq (u_p - u_q):
+    the pole joins every node of ring 1, each ring node its neighbours in
+    theta and its periodic neighbours in phi.  Node 0 is the pole, ring i
+    holds nodes 1 + (i - 1) nphi + j.  The analogue of grid._face_flux."""
+    g_theta, g_phi, _ = mesh.rings
+    v = np.vstack((np.full(mesh.nphi, u[0]), u[1:].reshape(mesh.ntheta, -1)))
+    f = g_theta[:, None] * np.diff(v, axis=0)  # v's row 0 repeats the pole
+    out = np.zeros_like(v)
+    out[:-1] -= f
+    out[1:] += f
+    f = g_phi[:, None] * (np.roll(v[1:], -1, axis=1) - v[1:])
+    out[1:] += np.roll(f, 1, axis=1) - f
+    return np.append(out[0].sum(), out[1:])
+
+
 class _HemisphereSolver:
     """x = (K - sigma M)_ff^-1 b on the free nodes of an N = 2 mesh.
 
@@ -287,21 +280,27 @@ class _HemisphereSolver:
     Cholesky factored once on the free equator nodes.  Each solve is one
     interior solve, a dense triangular solve on the free equator and the
     chains' interior response to equator values, and is checked by its
-    backward error against the sparse pencil A = (K - sigma M)_ff.
+    backward error, with K applied ring by ring (_ring_flux).
 
     The shift sigma is small and negative, so the shifted pencil stays
-    definite even when the full-equator null vector is present.  K and M
-    are the restricted forms, free the free nodes among all mesh nodes.
+    definite even when the full-equator null vector is present.  free marks
+    the free nodes among all mesh nodes; diag and mass are the diagonals of
+    K and M on them.
     """
 
     def __init__(self, mesh: HemisphereMesh, free_eq: np.ndarray):
         g_theta, g_phi, mass = mesh.rings
         nt, nph = mesh.ntheta, mesh.nphi
+        self.mesh = mesh
         self.free = np.ones(1 + nt * nph, dtype=bool)
         self.free[-nph:] = free_eq
-        self.K = mesh.stiffness[self.free][:, self.free]
-        self.M = sps.diags(_node_mass(mesh)[self.free]).tocsr()
-        self.sigma = sigma = -1e-8 * float(self.K.diagonal().mean())
+        self.mass = _node_mass(mesh)[self.free]
+        # K's diagonal: the pole's nphi faces; a ring node's faces to the
+        # next ring (none on the equator), in phi, to the previous ring or
+        # the pole, and in phi
+        ring = np.append(g_theta[1:], 0.0) + g_phi + g_theta + g_phi
+        self.diag = np.append(nph * g_theta[0], np.repeat(ring, nph))[self.free]
+        self.sigma = sigma = -1e-8 * float(self.diag.mean())
         lam = 4.0 * np.sin(math.pi * np.arange(nph // 2 + 1) / nph) ** 2
         # one chain per mode: the pole slot at the far end, rings 1..nt-1 and
         # the equator ring as the boundary.  In mode 0 the pole is unit-scaled
@@ -324,11 +323,19 @@ class _HemisphereSolver:
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise ConvergenceError("equator Schur complement is not positive "
                                    "definite") from exc
-        self._A = (self.K - sigma * self.M).tocsr()
-        self._A_norm = float(abs(self._A).sum(axis=1).max())
+        # ||(K - sigma M)_ff|| in the max norm: row p sums diag_p - sigma m_p
+        # and its free off-diagonals, whose moduli add up to diag_p - (K_ff 1)_p
+        self._A_norm = float((2.0 * self.diag - self.flux(np.ones_like(self.diag))
+                              - sigma * self.mass).max())
         self._g_eq = g_theta[-1]
         self._n_int = 1 + (nt - 1) * nph
         self._nphi = nph
+
+    def flux(self, x: np.ndarray) -> np.ndarray:
+        """K_ff x, face by face."""
+        u = np.zeros(self.free.size)
+        u[self.free] = x
+        return _ring_flux(self.mesh, u)[self.free]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         nph, ni = self._nphi, self._n_int
@@ -347,7 +354,8 @@ class _HemisphereSolver:
         x[0] = z[0, 0].real / math.sqrt(nph)
         x[1:ni] = np.fft.irfft(z[:, 1:].T, nph, axis=1, norm="ortho").ravel()
         x[ni:] = eq[self._free]
-        check_backward_error("hemisphere solve", b - self._A @ x, self._A_norm, x, b)
+        r = b - self.flux(x) + self.sigma * self.mass * x
+        check_backward_error("hemisphere solve", r, self._A_norm, x, b)
         return x
 
 
@@ -368,11 +376,12 @@ def _lowest_pair(mesh: HemisphereMesh, free_eq: np.ndarray):
     mesh nodes.
     """
     pencil = _HemisphereSolver(mesh, free_eq)
-    K = pencil.K
-    OPinv = spla.LinearOperator(K.shape, matvec=pencil.solve, dtype=float)
+    n = pencil.mass.size
+    K, M, OPinv = (spla.LinearOperator((n, n), matvec=f, dtype=float) for f in
+                   (pencil.flux, lambda x: pencil.mass * x, pencil.solve))
     try:
-        vals, vecs = spla.eigsh(K, k=1, M=pencil.M, sigma=pencil.sigma,
-                                which="LM", v0=np.ones(K.shape[0]),
+        vals, vecs = spla.eigsh(K, k=1, M=M, sigma=pencil.sigma,
+                                which="LM", v0=np.ones(n),
                                 ncv=_ARPACK_NCV, tol=_ARPACK_TOL,
                                 maxiter=_ARPACK_MAXITER, OPinv=OPinv)
     except spla.ArpackNoConvergence as exc:  # pragma: no cover

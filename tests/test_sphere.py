@@ -256,12 +256,10 @@ def test_nu_scan_deterministic_table():
     assert r1.nu_hat == r2.nu_hat
 
 
-def _sparse_lu_lambda1(mesh, free_eq):
-    """Reference: the pencil assembled edge by edge from the ring
-    coefficients and shift-inverted through one sparse LU on ARPACK's
-    default basis.  Returns the eigenvalue and the M-normalized eigenvector
-    on all mesh nodes."""
-    g_theta, g_phi, mass = mesh.rings
+def _edge_stiffness(mesh):
+    """Reference: K on all mesh nodes, assembled edge by edge from the ring
+    coefficients (node 0 the pole, ring i at 1 + (i - 1) nphi + j)."""
+    g_theta, g_phi, _ = mesh.rings
     nt, nph = mesh.ntheta, mesh.nphi
     n = 1 + nt * nph
 
@@ -279,18 +277,64 @@ def _sparse_lu_lambda1(mesh, free_eq):
         K[q, p] -= g
         K[p, p] += g
         K[q, q] += g
+    return K.tocsr()
+
+
+def _sparse_lu_lambda1(mesh, free_eq):
+    """Reference: the pencil assembled edge by edge and shift-inverted
+    through one sparse LU on ARPACK's default basis.  Returns the eigenvalue
+    and the M-normalized eigenvector on all mesh nodes."""
+    mass, nph = mesh.rings[2], mesh.nphi
     m = np.concatenate((mass[:1], np.repeat(mass[1:], nph)))
-    free = np.concatenate((np.ones(n - nph, dtype=bool), free_eq))
-    Kf = K.tocsr()[free][:, free]
+    free = np.concatenate((np.ones(m.size - nph, dtype=bool), free_eq))
+    Kf = _edge_stiffness(mesh)[free][:, free]
     Mf = sps.diags(m[free]).tocsr()
     sigma = -1e-8 * float(Kf.diagonal().mean())
     lu = spla.splu((Kf - sigma * Mf).tocsc())
     OPinv = spla.LinearOperator(Kf.shape, matvec=lu.solve, dtype=float)
     vals, vecs = spla.eigsh(Kf, k=1, M=Mf, sigma=sigma, which="LM",
                             v0=np.ones(Kf.shape[0]), tol=1e-9, OPinv=OPinv)
-    vec = np.zeros(n)
+    vec = np.zeros(m.size)
     vec[free] = vecs[:, 0]
     return max(float(vals[0]), 0.0), vec
+
+
+def _free_sets(mesh):
+    """Free equator sets: the half, a cap and the codim-1 pair of Dirichlet
+    nodes at phi = pi/2, 3pi/2."""
+    codim1 = np.ones(mesh.nphi, dtype=bool)
+    codim1[[mesh.nphi // 4, 3 * mesh.nphi // 4]] = False
+    return {"half": EquatorRegion.half(2).contains(mesh.phi),
+            "cap": EquatorRegion.cap(0.4, 1.1).contains(mesh.phi),
+            "codim1": codim1}
+
+
+@pytest.mark.parametrize("s", S_GRID)
+@pytest.mark.parametrize("nt, nph", [(8, 16), (16, 32)])
+def test_ring_flux_is_the_edge_stiffness(s, nt, nph):
+    # the solver applies K ring by ring and reads its diagonal, the shift
+    # and the gate's ||(K - sigma M)_ff|| off the ring coefficients; the
+    # pencil assembled edge by edge is the reference.  The mesh is graded
+    # toward the equator at every s (exponent 1/s)
+    mesh = mesh2(s, nt=nt, nph=nph)
+    assert mesh.grading_exp > 1.0
+    K = _edge_stiffness(mesh)
+    eps = np.finfo(float).eps
+    u = np.random.default_rng(7).standard_normal(K.shape[0])
+    k_norm = np.abs(K).sum(axis=1).max()
+    got = sphere._ring_flux(mesh, u)
+    assert np.abs(got - K @ u).max() <= 1e-15 * k_norm * np.abs(u).max()
+    for name, free_eq in _free_sets(mesh).items():
+        pencil = sphere._HemisphereSolver(mesh, free_eq)
+        Kf = K[pencil.free][:, pencil.free]
+        x = u[pencil.free]
+        assert np.abs(pencil.flux(x) - Kf @ x).max() <= 1e-15 * k_norm * np.abs(x).max()
+        # four conductances summed in another order; the pole sums nphi
+        err = np.abs(pencil.diag - Kf.diagonal()) / pencil.diag
+        assert err[1:].max() <= 4 * eps and err[0] <= nph * eps, name
+        assert pencil.sigma == pytest.approx(-1e-8 * Kf.diagonal().mean(), rel=4 * eps)
+        A = Kf - pencil.sigma * sps.diags(pencil.mass)
+        assert pencil._A_norm == pytest.approx(abs(A).sum(axis=1).max(), rel=8 * eps)
 
 
 def _mass_distance(mesh, u, v):
@@ -389,9 +433,10 @@ def test_lambda1_checks_every_solve(monkeypatch):
 def test_hemisphere_solver_rejects_nan():
     mesh = mesh2(0.5, nt=8, nph=16)
     pencil = sphere._HemisphereSolver(mesh, np.arange(16) < 8)
-    b = np.ones(pencil.K.shape[0])
+    K = _edge_stiffness(mesh)[pencil.free][:, pencil.free]
+    b = np.ones(K.shape[0])
     x = pencil.solve(b)
-    assert np.abs(pencil.K @ x - pencil.sigma * (pencil.M @ x) - b).max() < 1e-11
+    assert np.abs(K @ x - pencil.sigma * (pencil.mass * x) - b).max() < 1e-11
     b[5] = np.nan
     with pytest.raises(ConvergenceError):
         pencil.solve(b)
