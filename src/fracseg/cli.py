@@ -282,9 +282,9 @@ def cmd_diagnose(cfg: dict, args) -> RunReport:
         elif q.startswith("acf_"):
             add_profile(_profile(acf_one_phase, fields[0], center, radii, q))
         elif q == "pohozaev":
-            res = [_profile(pohozaev_residual, fields, center, r) for r in radii]
+            res = _profile(pohozaev_residual, fields, center, radii)
             add_rows(radii, res, q, math.inf, 0)
-            report.add("pohozaev residual", max(map(abs, res)), math.inf, True)
+            report.add("pohozaev residual", float(np.abs(res).max()), math.inf, True)
         elif q == "holder":
             for alpha in dg.get("alphas", [0.1]):
                 semi = max(trace_seminorm(f, alpha) for f in fields)

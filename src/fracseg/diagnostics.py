@@ -127,6 +127,16 @@ class _CellGeometry:
             per_layer[:, self.cells[-1]].reshape((4,) + (1,) * d + (-1,)),
             (4,) + self.ym.shape)
         self.R = np.sqrt(sum(o * o for o in self.off) + self.ym * self.ym)
+        # rows: the lines of cells along x1, in C order of (x2, y).  Along a
+        # row R grows with the x1 distance from the center column c0 (the
+        # first with x1 offset >= 0) on each side; _dist holds the increasing
+        # distances of the left and the right side
+        x1 = xoff[0][self.cells[0]]
+        self._c0 = c0 = int(np.searchsorted(x1, 0.0))
+        self._dist = (-x1[:c0][::-1], x1[c0:])
+        self._q = (sum(o[0] * o[0] for o in self.off[1:])
+                   + self.ym[0] * self.ym[0]).ravel()
+        self._wrow, self._vrow = self.width[0].ravel(), self.vol[0].ravel()
 
     # -- reconstruction ---------------------------------------------------
     def cell_gradient(self, fld: Field):
@@ -199,42 +209,65 @@ class _CellGeometry:
         horiz = min(g.L - abs(c) for c in self.center)
         return min(horiz - g.dx, g.Y - g.dy[-1])
 
+    def _spans(self, radii: np.ndarray):
+        """Where each radius r meets each row (width w, q = R^2 - x1^2).
+
+        The cells wholly inside r (R + w <= r) are the |x1| <= sqrt((r - w)^2
+        - q) run about the center column, inner[side] cells on each side; the
+        band cells (|R - r| < w) are the next ones out to |x1| < sqrt((r +
+        w)^2 - q).  Returns the inner counts (rows x radii, per side) and the
+        band as flat indices into the (x1, rows) layout, their row and their
+        radius, in C order of (row, radius, side, cell).
+        """
+        r, w, q = radii[None, :], self._wrow[:, None], self._q[:, None]
+        reach_in = np.where(r - w > 0.0, (r - w) ** 2 - q, -1.0)
+        lim_in = np.where(reach_in >= 0.0, np.sqrt(np.maximum(reach_in, 0.0)), -1.0)
+        lim_out = np.sqrt(np.maximum((r + w) ** 2 - q, 0.0))
+        inner = [np.searchsorted(d, lim_in.ravel(), side="right") for d in self._dist]
+        outer = [np.searchsorted(d, lim_out.ravel()) for d in self._dist]
+        # one run per (row, radius, side): side 0 runs left of c0, 1 right
+        start, stop = np.stack(inner, axis=1).ravel(), np.stack(outer, axis=1).ravel()
+        count = stop - start
+        run = np.repeat(np.arange(count.size), count)
+        k = start[run] + np.arange(run.size) - np.repeat(np.cumsum(count) - count, count)
+        col = np.where(run % 2 == 1, self._c0 + k, self._c0 - 1 - k)
+        row, kr = np.divmod(run // 2, radii.size)
+        return inner, col * self._q.size + row, row, kr
+
     def volume_integral(self, weighted: np.ndarray, radii: np.ndarray) -> np.ndarray:
         """Integral over B_r of an already y^a-weighted cell density, every
-        radius in one pass.
+        radius in one pass; the radii may come in any order.
 
-        The ramp vanishes on cells with R - width >= r and is exactly 1 on
-        cells with R + width <= r.  So each cell adds its whole mass to every
-        radius from the first at or beyond R + width on (one cumulative
-        bincount gives these inside sums for all radii), and only the band
-        pairs, a radius in (R - width, R + width), go through the ramp.  The
-        radii may come in any order; the values follow it.
+        The ramp is exactly 1 on the cells with R + width <= r, the inner run
+        of each row (`_spans`): its sum is left[a] + right[b] of the row's
+        prefix sums taken outward from the center column.  Only the band
+        cells go through the ramp.  One sequential bincount over rows adds
+        both, so the sum does not depend on how many rows the geometry holds.
         """
         radii = np.asarray(radii, dtype=float)
-        order = np.argsort(radii)
-        rs = radii[order]
-        near = self.R - self.width < rs[-1]
-        base = (weighted * self.vol)[near]
-        R, width = self.R[near], self.width[near]
-        first = np.searchsorted(rs, R + width)
-        out = np.cumsum(np.bincount(first, weights=base, minlength=rs.size + 1))
-        # one (cell, radius) pair for each band radius lo <= k < first of a cell
-        lo = np.searchsorted(rs, R - width, side="right")
-        count = first - lo
-        cell = np.repeat(np.arange(base.size), count)
-        k = lo[cell] + np.arange(cell.size) - np.repeat(np.cumsum(count) - count, count)
-        out = out[:rs.size] + np.bincount(
-            k, weights=base[cell] * self._ramp(rs[k], R[cell], width[cell]),
-            minlength=rs.size)
-        return out[np.argsort(order)]
+        base = (weighted * self.vol).reshape(self.R.shape[0], -1)
+        c0, nrow = self._c0, self._q.size
+        left, right = np.zeros((c0 + 1, nrow)), np.zeros((base.shape[0] - c0 + 1, nrow))
+        np.cumsum(base[:c0][::-1], axis=0, out=left[1:])
+        np.cumsum(base[c0:], axis=0, out=right[1:])
+        (a, b), flat, row, kr = self._spans(radii)
+        rows = np.repeat(np.arange(nrow), radii.size)
+        inside = left[a, rows] + right[b, rows]
+        band = base.ravel()[flat] * self._ramp(radii[kr], self.R.ravel()[flat],
+                                               self._wrow[row])
+        return np.bincount(np.concatenate((np.tile(np.arange(radii.size), nrow), kr)),
+                           weights=np.concatenate((inside, band)), minlength=radii.size)
 
-    def surface_integral(self, weighted: np.ndarray, r: float) -> float:
-        """Shell average over the sphere of radius r: the one-cell hat kernel
-        (1 - t) / width, t = |R - r| / width, summed over the cells t < 1."""
-        t = np.abs(self.R - r) / self.width
-        shell = t < 1.0
-        return float(np.sum(weighted[shell] * self.vol[shell]
-                            * ((1.0 - t[shell]) / self.width[shell])))
+    def surface_integral(self, weighted: np.ndarray, radii: np.ndarray) -> np.ndarray:
+        """Shell average over the sphere of each radius r: the one-cell hat
+        kernel (1 - t) / width, t = |R - r| / width, summed over the band
+        cells t < 1 of `_spans`, grouped by radius in one bincount."""
+        radii = np.asarray(radii, dtype=float)
+        _, flat, row, kr = self._spans(radii)
+        w = self._wrow[row]
+        t = np.abs(self.R.ravel()[flat] - radii[kr]) / w
+        dens = np.ravel(weighted)[flat] * self._vrow[row]
+        return np.bincount(kr, weights=dens * ((1.0 - t) / w), minlength=radii.size)
 
 
 def _kernel_profile(grid: HalfSpaceGrid, eps: float):
@@ -354,23 +387,27 @@ def log_derivative_residual(h_profile: RadialProfile, n_profile: RadialProfile):
     return np.abs(dlog - target) / np.abs(target)
 
 
-def pohozaev_residual(fields, center, r: float) -> float:
+def pohozaev_residual(fields, center, r):
     """Signed relative residual of the half-ball Pohozaev identity.
 
     (2s - N) int_{B_r^+} y^a sum |grad v|^2 + r int_{shell} y^a sum |grad v|^2
     - 2 r int_{shell} y^a sum |d_nu v|^2, normalized by the middle term.
+    r is one radius (a float comes back) or an increasing 1-D array of radii
+    (an array comes back), all read off one geometry and one gradient.
     """
     flist = _as_field_list(fields)
     grid = flist[0].grid
     p = grid.params
-    geo = _CellGeometry(grid, center, [r])
+    geo = _CellGeometry(grid, center, np.atleast_1d(r))
     grads = [geo.cell_gradient(f) for f in flist]
     energy = sum(geo.energy_density(g) for g in grads)
     radial = geo.wy * sum(geo.radial_derivative(g) ** 2 for g in grads)
-    t1 = (2.0 * p.s - p.N) * geo.volume_integral(energy, geo.radii)[0]
-    t2 = r * geo.surface_integral(energy, r)
-    t3 = 2.0 * r * geo.surface_integral(radial, r)
-    return float((t1 + t2 - t3) / (abs(t2) + 1e-300))
+    rs = geo.radii
+    t1 = (2.0 * p.s - p.N) * geo.volume_integral(energy, rs)
+    t2 = rs * geo.surface_integral(energy, rs)
+    t3 = 2.0 * rs * geo.surface_integral(radial, rs)
+    res = (t1 + t2 - t3) / (np.abs(t2) + 1e-300)
+    return float(res[0]) if np.ndim(r) == 0 else res
 
 
 # --------------------------------------------------------------------------

@@ -156,7 +156,10 @@ def comparison_pv(params: FracParams, x, h: float = 0.02, pad: float = 50.0):
     Line PV quadrature: the profile is sampled on a uniform lattice of
     spacing h covering x plus a pad, and its far field beyond the lattice is
     integrated through the limits 0 and 1 and the tail terms
-    -+tail_coef |xi|^{a-1} of `ComparisonProfile`.
+    -+tail_coef |xi|^{a-1} of `ComparisonProfile`.  Each x is snapped to a
+    lattice node, so the exact cell integrals of the kernel form one lag
+    table, evaluated once; the lattice sum stays u(x) sum w - W u, row sums
+    and one matmul over the gathered rows.
     """
     profile = ComparisonProfile(params)
     s, x = params.s, np.asarray(x, dtype=float)
@@ -170,11 +173,16 @@ def comparison_pv(params: FracParams, x, h: float = 0.02, pad: float = 50.0):
     uval = np.asarray(profile(nodes), dtype=float)
     ix = jx - jlo
 
-    # exact kernel integrals over every lattice cell, per evaluation point
-    az = np.abs(nodes[None, :] - (h * jx)[:, None])
-    wmat = _kernel_cell(np.maximum(az - 0.5 * h, 0.25 * h), az + 0.5 * h, s)
-    cols = np.arange(nodes.size)
-    wmat[np.abs(cols[None, :] - ix[:, None]) <= _EXCISE_CELLS] = 0.0
+    # exact kernel integrals over the lattice cells: every point is a node,
+    # so the weight of cell c seen from point i depends only on the lag
+    # |c - ix_i|; one value per lag, the excised lags zeroed, and row i is
+    # the window of the mirrored lags that puts lag 0 at column ix_i
+    n = nodes.size
+    z = h * np.arange(n)
+    lag_w = _kernel_cell(np.maximum(z - 0.5 * h, 0.25 * h), z + 0.5 * h, s)
+    lag_w[:_EXCISE_CELLS + 1] = 0.0
+    mirrored = np.concatenate((lag_w[:0:-1], lag_w))
+    wmat = np.lib.stride_tricks.sliding_window_view(mirrored, n)[n - 1 - ix]
 
     ucenter = uval[ix]
     vals = ucenter * wmat.sum(axis=1) - wmat @ uval

@@ -245,9 +245,7 @@ def _half_circle_pair(mesh: HemisphereMesh, ends: tuple):
 
 
 def _node_mass(mesh: HemisphereMesh) -> np.ndarray:
-    """Lumped mass of every mesh node."""
-    if mesh.params.N == 1:
-        return _half_circle_forms(mesh)[1]
+    """Lumped mass of every node of an N = 2 mesh."""
     mass = mesh.rings[2]
     return np.concatenate((mass[:1], np.repeat(mass[1:], mesh.nphi)))
 
@@ -441,9 +439,12 @@ def nu_acf_caps(mesh: HemisphereMesh, radii_grid=None) -> CapScanResult:
     Evaluates (gamma(lambda1(cap t1)) + gamma(lambda1(cap t2)))/2 over the
     grid of disjoint cap pairs and returns the minimum: an upper bound for
     the partition infimum, restricted to caps.  Cap radius 0 is the empty
-    region; radius pi is the full equator.
+    region; radius pi is the full equator.  Caps need the N = 2 mesh: an
+    N = 1 equator is two points, with no cap between them.
     """
     p = mesh.params
+    if p.N != 2:
+        raise ConfigurationError("cap scan needs the N = 2 mesh")
     if radii_grid is None:
         radii_grid = np.linspace(0.0, math.pi, 9)
     radii_grid = np.asarray(radii_grid, dtype=float)

@@ -333,6 +333,11 @@ def test_diagnose_pohozaev(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert cli.main(["diagnose", snap, "--config", path, "--out", out]) == 2
     assert "exceeds grid bound" in capsys.readouterr().err
+    # all radii share one geometry, so they must increase, as for every quantity
+    cfg["diagnostics"]["radii"].update(start=0.6, stop=0.2)
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["diagnose", snap, "--config", path, "--out", out]) == 2
+    assert "strictly increasing" in capsys.readouterr().err
 
 
 def test_verify_rejects_config(tmp_path, capsys):

@@ -112,31 +112,55 @@ def test_quadrature_translation_invariance():
 
 
 def test_volume_integral_matches_full_grid_sum():
-    # the one-pass quadrature (inside sums by cumulative bincount, the ramp
-    # on band cells only) against the sum of the same ramp over every held
-    # cell (the ramp is 0 on the cells the window leaves out), equal up to
-    # the order of summation.  The radii come unsorted, closer than a
-    # cell diagonal (several in one cell's band), on the band edges
-    # R +- width of a cell, and single; graded layers (grading_p = 2, the
-    # default at s = 1/2) give every row its own width
+    # the one-pass quadrature (inside sums from row prefix sums taken
+    # outward from the center column, the ramp on band cells only) against
+    # the sum of the same ramp over every held cell (the ramp is 0 on the
+    # cells the window leaves out), equal up to the order of summation.
+    # The radii come unsorted, closer than a cell diagonal (several in one
+    # cell's band), on the band edges R +- width of a cell, and single;
+    # graded layers (grading_p = 2, the default at s = 1/2) give every row
+    # its own width.  Also: a radius below every row's width (no row has
+    # an inside span), a radius tangent to a row (r = sqrt(q), q = R^2 -
+    # x1^2 of the row) and a center on a node, between two cell columns
     rng = np.random.default_rng(3)
     graded = build_grid(GridConfig(d=1, L=0.8, Y=0.8, nx=65, ny=64, grading_p=2.0),
                         FracParams(s=0.5, N=1))
-    for g, center in ((diag_grid(0.5, nx=128), (0.1,)),
+    uniform = diag_grid(0.5, nx=128)
+    for g, center in ((uniform, (0.1,)),
                       (build_grid(GridConfig(d=2, L=0.8, Y=0.8, nx=17, ny=16),
                                   FracParams(s=0.5, N=2)), (0.0, 0.1)),
-                      (graded, (0.05,))):
+                      (graded, (0.05,)), (uniform, (uniform.x[70],))):
         geo = _CellGeometry(g, center, [0.5])
+        if g is graded:
+            assert np.ptp(geo.width) > 0.0  # the graded grid's rows differ in width
         w = rng.random(geo.R.shape)
         step = 0.25 * float(geo.width.min())
         cell = np.unravel_index(np.argmin(np.abs(geo.R - 0.4)), geo.R.shape)
+        below = 0.5 * float(geo.width.min())
+        tangent = float(np.sqrt(geo._q[np.argmin(np.abs(geo._q - 0.09))]))
+        assert not np.any(geo._spans(np.array([below]))[0])
         for radii in ([0.45, 0.1, 0.3], 0.3 + step * np.array([3, 0, 5, 1, 4, 2]),
                       [geo.R[cell] + geo.width[cell], geo.R[cell] - geo.width[cell]],
-                      [0.37]):
+                      [0.37], [below], [tangent, 0.2]):
             ref = [np.sum(w * geo.vol * geo._ramp(r, geo.R, geo.width)) for r in radii]
             got = geo.volume_integral(w, np.array(radii))
             assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
-    assert np.ptp(geo.width) > 0.0  # the graded grid's rows differ in width
+    # the last center is a node: its nearest columns lie dx/2 off on each side
+    assert np.allclose([d[0] for d in geo._dist], 0.5 * uniform.dx, rtol=1e-9)
+
+
+def test_pohozaev_radii_in_one_call():
+    # an array of radii reads one geometry; each value equals (==) the
+    # scalar call at its radius, on a window of that radius alone
+    s = 0.75
+    g = diag_grid(s, nx=256)
+    fld = explicit_field(g, NamedSolution("codim1", FracParams(s=s, N=1)))
+    radii = np.geomspace(0.1, 0.5, 11)
+    for center in ((0.0,), (0.05,)):
+        got = pohozaev_residual(fld, center, radii)
+        assert isinstance(got, np.ndarray) and got.shape == radii.shape
+        assert np.array_equal(got, [pohozaev_residual(fld, center, r) for r in radii])
+    assert isinstance(pohozaev_residual(fld, (0.0,), 0.4), float)
 
 
 def test_radii_must_be_positive():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fracseg import spectral
 from fracseg.core import FracParams, comparison_f
 from fracseg.spectral import (ComparisonProfile, PeriodicGrid1D, comparison_pv,
                               frac_lap_pv, frac_lap_symbol, pv_constant)
@@ -156,6 +157,54 @@ def test_comparison_estimate_holds():
     c2 = float(np.max(-comparison_pv(p, xs, h=0.01, pad=100.0).values / f))
     assert np.isfinite(c1) and c1 > 0
     assert abs(c1 - c2) / c1 < 0.10
+
+
+def _comparison_pv_pointwise(params, x, h, pad):
+    """Reference: comparison_pv with the kernel integrals taken for every
+    (point, lattice cell) pair from the cell's own distance to the point."""
+    prof = ComparisonProfile(params)
+    s, x = params.s, np.asarray(x, dtype=float)
+    jx = np.rint(x / h).astype(np.int64)
+    jpad = int(round(pad / h))
+    jlo, jhi = min(int(jx.min()) - jpad, -jpad), max(int(jx.max()) + jpad, jpad)
+    nodes = h * np.arange(jlo, jhi + 1)
+    uval, ix, xc = prof(nodes), jx - jlo, h * jx
+    az = np.abs(nodes[None, :] - xc[:, None])
+    wmat = spectral._kernel_cell(np.maximum(az - 0.5 * h, 0.25 * h), az + 0.5 * h, s)
+    wmat[np.abs(np.arange(nodes.size)[None, :] - ix[:, None])
+         <= spectral._EXCISE_CELLS] = 0.0
+    uc = uval[ix]
+    vals = uc * wmat.sum(axis=1) - wmat @ uval
+    upp = (uval[ix + 1] - 2.0 * uc + uval[ix - 1]) / h ** 2
+    vals -= (upp * ((spectral._EXCISE_CELLS + 0.5) * h) ** (2.0 - 2.0 * s)
+             / (2.0 - 2.0 * s))
+    lo_edge, hi_edge = nodes[0] - 0.5 * h, nodes[-1] + 0.5 * h
+    vals += (uc - 1.0) * (hi_edge - xc) ** (-2.0 * s) / (2.0 * s)
+    vals += uc * (xc - lo_edge) ** (-2.0 * s) / (2.0 * s)
+    for sign, coef, edge in ((1, -prof.tail_coef, hi_edge),
+                             (-1, prof.tail_coef, lo_edge)):
+        m = int(math.ceil(math.log(spectral._FAR_CUT / abs(edge)) / math.log(1.05)))
+        g = abs(edge) * 1.05 ** np.arange(m + 1)
+        mid = np.sqrt(g[:-1] * g[1:])
+        power = coef * mid ** (params.a - 1.0)
+        dist = np.abs(sign * mid[None, :] - xc[:, None])
+        vals -= (dist ** (-1.0 - 2.0 * s) * power[None, :]) @ np.diff(g)
+    return pv_constant(s) * vals
+
+
+@pytest.mark.parametrize("s", S_GRID)
+def test_comparison_pv_lag_kernel_matches_pointwise_cells(s):
+    # the one-per-lag kernel equals the per-(point, cell) integrals on
+    # criterion 9's near set at both lattices and its far set (h = 0.04
+    # below s = 1/2, to x = -400)
+    p = FracParams(s=s, N=1)
+    xs = np.linspace(-10.0, 0.0, 50)
+    xf = np.linspace(*((-100.0, -20.0) if s >= 0.5 else (-400.0, -100.0)), 25)
+    for x, h, pad in ((xs, 0.02, 50.0), (xs, 0.01, 100.0),
+                      (xf, 0.02 if s >= 0.5 else 0.04, 50.0)):
+        ref = _comparison_pv_pointwise(p, x, h, pad)
+        got = comparison_pv(p, x, h=h, pad=pad).values
+        assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
 def test_comparison_far_field_slope():

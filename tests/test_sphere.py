@@ -247,6 +247,14 @@ def test_nu_scan_endpoints_and_bound():
     assert res.argmin.t1 + res.argmin.t2 <= math.pi + 1e-12
 
 
+def test_nu_scan_needs_the_n2_mesh():
+    # an N = 1 equator has no caps: every cap would be solved as the empty
+    # region
+    mesh = HemisphereMesh(params=FracParams(s=0.5, N=1), ntheta=16)
+    with pytest.raises(ConfigurationError, match="N = 2"):
+        nu_acf_caps(mesh)
+
+
 def test_nu_scan_deterministic_table():
     mesh = mesh2(0.25, nt=24, nph=48)
     grid = np.linspace(0.0, math.pi, 5)
