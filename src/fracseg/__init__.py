@@ -9,7 +9,7 @@ bounds and uniform Hölder-seminorm behavior under strong competition.
 """
 
 from .core import (FracParams, NamedSolution, RegularizedKernel, comparison_f,
-                   dtn_exact, eval_solution, gamma_inverse, gamma_map)
+                   eval_solution, gamma_inverse, gamma_map)
 from .errors import ConfigurationError, ConvergenceError
 from .grid import (BoundaryData, Field, GridConfig, HalfSpaceGrid, assemble_La,
                    build_grid, dtn_trace, field_from_function,

@@ -227,7 +227,9 @@ def cmd_sweep(cfg: dict, args) -> RunReport:
     report.files.append(path)
     report.meta.update(overlaps=list(map(float, sweep.column("overlap"))),
                        outer_iters=[r.outer_iters for r in sweep.rows],
-                       seconds=[r.seconds for r in sweep.rows])
+                       seconds=[r.seconds for r in sweep.rows],
+                       **{kind: [r.steps[kind] for r in sweep.rows]
+                          for kind in sweep.rows[0].steps})
     return report
 
 

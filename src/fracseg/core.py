@@ -111,27 +111,6 @@ def eval_solution(sol: NamedSolution, X):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def dtn_exact(sol: NamedSolution, x1):
-    """Weighted normal derivative -lim y^a d_y v of a named solution on y = 0.
-
-    x1 is the first trace coordinate (the only one these solutions depend
-    on).  vanish_trace gives the constant -2s.  halfspace gives 0 on x1 > 0
-    (where the trace is positive) and -2s (4|x1|)^{-s} on x1 < 0 (where the
-    trace vanishes); x1 = 0 is excluded.
-    """
-    s = sol.params.s
-    x1 = np.asarray(x1, dtype=float)
-    if sol.tag == "vanish_trace":
-        out = np.full(np.shape(x1), -2.0 * s)
-    elif sol.tag == "halfspace":
-        if np.any(x1 == 0):
-            raise ValueError("halfspace trace derivative needs x1 != 0")
-        out = np.where(x1 > 0, 0.0, -2.0 * s * (4.0 * np.abs(x1)) ** (-s))
-    else:
-        raise NotImplementedError(f"no closed-form trace derivative for {sol.tag!r}")
-    return float(out) if np.ndim(out) == 0 else out
-
-
 @dataclass(frozen=True)
 class RegularizedKernel:
     """C^1 regularization of the power kernel |X|^{2s-N}.

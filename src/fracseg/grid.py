@@ -347,30 +347,22 @@ def check_backward_error(what: str, r, a_norm: float, x, b) -> None:
 class ModeChains:
     """Stacked SPD tridiagonals T, one per mode, each on a chain of slots
     0..n eliminated toward the boundary slot n: the separable kernel of
-    TraceSystem and the hemisphere solver.  shunt (*modes, n + 1) ties each
-    slot to zero, cond (broadcastable to (*modes, n)) joins slot i to i + 1
-    and closure ties slot 0, the far end, to zero; T acts on slots 0..n-1.
-    Factored from the far end, rho_i = shunt_i + c (rho / (c + rho)) with the
-    c and rho of slot i - 1 (rho_0 = shunt_0 + closure) gives the pivots
-    cond_i + rho_i and the boundary's Schur symbol rho_n; the quotient comes
-    first because the product c rho underflows at extreme grid scales.
-    Every term is positive, while the closed form cond - cond^2 (T^-1)_{n-1,n-1} and a
-    factorization from the near end subtract nearly equal numbers: they lose
-    the symbol's digits under the y1^{-2s} trace conductance (1e12 at
-    s = 3/4) and at the hemisphere's small mode-0 symbol.
+    TraceSystem and the hemisphere eigensolver.  shunt (*modes, n + 1) ties
+    each slot to zero, cond (broadcastable to (*modes, n)) joins slot i to
+    i + 1 and closure ties slot 0, the far end, to zero; T acts on slots
+    0..n-1.  Factored from the far end (eliminate), T is definite when its
+    pivots are; the boundary's Schur symbol may have either sign (shifted
+    chains).  Every term of the recurrence keeps its sign, while the closed
+    form cond - cond^2 (T^-1)_{n-1,n-1} and a factorization from the near
+    end lose the symbol's digits under the y1^{-2s} trace conductance (1e12
+    at s = 3/4) and at the hemisphere's small mode-0 symbol.
     """
 
     def __init__(self, shunt: np.ndarray, cond, closure):
-        cond = np.broadcast_to(cond, shunt[..., 1:].shape)
-        rho = np.empty(shunt.shape)
-        rho[..., 0] = shunt[..., 0] + closure
-        for i in range(1, rho.shape[-1]):
-            c, r = cond[..., i - 1], rho[..., i - 1]
-            rho[..., i] = shunt[..., i] + c * (r / (c + r))
-        if not np.all(rho > 0):
+        self.pivots, self.symbol = self.eliminate(shunt, cond, closure)
+        if not np.all(self.pivots > 0):
             raise ConvergenceError("mode chains are not positive definite")
-        self.pivots = cond + rho[..., :-1]
-        self.symbol = rho[..., -1]
+        cond = np.broadcast_to(cond, self.pivots.shape)
         # T = L diag(pivots) L^T with the modes' chains stacked far end first,
         # the layout of LAPACK's ?pttrs; L's subdiagonal is 0 between modes
         lower = np.zeros(self.pivots.shape)
@@ -379,6 +371,19 @@ class ModeChains:
         unit = np.zeros(self.pivots.shape)
         unit[..., -1] = cond[..., -1]
         self.response = self.solve(unit)  # T^-1 of a unit boundary value
+
+    @staticmethod
+    def eliminate(shunt: np.ndarray, cond, closure) -> tuple:
+        """Pivots cond_i + rho_i and symbol rho_n, unchecked, from
+        rho_i = shunt_i + c (rho / (c + rho)) with slot i - 1's c and rho
+        (rho_0 = shunt_0 + closure; the product c rho would underflow)."""
+        cond = np.broadcast_to(cond, shunt[..., 1:].shape)
+        rho = np.empty(shunt.shape)
+        rho[..., 0] = shunt[..., 0] + closure
+        for i in range(1, rho.shape[-1]):
+            c, r = cond[..., i - 1], rho[..., i - 1]
+            rho[..., i] = shunt[..., i] + c * (r / (c + r))
+        return cond + rho[..., :-1], rho[..., -1]
 
     def solve(self, u: np.ndarray) -> np.ndarray:
         """T^-1 u for every mode; u has the pivots' shape and is real or
@@ -392,8 +397,8 @@ class ModeChains:
 #: sides nx <= 4098 in d = 1 and nx <= 66 in d = 2.  The dense Schur
 #: complement and a trace solve's Cholesky copy take 16 n^2 bytes, 268 MB at
 #: the cap (in d = 1 the bases V and Hx'V as much again); a Newton step of k
-#: components factors one (k n)^2 array, 4 n^2 at k = 2 and 9 n^2 (1.2 GB at
-#: the cap) at k = 3.
+#: components factors one (k n)^2 array, which CompetitionProblem bounds by
+#: k n <= 2 TRACE_CAP (537 MB, the k = 2 size at the cap).
 TRACE_CAP = 4096
 
 
@@ -469,6 +474,8 @@ class TraceSystem:
         if trace_dirichlet:
             self.schur = np.zeros((0, 0))
             return
+        if not np.all(self._chains.symbol > 0):  # the DtN map is definite
+            raise ConvergenceError("trace Schur symbol is not positive")
         # interior response to t, rows first like the interior values
         self._resp = np.moveaxis(self._chains.response, -1, 0)[::-1]
         # the DtN map, S = (Hx'V) diag(sigma) (Hx'V)^T, is an M-matrix with

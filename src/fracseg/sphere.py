@@ -4,10 +4,10 @@ Solves the first eigenvalue of the weighted Laplace-Beltrami form on the
 upper hemisphere with Dirichlet conditions on part of the equator: the
 Rayleigh quotient of int y^a |grad_T u|^2 over int y^a u^2, with y the
 vertical coordinate of the sphere point.  The N = 2 mesh is a (psi, phi)
-tensor grid, psi the latitude, with a collapsed pole and cells graded
-toward the equator; the N = 1 half-circle is a cheap oracle.  The cap scan
-evaluates the mean homogeneity of antipodally centered equator caps and
-returns its minimum, an upper bound for the partition optimum.
+tensor grid with a collapsed pole and cells graded toward the equator; each
+eigenvalue is a root of the equator's Schur complement, found by Newton's
+method on per-mode chains; the N = 1 half-circle is a cheap oracle.  The
+cap scan returns the least mean homogeneity of antipodally centered caps.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # unused here; the traced benchmark hooks sphere.spla
 from scipy.special import beta, betainc, digamma, hyp2f1, poch
 
 from .core import FracParams, gamma_map
@@ -75,13 +75,9 @@ class EquatorRegion:
     def contains(self, phi: np.ndarray) -> np.ndarray:
         """Membership of equator angles (N = 2), up to 2*pi wrapping."""
         out = np.zeros(np.shape(phi), dtype=bool)
-        for lo, hi in self.arcs:
-            span = hi - lo
-            if span >= _TWO_PI - 1e-12:
-                out |= True
-                continue
-            rel = np.mod(np.asarray(phi) - lo, _TWO_PI)
-            out |= rel < span
+        for lo, hi in self.arcs:  # an arc of 2 pi holds every angle
+            out |= (np.mod(np.asarray(phi) - lo, _TWO_PI) < hi - lo) \
+                | (hi - lo >= _TWO_PI - 1e-12)
         return out
 
 
@@ -156,10 +152,8 @@ class HemisphereMesh:
     @cached_property
     def alpha(self) -> np.ndarray:
         """Half-circle nodes (N = 1), graded toward both endpoints."""
-        g = self.grading_exp
-        t = np.arange(self.ntheta + 1, dtype=float) / self.ntheta
-        w = t ** g / (t ** g + (1.0 - t) ** g)
-        return math.pi * w
+        g, t = self.grading_exp, np.arange(self.ntheta + 1) / self.ntheta
+        return math.pi * t ** g / (t ** g + (1.0 - t) ** g)
 
     @property
     def phi(self) -> np.ndarray:
@@ -208,40 +202,32 @@ class HemisphereMesh:
         return g_theta, g_phi, mass
 
 
-def _half_circle_forms(mesh: HemisphereMesh):
-    """Edge conductances and lumped node masses of the weighted half-circle."""
-    a = mesh.params.a
-    al = mesh.alpha
-    n = al.size
-    mid = 0.5 * (al[:-1] + al[1:])
-    edges = np.concatenate(([al[0]], mid, [al[-1]]))
-    ints = _int_sin_pow(a, np.concatenate((al[:-1], edges[:-1])),
-                        np.concatenate((al[1:], edges[1:])))
-    return ints[:n - 1] / np.diff(al) ** 2, ints[n - 1:]
+def _tridiagonal_pair(diag: np.ndarray, off: np.ndarray, mass: np.ndarray):
+    """Lowest eigenpair of the tridiagonal pencil (diag, off; mass) as
+    M^-1/2 K M^-1/2, whose entries span many decades (5e18 at 256 cells,
+    s = 1/4): bisection to the smallest absolute tolerance keeps its digits."""
+    if not np.all(np.isfinite(np.concatenate((diag, off, mass)))):
+        raise ConvergenceError("tridiagonal pencil is not finite")
+    root = np.sqrt(mass)
+    vals, vecs = sla.eigh_tridiagonal(
+        diag / mass, off / (root[:-1] * root[1:]),
+        select="i", select_range=(0, 0), tol=np.finfo(float).tiny)
+    return max(float(vals[0]), 0.0), vecs[:, 0] / root
 
 
 def _half_circle_pair(mesh: HemisphereMesh, ends: tuple):
-    """Smallest eigenpair of the half-circle pencil, free endpoints per ends.
-
-    The pencil is tridiagonal: its Dirichlet restriction, scaled to
-    M^-1/2 K M^-1/2, is solved directly for its lowest eigenpair.  The
-    graded cells spread the scaled entries over many decades (up to 5e18
-    at 256 cells and s = 1/4), so the bisection runs to the smallest
-    absolute tolerance, which keeps the lowest eigenvalue to high relative
-    accuracy.
-    """
-    cond, mass = _half_circle_forms(mesh)
-    deg = np.zeros(mass.size)
-    deg[:-1] += cond
-    deg[1:] += cond
-    lo, hi = (0 if ends[0] else 1), (mass.size if ends[1] else mass.size - 1)
-    root = np.sqrt(mass[lo:hi])
-    vals, vecs = sla.eigh_tridiagonal(
-        deg[lo:hi] / mass[lo:hi], -cond[lo:hi - 1] / (root[:-1] * root[1:]),
-        select="i", select_range=(0, 0), tol=np.finfo(float).tiny)
-    vec = np.zeros(mass.size)
-    vec[lo:hi] = vecs[:, 0] / root
-    return max(float(vals[0]), 0.0), vec
+    """Smallest eigenpair of the half-circle (N = 1), free endpoints per
+    ends: edge conductances and lumped masses integrate sin^a exactly."""
+    al, n = mesh.alpha, mesh.alpha.size
+    edges = np.concatenate(([al[0]], 0.5 * (al[:-1] + al[1:]), [al[-1]]))
+    ints = _int_sin_pow(mesh.params.a, np.concatenate((al[:-1], edges[:-1])),
+                        np.concatenate((al[1:], edges[1:])))
+    cond, mass = ints[:n - 1] / np.diff(al) ** 2, ints[n - 1:]
+    deg = np.append(cond, 0.0) + np.append(0.0, cond)
+    lo, hi = (0 if ends[0] else 1), (n if ends[1] else n - 1)
+    vec = np.zeros(n)
+    lam, vec[lo:hi] = _tridiagonal_pair(deg[lo:hi], -cond[lo:hi - 1], mass[lo:hi])
+    return lam, vec
 
 
 def _node_mass(mesh: HemisphereMesh) -> np.ndarray:
@@ -266,159 +252,179 @@ def _ring_flux(mesh: HemisphereMesh, u: np.ndarray) -> np.ndarray:
     return np.append(out[0].sum(), out[1:])
 
 
-class _HemisphereSolver:
-    """x = (K - sigma M)_ff^-1 b on the free nodes of an N = 2 mesh.
+class _ModePencil:
+    """K - lam M (N = 2) as one ModeChains chain per real Fourier mode in phi:
+    the pole (times sqrt(nphi) in mode 0, a unit row in the others), rings
+    1..nt-1 and the equator as the boundary, shunts shunt + lam dshunt.
+    Below the interior Dirichlet eigenvalue lam_D they leave on the equator
+    the circulant C(lam) of their symbol s_m, decreasing and concave in lam."""
 
-    Only equator nodes are ever Dirichlet, and away from the equator the
-    pencil is rotation invariant: in the orthonormal real Fourier basis in
-    phi each mode is one tridiagonal chain in theta from the pole to the
-    equator, and the pole couples to mode 0 only.  One ModeChains holds
-    every mode's chain.  Eliminating the interior (pole and rings 1..nt-1)
-    leaves on the equator ring a circulant with the chains' symbol,
-    Cholesky factored once on the free equator nodes.  Each solve is one
-    interior solve, a dense triangular solve on the free equator and the
-    chains' interior response to equator values, and is checked by its
-    backward error, with K applied ring by ring (_ring_flux).
-
-    The shift sigma is small and negative, so the shifted pencil stays
-    definite even when the full-equator null vector is present.  free marks
-    the free nodes among all mesh nodes; diag and mass are the diagonals of
-    K and M on them.
-    """
-
-    def __init__(self, mesh: HemisphereMesh, free_eq: np.ndarray):
+    def __init__(self, mesh: HemisphereMesh):
         g_theta, g_phi, mass = mesh.rings
         nt, nph = mesh.ntheta, mesh.nphi
-        self.mesh = mesh
-        self.free = np.ones(1 + nt * nph, dtype=bool)
-        self.free[-nph:] = free_eq
-        self.mass = _node_mass(mesh)[self.free]
-        # K's diagonal: the pole's nphi faces; a ring node's faces to the
-        # next ring (none on the equator), in phi, to the previous ring or
-        # the pole, and in phi
-        ring = np.append(g_theta[1:], 0.0) + g_phi + g_theta + g_phi
-        self.diag = np.append(nph * g_theta[0], np.repeat(ring, nph))[self.free]
-        self.sigma = sigma = -1e-8 * float(self.diag.mean())
-        lam = 4.0 * np.sin(math.pi * np.arange(nph // 2 + 1) / nph) ** 2
-        # one chain per mode: the pole slot at the far end, rings 1..nt-1 and
-        # the equator ring as the boundary.  In mode 0 the pole is unit-scaled
-        # (its value times sqrt(nphi)) and joins ring 1 by g_theta[0]; in the
-        # others it is a decoupled unit row and ring 1 sees g_theta[0] against
-        # zero
-        shunt = np.empty((lam.size, nt + 1))
-        shunt[:, 1:] = (g_phi[:, None] * lam - sigma * mass[1:, None]).T
-        shunt[0, 0] = -sigma * mass[0] / nph
-        shunt[1:, 0] = 1.0
-        shunt[1:, 1] += g_theta[0]
-        cond = np.tile(g_theta, (lam.size, 1))
-        cond[1:, 0] = 0.0
-        self._chains = ModeChains(shunt, cond, 0.0)
-        self._free = np.flatnonzero(free_eq)
-        circ = np.fft.irfft(self._chains.symbol, nph)
-        S = circ[np.subtract.outer(self._free, self._free) % nph]
-        try:
-            self._chol = sla.cho_factor(S)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise ConvergenceError("equator Schur complement is not positive "
-                                   "definite") from exc
-        # ||(K - sigma M)_ff|| in the max norm: row p sums diag_p - sigma m_p
-        # and its free off-diagonals, whose moduli add up to diag_p - (K_ff 1)_p
-        self._A_norm = float((2.0 * self.diag - self.flux(np.ones_like(self.diag))
-                              - sigma * self.mass).max())
-        self._g_eq = g_theta[-1]
-        self._n_int = 1 + (nt - 1) * nph
-        self._nphi = nph
+        eig = 4.0 * np.sin(math.pi * np.arange(nph // 2 + 1) / nph) ** 2
+        self.shunt = np.multiply.outer(eig, np.append(0.0, g_phi))
+        self.shunt[1:, 0] = 1.0  # the pole, a unit row outside mode 0
+        self.shunt[1:, 1] += g_theta[0]
+        self.dshunt = np.tile(-np.append(mass[0] / nph, mass[1:]), (eig.size, 1))
+        self.cond = np.tile(g_theta, (eig.size, 1))
+        self.dshunt[1:, 0] = self.cond[1:, 0] = 0.0
+        self.weight = np.where(np.arange(eig.size) % (nph // 2), 2.0, 1.0)  # rfft
+        self.mesh, self.mass = mesh, _node_mass(mesh)
+        ring = np.append(g_theta[1:], 0.0) + g_theta + 2.0 * g_phi  # K's diagonal
+        self._k_norm = 2.0 * max(nph * g_theta[0], float(ring.max()))  # ||K||
 
-    def flux(self, x: np.ndarray) -> np.ndarray:
-        """K_ff x, face by face."""
-        u = np.zeros(self.free.size)
-        u[self.free] = x
-        return _ring_flux(self.mesh, u)[self.free]
+    def sweep(self, lam: np.ndarray) -> tuple:
+        """Per shift: whether the chains are definite, s_m and ds_m/dlam; as
+        drho_i = dshunt_i + (c / (c + rho))^2 drho_{i-1}, a sum of products."""
+        pivots, sym = ModeChains.eliminate(
+            self.shunt + lam[:, None, None] * self.dshunt, self.cond, 0.0)
+        q2 = np.cumprod(((self.cond / pivots) ** 2)[..., ::-1], axis=-1)[..., ::-1]
+        dsym = self.dshunt[:, -1] + np.sum(self.dshunt[:, :-1] * q2, axis=-1)
+        return np.all(pivots > 0, axis=(1, 2)), sym, dsym
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        nph, ni = self._nphi, self._n_int
-        rings = np.fft.rfft(b[1:ni].reshape(-1, nph), axis=1, norm="ortho")
-        z = np.zeros((rings.shape[1], rings.shape[0] + 1), dtype=complex)
-        z[0, 0] = b[0] / math.sqrt(nph)  # the unit-scaled pole
-        z[:, 1:] = rings.T
-        z = self._chains.solve(z)
-        below = np.fft.irfft(z[:, -1], nph, norm="ortho")  # z on ring nt-1
-        eq = np.zeros(nph)
-        eq[self._free] = sla.cho_solve(  # NaN is caught by the check below
-            self._chol, b[ni:] + self._g_eq * below[self._free],
-            check_finite=False)
-        z += self._chains.response * np.fft.rfft(eq, norm="ortho")[:, None]
-        x = np.empty_like(b)
-        x[0] = z[0, 0].real / math.sqrt(nph)
-        x[1:ni] = np.fft.irfft(z[:, 1:].T, nph, axis=1, norm="ortho").ravel()
-        x[ni:] = eq[self._free]
-        r = b - self.flux(x) + self.sigma * self.mass * x
-        check_backward_error("hemisphere solve", r, self._A_norm, x, b)
-        return x
+    def extend(self, lam: float, eq: np.ndarray, z=None) -> np.ndarray:
+        """All nodes from equator values eq and interior modes z (by default
+        the response of the chains shifted by lam to eq)."""
+        if z is None:
+            z = ModeChains(self.shunt + lam * self.dshunt, self.cond, 0.0).response \
+                * np.fft.rfft(eq, norm="ortho")[:, None]
+        rings = np.fft.irfft(z[:, 1:].T, eq.size, axis=1, norm="ortho")
+        return np.concatenate(([z[0, 0].real / math.sqrt(eq.size)], rings.ravel(), eq))
+
+    @cached_property
+    def empty(self) -> tuple:
+        """Lowest eigenpair with the whole equator Dirichlet, lam_D: the mode-0
+        interior chain, ring nt-1 tied to the equator by g_theta[-1]."""
+        c = self.cond[0]
+        lam, v = _tridiagonal_pair(self.shunt[0, :-1] + c + np.append(0.0, c[:-1]),
+                                   -c[:-1], -self.dshunt[0, :-1])
+        z = np.zeros(self.cond.shape)
+        z[0] = v
+        return lam, self.extend(lam, np.zeros(self.mesh.nphi), z)
+
+    def check(self, lam: float, u: np.ndarray, free_eq: np.ndarray) -> None:
+        """Gate ||(K - lam M) u|| / ((||K|| + lam ||M||) ||u||) on free nodes."""
+        r = _ring_flux(self.mesh, u) - lam * self.mass * u
+        r[r.size - free_eq.size:][~free_eq] = 0.0  # Dirichlet rows hold no equation
+        check_backward_error("hemisphere eigenpair", r,
+                             self._k_norm + lam * float(self.mass.max()), u, 0.0)
 
 
-#: ARPACK tolerance, iteration cap and Lanczos basis size of the N = 2
-#: eigen-iteration.  ARPACK fills the whole basis before its first
-#: convergence test, so its default of 20 vectors for one eigenpair costs 21
-#: shift-invert solves per eigenvalue; 6 vectors converge in 7 to 13.
-_ARPACK_TOL = 1e-9
-_ARPACK_MAXITER = 2000
-_ARPACK_NCV = 6
+_MAX_EVALS = 60  # Newton evaluations allowed per eigenvalue
 
 
-def _lowest_pair(mesh: HemisphereMesh, free_eq: np.ndarray):
-    """Smallest eigenpair of the N = 2 pencil, u = 0 on the equator outside
-    free_eq: shift-invert Lanczos (ARPACK) on a basis of _ARPACK_NCV vectors
-    from a deterministic start vector, with the inverse applied by a
-    _HemisphereSolver.  Returns the eigenvalue and the eigenvector on all
-    mesh nodes.
-    """
-    pencil = _HemisphereSolver(mesh, free_eq)
-    n = pencil.mass.size
-    K, M, OPinv = (spla.LinearOperator((n, n), matvec=f, dtype=float) for f in
-                   (pencil.flux, lambda x: pencil.mass * x, pencil.solve))
-    try:
-        vals, vecs = spla.eigsh(K, k=1, M=M, sigma=pencil.sigma,
-                                which="LM", v0=np.ones(n),
-                                ncv=_ARPACK_NCV, tol=_ARPACK_TOL,
-                                maxiter=_ARPACK_MAXITER, OPinv=OPinv)
-    except spla.ArpackNoConvergence as exc:  # pragma: no cover
-        raise ConvergenceError("eigen-iteration did not converge",
-                               iterations=_ARPACK_MAXITER) from exc
-    vec = np.zeros(pencil.free.size)
-    vec[pencil.free] = vecs[:, 0]
-    return max(float(vals[0]), 0.0), vec
+def _lockstep_roots(count: int, evaluate, pole=lambda: math.inf):
+    """Smallest roots of count decreasing concave mu > 0 at 0, by Newton in
+    lockstep: evaluate(lam, todo) gives mu, mu', ok (False at or past a pole,
+    then halved back) and a vector each.  Tangents land right of the root,
+    or at that of a - b / (pole - lam) past pole(), and decrease to the
+    round-off floor: mu not negative or not increasing, or a step of ulps."""
+    lam, lo, last = np.zeros(count), np.zeros(count), np.zeros(count)
+    right, todo, vecs, shifts = np.zeros(count, dtype=bool), np.arange(count), {}, []
+
+    def failure(message):
+        return ConvergenceError(message, iterations=len(shifts), history=[
+            [float(h[k]) for h in shifts] for k in todo])
+
+    while todo.size:
+        shifts.append(lam.copy())
+        at = lam[todo]
+        mu, dmu, ok, got = evaluate(at, todo)
+        if not np.all(ok | (at > lo[todo])):
+            raise failure("hemisphere chains are not definite left of the eigenvalue")
+        pole = pole() if len(shifts) == 1 else pole
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = at - mu / dmu
+            step = np.where(step < pole, step, at + mu / (mu / (pole - at) - dmu))
+            step = np.where(ok, step, 0.5 * (lo[todo] + at))
+        done = ok & right[todo] & ((mu >= 0) | (mu <= last[todo]) | (step >= at)
+                                   | (at - step <= 8.0 * np.finfo(float).eps * at))
+        lo[todo] = np.where(ok & (mu > 0), at, lo[todo])
+        right[todo] |= ok & (mu <= 0)
+        last[todo] = mu
+        vecs.update(zip(todo, got))
+        lam[todo] = np.where(done, at, step)
+        todo = todo[~done]
+        if todo.size and len(shifts) == _MAX_EVALS:
+            raise failure("hemisphere eigen-iteration did not converge")
+    return lam, [vecs[k] for k in range(count)]
+
+
+def _lowest_pairs(mesh: HemisphereMesh, frees: list) -> list:
+    """Smallest eigenpair (N = 2) per free equator set F: 0 on the full
+    equator, lam_D on the empty one, else the root of mu = min eig C_FF(lam)
+    below lam_D (Sylvester), mu' = v^T C'_FF v: the Rayleigh functional
+    iteration (Voss and Werner, Math. Methods Appl. Sci. 4, 1982) on all
+    sets in lockstep.  The null vector, extended by the chains' response, is
+    the eigenvector; every pair passes the residual gate."""
+    pencil, nph = _ModePencil(mesh), mesh.nphi
+    out = [(0.0, np.ones(pencil.mass.size)) if free.all() else
+           pencil.empty if not free.any() else None for free in frees]
+    newton = [k for k, pair in enumerate(out) if pair is None]
+    sets = [np.flatnonzero(frees[k]) for k in newton]
+
+    def evaluate(lam, todo):
+        ok, sym, dsym = pencil.sweep(lam)
+        circ = np.fft.irfft(sym, nph)
+        mu, dmu, eqs = np.full(lam.size, np.nan), np.full(lam.size, np.nan), []
+        for j, F in enumerate(sets[k] for k in todo):
+            eqs.append(np.zeros(nph))
+            if ok[j]:
+                w, v = sla.eigh(circ[j][np.subtract.outer(F, F) % nph],
+                                subset_by_index=(0, 0))
+                eqs[j][F] = v[:, 0]
+                ehat = np.abs(np.fft.rfft(eqs[j], norm="ortho")) ** 2
+                mu[j], dmu[j] = w[0], pencil.weight @ (dsym[j] * ehat)
+        return mu, dmu, ok, eqs
+
+    lams, eqs = _lockstep_roots(len(newton), evaluate, lambda: pencil.empty[0])
+    for k, lam, eq in zip(newton, lams, eqs):
+        out[k] = (float(lam), pencil.extend(lam, eq))
+    for (lam, u), free in zip(out, frees):
+        pencil.check(lam, u, free)
+    return [(max(lam, 0.0), u) for lam, u in out]
 
 
 def lambda1(mesh: HemisphereMesh, omega: EquatorRegion):
-    """First eigenvalue with u = 0 on the equator outside omega.
-
-    Returns (eigenvalue, eigenfunction on all mesh nodes); the eigenfunction
-    is normalized sign-definite, first nonzero entry positive.  The N = 2
-    iteration is ARPACK's (tolerance _ARPACK_TOL, a Lanczos basis of
-    _ARPACK_NCV vectors); the N = 1 solve is direct.
-    """
+    """First eigenpair with u = 0 on the equator outside omega, the vector on
+    all mesh nodes with its first nonzero entry positive: on N = 2 from the
+    equator's Schur complement, on the N = 1 half-circle one eigh."""
     if mesh.params.N == 1:
-        lam, vec = _half_circle_pair(
-            mesh, omega.ends if omega.ends is not None else (False, False))
+        lam, vec = _half_circle_pair(mesh, omega.ends or (False, False))
     else:
-        lam, vec = _lowest_pair(mesh, omega.contains(mesh.phi))
+        lam, vec = _lowest_pairs(mesh, [omega.contains(mesh.phi)])[0]
     nz = np.flatnonzero(np.abs(vec) > 1e-12 * np.abs(vec).max())
-    if nz.size and vec[nz[0]] < 0:
-        vec = -vec
-    return lam, vec
+    return lam, -vec if nz.size and vec[nz[0]] < 0 else vec
 
 
 def lambda1_codim1(mesh: HemisphereMesh):
-    """Eigenvalue with Dirichlet data only at the two equator nodes nearest
-    the x1 = 0 plane (N = 2, s > 1/2 for a capacity-positive constraint)."""
-    if mesh.params.N != 2:
-        raise ConfigurationError("codim-1 constraint needs the N = 2 mesh")
-    phi = mesh.phi
-    free_eq = np.ones(mesh.nphi, dtype=bool)
-    for target in (0.5 * math.pi, 1.5 * math.pi):
-        free_eq[int(np.argmin(np.abs(phi - target)))] = False
-    return _lowest_pair(mesh, free_eq)[0]
+    """Eigenvalue with Dirichlet data only at the equator nodes p, q at
+    phi = pi/2, 3pi/2 (N = 2, nphi divisible by 4; s > 1/2 for a
+    capacity-positive constraint).  det C_FF = det C det (C^-1)_DD (Golub,
+    SIAM Rev. 15, 1973); (C^-1)_DD has the eigenvalues 2/n times the even-
+    and the odd-mode sum of 1/s_m, and below nu_1, the mode-1 full-region
+    eigenvalue, lam_1 is the root of the even one: Newton on the decreasing,
+    concave 1 + s_0 sum_{m > 0 even} 1/s_m, eigenvector C^-1 (e_p + e_q)."""
+    if mesh.params.N != 2 or mesh.nphi % 4:
+        raise ConfigurationError("codim-1 constraint needs the N = 2 mesh with "
+                                 "nphi divisible by 4")
+    pencil, nph = _ModePencil(mesh), mesh.nphi
+    even = np.where(np.arange(1, pencil.weight.size) % 2, 0.0, pencil.weight[1:])
+    free = (np.arange(nph) - nph // 4) % (nph // 2) != 0  # all but p and q
+
+    def evaluate(lam, todo):
+        ok, sym, dsym = pencil.sweep(lam)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rest = (even / sym[:, 1:]).sum(axis=1)
+            drest = -(even * dsym[:, 1:] / sym[:, 1:] ** 2).sum(axis=1)
+            eqs = np.fft.irfft(np.fft.rfft(~free) / sym, nph) * free
+        return (1.0 + sym[:, 0] * rest, dsym[:, 0] * rest + sym[:, 0] * drest,
+                ok & np.all(sym[:, 1:] > 0, axis=1), list(eqs))  # below nu_1
+
+    (lam,), (eq,) = _lockstep_roots(1, evaluate)
+    pencil.check(lam, pencil.extend(lam, eq), free)
+    return max(float(lam), 0.0)
 
 
 @dataclass
@@ -445,30 +451,24 @@ def nu_acf_caps(mesh: HemisphereMesh, radii_grid=None) -> CapScanResult:
     p = mesh.params
     if p.N != 2:
         raise ConfigurationError("cap scan needs the N = 2 mesh")
-    if radii_grid is None:
-        radii_grid = np.linspace(0.0, math.pi, 9)
-    radii_grid = np.asarray(radii_grid, dtype=float)
-    pair_cache: dict[float, tuple] = {}
-
-    def pair_of(t: float) -> tuple:
-        key = round(float(t), 12)
-        if key not in pair_cache:
-            pair_cache[key] = lambda1(mesh, EquatorRegion.cap(0.0, t))
-        return pair_cache[key]
-
+    radii_grid = np.asarray(np.linspace(0.0, math.pi, 9) if radii_grid is None
+                            else radii_grid, dtype=float)
+    radii = {round(float(t), 12): t for t in radii_grid}  # one cap per key
+    pairs = dict(zip(radii, _lowest_pairs(mesh, [
+        EquatorRegion.cap(0.0, t).contains(mesh.phi) for t in radii.values()])))
     table = []
     best = (math.inf, None)
     for t1 in radii_grid:
         for t2 in radii_grid:
             if t1 > t2 or t1 + t2 > math.pi + 1e-12:
                 continue
-            l1, l2 = pair_of(t1)[0], pair_of(t2)[0]
+            l1, l2 = (pairs[round(float(t), 12)][0] for t in (t1, t2))
             g1, g2 = gamma_map(l1, p), gamma_map(l2, p)
             mean = 0.5 * (g1 + g2)
             table.append((float(t1), float(t2), l1, l2, g1, g2, mean))
             if mean < best[0]:
                 best = (mean, CapPair(float(t1), float(t2)))
-    overlap = _support_overlap(mesh, best[1], pair_of(best[1].t1)[1])
+    overlap = _support_overlap(mesh, best[1], pairs[round(best[1].t1, 12)][1])
     return CapScanResult(s=p.s, nu_hat=best[0], argmin=best[1], table=table,
                          support_overlap=overlap)
 

@@ -34,8 +34,8 @@ import scipy
 from .core import FracParams
 from .diagnostics import trace_seminorm
 from .errors import ConfigurationError, ConvergenceError
-from .grid import (BoundaryData, Field, GridConfig, build_grid, trace_area,
-                   trace_system)
+from .grid import (TRACE_CAP, BoundaryData, Field, GridConfig, build_grid,
+                   trace_area, trace_system)
 
 REACTION_KINDS = ("zero", "linear", "logistic")
 #: stop at a full Newton correction of at most this max norm on the traces
@@ -131,6 +131,12 @@ class CompetitionProblem:
         if len(self.reactions) != self.k or len(self.dirichlet) != self.k:
             raise ConfigurationError("need one reaction and one boundary spec "
                                      "per component")
+        # the Newton Hessian is dense (k n)^2; n above the cap the engine rejects
+        n = (self.grid_config.nx - 2) ** self.grid_config.d  # Dirichlet walls
+        if self.k * n > 2 * TRACE_CAP >= 2 * n:
+            raise ConfigurationError(
+                f"{self.k} components of {n} free trace nodes make {self.k * n} "
+                f"Newton unknowns, more than the {2 * TRACE_CAP} it serves")
 
 
 @dataclass
@@ -138,6 +144,7 @@ class SolveResult:
     fields: list
     residual_history: list
     outer_iters: int
+    steps: dict  # outer steps: newton_steps (full), damped_steps, fallback_sweeps
 
     @property
     def traces(self) -> list:
@@ -215,9 +222,9 @@ def _gauss_seidel(engine, prob, loads, X):
 
 
 def _newton_step(engine, prob, X, c):
-    """One damped Newton step on E: the new free trace values and the max
-    norm of the full correction J^-1 F, or None when the Hessian is not
-    positive definite or the backtracking gives up."""
+    """One damped Newton step on E: the new free trace values, the max norm
+    of the full correction J^-1 F and whether the step was shortened; None
+    when the Hessian is not positive definite or the backtracking gives up."""
     S, area = engine.schur, engine.area
     C, f, k = prob.beta * prob.coupling, prob.reactions, prob.k
     SXc = X @ S - c  # rows S t_i - c_i (S is symmetric)
@@ -231,7 +238,7 @@ def _newton_step(engine, prob, X, c):
         return None
     size = float(np.abs(D).max())
     if size <= OUTER_TOL:
-        return X + D, size
+        return X + D, size, False
     slope, lin = float(np.sum(F * D)), float(np.sum(SXc * D))
     quad = 0.5 * float(np.sum((D @ S) * D))
     alpha = 1.0
@@ -243,7 +250,7 @@ def _newton_step(engine, prob, X, c):
                         for i in range(k))
                   + 0.25 * float(np.sum(area * dQ * (C @ (2.0 * Q + dQ)))))
         if change <= ARMIJO * alpha * slope:
-            return X + step, size
+            return X + step, size, alpha < 1.0
         alpha *= 0.5
     return None
 
@@ -283,6 +290,7 @@ def solve_system(prob: CompetitionProblem, warm_start=None) -> SolveResult:
         X = np.zeros((k, engine.area.size))
     c = np.array([load[3] for load in loads])
     history = []
+    steps = dict.fromkeys(("newton_steps", "damped_steps", "fallback_sweeps"), 0)
     # a diverging fallback sweep overflows before it is caught
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         for outer in range(1, MAX_OUTER + 1):
@@ -290,9 +298,11 @@ def solve_system(prob: CompetitionProblem, warm_start=None) -> SolveResult:
                 step = _newton_step(engine, prob, X, c)
                 if step is None:
                     history.append(_gauss_seidel(engine, prob, loads, X))
+                    steps["fallback_sweeps"] += 1
                     continue
-                X, change = step
+                X, change, damped = step
                 history.append(change)
+                steps["damped_steps" if damped else "newton_steps"] += 1
             except ConvergenceError as exc:
                 raise ConvergenceError(
                     f"outer step {outer}: {exc}", residual=exc.residual,
@@ -314,7 +324,7 @@ def solve_system(prob: CompetitionProblem, warm_start=None) -> SolveResult:
                                        iterations=outer, history=history) from exc
             fields.append(Field(grid, v, component=i))
     return SolveResult(fields=fields, residual_history=history,
-                       outer_iters=outer)
+                       outer_iters=outer, steps=steps)
 
 
 def trace_overlap(result: SolveResult) -> float:
@@ -339,6 +349,7 @@ class SweepRow:
     holder_seminorm: float
     outer_iters: int
     seconds: float  # solve and diagnostics; not written to the CSV
+    steps: dict  # SolveResult.steps; not written to the CSV
 
 
 @dataclass
@@ -396,5 +407,5 @@ def sweep_beta(prob: CompetitionProblem, betas, holder_alpha: float) -> BetaSwee
             overlap=overlap, beta_times_overlap=float(b) * overlap,
             holder_alpha=holder_alpha, holder_seminorm=semi,
             outer_iters=res.outer_iters,
-            seconds=time.perf_counter() - start))
+            seconds=time.perf_counter() - start, steps=res.steps))
     return BetaSweep(rows=rows)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fracseg.cli as cli
+import fracseg.sphere as sphere_mod
 import fracseg.system as system_mod
 from fracseg.core import FracParams
 from fracseg.errors import ConvergenceError
@@ -128,6 +129,24 @@ def test_grid_above_trace_cap_exits_2(tmp_path, capsys, d, nx):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("configuration error:") and "free horizontal nodes" in err
+
+
+def test_newton_hessian_above_its_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # k = 3 components of 3998 free trace values would factor a dense
+    # 11994^2 Hessian (1.15 GB); the problem is refused before any grid
+    # array exists
+    def no_grid(*args):
+        raise AssertionError("a grid was built above the cap")
+
+    monkeypatch.setattr(system_mod, "build_grid", no_grid)
+    cfg = tiny_config(grid={"d": 1, "L": 2.0, "Y": 1.0, "nx": 4000, "ny": 4})
+    cfg["problem"].update(k=3, coupling=[[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+                          reactions=[{"kind": "zero"}] * 3,
+                          boundary_data={"kind": "separated_bumps",
+                                         "centers": [-1.0, 0.0, 1.0],
+                                         "width": 0.5})
+    for command in ("solve", "sweep"):
+        _exits_2_with_one_line(tmp_path, capsys, command, cfg, "Newton unknowns")
 
 
 def _exits_2_with_one_line(tmp_path, capsys, command, cfg, words):
@@ -381,6 +400,23 @@ def test_sweep_json_reports_per_beta_solver_data(tmp_path, capsys):
     assert len(meta["outer_iters"]) == len(meta["seconds"]) == 2
     assert all(n >= 1 for n in meta["outer_iters"])
     assert all(t > 0 for t in meta["seconds"])
+    # the outer steps by kind, per beta; the CSV keeps its columns.  The
+    # jump to beta = 1e5 takes damped Newton steps and fallback sweeps
+    cfg = tiny_config()
+    cfg["problem"]["betas"] = [1e2, 1e5]
+    path = write_config(tmp_path, cfg, name="jump.json")
+    assert cli.main(["sweep", "--config", path, "--out", out, "--json"]) == 0
+    jump = json.loads(capsys.readouterr().out)["meta"]
+    for meta in (meta, jump):
+        kinds = [meta[k] for k in ("newton_steps", "damped_steps", "fallback_sweeps")]
+        assert all(len(col) == 2 for col in kinds)
+        assert [sum(n) for n in zip(*kinds)] == meta["outer_iters"]
+        assert all(n >= 1 for n in meta["newton_steps"])
+    assert jump["damped_steps"][1] >= 1 and jump["fallback_sweeps"][1] >= 1
+    with open(os.path.join(out, "sweep.csv")) as fh:
+        assert fh.readline().strip() == ("beta,sup_norm_0,sup_norm_1,overlap,"
+                                         "beta_times_overlap,holder_alpha,"
+                                         "holder_seminorm,outer_iters")
 
 
 def test_eigen_landmarks(tmp_path, capsys):
@@ -394,6 +430,30 @@ def test_eigen_landmarks(tmp_path, capsys):
     names = {c["name"]: c for c in report["checks"]}
     assert names["lambda(full)"]["passed"]
     assert abs(names["lambda(empty)"]["value"] - 2.0) < 0.05
+
+
+@pytest.mark.parametrize("regions, words", [
+    (["full", "empty", "half"], "residual check"), (["empty"], "not finite"),
+    (["half"], "not definite")])
+def test_eigen_nan_ring_coefficient_exits_3_with_one_line(
+        tmp_path, capsys, monkeypatch, regions, words):
+    rings = sphere_mod.HemisphereMesh.rings
+
+    def poisoned(mesh):
+        g_theta, g_phi, mass = rings.func(mesh)
+        g_phi = g_phi.copy()
+        g_phi[3] = np.nan
+        return g_theta, g_phi, mass
+
+    monkeypatch.setattr(sphere_mod.HemisphereMesh, "rings", property(poisoned))
+    cfg = {"fractional": {"s": 0.5, "N": 2},
+           "eigen": {"mesh_ntheta": 16, "mesh_nphi": 32, "regions": regions}}
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["eigen", "--config", path,
+                     "--out", os.path.join(tmp_path, "en")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("numerical failure:") and words in err
 
 
 def test_nuacf_endpoints(tmp_path, capsys):

@@ -9,7 +9,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import stdtr
 
 from fracseg.core import (FracParams, NamedSolution, RegularizedKernel,
-                          comparison_f, dtn_exact, eval_solution,
+                          comparison_f, eval_solution,
                           gamma_inverse, gamma_map)
 
 S_GRID = (0.25, 0.5, 0.75)
@@ -150,20 +150,6 @@ def test_named_solution_validation():
         NamedSolution("codim1", FracParams(s=0.5, N=2))
     with pytest.raises(ValueError):
         NamedSolution("nope", FracParams(s=0.5, N=1))
-
-
-def test_dtn_exact():
-    p = FracParams(s=0.3, N=1)
-    van = NamedSolution("vanish_trace", p)
-    assert dtn_exact(van, 0.7) == pytest.approx(-0.6)
-    half = NamedSolution("halfspace", p)
-    assert dtn_exact(half, 0.5) == 0.0
-    # where the trace vanishes the flux is -2s (4|x|)^{-s}
-    assert dtn_exact(half, -0.5) == pytest.approx(-0.6 * 2.0 ** (-0.3))
-    with pytest.raises(ValueError):
-        dtn_exact(half, 0.0)
-    with pytest.raises(NotImplementedError):
-        dtn_exact(NamedSolution("codim1", FracParams(s=0.75, N=1)), 1.0)
 
 
 def test_comparison_f_basics():

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.linalg import block_diag, eigh_tridiagonal
 
 import fracseg.grid as grid_mod
-from fracseg.core import FracParams, NamedSolution, dtn_exact, eval_solution
+from fracseg.core import FracParams, NamedSolution, eval_solution
 from fracseg.errors import ConfigurationError, ConvergenceError
 from fracseg.grid import (BoundaryData, Field, GridConfig, ModeChains,
                           TraceSystem, assemble_La, build_grid,
@@ -254,7 +254,7 @@ def test_dtn_of_halfspace_profile_matches_closed_form():
     fld = solve_linear(g, bd)
     tau = dtn_trace(g, fld)
     xs = g.x[(g.x < -0.5) & (g.x > -1.5)]
-    ref = dtn_exact(sol, xs)
+    ref = -2.0 * s * (4.0 * np.abs(xs)) ** (-s)
     got = tau[(g.x < -0.5) & (g.x > -1.5)]
     assert np.abs(got - ref).max() / np.abs(ref).max() < 0.05
     # where the trace is positive the weighted flux vanishes
@@ -462,6 +462,32 @@ def test_mode_chains_symbol_matches_dense_schur():
             x = mpmath.lu_solve(T, mpmath.matrix([0] * 4 + [1]))
             want = sh[-1] + c[-1] - c[-1] ** 2 * x[4]
             assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_mode_chains_accept_a_negative_symbol():
+    # definiteness is the pivots': a boundary shunt that makes the symbol
+    # negative leaves T and its factors alone
+    shunt, cond, closure = chain_data()
+    chains = ModeChains(shunt, cond, closure)
+    shunt[2, -1] -= 10.0 + chains.symbol[2]
+    shifted = ModeChains(shunt, cond, closure)
+    assert shifted.symbol[2] == pytest.approx(-10.0) and shifted.symbol[2] < 0
+    assert np.array_equal(shifted.pivots, chains.pivots)
+    assert np.array_equal(ModeChains.eliminate(shunt, cond, closure)[1],
+                          shifted.symbol)
+
+
+def test_trace_system_rejects_a_non_positive_symbol(monkeypatch):
+    # the chains accept any symbol with positive pivots; the DtN map needs a
+    # positive one before its square root
+    class Flipped(ModeChains):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.symbol = -self.symbol
+
+    monkeypatch.setattr(grid_mod, "ModeChains", Flipped)
+    with pytest.raises(ConvergenceError, match="symbol is not positive"):
+        TraceSystem(small_grid())
 
 
 def test_mode_chains_reject_a_negative_shunt():

@@ -12,7 +12,7 @@ from scipy.special import beta as beta_fn
 from fracseg import sphere
 from fracseg.core import FracParams
 from fracseg.errors import ConfigurationError, ConvergenceError
-from fracseg.grid import BACKWARD_TOL
+from fracseg.grid import BACKWARD_TOL, ModeChains
 from fracseg.sphere import (CapPair, EquatorRegion, HemisphereMesh, lambda1,
                             lambda1_codim1, nu_acf_caps)
 
@@ -320,10 +320,9 @@ def _free_sets(mesh):
 @pytest.mark.parametrize("s", S_GRID)
 @pytest.mark.parametrize("nt, nph", [(8, 16), (16, 32)])
 def test_ring_flux_is_the_edge_stiffness(s, nt, nph):
-    # the solver applies K ring by ring and reads its diagonal, the shift
-    # and the gate's ||(K - sigma M)_ff|| off the ring coefficients; the
-    # pencil assembled edge by edge is the reference.  The mesh is graded
-    # toward the equator at every s (exponent 1/s)
+    # the eigenpair gate applies K ring by ring and reads ||K|| off the ring
+    # coefficients; the pencil assembled edge by edge is the reference.  The
+    # mesh is graded toward the equator at every s (exponent 1/s)
     mesh = mesh2(s, nt=nt, nph=nph)
     assert mesh.grading_exp > 1.0
     K = _edge_stiffness(mesh)
@@ -332,17 +331,46 @@ def test_ring_flux_is_the_edge_stiffness(s, nt, nph):
     k_norm = np.abs(K).sum(axis=1).max()
     got = sphere._ring_flux(mesh, u)
     assert np.abs(got - K @ u).max() <= 1e-15 * k_norm * np.abs(u).max()
-    for name, free_eq in _free_sets(mesh).items():
-        pencil = sphere._HemisphereSolver(mesh, free_eq)
-        Kf = K[pencil.free][:, pencil.free]
-        x = u[pencil.free]
-        assert np.abs(pencil.flux(x) - Kf @ x).max() <= 1e-15 * k_norm * np.abs(x).max()
-        # four conductances summed in another order; the pole sums nphi
-        err = np.abs(pencil.diag - Kf.diagonal()) / pencil.diag
-        assert err[1:].max() <= 4 * eps and err[0] <= nph * eps, name
-        assert pencil.sigma == pytest.approx(-1e-8 * Kf.diagonal().mean(), rel=4 * eps)
-        A = Kf - pencil.sigma * sps.diags(pencil.mass)
-        assert pencil._A_norm == pytest.approx(abs(A).sum(axis=1).max(), rel=8 * eps)
+    # twice a diagonal of four conductances, or the pole's nphi
+    assert sphere._ModePencil(mesh)._k_norm == pytest.approx(k_norm, rel=nph * eps)
+
+
+def _dense_equator_schur(mesh, lam):
+    """Reference: the Schur complement of the assembled K - lam M onto the
+    equator ring and its lam-derivative -(M_ee + W^T M_ii W), W the interior
+    response A_ii^-1 A_ie."""
+    nph = mesh.nphi
+    A = _edge_stiffness(mesh).toarray()
+    m = sphere._node_mass(mesh)
+    A -= lam * np.diag(m)
+    Aii, Aie, Aee = A[:-nph, :-nph], A[:-nph, -nph:], A[-nph:, -nph:]
+    W = np.linalg.solve(Aii, Aie)
+    return Aee - Aie.T @ W, -np.diag(m[-nph:]) - W.T @ (m[:-nph, None] * W)
+
+
+@pytest.mark.parametrize("s", S_GRID)
+def test_mode_chains_are_the_equator_schur_complement(s):
+    # the chains' symbol is the circulant the interior leaves on the
+    # equator, and the differentiated recurrence its lam-derivative, below
+    # the interior Dirichlet eigenvalue lam_D, where every chain is definite;
+    # nearer lam_D the dense reference itself loses digits
+    for nt, nph in ((8, 16), (16, 32)):
+        mesh = mesh2(s, nt=nt, nph=nph)
+        pencil = sphere._ModePencil(mesh)
+        shifts = pencil.empty[0] * np.array([0.0, 0.5, 0.9, 0.9999, 1.0001])
+        ok, sym, dsym = pencil.sweep(shifts)
+        assert list(ok) == [True, True, True, True, False]
+        j = np.subtract.outer(np.arange(nph), np.arange(nph)) % nph
+        for row, lam in enumerate(shifts[:3]):
+            S, dS = _dense_equator_schur(mesh, lam)
+            circ, dcirc = (np.fft.irfft(v[row], nph)[j] for v in (sym, dsym))
+            assert np.abs(circ - S).max() <= 1e-12 * np.abs(S).max()
+            assert np.abs(dcirc - dS).max() <= 1e-11 * np.abs(dS).max()
+            # per mode, ds/dlam = dshunt_n + sum_i dshunt_i w_i^2 with w the
+            # shifted chains' response to a unit boundary value
+            w = ModeChains(pencil.shunt + lam * pencil.dshunt, pencil.cond, 0.0).response
+            want = pencil.dshunt[:, -1] + np.sum(pencil.dshunt[:, :-1] * w * w, axis=1)
+            assert np.abs(dsym[row] / want - 1.0).max() <= 1e-12
 
 
 def _mass_distance(mesh, u, v):
@@ -375,24 +403,39 @@ def test_hemisphere_engine_matches_sparse_lu(s):
         assert lambda1_codim1(mesh) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
-def test_lanczos_basis_sized_for_one_eigenpair(monkeypatch):
-    # ARPACK fills its whole basis before the first convergence test: the
-    # default 20 vectors cost 21 solves per eigenvalue.  One pencil per
-    # eigenvalue, so count the checked solves of each
-    counts = {}
-    solve = sphere._HemisphereSolver.solve
+def test_newton_evaluations_per_eigenvalue(monkeypatch):
+    # the scan runs its seven interior caps in lockstep, one stacked chain
+    # sweep per step, then the pair's cap about pi on its own; the first
+    # tangent from 0 overshoots and the iterates return from the right
+    runs = []
+    driver = sphere._lockstep_roots
 
-    def counting_solve(self, b):
-        counts[self] = counts.get(self, 0) + 1
-        return solve(self, b)
+    def counting(count, evaluate, *args):
+        evals, sweeps = np.zeros(count, dtype=int), [0]
 
-    monkeypatch.setattr(sphere._HemisphereSolver, "solve", counting_solve)
-    nu_acf_caps(mesh2(0.5, 64, 128))
-    assert len(counts) == 10  # nine caps and the pair's cap about pi
-    assert max(counts.values()) <= 13
-    counts.clear()
+        def ev(lam, todo):
+            evals[todo] += 1
+            sweeps[0] += 1
+            return evaluate(lam, todo)
+
+        out = driver(count, ev, *args)
+        runs.append((evals, sweeps[0]))
+        return out
+
+    monkeypatch.setattr(sphere, "_lockstep_roots", counting)
+    nu_acf_caps(mesh2(0.25, 64, 128))
+    (caps, sweeps), (pair, _) = runs
+    assert caps.size == 7 and pair.size == 1
+    assert sweeps == caps.max() <= 10 and pair.max() <= 10
+    runs.clear()
     lambda1_codim1(mesh2(0.75, 64, 512))
-    assert len(counts) == 1 and max(counts.values()) <= 13
+    assert runs[0][0].max() <= 8
+    # at s = 0.9 on 256 x 256 this cap's mu stops changing at its round-off
+    # floor while still negative; without the stop on a mu that no longer
+    # increases, the iterates crept down for 21 evaluations
+    runs.clear()
+    lambda1(mesh2(0.9, 256, 256), EquatorRegion.cap(0.0, math.pi / 4))
+    assert runs[0][0].max() <= 12
 
 
 def test_scan_overlap_reuses_the_t1_eigenpair():
@@ -405,46 +448,71 @@ def test_scan_overlap_reuses_the_t1_eigenpair():
 
 
 def test_sphere_makes_no_sparse_lu(monkeypatch):
-    shapes, shift_inverts = [], []
-    splu, eigsh = sphere.spla.splu, sphere.spla.eigsh
+    calls = []
 
-    def counting_splu(A, *args, **kwargs):
-        shapes.append(A.shape)
-        return splu(A, *args, **kwargs)
+    def forbidden(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return record
 
-    def recording_eigsh(*args, **kwargs):
-        shift_inverts.append(kwargs.get("OPinv"))
-        return eigsh(*args, **kwargs)
-
-    monkeypatch.setattr(sphere.spla, "splu", counting_splu)
-    monkeypatch.setattr(sphere.spla, "eigsh", recording_eigsh)
+    for name in ("splu", "eigsh", "spsolve"):
+        monkeypatch.setattr(spla, name, forbidden(name))
     mesh = mesh2(0.75, nt=16, nph=32)
     lambda1(mesh, EquatorRegion.half(2))
     lambda1_codim1(mesh)
     nu_acf_caps(mesh, np.linspace(0.0, math.pi, 3))
     lambda1(HemisphereMesh(params=FracParams(s=0.75, N=1), ntheta=16),
             EquatorRegion.half(1))
-    assert shapes == []
-    assert shift_inverts and all(op is not None for op in shift_inverts)
+    assert calls == []
+
+
+class _SkewedResponse(ModeChains):
+    """Chains whose interior response to the equator is 1e-6 off."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.response = self.response * (1.0 + 1e-6)
 
 
 def test_lambda1_checks_every_solve(monkeypatch):
-    # an equator solve 1e-6 off fails the shared backward-error gate
-    cho_solve = sphere.sla.cho_solve
-    monkeypatch.setattr(sphere.sla, "cho_solve",
-                        lambda *a, **kw: cho_solve(*a, **kw) * (1.0 + 1e-6))
-    with pytest.raises(ConvergenceError, match="hemisphere solve failed") as err:
-        lambda1(mesh2(0.5, nt=16, nph=32), EquatorRegion.half(2))
-    assert err.value.residual > BACKWARD_TOL
+    # an eigenvector extended 1e-6 off into the interior fails the shared
+    # backward-error gate on (K - lam M) u, for a region, the scan and
+    # codim-1
+    monkeypatch.setattr(sphere, "ModeChains", _SkewedResponse)
+    mesh = mesh2(0.5, nt=16, nph=32)
+    for run in (lambda: lambda1(mesh, EquatorRegion.half(2)),
+                lambda: nu_acf_caps(mesh, np.linspace(0.0, math.pi, 3)),
+                lambda: lambda1_codim1(mesh)):
+        with pytest.raises(ConvergenceError, match="eigenpair failed") as err:
+            run()
+        assert err.value.residual > BACKWARD_TOL
 
 
 def test_hemisphere_solver_rejects_nan():
+    # a NaN ring coefficient reaches every mode's chain: the first shift,
+    # 0, is not definite, and the iteration stops there with its history
     mesh = mesh2(0.5, nt=8, nph=16)
-    pencil = sphere._HemisphereSolver(mesh, np.arange(16) < 8)
-    K = _edge_stiffness(mesh)[pencil.free][:, pencil.free]
-    b = np.ones(K.shape[0])
-    x = pencil.solve(b)
-    assert np.abs(K @ x - pencil.sigma * (pencil.mass * x) - b).max() < 1e-11
-    b[5] = np.nan
-    with pytest.raises(ConvergenceError):
-        pencil.solve(b)
+    mesh.rings[1][3] = np.nan  # the phi conductance of ring 4
+    for run in (lambda: lambda1(mesh, EquatorRegion.half(2)),
+                lambda: lambda1_codim1(mesh)):
+        with pytest.raises(ConvergenceError, match="not definite") as err:
+            run()
+        assert err.value.iterations == 1 and err.value.history == [[0.0]]
+    with pytest.raises(ConvergenceError, match="not finite"):
+        lambda1(mesh, EquatorRegion.empty(2))
+
+
+def test_eigen_iteration_cap_reports_its_shifts(monkeypatch):
+    monkeypatch.setattr(sphere, "_MAX_EVALS", 3)
+    with pytest.raises(ConvergenceError, match="did not converge") as err:
+        lambda1(mesh2(0.5, nt=8, nph=16), EquatorRegion.half(2))
+    history = err.value.history
+    assert err.value.iterations == 3 and len(history) == 1
+    assert len(history[0]) == 3 and history[0][0] == 0.0 < history[0][1]
+
+
+def test_codim1_needs_antipodal_nodes():
+    # nphi = 2 mod 4 puts no node on the x1 = 0 plane
+    with pytest.raises(ConfigurationError, match="divisible by 4"):
+        lambda1_codim1(mesh2(0.75, nt=8, nph=18))

@@ -187,6 +187,8 @@ def test_each_step_is_one_trace_solve(monkeypatch):
         fallbacks = calls["_gauss_seidel"]
         assert calls["_newton_step"] == res.outer_iters
         assert calls["newton"] + fallbacks == res.outer_iters
+        assert res.steps["fallback_sweeps"] == fallbacks
+        assert res.steps["newton_steps"] + res.steps["damped_steps"] == calls["newton"]
         assert calls["solve"] == k
         assert calls["trace_solve"] == k * fallbacks + k
         assert calls["block_solve"] == res.outer_iters + calls["trace_solve"]
