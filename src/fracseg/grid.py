@@ -394,9 +394,10 @@ class ModeChains:
 
 
 #: Most free horizontal nodes (nx'^d) a TraceSystem serves; with Dirichlet
-#: sides nx <= 4098 in d = 1 and nx <= 66 in d = 2.  The dense Schur
-#: complement and a trace solve's Cholesky copy take 16 n^2 bytes, 268 MB at
-#: the cap (in d = 1 the bases V and Hx'V as much again); a Newton step of k
+#: sides nx <= 4098 in d = 1 and nx <= 66 in d = 2.  In d = 1 the bases V and
+#: Hx'V take 16 n^2 bytes, 268 MB at the cap.  The dense Schur complement and
+#: a trace solve's Cholesky copy take as much again, but only once S is built
+#: (a solve with free values m, or a Newton step); a Newton step of k
 #: components factors one (k n)^2 array, which CompetitionProblem bounds by
 #: k n <= 2 TRACE_CAP (537 MB, the k = 2 size at the cap).
 TRACE_CAP = 4096
@@ -432,11 +433,14 @@ class TraceSystem:
     (Kx v = lambda Hx v in the DST-I or DCT-I basis), which splits A_ii into one
     tridiagonal chain in y per mode, all held by one ModeChains.  The Schur
     complement S = A_tt - A_ti A_ii^-1 A_it, the discrete Dirichlet-to-Neumann
-    map, is diagonal in the modes with the chains' symbol; each solve is the
-    dense SPD system (S + diag(m area)) t = c + g0 area plus the interior
-    A_ii^-1 b_i of the load corrected by its precomputed response to t.
-    With a Dirichlet trace each solve is purely spectral.  A grid with more
-    than TRACE_CAP free horizontal nodes is a ConfigurationError.
+    map, is diagonal in the modes with the chains' symbol sigma.  Each solve
+    is the SPD system (S + diag(m area)) t = c + g0 area plus the interior
+    A_ii^-1 b_i of the load corrected by its precomputed response to t.  A
+    uniform m only shifts sigma, so that system is solved in the modes too;
+    free values m (and the Newton steps' block_solve) factor the dense S,
+    which is built on first use.  With a Dirichlet trace each solve is purely
+    spectral.  A grid with more than TRACE_CAP free horizontal nodes is a
+    ConfigurationError.
     """
 
     def __init__(self, grid: HalfSpaceGrid, sides: bool = True,
@@ -472,18 +476,25 @@ class TraceSystem:
         self._chains = ModeChains(np.multiply.outer(lam, g.y_dual_w[g.ny - 1::-1]),
                                   gv[-2::-1], gv[-1])
         if trace_dirichlet:
-            self.schur = np.zeros((0, 0))
             return
-        if not np.all(self._chains.symbol > 0):  # the DtN map is definite
+        sigma = self._chains.symbol
+        if not np.all(sigma > 0):  # the DtN map is definite
             raise ConvergenceError("trace Schur symbol is not positive")
         # interior response to t, rows first like the interior values
         self._resp = np.moveaxis(self._chains.response, -1, 0)[::-1]
         # the DtN map, S = (Hx'V) diag(sigma) (Hx'V)^T, is an M-matrix with
-        # row sums >= 0: ||S|| <= 2 max diag(S)
+        # row sums >= 0: ||S|| <= 2 max diag(S), diag(S) = (Hx'V)^2 sigma
         self._hV = h[:, None] * self._V
-        P = reduce(np.kron, [self._hV] * g.d) * np.sqrt(self._chains.symbol.ravel())
-        self.schur = P @ P.T
-        self._schur_norm = 2.0 * float(np.einsum("ij,ij->i", P, P).max())
+        hV2 = self._hV ** 2
+        diag = hV2 @ sigma if g.d == 1 else hV2 @ sigma @ hV2.T
+        self._schur_norm = 2.0 * float(diag.max())
+
+    @cached_property
+    def schur(self) -> np.ndarray:
+        """The dense S on the free trace, built when block_solve first needs it."""
+        P = (reduce(np.kron, [self._hV] * self.grid.d)
+             * np.sqrt(self._chains.symbol.ravel()))
+        return P @ P.T
 
     def _to_modes(self, u: np.ndarray) -> np.ndarray:
         """V^T along every horizontal axis (the last d axes of u)."""
@@ -560,8 +571,9 @@ class TraceSystem:
         """Solve H d = rhs on the free trace nodes of k components: H has
         S + diag(w_i + off_ii) on block (i, i) and diag(off_ij) on block
         (i, j), with w, rhs and d of shape (k, n) and off of shape (k, k, n),
-        symmetric in i and j.  One Cholesky factorization, checked by the
-        backward error of H d = rhs with S taken through the modes; raises
+        symmetric in i and j.  One Cholesky factorization of H, assembled
+        from the dense S (built on the first call), checked by the backward
+        error of H d = rhs with S taken through the modes; raises
         LinAlgError when H is not positive definite."""
         k, n = w.shape
         H = np.zeros((k * n, k * n))
@@ -583,13 +595,26 @@ class TraceSystem:
 
     def trace_solve(self, load: tuple, m, g0) -> np.ndarray:
         """Free trace values of solve(load, m, g0) for a free trace: they
-        solve (S + diag(m area)) t = c + g0 area, the one-component
-        block_solve; m and g0 are scalars or free values."""
-        c = load[3]
+        solve (S + diag(m area)) t = c + g0 area.  A scalar m only shifts the
+        symbol, S + m diag(area) = (Hx'V) diag(sigma + m) (Hx'V)^T, so t is
+        solved in the modes under block_solve's gate; free values m take the
+        one-component block_solve.  Raises ConvergenceError when the system is
+        not positive definite or fails its gate."""
+        rhs = load[3] + g0 * self.area
+        if np.ndim(m) == 0:
+            shifted = self._chains.symbol + m
+            if not np.all(shifted > 0):
+                raise ConvergenceError("condensed trace solve failed: "
+                                       "S + m area is not positive definite")
+            t = self._from_modes(self._to_modes(rhs.reshape(self._trace_shape))
+                                 / shifted).ravel()
+            r = rhs - self._schur_apply(t) - m * self.area * t
+            check_backward_error("condensed trace solve", r,
+                                 self._schur_norm + abs(m) * self.area.max(), t, rhs)
+            return t
         try:
-            t = self.block_solve((m * self.area).reshape(1, -1),
-                                 np.zeros((1, 1, c.size)),
-                                 (c + g0 * self.area)[None])
+            t = self.block_solve((m * self.area)[None],
+                                 np.zeros((1, 1, rhs.size)), rhs[None])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError("condensed trace solve failed") from exc
         return t[0]
@@ -629,6 +654,13 @@ class TraceSystem:
 _engine = None  # the last engine trace_system built
 
 
+def drop_engine() -> None:
+    """Empty trace_system's slot, so the last engine (its bases, chains and
+    any dense S) is freed once no caller holds it."""
+    global _engine
+    _engine = None
+
+
 def trace_system(grid: HalfSpaceGrid, sides: bool = True,
                  trace_dirichlet: bool = False) -> TraceSystem:
     """The engine of grid and the boundary layout (sides, trace_dirichlet)
@@ -638,7 +670,7 @@ def trace_system(grid: HalfSpaceGrid, sides: bool = True,
     global _engine
     layout = (sides, trace_dirichlet)
     if _engine is None or not _engine.serves(grid, layout):
-        _engine = None  # freed before the next is built
+        drop_engine()  # freed before the next is built
         _engine = TraceSystem(grid, *layout)
     return _engine
 
@@ -650,8 +682,9 @@ def solve_linear(grid: HalfSpaceGrid, bdata: BoundaryData) -> Field:
     trace stencil; with m >= 0 the reduced system is an M-matrix, so
     nonnegative data yields a nonnegative solution.  Solved by the
     trace_system of the boundary's layout, which rejects a grid above
-    TRACE_CAP before any grid-shaped array is made; m and g0 reach it as
-    free values.
+    TRACE_CAP before any grid-shaped array is made; g0 reaches it as free
+    values, and m as a scalar when it is uniform on the free trace (solved in
+    the modes, with no dense S) or else as free values.
     """
     trace_dirichlet = bdata.trace_dirichlet is not None
     engine = trace_system(grid, bdata.sides is not None, trace_dirichlet)
@@ -663,6 +696,8 @@ def solve_linear(grid: HalfSpaceGrid, bdata: BoundaryData) -> Field:
         if np.any(m < 0):
             raise ConfigurationError("absorption coefficient m must be >= 0")
         m, g0 = engine.free_values(m), engine.free_values(g0)
+        if np.all(m == m[0]):
+            m = m[0]
     return Field(grid, engine.solve(load, m, g0))
 
 

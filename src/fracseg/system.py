@@ -267,7 +267,8 @@ def solve_system(prob: CompetitionProblem, warm_start=None) -> SolveResult:
     calls when the Hessian is not positive definite or the backtracking gives
     up.  The loop stops at a full Newton correction of at most OUTER_TOL,
     which bounds the error to second order; a fallback sweep never stops it.
-    The loop runs with the bundled BLAS on one thread.
+    The loop runs with the bundled BLAS on one thread; the dense S its
+    steps factor is built before it, with the default threads.
 
     Nonnegative boundary data yields nonnegative fields (the frozen-neighbor
     absorption only adds to the M-matrix diagonal).  Raises ConvergenceError
@@ -291,6 +292,7 @@ def solve_system(prob: CompetitionProblem, warm_start=None) -> SolveResult:
     c = np.array([load[3] for load in loads])
     history = []
     steps = dict.fromkeys(("newton_steps", "damped_steps", "fallback_sweeps"), 0)
+    engine.schur  # the Newton steps' dense S, built with the default BLAS threads
     # a diverging fallback sweep overflows before it is caught
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         for outer in range(1, MAX_OUTER + 1):

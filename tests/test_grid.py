@@ -394,12 +394,81 @@ def test_backward_error_gate():
 def test_residual_check_catches_wrong_schur():
     # a Schur complement 1 % off solves a nearby system without complaint;
     # the condensed gate takes S t through the modes and rejects the result
+    # (m varies along the trace, so the solve factors the dense S)
     g = small_grid()
     engine = TraceSystem(g)
     engine.schur *= 1.01
     load = engine.load(BoundaryData(top=1.0, sides=1.0))
     with pytest.raises(ConvergenceError, match="residual check"):
-        engine.solve(load, 0.0, 0.1)
+        engine.solve(load, engine.free_values(1.0 + g.x ** 2), 0.1)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_mode_solve_checks_its_residual(d):
+    # a uniform m is solved in the modes; a mode division 1e-6 off fails the
+    # condensed gate, which takes S t through the modes
+    g = small_grid(d=d, nx=33 if d == 1 else 17, ny=16 if d == 1 else 8)
+    engine = TraceSystem(g)
+    load = engine.load(BoundaryData(top=1.0, sides=1.0))
+    from_modes = engine._from_modes
+    engine._from_modes = lambda u: from_modes(u) * (1.0 + 1e-6)
+    with pytest.raises(ConvergenceError, match="condensed") as err:
+        engine.trace_solve(load, 10.0, 0.1)
+    assert err.value.residual > 1e-8
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_field_gate_catches_wrong_symbol(d):
+    # a symbol 1e-9 off after set-up: the mode solve and its condensed gate
+    # both read it and agree, the interior response does not, and the field
+    # gate, which applies A face by face, rejects the field
+    g = small_grid(d=d, nx=33 if d == 1 else 17, ny=16 if d == 1 else 8)
+    engine = TraceSystem(g)
+    load = engine.load(BoundaryData(top=1.0, sides=1.0))
+    engine._chains.symbol = engine._chains.symbol * (1.0 + 1e-9)
+    engine.trace_solve(load, 10.0, 0.1)
+    with pytest.raises(ConvergenceError, match="linear solve") as err:
+        engine.solve(load, 10.0, 0.1)
+    assert err.value.residual > 1e-12
+
+
+@pytest.mark.parametrize("case", ["d1-dirichlet-sides", "d1-zero-flux-sides", "d2"])
+def test_uniform_absorption_is_solved_in_the_modes(case, monkeypatch):
+    # solve_linear passes a uniform m as a scalar: no Cholesky and no dense S;
+    # the field agrees with the dense solve of the same m as free values
+    s, d, nx, ny, sides = {"d1-dirichlet-sides": (0.25, 1, 65, 32, 1.0),
+                           "d1-zero-flux-sides": (0.75, 1, 65, 32, None),
+                           "d2": (0.5, 2, 17, 8, 1.0)}[case]
+    g = small_grid(s=s, d=d, nx=nx, ny=ny)
+    bd = BoundaryData(top=1.0, sides=sides, neumann_m=10.0,
+                      neumann_g0=lambda *xy: 0.1 * np.cos(3.0 * xy[0]) + 0.0 * xy[-1])
+    cho_factor, calls = grid_mod.sla.cho_factor, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr(grid_mod.sla, "cho_factor", counting)
+    monkeypatch.setattr(grid_mod, "_engine", None)
+    got = solve_linear(g, bd).values
+    engine = grid_mod._engine
+    assert calls == [] and "schur" not in vars(engine)
+    load = engine.load(bd)
+    m = engine.free_values(np.full(g.shape[:-1], 10.0))
+    g0 = engine.free_values(grid_mod._materialize(bd.neumann_g0, g, (..., 0)))
+    want = engine.solve(load, m, g0)  # free values: the dense Cholesky solve
+    assert len(calls) == 1 and "schur" in vars(engine)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_drop_engine_frees_the_kept_engine(built_engines):
+    g = small_grid(**REUSE_CONFIG)
+    solve_linear(g, NEUMANN)
+    assert built_engines[-1][0]() is grid_mod._engine
+    grid_mod.drop_engine()
+    assert grid_mod._engine is None and built_engines[-1][0]() is None
+    solve_linear(g, NEUMANN)
+    assert len(built_engines) == 2 and built_engines[-1][1]
 
 
 def chain_data(seed=0):

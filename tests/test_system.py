@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -196,7 +197,8 @@ def test_each_step_is_one_trace_solve(monkeypatch):
 
 def test_trace_solve_checks_its_residual(monkeypatch):
     # a Cholesky solve 1e-6 off fails the condensed system's backward-error
-    # gate (it reads 3e-7)
+    # gate (it reads 3e-7); m varies along the trace, so the solve factors
+    # the dense S
     g = _d1(0.5, 33, 16)
     engine = TraceSystem(g)
     load = engine.load(BoundaryData(top=1.0, sides=1.0))
@@ -204,7 +206,7 @@ def test_trace_solve_checks_its_residual(monkeypatch):
     monkeypatch.setattr(grid_mod.sla, "cho_solve",
                         lambda *a, **kw: cho_solve(*a, **kw) * (1.0 + 1e-6))
     with pytest.raises(ConvergenceError, match="condensed") as err:
-        engine.trace_solve(load, 10.0, 0.1)
+        engine.trace_solve(load, engine.free_values(10.0 + g.x), 0.1)
     assert err.value.residual > 1e-8
 
 
@@ -634,12 +636,17 @@ def test_sweep_factors_interior_once(monkeypatch):
         shapes.append(A.shape)
         return splu(A, *args, **kwargs)
 
-    engines = []
+    engines, schur_builds = [], []
 
     class CountingTraceSystem(TraceSystem):
         def __init__(self, *args, **kwargs):
             engines.append(self)
             super().__init__(*args, **kwargs)
+
+        @cached_property
+        def schur(self):
+            schur_builds.append(self)
+            return TraceSystem.schur.func(self)
 
     monkeypatch.setattr(spla, "splu", counting_splu)
     monkeypatch.setattr(grid_mod, "_engine", None)
@@ -647,9 +654,9 @@ def test_sweep_factors_interior_once(monkeypatch):
     prob = make_problem(nx=65, ny=24)
     sweep_beta(prob, [1e2, 1e3, 1e4], holder_alpha=0.05)
     assert shapes == []
-    assert len(engines) == 1
+    assert len(engines) == 1 and schur_builds == engines  # S once per engine
     solve_system(replace(prob, beta=1e4))
-    assert len(engines) == 1
+    assert len(engines) == 1 and schur_builds == engines
 
 
 def _d1(s, nx, ny, L=1.0, Y=1.0, grading_p=None):
@@ -762,15 +769,24 @@ def test_trace_flux_of_a_solved_trace_is_its_neumann_data(s):
     assert np.abs(flux - (g0 - m * t)).max() <= 1e-12 * scale
 
 
-def test_separable_engine_rejects_non_spd_and_nan():
+def test_separable_engine_rejects_non_spd_and_nan(monkeypatch):
+    # a scalar m is solved in the modes, which check sigma + m > 0 with no
+    # Cholesky; the same m as free values reaches the dense Cholesky solve
     g = _d1(0.5, 33, 16)
     bd = BoundaryData(top=1.0, sides=1.0)
     engine = TraceSystem(g)
     load = engine.load(bd)
-    with pytest.raises(ConvergenceError):
-        engine.solve(load, np.nan, 0.1)
-    with pytest.raises(ConvergenceError):
-        engine.solve(load, -5.0, 0.1)  # diagonal stays positive, S + m area does not
+    cho_factor, calls = grid_mod.sla.cho_factor, []
+    monkeypatch.setattr(grid_mod.sla, "cho_factor",
+                        lambda *a, **kw: calls.append(1) or cho_factor(*a, **kw))
+    for m in (np.nan, -5.0):  # -5: diagonal stays positive, S + m area does not
+        with pytest.raises(ConvergenceError, match="not positive definite"):
+            engine.solve(load, m, 0.1)
+        assert calls == []
+    for m in (np.nan, -5.0):
+        with pytest.raises(ConvergenceError):
+            engine.solve(load, np.full(engine.area.size, m), 0.1)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("nx", [65])
