@@ -394,27 +394,29 @@ class ModeChains:
 
 
 #: Most free horizontal nodes (nx'^d) a TraceSystem serves; with Dirichlet
-#: sides nx <= 4098 in d = 1 and nx <= 66 in d = 2.  In d = 1 the bases V and
-#: Hx'V take 16 n^2 bytes, 268 MB at the cap.  The dense Schur complement and
-#: a trace solve's Cholesky copy take as much again, but only once S is built
-#: (a solve with free values m, or a Newton step); a Newton step of k
-#: components factors one (k n)^2 array, which CompetitionProblem bounds by
-#: k n <= 2 TRACE_CAP (537 MB, the k = 2 size at the cap).
+#: sides nx <= 4098 in d = 1 and nx <= 66 in d = 2.  In d = 1 the basis Q
+#: takes 8 n^2 bytes, 134 MB at the cap; the dense S and a trace solve's
+#: Cholesky copy as much again each, once S is built (free values m, or a
+#: Newton step).  A Newton step of k components factors one (k n)^2 array,
+#: which CompetitionProblem bounds by k n <= 2 TRACE_CAP (537 MB at k = 2).
 TRACE_CAP = 4096
 
 
 def _trig_basis(n: int, dx: float, sides: bool) -> tuple:
-    """Ascending eigenpairs (lambda, V) of Kx' v = lambda Hx' v, V^T Hx' V = I,
-    on n free nodes of spacing dx spanning P intervals, in closed form: DST-I
-    with Dirichlet sides, DCT-I with zero-flux sides (end modes halved)."""
+    """Ascending eigenvalues lambda of Kx' v = lambda Hx' v on n free nodes of
+    spacing dx spanning P intervals, and Q = Q^T = Q^-1 (no dx), V = Hx'^-1/2 Q
+    the eigenvectors, in closed form: sqrt(2 / P) sin(pi j k / P), the DST-I,
+    with Dirichlet sides, else cos, the DCT-I, end rows and columns * sqrt(1/2)."""
     P = n + 1 if sides else n - 1
     k = np.arange(1, n + 1) if sides else np.arange(n)
     table = (np.sin if sides else np.cos)(np.pi / P * np.arange(2 * P))
     jk = np.multiply.outer(k, k)
     jk %= 2 * P  # the angle pi j k / P mod 2 pi, in integers, indexes the table
-    V = (np.sqrt(2.0 / (P * dx)) * table)[jk]
-    V[:, [0, -1]] *= 1.0 if sides else np.sqrt(0.5)
-    return 4.0 / (dx * dx) * np.sin(np.pi / (2 * P) * k) ** 2, V
+    Q = (np.sqrt(2.0 / P) * table)[jk]
+    if not sides:
+        Q[[0, -1]] *= np.sqrt(0.5)
+        Q[:, [0, -1]] *= np.sqrt(0.5)
+    return 4.0 / (dx * dx) * np.sin(np.pi / (2 * P) * k) ** 2, Q
 
 
 class TraceSystem:
@@ -429,18 +431,18 @@ class TraceSystem:
     nodes t and the interior nodes i.  The Neumann row d_nu^a v = g0 - m v
     only adds m * area to the t diagonal.  On the tensor grid A is a
     Kronecker sum, A = Hx (x) Ky + Kx (x) Wy in d = 1 (one more Kx term in
-    d = 2).  The engine diagonalizes the horizontal part once
-    (Kx v = lambda Hx v in the DST-I or DCT-I basis), which splits A_ii into one
-    tridiagonal chain in y per mode, all held by one ModeChains.  The Schur
-    complement S = A_tt - A_ti A_ii^-1 A_it, the discrete Dirichlet-to-Neumann
-    map, is diagonal in the modes with the chains' symbol sigma.  Each solve
+    d = 2).  The engine diagonalizes the horizontal part once: per axis,
+    Kx v = lambda Hx v has the eigenvectors V = Hx^-1/2 Q with Q the
+    orthonormal DST-I or DCT-I; the engine keeps Q and sqrt(h), h the free
+    dual lengths.  The modes split A_ii into tridiagonal chains in y, held by
+    one ModeChains, and S = A_tt - A_ti A_ii^-1 A_it, the discrete DtN map,
+    is (Hx V) diag(sigma) (Hx V)^T with the chains' symbol sigma.  Each solve
     is the SPD system (S + diag(m area)) t = c + g0 area plus the interior
-    A_ii^-1 b_i of the load corrected by its precomputed response to t.  A
+    A_ii^-1 b_i of the load corrected by its response to (Hx V)^T t.  A
     uniform m only shifts sigma, so that system is solved in the modes too;
     free values m (and the Newton steps' block_solve) factor the dense S,
     which is built on first use.  With a Dirichlet trace each solve is purely
-    spectral.  A grid with more than TRACE_CAP free horizontal nodes is a
-    ConfigurationError.
+    spectral; more than TRACE_CAP free horizontal nodes is a ConfigurationError.
     """
 
     def __init__(self, grid: HalfSpaceGrid, sides: bool = True,
@@ -466,9 +468,9 @@ class TraceSystem:
 
     def _separate(self, xs: slice, sides: bool, trace_dirichlet: bool) -> None:
         """Horizontal eigenbasis, per-mode factors and the Schur complement."""
-        g = self.grid
-        h = g.x_dual[xs]
-        lam, self._V = _trig_basis(h.size, g.dx, sides)
+        g, h = self.grid, self.grid.x_dual[xs]
+        self._rh = np.sqrt(h)
+        lam, self._Q = _trig_basis(h.size, g.dx, sides)
         lam = reduce(np.add.outer, [lam] * g.d)
         # per mode k one chain lambda_k Wy + Ky: the top Dirichlet row closes
         # the far end, rows ny-1..1 are its slots and the trace row its boundary
@@ -482,38 +484,38 @@ class TraceSystem:
             raise ConvergenceError("trace Schur symbol is not positive")
         # interior response to t, rows first like the interior values
         self._resp = np.moveaxis(self._chains.response, -1, 0)[::-1]
-        # the DtN map, S = (Hx'V) diag(sigma) (Hx'V)^T, is an M-matrix with
-        # row sums >= 0: ||S|| <= 2 max diag(S), diag(S) = (Hx'V)^2 sigma
-        self._hV = h[:, None] * self._V
-        hV2 = self._hV ** 2
-        diag = hV2 @ sigma if g.d == 1 else hV2 @ sigma @ hV2.T
+        # S is an M-matrix with row sums >= 0: ||S|| <= 2 max diag(S), and
+        # diag(S) = h (Q^2 sigma) along each axis
+        diag = self._per_axis(sigma, post=h, basis=self._Q ** 2)
         self._schur_norm = 2.0 * float(diag.max())
 
     @cached_property
     def schur(self) -> np.ndarray:
         """The dense S on the free trace, built when block_solve first needs it."""
-        P = (reduce(np.kron, [self._hV] * self.grid.d)
-             * np.sqrt(self._chains.symbol.ravel()))
+        P = reduce(np.kron, [self._rh[:, None] * self._Q] * self.grid.d)
+        P *= np.sqrt(self._chains.symbol.ravel())
         return P @ P.T
+
+    def _per_axis(self, u: np.ndarray, pre=1.0, post=1.0, basis=None) -> np.ndarray:
+        """diag(post) Q diag(pre) along each of the last d axes in turn: 1/sqrt(h)
+        as pre or post gives V^T or V, sqrt(h) (Hx V)^T or Hx V; no area formed."""
+        for Q in [self._Q if basis is None else basis] * self.grid.d:
+            u = (u * pre @ Q * post).swapaxes(-1, -self.grid.d)  # turns d <= 2 axes
+        return u
 
     def _to_modes(self, u: np.ndarray) -> np.ndarray:
         """V^T along every horizontal axis (the last d axes of u)."""
-        u = u @ self._V
-        return self._V.T @ u if self.grid.d == 2 else u
+        return self._per_axis(u, pre=1.0 / self._rh)
 
     def _from_modes(self, u: np.ndarray) -> np.ndarray:
         """V along every horizontal axis; inverts _to_modes."""
-        u = u @ self._V.T
-        return self._V @ u if self.grid.d == 2 else u
+        return self._per_axis(u, post=1.0 / self._rh)
 
     def _schur_apply(self, t: np.ndarray) -> np.ndarray:
         """S t for rows t of free trace values through the modes, not the
-        dense S the solves factor, so a wrong S fails their gates; Hx'V per
-        axis never forms the tiny trace area of an extreme grid."""
-        if self.grid.d == 1:
-            return (self._chains.symbol * (t @ self._hV)) @ self._hV.T
-        u = self._hV.T @ t.reshape(t.shape[:-1] + self._trace_shape) @ self._hV
-        return (self._hV @ (self._chains.symbol * u) @ self._hV.T).reshape(t.shape)
+        dense S the solves factor, so a wrong S fails their gates."""
+        u = self._per_axis(t.reshape(t.shape[:-1] + self._trace_shape), pre=self._rh)
+        return self._per_axis(self._chains.symbol * u, post=self._rh).reshape(t.shape)
 
     def _interior_solve(self, rhs: np.ndarray) -> np.ndarray:
         """A_ii^-1 rhs in the modes for rows-first interior values (row 1
@@ -554,13 +556,12 @@ class TraceSystem:
         if trace_dirichlet:
             put((..., 0), bdata.trace_dirichlet)
         b = -_face_flux(g, dvals)[self._box]
-        rows = np.moveaxis(b, -1, 0)
-        rows = np.ascontiguousarray(rows)  # BLAS is 6x slower on the view
+        rows = np.ascontiguousarray(np.moveaxis(b, -1, 0))  # BLAS: 6x slower on a view
         if trace_dirichlet:
             return dvals, b, self._interior_solve(rows), None
         z = self._interior_solve(rows[1:])
         gv0 = g.vertical_conductance[0]
-        c = rows[0].ravel() + gv0 * self.area * self._from_modes(z[0]).ravel()
+        c = rows[0].ravel() + gv0 * self._per_axis(z[0], post=self._rh).ravel()
         return dvals, b, z, c
 
     def free_values(self, trace: np.ndarray) -> np.ndarray:
@@ -636,13 +637,13 @@ class TraceSystem:
         if c is not None:
             t = self.trace_solve(load, m, g0)
             # d_nu^a v = g0 - m v
-            absorb, ga, q = (np.reshape(u * self.area, self._trace_shape)
-                             for u in (m, g0, t))
-            t = t.reshape(self._trace_shape)
+            absorb, ga, t = (np.reshape(u, self._trace_shape)
+                             for u in (m * self.area, g0 * self.area, t))
             diag = diag + absorb
             b[..., 0] += ga
             x[..., 0] = t
-            interior, modes = x[..., 1:], z + self._resp * self._to_modes(q)
+            interior = x[..., 1:]
+            modes = z + self._resp * self._per_axis(t, pre=self._rh)
         interior[:] = np.moveaxis(self._from_modes(modes), 0, -1)
         r = _face_flux(self.grid, v)[box]
         if c is not None:

@@ -457,32 +457,31 @@ def nu_acf_caps(mesh: HemisphereMesh, radii_grid=None) -> CapScanResult:
     pairs = dict(zip(radii, _lowest_pairs(mesh, [
         EquatorRegion.cap(0.0, t).contains(mesh.phi) for t in radii.values()])))
     table = []
-    best = (math.inf, None)
+    best = (math.inf, None, None, None)
     for t1 in radii_grid:
         for t2 in radii_grid:
             if t1 > t2 or t1 + t2 > math.pi + 1e-12:
                 continue
-            l1, l2 = (pairs[round(float(t), 12)][0] for t in (t1, t2))
+            (l1, u1), (l2, u2) = (pairs[round(float(t), 12)] for t in (t1, t2))
             g1, g2 = gamma_map(l1, p), gamma_map(l2, p)
             mean = 0.5 * (g1 + g2)
             table.append((float(t1), float(t2), l1, l2, g1, g2, mean))
             if mean < best[0]:
-                best = (mean, CapPair(float(t1), float(t2)))
-    overlap = _support_overlap(mesh, best[1], pairs[round(best[1].t1, 12)][1])
+                best = (mean, CapPair(float(t1), float(t2)), u1, u2)
     return CapScanResult(s=p.s, nu_hat=best[0], argmin=best[1], table=table,
-                         support_overlap=overlap)
+                         support_overlap=_support_overlap(mesh, *best[2:]))
 
 
-def _support_overlap(mesh: HemisphereMesh, pair: CapPair, u1: np.ndarray) -> float:
+def _support_overlap(mesh: HemisphereMesh, u1: np.ndarray, u2: np.ndarray) -> float:
     """Mass-weighted overlap of the optimal eigenfunction pair's supports.
 
-    u1 is the scan's eigenfunction of cap(0, t1).  The cap about pi is
-    solved anew: it is not the rotation of the scan's cap(0, t2), since a
-    rotation may round its boundary nodes, which are ties, differently.
+    u1, u2 are the scan's eigenfunctions of cap(0, t1) and cap(0, t2).  The
+    mesh is invariant under the turn by pi (nphi / 2 nodes per ring, the pole
+    fixed), so u2 turned is the eigenfunction of cap(0, t2) turned by pi.
     """
     m = _node_mass(mesh)
-    _, u2 = lambda1(mesh, EquatorRegion.cap(math.pi, pair.t2))
-    a1, a2 = np.abs(u1), np.abs(u2)
+    rings = np.roll(u2[1:].reshape(mesh.ntheta, -1), mesh.nphi // 2, axis=1)
+    a1, a2 = np.abs(u1), np.abs(np.append(u2[0], rings))
     both = float(np.sum(m * a1 * a2))
     norm = math.sqrt(float(np.sum(m * a1 * a1)) * float(np.sum(m * a2 * a2)))
     return both / norm if norm > 0 else 0.0

@@ -147,27 +147,30 @@ def test_face_flux_matches_assembled_operator(d, s):
 @pytest.mark.parametrize("sides", [True, False])
 def test_trig_basis_is_the_horizontal_eigenbasis(d, nx, sides):
     # the closed-form DST-I / DCT-I pairs against the pencil
-    # Kx' v = lambda Hx' v of the free horizontal nodes.  eigh_tridiagonal
-    # is backward stable, so lambda is compared normwise: its small
-    # eigenvalues carry eps ||Kx'|| of absolute error (1.6e-10 relative for
-    # lambda_1 at nx = 1025).  In d = 2 the engine diagonalizes the
-    # Kronecker sum, formed here where the engine serves it (nx = 9)
+    # Kx' v = lambda Hx' v of the free horizontal nodes.  Q is symmetric and
+    # orthonormal, holds no dx, and V = Hx'^-1/2 Q are the eigenvectors.
+    # eigh_tridiagonal is backward stable, so lambda is compared normwise:
+    # its small eigenvalues carry eps ||Kx'|| of absolute error (1.6e-10
+    # relative for lambda_1 at nx = 1025).  In d = 2 the engine diagonalizes
+    # the Kronecker sum, formed here where the engine serves it (nx = 9)
     g = small_grid(d=d, nx=nx, ny=4)
     h = g.x_dual[1:-1] if sides else g.x_dual
     n = h.size
     deg = np.full(n, 2.0)
     if not sides:
         deg[[0, -1]] = 1.0
-    lam, V = grid_mod._trig_basis(n, g.dx, sides)
+    lam, Q = grid_mod._trig_basis(n, g.dx, sides)
     want = eigh_tridiagonal(deg / (g.dx * h), -1.0 / (g.dx * np.sqrt(h[:-1] * h[1:])),
                             eigvals_only=True)
     assert np.abs(lam - want).max() <= 1e-12 * want.max()
+    assert np.array_equal(Q, Q.T)
+    V = Q / np.sqrt(h)[:, None]
     K = (np.diag(deg) - np.eye(n, k=1) - np.eye(n, k=-1)) / g.dx
     H = np.diag(h)
     if d == 2 and n ** 2 <= grid_mod.TRACE_CAP:
         K, H = np.kron(K, H) + np.kron(H, K), np.kron(H, H)
-        V, lam = np.kron(V, V), np.add.outer(lam, lam).ravel()
-    assert np.abs(V.T @ H @ V - np.eye(V.shape[1])).max() <= 1e-13
+        Q, V, lam = np.kron(Q, Q), np.kron(V, V), np.add.outer(lam, lam).ravel()
+    assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= 1e-13
     res = K @ V - H @ V * lam
     assert np.abs(res).max() <= 1e-13 * np.abs(K).sum(axis=1).max() * np.abs(V).max()
 
@@ -183,6 +186,24 @@ def test_zero_flux_solve_at_extreme_scale(d, nx):
     fld = solve_linear(g, BoundaryData(top=1.0, sides=None))
     assert np.all(np.isfinite(fld.values))
     assert np.abs(fld.values - 1.0).max() < 1e-10
+    # a source g0 = 1/2 under a zero top, with either side layout: the trace
+    # (up to 3e224 at s = 3/4) is representable, and so is each product the
+    # engine forms, because Hx'V is taken one axis at a time and the trace
+    # area (1e300 in d = 2) never multiplies t.  At s = 3/4 in d = 2 the
+    # modal coefficients t sqrt(area) pass 1e308, and the solve fails its gate
+    for s in ((0.75,) if d == 1 else (0.25, 0.5, 0.75)):
+        g = small_grid(s=s, d=d, nx=nx, ny=32, L=1e150, Y=1e150)
+        for sides in (0.0, None):
+            bd = BoundaryData(top=0.0, sides=sides, neumann_g0=0.5)
+            if (s, d) == (0.75, 2):
+                with pytest.raises(ConvergenceError, match="residual check"), \
+                        np.errstate(over="ignore", invalid="ignore"):
+                    solve_linear(g, bd)
+                continue
+            fld = solve_linear(g, bd)
+            engine = grid_mod.trace_system(g, sides is not None)
+            flux = engine.trace_flux(engine.load(bd), engine.free_values(fld.trace))
+            assert np.abs(flux - 0.5).max() <= 1e-8 * 0.5
 
 
 def test_dtn_trace_exact_on_layer_and_constant():
@@ -459,6 +480,18 @@ def test_uniform_absorption_is_solved_in_the_modes(case, monkeypatch):
     want = engine.solve(load, m, g0)  # free values: the dense Cholesky solve
     assert len(calls) == 1 and "schur" in vars(engine)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("sides", [True, False])
+def test_engine_keeps_one_horizontal_basis(sides):
+    # the engine keeps the orthonormal Q and sqrt(h), from which it applies
+    # V, V^T, Hx'V and (Hx'V)^T: one n x n array until the dense S is built
+    g = small_grid(nx=65, ny=16)
+    engine = TraceSystem(g, sides=sides)
+    engine.solve(engine.load(BoundaryData(top=1.0, sides=1.0)), 10.0, 0.1)
+    n = engine.area.size
+    assert [k for k, v in vars(engine).items()
+            if getattr(v, "shape", None) == (n, n)] == ["_Q"]
 
 
 def test_drop_engine_frees_the_kept_engine(built_engines):

@@ -405,8 +405,8 @@ def test_hemisphere_engine_matches_sparse_lu(s):
 
 def test_newton_evaluations_per_eigenvalue(monkeypatch):
     # the scan runs its seven interior caps in lockstep, one stacked chain
-    # sweep per step, then the pair's cap about pi on its own; the first
-    # tangent from 0 overshoots and the iterates return from the right
+    # sweep per step, and solves no cap about pi; the first tangent from 0
+    # overshoots and the iterates return from the right
     runs = []
     driver = sphere._lockstep_roots
 
@@ -424,9 +424,8 @@ def test_newton_evaluations_per_eigenvalue(monkeypatch):
 
     monkeypatch.setattr(sphere, "_lockstep_roots", counting)
     nu_acf_caps(mesh2(0.25, 64, 128))
-    (caps, sweeps), (pair, _) = runs
-    assert caps.size == 7 and pair.size == 1
-    assert sweeps == caps.max() <= 10 and pair.max() <= 10
+    (caps, sweeps), = runs
+    assert caps.size == 7 and sweeps == caps.max() <= 10
     runs.clear()
     lambda1_codim1(mesh2(0.75, 64, 512))
     assert runs[0][0].max() <= 8
@@ -439,12 +438,23 @@ def test_newton_evaluations_per_eigenvalue(monkeypatch):
 
 
 def test_scan_overlap_reuses_the_t1_eigenpair():
-    # the scan hands its cap(0, t1) eigenvector to the overlap; a fresh
-    # solve of that cap gives the same overlap to the bit
+    # the scan hands its cap(0, t1) and cap(0, t2) eigenvectors to the
+    # overlap.  The cap(0, t2) vector turned by pi (nphi / 2 nodes per ring,
+    # the pole fixed) is an eigenvector of the cap about pi, and the overlap
+    # equals that of a fresh solve of that cap
     mesh = mesh2(0.5, nt=24, nph=48)
     res = nu_acf_caps(mesh)
-    _, u1 = lambda1(mesh, EquatorRegion.cap(0.0, res.argmin.t1))
-    assert res.support_overlap == sphere._support_overlap(mesh, res.argmin, u1)
+    t1, t2 = res.argmin.t1, res.argmin.t2
+    _, u1 = lambda1(mesh, EquatorRegion.cap(0.0, t1))
+    lam2, u2 = lambda1(mesh, EquatorRegion.cap(0.0, t2))
+    assert res.support_overlap == sphere._support_overlap(mesh, u1, u2)
+    turned = np.append(u2[0], np.roll(u2[1:].reshape(24, 48), 24, axis=1))
+    sphere._ModePencil(mesh).check(
+        lam2, turned, EquatorRegion.cap(math.pi, t2).contains(mesh.phi))
+    _, fresh = lambda1(mesh, EquatorRegion.cap(math.pi, t2))
+    m, a1, a2 = sphere._node_mass(mesh), np.abs(u1), np.abs(fresh)
+    want = np.sum(m * a1 * a2) / math.sqrt(np.sum(m * a1 * a1) * np.sum(m * a2 * a2))
+    assert abs(res.support_overlap - want) <= 1e-12
 
 
 def test_sphere_makes_no_sparse_lu(monkeypatch):
