@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FracParams, NamedSolution, eval_solution, gamma_inverse,
-                   gamma_map)
+from .core import FracParams, NamedSolution, gamma_inverse, gamma_map
 from .diagnostics import (acf_one_phase, almgren, log_derivative_residual,
                           monotonicity_check, pohozaev_residual)
 from .grid import (BoundaryData, GridConfig, build_grid, field_from_function,
@@ -51,14 +50,6 @@ class CheckResult:
 
 def _tol(base: float, quick: bool) -> float:
     return 2.0 * base if quick else base
-
-
-def explicit_field(grid, sol: NamedSolution):
-    """Sample a named solution on a d=1 grid."""
-    def fn(x, y):
-        pts = np.stack(np.broadcast_arrays(x, y), axis=-1)
-        return eval_solution(sol, pts)
-    return field_from_function(grid, fn)
 
 
 def _diag_grid(s: float, nx: int):
@@ -189,7 +180,7 @@ def check_almgren(quick: bool = False) -> CheckResult:
     for s in S_GRID:
         gr, p = _diag_grid(s, nx)
         for tag, deg in (("vanish_trace", 2.0 * s), ("halfspace", s)):
-            fld = explicit_field(gr, NamedSolution(tag, p))
+            fld = field_from_function(gr, NamedSolution(tag, p))
             prof = almgren(fld, (0.0,), radii)
             worst = max(worst, float(np.abs(prof.Nfreq.values / deg - 1.0).max()))
             worst = max(worst, float(log_derivative_residual(prof.H, prof.Nfreq).max()))
@@ -207,7 +198,7 @@ def check_acf_monotonicity(quick: bool = False) -> CheckResult:
     cases += [(0.75, "codim1", "acf_codim1")]
     for s, tag, variant in cases:
         gr, p = _diag_grid(s, nx)
-        fld = explicit_field(gr, NamedSolution(tag, p))
+        fld = field_from_function(gr, NamedSolution(tag, p))
         prof = acf_one_phase(fld, (0.0,), radii, variant)
         dev = float((prof.values.max() - prof.values.min()) / prof.values.mean())
         worst = max(worst, dev)
@@ -241,7 +232,7 @@ def check_pohozaev(quick: bool = False) -> CheckResult:
     for s, tag in ((0.25, "vanish_trace"), (0.5, "halfspace"),
                    (0.75, "vanish_trace"), (0.75, "codim1")):
         gr, p = _diag_grid(s, nx)
-        fld = explicit_field(gr, NamedSolution(tag, p))
+        fld = field_from_function(gr, NamedSolution(tag, p))
         worst = max(worst, abs(pohozaev_residual(fld, (0.0,), 0.4)))
     if worst > tol:
         return CheckResult("pohozaev residual", worst, tol, False)

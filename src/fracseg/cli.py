@@ -20,6 +20,11 @@ from importlib import resources
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on every platform: reports then carry no peak_rss_mb
+    resource = None
+
 from . import acceptance
 from .core import FracParams
 from .errors import ConfigurationError, ConvergenceError
@@ -68,7 +73,12 @@ class RunReport:
 
     def to_json(self) -> str:
         """Strict JSON: a non-finite number is written as null; a check whose
-        value or threshold is non-finite names it in its detail."""
+        value or threshold is non-finite names it in its detail.  meta gains
+        peak_rss_mb, the process's peak resident set size so far."""
+        meta = dict(self.meta)
+        if resource is not None:  # ru_maxrss counts KiB (bytes on macOS)
+            meta["peak_rss_mb"] = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                                   / (2 ** 20 if sys.platform == "darwin" else 2 ** 10))
         checks = []
         for c in self.checks:
             bad = {k: c[k] for k in ("value", "threshold") if _nonfinite(c[k])}
@@ -77,7 +87,7 @@ class RunReport:
                 c = dict(c, detail=f"{c['detail']} ({note})".lstrip())
             checks.append(c)
         payload = {"command": self.command, "passed": self.passed,
-                   "checks": checks, "files": self.files, "meta": self.meta}
+                   "checks": checks, "files": self.files, "meta": meta}
         return json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
                           allow_nan=False) + "\n"
 

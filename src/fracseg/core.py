@@ -68,7 +68,8 @@ def gamma_inverse(g, p: FracParams):
 
 @dataclass(frozen=True)
 class NamedSolution:
-    """One of the explicit homogeneous solutions used as fixtures.
+    """One of the explicit homogeneous solutions used as fixtures; calling
+    it evaluates the solution at coordinates (x1[, x2], y).
 
     vanish_trace  y^{2s}                        degree 2s, trace == 0
     halfspace     ((|(x1,y)| + x1)/2)^s         degree s,  trace == 0 on x1 <= 0
@@ -84,31 +85,44 @@ class NamedSolution:
         if self.tag == "codim1" and self.params.s <= 0.5:
             raise ValueError("codim1 solution requires s > 1/2")
 
+    def __call__(self, x1, *coords):
+        """Values at broadcastable coordinates (x1[, x2], y), y last, as
+        field_from_function passes them (no profile reads x2): one fresh
+        array built in place, so on a grid the half-space profile holds one
+        full-grid array, not three (vanish_trace has y's shape; a float at
+        scalar coordinates)."""
+        if not coords:
+            raise ValueError("points must have at least (x1, y) coordinates")
+        y = np.asarray(coords[-1], dtype=float)
+        if np.any(y < 0):  # not y.min() < 0: a NaN would hide a negative value
+            raise ValueError("points must lie in the closed upper half-space y >= 0")
+        s = self.params.s
+        if self.tag == "vanish_trace":
+            out = y ** (2.0 * s)
+        else:
+            out = np.hypot(x1, y)
+            if self.tag == "halfspace":
+                out += x1
+                out *= 0.5
+                out **= s
+            else:  # codim1
+                out **= 2.0 * s - 1.0
+        return float(out) if np.ndim(out) == 0 else out
+
 
 def _split_point(X):
     """Split points (..., m) into (x1, y); y is the last coordinate."""
     X = np.asarray(X, dtype=float)
     if X.shape[-1] < 2:
         raise ValueError("points must have at least (x1, y) coordinates")
-    x1 = X[..., 0]
-    y = X[..., -1]
-    if np.any(y < 0):
-        raise ValueError("points must lie in the closed upper half-space y >= 0")
-    return x1, y
+    return X[..., 0], X[..., -1]
 
 
 def eval_solution(sol: NamedSolution, X):
-    """Evaluate a named solution at points X of shape (..., m), y last."""
-    s = sol.params.s
-    x1, y = _split_point(X)
-    if sol.tag == "vanish_trace":
-        out = y ** (2.0 * s)
-    elif sol.tag == "halfspace":
-        rho = np.hypot(x1, y)
-        out = (0.5 * (rho + x1)) ** s
-    else:  # codim1
-        out = np.hypot(x1, y) ** (2.0 * s - 1.0)
-    return float(out) if np.ndim(out) == 0 else out
+    """Evaluate a named solution at stacked points X of shape (..., m), y
+    last, on views of X's first and last coordinates; on a grid,
+    field_from_function(grid, sol) gives the same bits with no stacked X."""
+    return sol(*_split_point(X))
 
 
 @dataclass(frozen=True)

@@ -400,6 +400,9 @@ class ModeChains:
 #: Newton step).  A Newton step of k components factors one (k n)^2 array,
 #: which CompetitionProblem bounds by k n <= 2 TRACE_CAP (537 MB at k = 2).
 TRACE_CAP = 4096
+#: rows per block wherever an n x n array is built from Q: a temporary of
+#: the whole square would take as much memory as Q itself
+_ROWS = 64
 
 
 def _trig_basis(n: int, dx: float, sides: bool) -> tuple:
@@ -409,10 +412,13 @@ def _trig_basis(n: int, dx: float, sides: bool) -> tuple:
     with Dirichlet sides, else cos, the DCT-I, end rows and columns * sqrt(1/2)."""
     P = n + 1 if sides else n - 1
     k = np.arange(1, n + 1) if sides else np.arange(n)
-    table = (np.sin if sides else np.cos)(np.pi / P * np.arange(2 * P))
-    jk = np.multiply.outer(k, k)
-    jk %= 2 * P  # the angle pi j k / P mod 2 pi, in integers, indexes the table
-    Q = (np.sqrt(2.0 / P) * table)[jk]
+    table = np.sqrt(2.0 / P) * (np.sin if sides else np.cos)(np.pi / P * np.arange(2 * P))
+    Q = np.empty((n, n))
+    for j in range(0, n, _ROWS):
+        jk = np.multiply.outer(k[j:j + _ROWS], k)
+        jk %= 2 * P  # the angle pi j k / P mod 2 pi, in integers, indexes the table
+        # every index is in range; "clip" writes out without take's buffer
+        np.take(table, jk, out=Q[j:j + _ROWS], mode="clip")
     if not sides:
         Q[[0, -1]] *= np.sqrt(0.5)
         Q[:, [0, -1]] *= np.sqrt(0.5)
@@ -485,8 +491,12 @@ class TraceSystem:
         # interior response to t, rows first like the interior values
         self._resp = np.moveaxis(self._chains.response, -1, 0)[::-1]
         # S is an M-matrix with row sums >= 0: ||S|| <= 2 max diag(S), and
-        # diag(S) = h (Q^2 sigma) along each axis
-        diag = self._per_axis(sigma, post=h, basis=self._Q ** 2)
+        # diag(S) = h (Q^2 sigma) along each axis, Q^2 = (Q^2)^T by row blocks
+        diag = sigma
+        for _ in range(g.d):
+            diag = np.concatenate([diag @ np.square(self._Q[j:j + _ROWS]).T
+                                   for j in range(0, h.size, _ROWS)], axis=-1)
+            diag = (diag * h).swapaxes(-1, -g.d)
         self._schur_norm = 2.0 * float(diag.max())
 
     @cached_property
@@ -496,11 +506,17 @@ class TraceSystem:
         P *= np.sqrt(self._chains.symbol.ravel())
         return P @ P.T
 
-    def _per_axis(self, u: np.ndarray, pre=1.0, post=1.0, basis=None) -> np.ndarray:
-        """diag(post) Q diag(pre) along each of the last d axes in turn: 1/sqrt(h)
-        as pre or post gives V^T or V, sqrt(h) (Hx V)^T or Hx V; no area formed."""
-        for Q in [self._Q if basis is None else basis] * self.grid.d:
-            u = (u * pre @ Q * post).swapaxes(-1, -self.grid.d)  # turns d <= 2 axes
+    def _per_axis(self, u: np.ndarray, pre=None, post=None) -> np.ndarray:
+        """diag(post) Q diag(pre) along each of the last d axes in turn, each
+        scale applied only when given: 1/sqrt(h) as pre or post gives V^T or V,
+        sqrt(h) (Hx V)^T or Hx V; no area formed."""
+        for _ in range(self.grid.d):
+            if pre is not None:
+                u = u * pre
+            u = u @ self._Q
+            if post is not None:
+                u *= post  # the product is a fresh array
+            u = u.swapaxes(-1, -self.grid.d)  # turns d <= 2 axes
         return u
 
     def _to_modes(self, u: np.ndarray) -> np.ndarray:

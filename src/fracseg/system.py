@@ -43,6 +43,10 @@ OUTER_TOL = 1e-8
 MAX_OUTER = 500
 ARMIJO = 1e-4  # sufficient decrease: E falls by this share of the slope
 MAX_HALVINGS = 30  # of the Newton step length before the fallback step
+# a run of this many fallback sweeps, each changing the traces at least
+# _SWEEP_GROWTH times as much as the one before, is taken as diverged
+_GROWING_SWEEPS = 4
+_SWEEP_GROWTH = 2.0
 
 
 @dataclass(frozen=True)
@@ -274,8 +278,9 @@ def solve_system(prob: CompetitionProblem, warm_start=None) -> SolveResult:
     absorption only adds to the M-matrix diagonal).  Raises ConvergenceError
     with the per-step history (Newton correction or sweep change) when
     MAX_OUTER steps do not converge, when a step fails (the history then
-    ends with the failed step's residual, inf for a diverged fallback
-    sweep) or when a field fails its gate.
+    ends with the failed step's residual: inf for a fallback sweep whose
+    data overflow, the change for the last of _GROWING_SWEEPS sweeps in a row
+    that each grew it _SWEEP_GROWTH-fold) or when a field fails its gate.
     """
     grid = build_grid(prob.grid_config, prob.params)
     engine = trace_system(grid)  # Dirichlet walls, free trace
@@ -292,17 +297,28 @@ def solve_system(prob: CompetitionProblem, warm_start=None) -> SolveResult:
     c = np.array([load[3] for load in loads])
     history = []
     steps = dict.fromkeys(("newton_steps", "damped_steps", "fallback_sweeps"), 0)
+    last_sweep = 0.0  # the last step's change when that step was a sweep
+    growing = 0  # fallback sweeps in a row, each growing the change
     engine.schur  # the Newton steps' dense S, built with the default BLAS threads
-    # a diverging fallback sweep overflows before it is caught
+    # a fallback sweep whose iterates overflow is caught as diverged
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         for outer in range(1, MAX_OUTER + 1):
             try:
                 step = _newton_step(engine, prob, X, c)
                 if step is None:
-                    history.append(_gauss_seidel(engine, prob, loads, X))
+                    change = _gauss_seidel(engine, prob, loads, X)
+                    grew = change >= _SWEEP_GROWTH * last_sweep > 0.0
+                    growing, last_sweep = (growing + 1 if grew else 0), change
+                    if growing == _GROWING_SWEEPS:
+                        raise ConvergenceError(
+                            f"fallback sweep diverged: the change grew at least "
+                            f"{_SWEEP_GROWTH:g}x in {growing} sweeps in a row "
+                            f"(to {change:.3e})", residual=change)
+                    history.append(change)
                     steps["fallback_sweeps"] += 1
                     continue
                 X, change, damped = step
+                last_sweep = 0.0
                 history.append(change)
                 steps["damped_steps" if damped else "newton_steps"] += 1
             except ConvergenceError as exc:

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -21,3 +22,19 @@ def verified_value():
             f"{mode} {name}: {value!r}, recorded {ref!r}"
 
     return check
+
+
+@pytest.fixture(scope="session")
+def peak_bytes():
+    """Measure fn(*args): the peak of the bytes it allocates, by tracemalloc
+    (numpy reports its arrays there), its result counted while alive.
+    Returns (peak, result)."""
+    def measure(fn, *args):
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    return measure

@@ -620,6 +620,8 @@ def test_verify_quick_json_schema(tmp_path, capsys, verified_value):
     seconds = report["meta"]["seconds"]
     assert len(seconds) == 11
     assert all(isinstance(t, float) and t > 0 for t in seconds)
+    peak = report["meta"]["peak_rss_mb"]
+    assert isinstance(peak, float) and peak > 0
 
 
 @pytest.mark.slow
@@ -684,12 +686,17 @@ def test_strong_logistic_fallback_sweeps_converge(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_fallback_sweeps_exit_3_with_one_line(tmp_path, capsys):
-    # linear lam = 5 has no bounded steady state here: the sweeps grow until
-    # the lagged data overflow, which is reported as a divergence, with no
-    # numpy warning before it
+    # linear lam = 5 has no bounded steady state here: each sweep changes the
+    # traces 4-5 times as much as the one before, so the run stops once four
+    # sweeps in a row have grown it (step 5), long before the lagged data
+    # would overflow (step 216), with no numpy warning before it
     path = _example_with_reaction(tmp_path, "linear")
     out = os.path.join(tmp_path, "ln")
-    assert cli.main(["solve", "--config", path, "--out", out]) == 3
-    err = capsys.readouterr().err.splitlines()
+    assert cli.main(["solve", "--config", path, "--out", out, "--json"]) == 3
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
     assert len(err) == 1
     assert "fallback sweep diverged" in err[0]
+    history = json.loads(captured.out)["meta"]["failure"]["history"]
+    assert 5 <= len(history) <= 6
+    assert all(b >= 2.0 * a > 0 for a, b in zip(history[-5:], history[-4:]))

@@ -8,8 +8,8 @@ from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 from scipy.special import stdtr
 
-from fracseg.core import (FracParams, NamedSolution, RegularizedKernel,
-                          comparison_f, eval_solution,
+from fracseg.core import (SOLUTION_TAGS, FracParams, NamedSolution,
+                          RegularizedKernel, comparison_f, eval_solution,
                           gamma_inverse, gamma_map)
 
 S_GRID = (0.25, 0.5, 0.75)
@@ -143,6 +143,35 @@ def test_named_solution_homogeneity():
         for lam in (0.5, 2.0, 3.0):
             scaled = eval_solution(sol, lam * pts)
             assert np.allclose(scaled, lam ** degree * base, rtol=1e-12)
+
+
+def test_named_solution_on_coordinates_matches_stacked_points():
+    # the kernel takes broadcastable (x1[, x2], y); on the grid's np.ix_
+    # coordinates it gives every value of the stacked points bit for bit
+    x1, y = np.ix_(np.linspace(-0.8, 0.8, 65), np.linspace(0.0, 0.8, 32))
+    pts = np.stack(np.broadcast_arrays(x1, y), axis=-1)
+    for s, tag in ((0.25, "vanish_trace"), (0.5, "halfspace"), (0.3, "halfspace"),
+                   (0.75, "codim1")):
+        sol = NamedSolution(tag, FracParams(s=s, N=1))
+        want = eval_solution(sol, pts)
+        assert np.array_equal(np.broadcast_to(sol(x1, y), want.shape), want)
+        assert np.array_equal(np.broadcast_to(sol(x1, 0.0 * x1, y), want.shape), want)
+    with pytest.raises(ValueError, match="upper half-space"):
+        sol(x1, np.array([0.1, np.nan, -0.2]))  # a NaN does not hide -0.2
+    with pytest.raises(ValueError, match="at least"):
+        sol(x1)
+
+
+def test_eval_solution_makes_only_its_result(peak_bytes):
+    # on stacked 1025 x 1024 points each profile is built in place: the
+    # result plus at most the y < 0 mask (1.0 MB), not one grid-sized
+    # temporary per operation
+    x1, y = np.ix_(np.linspace(-0.8, 0.8, 1025), np.linspace(0.0, 0.8, 1024))
+    pts = np.stack(np.broadcast_arrays(x1, y), axis=-1)
+    for tag in SOLUTION_TAGS:
+        sol = NamedSolution(tag, FracParams(s=0.75, N=1))
+        peak, out = peak_bytes(eval_solution, sol, pts)
+        assert peak <= out.nbytes + 1.1 * 2 ** 20, tag
 
 
 def test_named_solution_validation():

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from fracseg import diagnostics
-from fracseg.core import FracParams, NamedSolution, eval_solution
+from fracseg.core import FracParams, NamedSolution
 from fracseg.diagnostics import (_CellGeometry, acf_one_phase, almgren,
                                  holder_seminorm, log_derivative_residual,
                                  monotonicity_check, pohozaev_residual,
@@ -21,14 +21,6 @@ def diag_grid(s, nx=512, L=0.8):
                                  grading_p=1.0), p)
 
 
-def explicit_field(grid, sol):
-    def fn(x, y):
-        pts = np.stack(np.broadcast_arrays(x, y), axis=-1)
-        return eval_solution(sol, pts)
-
-    return field_from_function(grid, fn)
-
-
 def whole_geometry(g, center):
     """The geometry of a largest radius at max_radius: every cell of the
     grid for a center at 0."""
@@ -40,7 +32,7 @@ def test_acf_constant_on_matched_profiles():
                             (0.5, "halfspace", "acf_halfspace"),
                             (0.75, "codim1", "acf_codim1")):
         g = diag_grid(s)
-        fld = explicit_field(g, NamedSolution(tag, FracParams(s=s, N=1)))
+        fld = field_from_function(g, NamedSolution(tag, FracParams(s=s, N=1)))
         prof = acf_one_phase(fld, (0.0,), RADII, variant)
         dev = (prof.values.max() - prof.values.min()) / prof.values.mean()
         assert dev < 0.02
@@ -69,7 +61,7 @@ def test_acf_validation():
 def test_almgren_landmarks_and_identity():
     for s, tag, deg in ((0.5, "vanish_trace", 1.0), (0.75, "halfspace", 0.75)):
         g = diag_grid(s)
-        fld = explicit_field(g, NamedSolution(tag, FracParams(s=s, N=1)))
+        fld = field_from_function(g, NamedSolution(tag, FracParams(s=s, N=1)))
         prof = almgren(fld, (0.0,), RADII)
         assert np.abs(prof.Nfreq.values / deg - 1.0).max() < 0.01
         assert log_derivative_residual(prof.H, prof.Nfreq).max() < 0.01
@@ -82,7 +74,7 @@ def test_almgren_energy_against_independent_quadrature():
     # reduce the halfspace energy to a 1-D angular quadrature and compare
     s = 0.25
     g = diag_grid(s)
-    fld = explicit_field(g, NamedSolution("halfspace", FracParams(s=s, N=1)))
+    fld = field_from_function(g, NamedSolution("halfspace", FracParams(s=s, N=1)))
     prof = almgren(fld, (0.0,), RADII)
     a = 1 - 2 * s
     ang, _ = quad(lambda t: np.sin(t) ** a * ((1 + np.cos(t)) / 2) ** (2 * s - 1),
@@ -103,7 +95,7 @@ def test_quadrature_translation_invariance():
     s = 0.5
     g = diag_grid(s, nx=256, L=1.2)
     sol = NamedSolution("vanish_trace", FracParams(s=s, N=1))
-    f0 = explicit_field(g, sol)
+    f0 = field_from_function(g, sol)
     shift = 8 * g.dx
     prof0 = almgren(f0, (0.0,), RADII)
     prof1 = almgren(f0, (shift,), RADII)  # same field, shifted center
@@ -154,7 +146,7 @@ def test_pohozaev_radii_in_one_call():
     # scalar call at its radius, on a window of that radius alone
     s = 0.75
     g = diag_grid(s, nx=256)
-    fld = explicit_field(g, NamedSolution("codim1", FracParams(s=s, N=1)))
+    fld = field_from_function(g, NamedSolution("codim1", FracParams(s=s, N=1)))
     radii = np.geomspace(0.1, 0.5, 11)
     for center in ((0.0,), (0.05,)):
         got = pohozaev_residual(fld, center, radii)
@@ -186,7 +178,7 @@ def test_pohozaev_residuals():
     assert pohozaev_residual(const, (0.0,), 0.4) == 0.0
     for s, tag in ((0.5, "vanish_trace"), (0.75, "codim1")):
         gg = diag_grid(s)
-        fld = explicit_field(gg, NamedSolution(tag, FracParams(s=s, N=1)))
+        fld = field_from_function(gg, NamedSolution(tag, FracParams(s=s, N=1)))
         assert abs(pohozaev_residual(fld, (0.0,), 0.4)) < 0.03
     rnd = field_from_function(
         diag_grid(0.5, nx=256),

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.linalg import block_diag, eigh_tridiagonal
 
 import fracseg.grid as grid_mod
-from fracseg.core import FracParams, NamedSolution, eval_solution
+from fracseg.core import FracParams, NamedSolution
 from fracseg.errors import ConfigurationError, ConvergenceError
 from fracseg.grid import (BoundaryData, Field, GridConfig, ModeChains,
                           TraceSystem, assemble_La, build_grid,
@@ -175,6 +175,37 @@ def test_trig_basis_is_the_horizontal_eigenbasis(d, nx, sides):
     assert np.abs(res).max() <= 1e-13 * np.abs(K).sum(axis=1).max() * np.abs(V).max()
 
 
+@pytest.mark.parametrize("n", [9, 63, 64, 65, 200])
+@pytest.mark.parametrize("sides", [True, False])
+def test_trig_basis_row_blocks_match_one_angle_index(n, sides):
+    # Q is built in row blocks of the integer angle index; one n x n index,
+    # the reference, gives the same bits
+    P = n + 1 if sides else n - 1
+    k = np.arange(1, n + 1) if sides else np.arange(n)
+    table = np.sqrt(2.0 / P) * (np.sin if sides else np.cos)(np.pi / P * np.arange(2 * P))
+    want = table[np.multiply.outer(k, k) % (2 * P)]
+    if not sides:
+        want[[0, -1]] *= np.sqrt(0.5)
+        want[:, [0, -1]] *= np.sqrt(0.5)
+    assert np.array_equal(grid_mod._trig_basis(n, 0.1, sides)[1], want)
+
+
+def test_trig_basis_peaks_at_its_basis(peak_bytes):
+    # no n^2 angle index beside Q: at n = 4095 that index took as much as Q
+    peak, (lam, Q) = peak_bytes(grid_mod._trig_basis, 4095, 1e-3, True)
+    assert peak <= 1.05 * Q.nbytes
+
+
+def test_per_axis_allocates_only_its_output(peak_bytes):
+    # a scale left at its default is not applied, so Q along the axis makes
+    # the result and nothing beside it
+    engine = TraceSystem(small_grid(nx=1025, ny=8))
+    u = np.random.default_rng(1).standard_normal((64, engine.area.size))
+    peak, out = peak_bytes(engine._per_axis, u)
+    assert np.array_equal(out, u @ engine._Q)
+    assert peak <= out.nbytes + 4096
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("d, nx", [(1, 33), (2, 9)])
 def test_zero_flux_solve_at_extreme_scale(d, nx):
@@ -269,9 +300,7 @@ def test_dtn_of_halfspace_profile_matches_closed_form():
     p = FracParams(s=s, N=1)
     sol = NamedSolution("halfspace", p)
     g = build_grid(GridConfig(d=1, L=2.0, Y=2.0, nx=257, ny=128), p)
-    exact = lambda x, y: eval_solution(sol, np.stack(np.broadcast_arrays(x, y), -1))
-    bd = BoundaryData(top=exact, sides=exact,
-                      trace_dirichlet=lambda x, y: exact(x, y))
+    bd = BoundaryData(top=sol, sides=sol, trace_dirichlet=sol)
     fld = solve_linear(g, bd)
     tau = dtn_trace(g, fld)
     xs = g.x[(g.x < -0.5) & (g.x > -1.5)]
