@@ -1,10 +1,14 @@
 """Command-line entry point: experiment orchestration and report emission.
 
 Subcommands: solve | sweep | diagnose | eigen | nuacf | oracle | verify.
-Configurations are JSON documents validated against the shipped schema
-(unknown keys rejected); tabular outputs are CSV, field snapshots use the
-flat binary layout, and every file is written atomically.  Exit codes:
-0 pass, 1 acceptance failure, 2 configuration error, 3 numerical failure.
+Configurations are UTF-8 JSON documents validated against the shipped schema
+(unknown keys rejected; NaN, +-Infinity and number literals beyond the double
+range, such as 1e400, are configuration errors).  The schema's own validity
+against its meta-schema is checked by the test suite, not on every run.
+Tabular outputs are CSV, field snapshots use the flat binary layout, and
+every file is written atomically; an output directory that cannot be made is
+a configuration error found before any solve.  Exit codes: 0 pass,
+1 acceptance failure, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -61,6 +66,8 @@ class RunReport:
     checks: list = field(default_factory=list)
     files: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    #: where main writes a copy of the finished report (solve.json), if anywhere
+    json_path: str | None = None
 
     def add(self, name: str, value, threshold, passed: bool, detail: str = ""):
         self.checks.append({"name": name, "value": value,
@@ -103,28 +110,44 @@ class RunReport:
 
 @functools.lru_cache(maxsize=1)
 def _config_validator():
-    """Validator of the shipped config schema; the schema itself is checked
-    against its meta-schema once per process."""
+    """Validator of the shipped config schema.  The schema is a constant
+    file, so its own validity against the 2020-12 meta-schema is checked by
+    the test suite (test_shipped_schema_passes_its_meta_schema) and not on
+    every run: that check walks the meta-schema's vocabularies and costs
+    30-40 ms per process, against about 1 ms to validate a config."""
     import jsonschema
 
-    schema = json.loads(
-        resources.files("fracseg").joinpath("config_schema.json").read_text())
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    schema = json.loads(resources.files("fracseg").joinpath("config_schema.json")
+                        .read_text(encoding="utf-8"))
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def load_config(path: str) -> dict:
-    """Parse and schema-validate a JSON run configuration."""
+    """Parse and schema-validate a UTF-8 JSON run configuration."""
     import jsonschema
 
     def reject(name):  # json accepts NaN and +-Infinity, the schema would too
         raise ConfigurationError(f"config {path} holds the non-finite number {name}")
 
+    def finite(parse):
+        """parse, rejecting literals beyond the double range: json reads 1e400
+        as inf, and float() of a 400-digit integer overflows later."""
+        def hook(text):
+            try:
+                value = parse(text)
+                if math.isfinite(value):
+                    return value
+            except (OverflowError, ValueError):  # int() also caps its digits
+                pass
+            reject(text if len(text) <= 20
+                   else f"{text[:20]}... ({len(text)} characters)")
+        return hook
+
     try:
-        with open(path) as fh:
-            cfg = json.load(fh, parse_constant=reject)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, encoding="utf-8") as fh:  # RFC 8259: JSON is UTF-8
+            cfg = json.load(fh, parse_constant=reject, parse_float=finite(float),
+                            parse_int=finite(int))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     error = jsonschema.exceptions.best_match(_config_validator().iter_errors(cfg))
     if error is not None:
@@ -173,9 +196,23 @@ def _problem(cfg: dict, beta: float) -> CompetitionProblem:
                               reactions=reactions, dirichlet=dirichlet)
 
 
+def _out_dir(cfg: dict, args) -> str:
+    return args.out or cfg.get("output", {}).get("directory", "fracseg_out")
+
+
 def _out_path(cfg: dict, args, name: str) -> str:
-    out = args.out or cfg.get("output", {}).get("directory", "fracseg_out")
-    return os.path.join(out, name)
+    return os.path.join(_out_dir(cfg, args), name)
+
+
+def _check_out_dir(out: str) -> None:
+    """Fail before any solve when out cannot be, or become, a writable
+    directory: its nearest existing ancestor must be one."""
+    found = os.path.abspath(out)
+    while not os.path.exists(found):
+        found = os.path.dirname(found)
+    if not (os.path.isdir(found) and os.access(found, os.W_OK | os.X_OK)):
+        raise ConfigurationError(f"cannot write output {out}: {found} is not a "
+                                 "writable directory")
 
 
 def _emit(report: RunReport, args) -> None:
@@ -217,9 +254,8 @@ def cmd_solve(cfg: dict, args) -> RunReport:
     report.add("solver converged", res.residual_history[-1], OUTER_TOL,
                res.residual_history[-1] <= OUTER_TOL)
     if "json" in formats:
-        path = _out_path(cfg, args, "solve.json")
-        report.files.append(path)
-        atomic_write_text(path, report.to_json())
+        report.json_path = _out_path(cfg, args, "solve.json")
+        report.files.append(report.json_path)
     return report
 
 
@@ -463,6 +499,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse: 0 after --help, 2 on bad arguments
         return exc.code
+    # seconds in load_config and in the subcommand, for meta.timings
+    timings = {"config": 0.0, "command": 0.0}
     try:
         if args.command == "verify":
             if args.config is not None:
@@ -472,21 +510,31 @@ def main(argv=None) -> int:
         elif args.config is None:
             raise ConfigurationError(f"{args.command} requires --config")
         else:
+            start = time.perf_counter()
             cfg = load_config(args.config)
-        report = COMMANDS[args.command](cfg, args)
+            timings["config"] = time.perf_counter() - start
+            _check_out_dir(_out_dir(cfg, args))
+        start = time.perf_counter()
+        try:
+            report = COMMANDS[args.command](cfg, args)
+        finally:
+            timings["command"] = time.perf_counter() - start
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         if args.json:
-            report = RunReport(args.command, meta={"failure": {
+            report = RunReport(args.command, meta={"timings": timings, "failure": {
                 "message": str(exc), "residual": exc.residual,
                 "iterations": exc.iterations, "history": exc.history}})
             report.add("numerical failure", exc.residual, None, False,
                        detail=str(exc))
             sys.stdout.write(report.to_json())
         return 3
+    report.meta["timings"] = timings
+    if report.json_path is not None:
+        atomic_write_text(report.json_path, report.to_json())
     _emit(report, args)
     return 0 if report.passed else 1
 

@@ -400,6 +400,10 @@ def test_sweep_json_reports_per_beta_solver_data(tmp_path, capsys):
     assert len(meta["outer_iters"]) == len(meta["seconds"]) == 2
     assert all(n >= 1 for n in meta["outer_iters"])
     assert all(t > 0 for t in meta["seconds"])
+    timings = meta["timings"]
+    assert set(timings) == {"config", "command"}
+    assert all(isinstance(t, float) and t > 0 for t in timings.values())
+    assert sum(meta["seconds"]) < timings["command"]
     # the outer steps by kind, per beta; the CSV keeps its columns.  The
     # jump to beta = 1e5 takes damped Newton steps and fallback sweeps
     cfg = tiny_config()
@@ -571,11 +575,26 @@ def test_nan_reaction_json_report_is_strict(tmp_path, monkeypatch, capsys):
     assert check["value"] is None and "value nan" in check["detail"]
 
 
-def test_config_schema_checked_once_per_process(tmp_path, monkeypatch):
+def _shipped_schema_text():
+    """The schema exactly as load_config reads it."""
+    return (cli.resources.files("fracseg").joinpath("config_schema.json")
+            .read_text(encoding="utf-8"))
+
+
+def test_shipped_schema_passes_its_meta_schema():
+    # load_config trusts the shipped schema; this is where it is checked
     import jsonschema
 
-    schema = json.loads(cli.resources.files("fracseg")
-                        .joinpath("config_schema.json").read_text())
+    schema = json.loads(_shipped_schema_text())
+    cls = jsonschema.validators.validator_for(schema, default=None)
+    assert cls is jsonschema.Draft202012Validator  # named, not the fallback
+    cls.check_schema(schema)
+
+
+def test_load_config_does_not_recheck_the_schema(tmp_path, monkeypatch):
+    import jsonschema
+
+    schema = json.loads(_shipped_schema_text())
     cls = jsonschema.validators.validator_for(schema)
     check_schema, checked = cls.check_schema, []
 
@@ -583,12 +602,11 @@ def test_config_schema_checked_once_per_process(tmp_path, monkeypatch):
         checked.append(schema)
         return check_schema(schema, *args, **kwargs)
 
-    monkeypatch.setattr(cls, "check_schema", counting)
-    cli._config_validator.cache_clear()
     bad = tiny_config(extra_key=1)
     with pytest.raises(jsonschema.ValidationError) as want:
         jsonschema.validate(bad, schema)
-    checked.clear()
+    monkeypatch.setattr(cls, "check_schema", counting)
+    cli._config_validator.cache_clear()
     try:
         good = write_config(tmp_path, tiny_config())
         assert cli.load_config(good) == cli.load_config(good) == tiny_config()
@@ -596,8 +614,57 @@ def test_config_schema_checked_once_per_process(tmp_path, monkeypatch):
             cli.load_config(write_config(tmp_path, bad, name="bad.json"))
     finally:
         cli._config_validator.cache_clear()
-    assert checked == [schema]
+    assert checked == []
     assert str(err.value) == f"config violates schema: {want.value.message}"
+
+
+def _exits_2_silently(capsys, argv, words):
+    """argv exits 2 with one stderr line holding words, and no report."""
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("configuration error:") and words in err
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    # a UTF-16 file with its byte-order mark: JSON text is UTF-8 (RFC 8259)
+    path = os.path.join(tmp_path, "cfg.json")
+    with open(path, "wb") as fh:
+        fh.write(b"\xff\xfe" + json.dumps(tiny_config()).encode("utf-16-le"))
+    out = os.path.join(tmp_path, "out")
+    _exits_2_silently(capsys, ["sweep", "--config", path, "--out", out, "--json"],
+                      "'utf-8' codec can't decode")
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", "1" + "0" * 400,
+                                     "1" + "0" * 5000])
+def test_overflowing_number_literal_exits_2(tmp_path, capsys, literal):
+    # json reads 1e400 as inf without calling parse_constant; a 400-digit
+    # integer overflows float(); 5000 digits exceed int()'s digit cap
+    text = json.dumps(tiny_config()).replace("[10.0, 100.0]", f"[10.0, {literal}]")
+    assert literal in text
+    path = write_config(tmp_path, text)
+    out = os.path.join(tmp_path, "out")
+    _exits_2_silently(capsys, ["sweep", "--config", path, "--out", out, "--json"],
+                      "non-finite number " + literal[:20])
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_unwritable_output_directory_exits_2_before_solving(tmp_path, capsys,
+                                                             monkeypatch, command):
+    # a file where the output directory should be, found before any solve
+    path = write_config(tmp_path, tiny_config())
+    monkeypatch.setattr(cli, "solve_system", None)
+    monkeypatch.setattr(cli, "sweep_beta", None)
+    blocker = os.path.join(tmp_path, "blocker")
+    with open(blocker, "w") as fh:
+        fh.write("x")
+    for out in (blocker, os.path.join(blocker, "sub")):
+        _exits_2_silently(capsys, [command, "--config", path, "--out", out, "--json"],
+                          f"cannot write output {out}")
+    assert sorted(os.listdir(tmp_path)) == ["blocker", "cfg.json"]
 
 
 def test_no_partial_files_left(tmp_path):
@@ -622,6 +689,9 @@ def test_verify_quick_json_schema(tmp_path, capsys, verified_value):
     assert all(isinstance(t, float) and t > 0 for t in seconds)
     peak = report["meta"]["peak_rss_mb"]
     assert isinstance(peak, float) and peak > 0
+    timings = report["meta"]["timings"]
+    assert timings["config"] == 0.0  # verify reads no config
+    assert sum(seconds) < timings["command"]
 
 
 @pytest.mark.slow
