@@ -7,8 +7,9 @@ range, such as 1e400, are configuration errors).  The schema's own validity
 against its meta-schema is checked by the test suite, not on every run.
 Tabular outputs are CSV, field snapshots use the flat binary layout, and
 every file is written atomically; an output directory that cannot be made is
-a configuration error found before any solve.  Exit codes: 0 pass,
-1 acceptance failure, 2 configuration error, 3 numerical failure.
+a configuration error found before any solve, and so is a file that cannot be
+written, when it is written.  Exit codes: 0 pass, 1 acceptance failure,
+2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -196,14 +197,6 @@ def _problem(cfg: dict, beta: float) -> CompetitionProblem:
                               reactions=reactions, dirichlet=dirichlet)
 
 
-def _out_dir(cfg: dict, args) -> str:
-    return args.out or cfg.get("output", {}).get("directory", "fracseg_out")
-
-
-def _out_path(cfg: dict, args, name: str) -> str:
-    return os.path.join(_out_dir(cfg, args), name)
-
-
 def _check_out_dir(out: str) -> None:
     """Fail before any solve when out cannot be, or become, a writable
     directory: its nearest existing ancestor must be one."""
@@ -213,6 +206,21 @@ def _check_out_dir(out: str) -> None:
     if not (os.path.isdir(found) and os.access(found, os.W_OK | os.X_OK)):
         raise ConfigurationError(f"cannot write output {out}: {found} is not a "
                                  "writable directory")
+
+
+def _write(report: RunReport, path: str, payload) -> None:
+    """Write one output file atomically (text through atomic_write_text, fields
+    as a snapshot) and list it, unless listed already (solve.json lists itself);
+    a write that fails late, say at a directory, is a configuration error."""
+    try:
+        if isinstance(payload, str):
+            atomic_write_text(path, payload)
+        else:
+            write_snapshot(path, payload)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write output {path}: {exc}") from exc
+    if path not in report.files:
+        report.files.append(path)
 
 
 def _emit(report: RunReport, args) -> None:
@@ -241,20 +249,16 @@ def cmd_solve(cfg: dict, args) -> RunReport:
     res = solve_system(prob)
     formats = cfg.get("output", {}).get("formats", ["binary", "json"])
     if "binary" in formats:
-        path = _out_path(cfg, args, "fields.bin")
-        write_snapshot(path, res.fields)
-        report.files.append(path)
+        _write(report, os.path.join(args.out, "fields.bin"), res.fields)
     if "csv" in formats and res.fields[0].grid.n_nodes <= 200_000:
-        path = _out_path(cfg, args, "fields.csv")
-        atomic_write_text(path, snapshot_csv(res.fields))
-        report.files.append(path)
+        _write(report, os.path.join(args.out, "fields.csv"), snapshot_csv(res.fields))
     sups = [float(np.abs(f.values).max()) for f in res.fields]
     report.meta.update(outer_iters=res.outer_iters, sup_norms=sups,
                        residual=res.residual_history[-1])
     report.add("solver converged", res.residual_history[-1], OUTER_TOL,
                res.residual_history[-1] <= OUTER_TOL)
     if "json" in formats:
-        report.json_path = _out_path(cfg, args, "solve.json")
+        report.json_path = os.path.join(args.out, "solve.json")
         report.files.append(report.json_path)
     return report
 
@@ -268,9 +272,7 @@ def cmd_sweep(cfg: dict, args) -> RunReport:
     alpha = pr.get("holder_alpha", 0.1 * min(_params(cfg).s, 0.5))
     prob = _problem(cfg, float(betas[0]))
     sweep = sweep_beta(prob, betas, holder_alpha=alpha)
-    path = _out_path(cfg, args, "sweep.csv")
-    atomic_write_text(path, sweep.to_csv())
-    report.files.append(path)
+    _write(report, os.path.join(args.out, "sweep.csv"), sweep.to_csv())
     report.meta.update(overlaps=list(map(float, sweep.column("overlap"))),
                        outer_iters=[r.outer_iters for r in sweep.rows],
                        seconds=[r.seconds for r in sweep.rows],
@@ -337,9 +339,7 @@ def cmd_diagnose(cfg: dict, args) -> RunReport:
             for alpha in dg.get("alphas", [0.1]):
                 semi = max(trace_seminorm(f, alpha) for f in fields)
                 report.add(f"holder alpha={alpha}", semi, math.inf, True)
-    path = _out_path(cfg, args, "diagnostics.csv")
-    atomic_write_text(path, "\n".join(rows) + "\n")
-    report.files.append(path)
+    _write(report, os.path.join(args.out, "diagnostics.csv"), "\n".join(rows) + "\n")
     return report
 
 
@@ -376,9 +376,7 @@ def cmd_eigen(cfg: dict, args) -> RunReport:
         rows.append(f"{name},{lam:.12g},{expected:.12g},{err:.3e}")
         report.add(f"lambda({name})", lam, expected, passed,
                    detail=f"rel err {err:.2e}")
-    path = _out_path(cfg, args, "eigen.csv")
-    atomic_write_text(path, "\n".join(rows) + "\n")
-    report.files.append(path)
+    _write(report, os.path.join(args.out, "eigen.csv"), "\n".join(rows) + "\n")
     return report
 
 
@@ -395,14 +393,12 @@ def cmd_nuacf(cfg: dict, args) -> RunReport:
     for t1, t2, l1, l2, g1, g2, mean in res.table:
         rows.append(",".join(format(v, ".12g")
                     for v in (params.s, t1, t2, l1, l2, g1, g2, mean)))
-    csv_path = _out_path(cfg, args, "nuacf.csv")
-    atomic_write_text(csv_path, "\n".join(rows) + "\n")
+    _write(report, os.path.join(args.out, "nuacf.csv"), "\n".join(rows) + "\n")
     summary = {"s": params.s, "nu_hat": res.nu_hat,
                "t1_star": res.argmin.t1, "t2_star": res.argmin.t2,
                "support_overlap": res.support_overlap}
-    json_path = _out_path(cfg, args, "nuacf.json")
-    atomic_write_text(json_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    report.files.extend([csv_path, json_path])
+    _write(report, os.path.join(args.out, "nuacf.json"),
+           json.dumps(summary, indent=2, sort_keys=True) + "\n")
     report.meta.update(summary)
     report.add("0 < nu_hat <= s + 0.02", res.nu_hat, params.s + 0.02,
                0.0 < res.nu_hat <= params.s + 0.02)
@@ -438,9 +434,7 @@ def cmd_oracle(cfg: dict, args) -> RunReport:
     rows = ["x,u,fraclap_symbol,fraclap_pv"]
     for xi, ui, si_, pi_ in zip(x, u, sym, pv):
         rows.append(",".join(format(v, ".12g") for v in (xi, ui, si_, pi_)))
-    path = _out_path(cfg, args, "oracle.csv")
-    atomic_write_text(path, "\n".join(rows) + "\n")
-    report.files.append(path)
+    _write(report, os.path.join(args.out, "oracle.csv"), "\n".join(rows) + "\n")
     report.meta.update(pv_constant=pv_constant(s))
     if fn["kind"] != "comparison":
         err = float(np.abs(pv - sym).max() / np.abs(sym).max())
@@ -513,12 +507,16 @@ def main(argv=None) -> int:
             start = time.perf_counter()
             cfg = load_config(args.config)
             timings["config"] = time.perf_counter() - start
-            _check_out_dir(_out_dir(cfg, args))
+            args.out = args.out or cfg.get("output", {}).get("directory", "fracseg_out")
+            _check_out_dir(args.out)
         start = time.perf_counter()
         try:
             report = COMMANDS[args.command](cfg, args)
         finally:
             timings["command"] = time.perf_counter() - start
+        report.meta["timings"] = timings
+        if report.json_path is not None:
+            _write(report, report.json_path, report.to_json())
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -532,9 +530,6 @@ def main(argv=None) -> int:
                        detail=str(exc))
             sys.stdout.write(report.to_json())
         return 3
-    report.meta["timings"] = timings
-    if report.json_path is not None:
-        atomic_write_text(report.json_path, report.to_json())
     _emit(report, args)
     return 0 if report.passed else 1
 

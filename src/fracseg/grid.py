@@ -192,10 +192,13 @@ class Field:
 
 
 def field_from_function(grid: HalfSpaceGrid, fn) -> Field:
-    """Sample fn(x1[, x2], y) on the grid nodes (broadcasting arrays)."""
-    coords = grid_coordinates(grid)
-    vals = np.broadcast_to(np.asarray(fn(*coords), dtype=float), grid.shape)
-    return Field(grid, vals.copy())
+    """Sample fn(x1[, x2], y) on the grid nodes (broadcasting arrays).  Like
+    Field(grid, arr), the Field may hold fn's result itself: it is copied only
+    when it must be broadcast or is not a writeable array owning its data."""
+    vals = np.asarray(fn(*grid_coordinates(grid)), dtype=float)
+    if vals.shape != grid.shape or not (vals.flags.writeable and vals.flags.owndata):
+        vals = np.broadcast_to(vals, grid.shape).copy()
+    return Field(grid, vals)
 
 
 def grid_coordinates(grid: HalfSpaceGrid):

@@ -10,10 +10,12 @@ system reads F_i(t) = S t_i - c_i + area (beta t_i sum_j a_ij t_j^2 - f_i(t_i))
            + beta/2 sum_{i<j} a_ij sum area t_i^2 t_j^2,    Phi_i' = f_i.
 
 For every k the solver takes damped Newton steps on E (Armijo backtracking
-on E itself); a Gauss-Seidel sweep, in which every component solves its
-linear extension problem with the absorption m = beta sum_j a_ij t_j^2 of
-the other components frozen and the reaction lagged (`Reaction.split`), is
-the fallback step.
+on E itself); a Gauss-Seidel sweep is the fallback step: every component
+solves its linear extension problem with the absorption m = beta sum_j
+a_ij t_j^2 of the other components frozen and its reaction f(u) = c1 u +
+c2 u^2 (`Reaction.coef`) lagged, as the absorption -c2 u+ with the source
+c1 u+ (u+ = max(u, 0)) where c2 < 0 < c1, so that each sweep is an M-matrix
+solve with nonnegative data, and as the source f(u) otherwise.
 Sweeping the coupling strength beta with warm starts produces the segregation
 data: trace overlaps, sup norms and Hölder seminorms per beta.
 """
@@ -37,7 +39,6 @@ from .errors import ConfigurationError, ConvergenceError
 from .grid import (TRACE_CAP, BoundaryData, Field, GridConfig, build_grid,
                    trace_area, trace_system)
 
-REACTION_KINDS = ("zero", "linear", "logistic")
 #: stop at a full Newton correction of at most this max norm on the traces
 OUTER_TOL = 1e-8
 MAX_OUTER = 500
@@ -57,47 +58,34 @@ class Reaction:
     lam: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in REACTION_KINDS:
-            raise ConfigurationError(f"unknown reaction kind {self.kind!r}")
+        self.coef  # an unknown kind raises here
         if not (np.isfinite(self.lam) and abs(self.lam) <= 1e3):
             raise ConfigurationError("reaction rate must be finite and moderate")
 
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        if self.kind == "zero":
-            return np.zeros_like(u)
-        if self.kind == "linear":
-            return self.lam * u
-        return self.lam * u * (1.0 - u)
+    @property
+    def coef(self) -> tuple:
+        """(c1, c2) of the reaction as f(u) = c1 u + c2 u^2."""
+        coefs = {"zero": (0.0, 0.0), "linear": (self.lam, 0.0),
+                 "logistic": (self.lam, -self.lam)}
+        if self.kind not in coefs:
+            raise ConfigurationError(f"unknown reaction kind {self.kind!r}")
+        return coefs[self.kind]
 
-    def slope(self, u: np.ndarray) -> np.ndarray:
-        """f'(u)."""
-        if self.kind == "zero":
-            return np.zeros_like(u)
-        if self.kind == "linear":
-            return np.full_like(u, self.lam)
-        return self.lam * (1.0 - 2.0 * u)
 
-    def split(self, u: np.ndarray) -> tuple:
-        """(absorption, source) for the fallback sweep's f ~ source -
-        absorption * u_new.  Logistic with lam > 0 lags -lam u^2 as the
-        absorption lam u+ with the source lam u+, u+ = max(u, 0), so every
-        sweep is an M-matrix solve with nonnegative data (positive-part
-        splitting); every other reaction is the source f(u)."""
-        if self.kind == "logistic" and self.lam > 0:
-            pos = self.lam * np.maximum(u, 0.0)
-            return pos, pos
-        return np.zeros_like(u), self(u)
+# The reaction f(u) = c1 u + c2 u^2, its slope and the change of its primitive
+# Phi (Phi' = f) free of the cancellation in Phi(u + du) - Phi(u) at small du,
+# for the coefficients R = (c1, c2) stacked to broadcast against u.
+def _reaction(R, u):
+    return u * (R[0] + R[1] * u)
 
-    def primitive_change(self, u: np.ndarray, du: np.ndarray) -> np.ndarray:
-        """Phi(u + du) - Phi(u) for the primitive Phi of f, in a form that
-        keeps its digits when du is small."""
-        if self.kind == "zero":
-            return np.zeros_like(u)
-        half = du * (u + 0.5 * du)  # ((u + du)^2 - u^2) / 2
-        if self.kind == "linear":
-            return self.lam * half
-        v = u + du
-        return self.lam * (half - du * (u * u + u * v + v * v) / 3.0)
+
+def _reaction_slope(R, u):
+    return R[0] + 2.0 * R[1] * u
+
+
+def _primitive_change(R, u, du):
+    v = u + du  # c1 du (u + du/2) + c2 du (u^2 + uv + v^2) / 3
+    return R[0] * (du * (u + 0.5 * du)) + R[1] * (du * (u * u + u * v + v * v) / 3.0)
 
 
 @dataclass
@@ -206,16 +194,21 @@ def _one_blas_thread():
             put(n)
 
 
-def _gauss_seidel(engine, prob, loads, X):
+def _gauss_seidel(engine, prob, R, loads, X):
     """One Gauss-Seidel sweep (ascending component index) over the free
     trace values X, in place: per component one checked trace_solve with the
-    others' absorption frozen and the reaction lagged through its split.
+    others' absorption frozen and the reaction lagged (module docstring).
     Returns the max change; raises ConvergenceError when the lagged data are
     no longer finite (the iterates diverged)."""
     change = 0.0
     for i in range(prob.k):
-        absorb, source = prob.reactions[i].split(X[i])
-        m = prob.beta * (prob.coupling[i] @ X ** 2) + absorb
+        m = prob.beta * (prob.coupling[i] @ X ** 2)
+        c1, c2 = R[:, i, 0]
+        if c2 < 0 < c1:
+            pos = np.maximum(X[i], 0.0)
+            m, source = m - c2 * pos, c1 * pos
+        else:
+            source = _reaction(R[:, i], X[i])
         if not (np.all(np.isfinite(m)) and np.all(np.isfinite(source))):
             raise ConvergenceError("fallback sweep diverged: its lagged data "
                                    "are not finite", residual=float("inf"))
@@ -225,17 +218,16 @@ def _gauss_seidel(engine, prob, loads, X):
     return change
 
 
-def _newton_step(engine, prob, X, c):
+def _newton_step(engine, prob, R, X, c):
     """One damped Newton step on E: the new free trace values, the max norm
     of the full correction J^-1 F and whether the step was shortened; None
     when the Hessian is not positive definite or the backtracking gives up."""
-    S, area = engine.schur, engine.area
-    C, f, k = prob.beta * prob.coupling, prob.reactions, prob.k
+    S, area, C = engine.schur, engine.area, prob.beta * prob.coupling
     SXc = X @ S - c  # rows S t_i - c_i (S is symmetric)
     Q = X * X
     CQ = C @ Q
-    F = SXc + area * (X * CQ - [f[i](X[i]) for i in range(k)])
-    W = area * (CQ - [f[i].slope(X[i]) for i in range(k)])
+    F = SXc + area * (X * CQ - _reaction(R, X))
+    W = area * (CQ - _reaction_slope(R, X))
     try:
         D = engine.block_solve(W, 2.0 * C[..., None] * (area * X)[:, None] * X, -F)
     except np.linalg.LinAlgError:
@@ -250,8 +242,7 @@ def _newton_step(engine, prob, X, c):
         step = alpha * D
         dQ = step * (2.0 * X + step)  # (X + step)^2 - Q, to its digits
         change = (alpha * lin + alpha * alpha * quad
-                  - sum(area @ f[i].primitive_change(X[i], step[i])
-                        for i in range(k))
+                  - float(np.sum(_primitive_change(R, X, step) @ area))
                   + 0.25 * float(np.sum(area * dQ * (C @ (2.0 * Q + dQ)))))
         if change <= ARMIJO * alpha * slope:
             return X + step, size, alpha < 1.0
@@ -295,6 +286,7 @@ def solve_system(prob: CompetitionProblem, warm_start=None) -> SolveResult:
     else:
         X = np.zeros((k, engine.area.size))
     c = np.array([load[3] for load in loads])
+    R = np.array([r.coef for r in prob.reactions]).T[..., None]  # (2, k, 1)
     history = []
     steps = dict.fromkeys(("newton_steps", "damped_steps", "fallback_sweeps"), 0)
     last_sweep = 0.0  # the last step's change when that step was a sweep
@@ -304,9 +296,9 @@ def solve_system(prob: CompetitionProblem, warm_start=None) -> SolveResult:
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         for outer in range(1, MAX_OUTER + 1):
             try:
-                step = _newton_step(engine, prob, X, c)
+                step = _newton_step(engine, prob, R, X, c)
                 if step is None:
-                    change = _gauss_seidel(engine, prob, loads, X)
+                    change = _gauss_seidel(engine, prob, R, loads, X)
                     grew = change >= _SWEEP_GROWTH * last_sweep > 0.0
                     growing, last_sweep = (growing + 1 if grew else 0), change
                     if growing == _GROWING_SWEEPS:
@@ -332,11 +324,11 @@ def solve_system(prob: CompetitionProblem, warm_start=None) -> SolveResult:
                 f"outer iteration cap {MAX_OUTER} exceeded (last step "
                 f"{history[-1]:.3e})", residual=history[-1],
                 iterations=MAX_OUTER, history=history)
-        fields = []
+        fields, source = [], _reaction(R, X)
         for i, load in enumerate(loads):
             m = prob.beta * (prob.coupling[i] @ X ** 2)
             try:
-                v = engine.solve(load, m, prob.reactions[i](X[i]))
+                v = engine.solve(load, m, source[i])
             except ConvergenceError as exc:  # the field gate
                 raise ConvergenceError(str(exc), residual=exc.residual,
                                        iterations=outer, history=history) from exc

