@@ -73,7 +73,8 @@ def _pair_mean(a: np.ndarray, axes) -> np.ndarray:
     """Average neighbouring entries along each of axes (nodes to cells)."""
     for axis in axes:
         lead = (slice(None),) * axis
-        a = 0.5 * (a[lead + (slice(None, -1),)] + a[lead + (slice(1, None),)])
+        a = np.add(a[lead + (slice(None, -1),)], a[lead + (slice(1, None),)])
+        a *= 0.5
     return a
 
 
@@ -121,12 +122,13 @@ class _CellGeometry:
         self.cells = tuple(slice(k[0], k[-1] + 1) for k in (
             np.flatnonzero(np.abs(o) - w_max <= radii[-1]) for o in xoff + [ymid]))
         self.nodes = tuple(slice(c.start, c.stop + 1) for c in self.cells)
-        *self.off, self.ym = np.broadcast_arrays(
-            *np.ix_(*[o[c] for o, c in zip(xoff + [ymid], self.cells)]))
+        offsets = [o[c] for o, c in zip(xoff + [ymid], self.cells)]
+        *self.off, self.ym = np.broadcast_arrays(*np.ix_(*offsets))
         self.vol, self.width, self.wy, self.wy_vert = np.broadcast_to(
             per_layer[:, self.cells[-1]].reshape((4,) + (1,) * d + (-1,)),
             (4,) + self.ym.shape)
-        self.R = np.sqrt(sum(o * o for o in self.off) + self.ym * self.ym)
+        self.R = sum(np.ix_(*[o * o for o in offsets]))
+        np.sqrt(self.R, out=self.R)
         # rows: the lines of cells along x1, in C order of (x2, y).  Along a
         # row R grows with the x1 distance from the center column c0 (the
         # first with x1 offset >= 0) on each side; _dist holds the increasing
@@ -137,6 +139,7 @@ class _CellGeometry:
         self._q = (sum(o[0] * o[0] for o in self.off[1:])
                    + self.ym[0] * self.ym[0]).ravel()
         self._wrow, self._vrow = self.width[0].ravel(), self.vol[0].ravel()
+        self._radii_spans = radii, self._spans(radii)  # for integrals over radii
 
     # -- reconstruction ---------------------------------------------------
     def cell_gradient(self, fld: Field):
@@ -148,14 +151,19 @@ class _CellGeometry:
         axes = range(g.d + 1)
         comps = [_pair_mean(np.diff(v, axis=k), [j for j in axes if j != k])
                  for k in axes]
-        return (tuple(c / g.dx for c in comps[:-1])
-                + (comps[-1] / g.dy[self.cells[-1]],))
+        for c, h in zip(comps, [g.dx] * g.d + [g.dy[self.cells[-1]]]):
+            c /= h
+        return tuple(comps)
 
     def energy_density(self, comps: tuple) -> np.ndarray:
         """y^a-weighted |grad v|^2 per cell of cell_gradient's comps, with
         the matched bottom row."""
-        horiz = sum(c * c for c in comps[:-1])
-        return self.wy * horiz + self.wy_vert * comps[-1] ** 2
+        out = comps[0] * comps[0]
+        for c in comps[1:-1]:
+            out += c * c
+        out *= self.wy
+        out += comps[-1] * comps[-1] * self.wy_vert
+        return out
 
     def kernel_energy(self, fld: Field, kern) -> np.ndarray:
         """energy_density times a radial kernel, subcell-refined near center.
@@ -250,7 +258,8 @@ class _CellGeometry:
         left, right = np.zeros((c0 + 1, nrow)), np.zeros((base.shape[0] - c0 + 1, nrow))
         np.cumsum(base[:c0][::-1], axis=0, out=left[1:])
         np.cumsum(base[c0:], axis=0, out=right[1:])
-        (a, b), flat, row, kr = self._spans(radii)
+        known, spans = self._radii_spans
+        (a, b), flat, row, kr = spans if radii is known else self._spans(radii)
         rows = np.repeat(np.arange(nrow), radii.size)
         inside = left[a, rows] + right[b, rows]
         band = base.ravel()[flat] * self._ramp(radii[kr], self.R.ravel()[flat],
@@ -263,7 +272,8 @@ class _CellGeometry:
         kernel (1 - t) / width, t = |R - r| / width, summed over the band
         cells t < 1 of `_spans`, grouped by radius in one bincount."""
         radii = np.asarray(radii, dtype=float)
-        _, flat, row, kr = self._spans(radii)
+        known, spans = self._radii_spans
+        _, flat, row, kr = spans if radii is known else self._spans(radii)
         w = self._wrow[row]
         t = np.abs(self.R.ravel()[flat] - radii[kr]) / w
         dens = np.ravel(weighted)[flat] * self._vrow[row]

@@ -371,22 +371,30 @@ class ModeChains:
         lower = np.zeros(self.pivots.shape)
         lower[..., :-1] = -cond[..., :-1] / self.pivots[..., :-1]
         self._lower = lower.ravel()[:-1]
+        self._edge = cond[..., -1]
+
+    @cached_property
+    def response(self) -> np.ndarray:
+        """T^-1 of a unit boundary value, built on first use."""
         unit = np.zeros(self.pivots.shape)
-        unit[..., -1] = cond[..., -1]
-        self.response = self.solve(unit)  # T^-1 of a unit boundary value
+        unit[..., -1] = self._edge
+        return self.solve(unit)
 
     @staticmethod
     def eliminate(shunt: np.ndarray, cond, closure) -> tuple:
         """Pivots cond_i + rho_i and symbol rho_n, unchecked, from
         rho_i = shunt_i + c (rho / (c + rho)) with slot i - 1's c and rho
-        (rho_0 = shunt_0 + closure; the product c rho would underflow)."""
-        cond = np.broadcast_to(cond, shunt[..., 1:].shape)
-        rho = np.empty(shunt.shape)
-        rho[..., 0] = shunt[..., 0] + closure
-        for i in range(1, rho.shape[-1]):
-            c, r = cond[..., i - 1], rho[..., i - 1]
-            rho[..., i] = shunt[..., i] + c * (r / (c + r))
-        return cond + rho[..., :-1], rho[..., -1]
+        (rho_0 = shunt_0 + closure; the product c rho would underflow), in
+        place on contiguous slot-major slices (a slot-major shunt is not copied)."""
+        cond_at = np.moveaxis(np.broadcast_to(cond, shunt[..., 1:].shape), -1, 0)
+        shunt_at = np.ascontiguousarray(np.moveaxis(shunt, -1, 0))
+        rho, tmp = np.empty(shunt_at.shape), np.empty(shunt_at.shape[1:])
+        np.add(shunt_at[0], closure, out=rho[0])
+        for i in range(1, rho.shape[0]):
+            c, r = cond_at[i - 1], rho[i - 1]
+            np.divide(r, np.add(c, r, out=tmp), out=tmp)
+            np.add(shunt_at[i], np.multiply(c, tmp, out=tmp), out=rho[i])
+        return np.add(cond, np.moveaxis(rho[:-1], 0, -1), order="C"), rho[-1].copy()
 
     def solve(self, u: np.ndarray) -> np.ndarray:
         """T^-1 u for every mode; u has the pivots' shape and is real or
@@ -429,29 +437,28 @@ def _trig_basis(n: int, dx: float, sides: bool) -> tuple:
 
 
 class TraceSystem:
-    """Linear extension solves on one grid with one boundary layout.
+    """Linear extension solves on one grid with one boundary layout, by fast
+    diagonalization (Lynch, Rice and Thomas, Numer. Math. 6, 1964).
 
     The layout says whether the lateral walls (sides) and the trace row are
-    Dirichlet; the top row always is.  The other nodes form a box.  On the
-    trace side the engine speaks flat free values: the free trace nodes in
-    the row-major order of the box, the order of area, the load's c and
-    schur (free_values makes them from a trace-shaped array).  Eliminating the
-    Dirichlet nodes leaves the reduced operator A on the box: the free trace
-    nodes t and the interior nodes i.  The Neumann row d_nu^a v = g0 - m v
-    only adds m * area to the t diagonal.  On the tensor grid A is a
-    Kronecker sum, A = Hx (x) Ky + Kx (x) Wy in d = 1 (one more Kx term in
-    d = 2).  The engine diagonalizes the horizontal part once: per axis,
-    Kx v = lambda Hx v has the eigenvectors V = Hx^-1/2 Q with Q the
-    orthonormal DST-I or DCT-I; the engine keeps Q and sqrt(h), h the free
-    dual lengths.  The modes split A_ii into tridiagonal chains in y, held by
-    one ModeChains, and S = A_tt - A_ti A_ii^-1 A_it, the discrete DtN map,
-    is (Hx V) diag(sigma) (Hx V)^T with the chains' symbol sigma.  Each solve
-    is the SPD system (S + diag(m area)) t = c + g0 area plus the interior
-    A_ii^-1 b_i of the load corrected by its response to (Hx V)^T t.  A
-    uniform m only shifts sigma, so that system is solved in the modes too;
-    free values m (and the Newton steps' block_solve) factor the dense S,
-    which is built on first use.  With a Dirichlet trace each solve is purely
-    spectral; more than TRACE_CAP free horizontal nodes is a ConfigurationError.
+    Dirichlet; the top row always is.  The other nodes form a box, whose
+    free trace nodes the engine takes as flat values in row-major order (area,
+    the load's c, schur; see free_values).  Eliminating the Dirichlet nodes
+    leaves the reduced operator A on the free trace t and the interior i; the
+    Neumann row d_nu^a v = g0 - m v adds m * area to the t diagonal.  A is a
+    Kronecker sum, Hx (x) Ky + Kx (x) Wy in d = 1 (one more Kx term in d = 2);
+    per axis Kx v = lambda Hx v has the eigenvectors V = Hx^-1/2 Q, Q the
+    orthonormal DST-I or DCT-I, kept with sqrt(h), h the free dual lengths.
+    The modes split A_ii into tridiagonal chains in y (one ModeChains), and
+    the DtN map S = A_tt - A_ti A_ii^-1 A_it is (Hx V) diag(sigma) (Hx V)^T
+    with the chains' symbol sigma.  A load's b lives on the box nodes beside
+    a Dirichlet face: its rows beside the top and a Dirichlet trace go through
+    V^T, its side data through the first and last rows of V^T along their
+    axis (times V^T along the other in d = 2).  A solve is the SPD system
+    (S + diag(m area)) t = c + g0 area plus the interior A_ii^-1 b_i and its
+    response to (Hx V)^T t.  A uniform m only shifts sigma and is solved in
+    the modes; free values m and block_solve factor the dense S, built on
+    first use.  Over TRACE_CAP free horizontal nodes is a ConfigurationError.
     """
 
     def __init__(self, grid: HalfSpaceGrid, sides: bool = True,
@@ -468,38 +475,46 @@ class TraceSystem:
         area = trace_area(grid)[box[:-1]]
         self._trace_shape = area.shape  # of the box's trace row
         self.area = area.ravel()  # of the free trace nodes
-        # on the checkerboard chi = +-1, A chi = 2 chi diag(A) exactly; solve
-        # reads only the box's trace row and the largest entry of the others
-        chi = reduce(np.multiply.outer, [(-1.0) ** np.arange(n) for n in grid.shape])
-        diag = (0.5 * chi * _face_flux(grid, chi))[box]
-        self._diag = diag[..., 0].copy(), float(diag[..., 1:].max())
-        self._separate(box[0], sides, trace_dirichlet)
-
-    def _separate(self, xs: slice, sides: bool, trace_dirichlet: bool) -> None:
-        """Horizontal eigenbasis, per-mode factors and the Schur complement."""
-        g, h = self.grid, self.grid.x_dual[xs]
+        # A's diagonal, each node's face conductances summed in _face_flux's
+        # order, and per Dirichlet face layer beside the box (the load's support,
+        # in that order) the box slab, the nodes across and the conductances
+        diag, self._layer = np.zeros(grid.shape), []
+        for axis, (lo, hi, g) in enumerate(_faces(grid)):
+            diag[lo] += g
+            diag[hi] += g
+            start, stop, _ = box[axis].indices(grid.shape[axis])
+            for k, nb in ((stop - 1, stop), (start, start - 1)):
+                if 0 <= nb < grid.shape[axis]:  # nodes across: a Dirichlet layer
+                    slab, across, face = (box[:axis] + (slice(i, i + 1),) + box[axis + 1:]
+                                          for i in (k, nb, min(k, nb)))
+                    g_face = np.broadcast_to(g, diag[lo].shape)[face].copy()
+                    self._layer.append((slab, across, g_face))
+        diag = diag[box]
+        self._diag = diag[..., 0].copy(), float(diag[..., 1:].max(initial=0.0))
+        # per mode k one chain lambda_k Wy + Ky, its shunts laid out slot-major:
+        # the top row closes the far end, rows ny-1..1 are its slots, the trace its boundary
+        h = grid.x_dual[box[0]]
         self._rh = np.sqrt(h)
-        lam, self._Q = _trig_basis(h.size, g.dx, sides)
-        lam = reduce(np.add.outer, [lam] * g.d)
-        # per mode k one chain lambda_k Wy + Ky: the top Dirichlet row closes
-        # the far end, rows ny-1..1 are its slots and the trace row its boundary
-        gv = g.vertical_conductance
-        self._chains = ModeChains(np.multiply.outer(lam, g.y_dual_w[g.ny - 1::-1]),
-                                  gv[-2::-1], gv[-1])
+        lam, self._Q = _trig_basis(h.size, grid.dx, sides)
+        lam = reduce(np.add.outer, [lam] * grid.d)
+        gv = grid.vertical_conductance
+        self._chains = ModeChains(np.moveaxis(np.multiply.outer(
+            grid.y_dual_w[grid.ny - 1::-1], lam), 0, -1), gv[-2::-1], gv[-1])
         if trace_dirichlet:
             return
         sigma = self._chains.symbol
         if not np.all(sigma > 0):  # the DtN map is definite
             raise ConvergenceError("trace Schur symbol is not positive")
+        self.principal_eigenvalue = float(sigma.min())  # mu of S t = mu area t
         # interior response to t, rows first like the interior values
         self._resp = np.moveaxis(self._chains.response, -1, 0)[::-1]
         # S is an M-matrix with row sums >= 0: ||S|| <= 2 max diag(S), and
         # diag(S) = h (Q^2 sigma) along each axis, Q^2 = (Q^2)^T by row blocks
         diag = sigma
-        for _ in range(g.d):
+        for _ in range(grid.d):
             diag = np.concatenate([diag @ np.square(self._Q[j:j + _ROWS]).T
                                    for j in range(0, h.size, _ROWS)], axis=-1)
-            diag = (diag * h).swapaxes(-1, -g.d)
+            diag = (diag * h).swapaxes(-1, -grid.d)
         self._schur_norm = 2.0 * float(diag.max())
 
     @cached_property
@@ -509,22 +524,23 @@ class TraceSystem:
         P *= np.sqrt(self._chains.symbol.ravel())
         return P @ P.T
 
-    def _per_axis(self, u: np.ndarray, pre=None, post=None) -> np.ndarray:
+    def _per_axis(self, u: np.ndarray, pre=None, post=None, nodes=None) -> np.ndarray:
         """diag(post) Q diag(pre) along each of the last d axes in turn, each
         scale applied only when given: 1/sqrt(h) as pre or post gives V^T or V,
-        sqrt(h) (Hx V)^T or Hx V; no area formed."""
-        for _ in range(self.grid.d):
+        sqrt(h) (Hx V)^T or Hx V; no area formed.  nodes[i] (all by default)
+        indexes the free nodes that u holds along axis i."""
+        for at in (nodes or (slice(None),) * self.grid.d)[::-1]:
             if pre is not None:
-                u = u * pre
-            u = u @ self._Q
+                u = u * pre[at]
+            u = u @ self._Q[at]
             if post is not None:
                 u *= post  # the product is a fresh array
             u = u.swapaxes(-1, -self.grid.d)  # turns d <= 2 axes
         return u
 
-    def _to_modes(self, u: np.ndarray) -> np.ndarray:
+    def _to_modes(self, u: np.ndarray, nodes=None) -> np.ndarray:
         """V^T along every horizontal axis (the last d axes of u)."""
-        return self._per_axis(u, pre=1.0 / self._rh)
+        return self._per_axis(u, pre=1.0 / self._rh, nodes=nodes)
 
     def _from_modes(self, u: np.ndarray) -> np.ndarray:
         """V along every horizontal axis; inverts _to_modes."""
@@ -535,12 +551,6 @@ class TraceSystem:
         dense S the solves factor, so a wrong S fails their gates."""
         u = self._per_axis(t.reshape(t.shape[:-1] + self._trace_shape), pre=self._rh)
         return self._per_axis(self._chains.symbol * u, post=self._rh).reshape(t.shape)
-
-    def _interior_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """A_ii^-1 rhs in the modes for rows-first interior values (row 1
-        first); the chains hold the modes first and the far end first."""
-        u = self._chains.solve(np.moveaxis(self._to_modes(rhs)[::-1], 0, -1))
-        return np.ascontiguousarray(np.moveaxis(u, -1, 0)[::-1])
 
     def trace_flux(self, load: tuple, t: np.ndarray) -> np.ndarray:
         """The discrete DtN map, d_nu^a v = (S t - c) / area, of the field with
@@ -558,29 +568,36 @@ class TraceSystem:
     def load(self, bdata: BoundaryData) -> tuple:
         """The Dirichlet values dvals of bdata on this layout's Dirichlet
         nodes (zero on the box), the reduced right-hand side b = -(A dvals)
-        on the box, the interior z = A_ii^-1 b_i in the modes (rows first)
-        and b condensed onto the free trace (None with a Dirichlet trace)."""
+        on the box, formed on its support, the interior z = A_ii^-1 b_i in
+        the modes (rows first) and b condensed onto the free trace (None with
+        a Dirichlet trace).  z takes V^T of b_i as the class docstring says."""
         g = self.grid
         sides, trace_dirichlet = self.layout
-        dvals = np.zeros(g.shape)
-
-        def put(sl, spec):
+        dvals, b = np.zeros(g.shape), np.zeros(g.shape)
+        specs = [((slice(None),) * axis + (edge,), bdata.sides)
+                 for axis in range(g.d * sides) for edge in (0, -1)]
+        specs.append(((..., -1), bdata.top))  # the top and trace win at corners
+        if trace_dirichlet:
+            specs.append(((..., 0), bdata.trace_dirichlet))
+        for sl, spec in specs:
             dvals[sl] = _materialize(spec, g, sl)
-
-        if sides:
-            for axis in range(g.d):
-                for edge in (0, -1):
-                    put((slice(None),) * axis + (edge,), bdata.sides)
-        put((..., -1), bdata.top)
+        for slab, across, cond in self._layer:
+            b[slab] += cond * dvals[across]
+        b = b[self._box]
+        rows = np.moveaxis(b[..., 1 - trace_dirichlet:], -1, 0)[::-1]
+        u = np.zeros(self._chains.pivots.shape)
+        slots = np.moveaxis(u, -1, 0)  # a view of u; rows and slots run far end first
+        slabs = sorted({0, len(rows) - 1} if trace_dirichlet else {0})
+        slots[slabs] = self._to_modes(rows[slabs])
+        side, d = slice(1, len(rows) + 1 - len(slabs)), g.d
+        for axis in range(d * sides):
+            at = (slice(1, -1),) * axis + ([0, -1],) + (slice(None),) * (d - 1 - axis)
+            slots[side] += self._to_modes(rows[side][(...,) + at], nodes=at)
+        z = np.ascontiguousarray(np.moveaxis(self._chains.solve(u), -1, 0)[::-1])
         if trace_dirichlet:
-            put((..., 0), bdata.trace_dirichlet)
-        b = -_face_flux(g, dvals)[self._box]
-        rows = np.ascontiguousarray(np.moveaxis(b, -1, 0))  # BLAS: 6x slower on a view
-        if trace_dirichlet:
-            return dvals, b, self._interior_solve(rows), None
-        z = self._interior_solve(rows[1:])
+            return dvals, b, z, None
         gv0 = g.vertical_conductance[0]
-        c = rows[0].ravel() + gv0 * self._per_axis(z[0], post=self._rh).ravel()
+        c = b[..., 0].ravel() + gv0 * self._per_axis(z[0], post=self._rh).ravel()
         return dvals, b, z, c
 
     def free_values(self, trace: np.ndarray) -> np.ndarray:

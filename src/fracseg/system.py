@@ -45,7 +45,8 @@ MAX_OUTER = 500
 ARMIJO = 1e-4  # sufficient decrease: E falls by this share of the slope
 MAX_HALVINGS = 30  # of the Newton step length before the fallback step
 # a run of this many fallback sweeps, each changing the traces at least
-# _SWEEP_GROWTH times as much as the one before, is taken as diverged
+# _SWEEP_GROWTH times as much as the one before, is taken as diverged (a linear
+# rate c1 above mu = min sigma leaves no bounded state: Sattinger 1972)
 _GROWING_SWEEPS = 4
 _SWEEP_GROWTH = 2.0
 
@@ -305,7 +306,9 @@ def solve_system(prob: CompetitionProblem, warm_start=None) -> SolveResult:
                         raise ConvergenceError(
                             f"fallback sweep diverged: the change grew at least "
                             f"{_SWEEP_GROWTH:g}x in {growing} sweeps in a row "
-                            f"(to {change:.3e})", residual=change)
+                            f"(to {change:.3e}); growth rates c1 = {R[0, :, 0].tolist()} "
+                            f"against mu = min sigma = {engine.principal_eigenvalue:.6g}",
+                            residual=change)
                     history.append(change)
                     steps["fallback_sweeps"] += 1
                     continue

@@ -13,8 +13,8 @@ import fracseg.sphere as sphere_mod
 import fracseg.system as system_mod
 from fracseg.core import FracParams
 from fracseg.errors import ConvergenceError
-from fracseg.grid import (Field, GridConfig, atomic_write_bytes, build_grid,
-                          read_snapshot, write_snapshot)
+from fracseg.grid import (Field, GridConfig, TraceSystem, atomic_write_bytes,
+                          build_grid, read_snapshot, write_snapshot)
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -779,6 +779,13 @@ def test_diverging_fallback_sweeps_exit_3_with_one_line(tmp_path, capsys):
     err = captured.err.splitlines()
     assert len(err) == 1
     assert "fallback sweep diverged" in err[0]
+    # it names why: both growth rates c1 = 5 lie above mu, the principal
+    # eigenvalue of S t = mu area t on the config's grid
+    mu = TraceSystem(build_grid(GridConfig(d=1, L=2.0, Y=1.5, nx=129, ny=48),
+                                FracParams(s=0.5, N=1))).principal_eigenvalue
+    assert 0.0 < mu < 5.0
+    assert err[0].endswith(f"growth rates c1 = [5.0, 5.0] against "
+                           f"mu = min sigma = {mu:.6g}")
     history = json.loads(captured.out)["meta"]["failure"]["history"]
     assert 5 <= len(history) <= 6
     assert all(b >= 2.0 * a > 0 for a, b in zip(history[-5:], history[-4:]))

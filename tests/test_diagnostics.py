@@ -356,3 +356,45 @@ def test_window_holds_the_reach_of_the_largest_radius():
     g = diag_grid(0.5, nx=256)
     geo = _CellGeometry(g, (0.0,), RADII)
     assert geo.R.size < 0.45 * (g.nx - 1) * g.ny
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_cell_arrays_in_place_match_the_plain_formulas(d):
+    # R, the gradient and the energy density are formed in place, from
+    # per-axis squared offsets and with no temporary per term; each element
+    # is the same operations in the same order as the plain expressions
+    p = FracParams(s=0.3, N=d)
+    g = build_grid(GridConfig(d=d, L=1.0, Y=1.0, nx=65 if d == 1 else 17,
+                              ny=64 if d == 1 else 16), p)
+    fld = field_from_function(
+        g, lambda *c: c[-1] ** 0.6 * (1.0 + 0.3 * np.cos(2.0 * c[0])) + 0.2 * c[0] * c[-2])
+    geo = _CellGeometry(g, (0.1,) * d, [0.2, 0.4])
+    assert np.array_equal(geo.R, np.sqrt(sum(o * o for o in geo.off) + geo.ym * geo.ym))
+    v = fld.values[geo.nodes]
+    plain = []
+    for k in range(d + 1):
+        c = np.diff(v, axis=k)
+        for j in (j for j in range(d + 1) if j != k):
+            lead = (slice(None),) * j
+            c = 0.5 * (c[lead + (slice(None, -1),)] + c[lead + (slice(1, None),)])
+        plain.append(c / (g.dx if k < d else g.dy[geo.cells[-1]]))
+    comps = geo.cell_gradient(fld)
+    assert all(np.array_equal(a, b) for a, b in zip(comps, plain))
+    want = geo.wy * sum(c * c for c in plain[:-1]) + geo.wy_vert * plain[-1] ** 2
+    assert np.array_equal(geo.energy_density(comps), want)
+
+
+def test_pohozaev_spans_the_radii_once(monkeypatch):
+    # its volume and two surface integrals share one _spans of the radii
+    calls = []
+    spans = _CellGeometry._spans
+
+    def counting(self, radii):
+        calls.append(len(radii))
+        return spans(self, radii)
+
+    monkeypatch.setattr(_CellGeometry, "_spans", counting)
+    fld = field_from_function(diag_grid(0.5, nx=128), NamedSolution(
+        "vanish_trace", FracParams(s=0.5, N=1)))
+    pohozaev_residual(fld, (0.0,), RADII)
+    assert calls == [RADII.size]

@@ -2,6 +2,7 @@
 
 import os
 import weakref
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -122,8 +123,8 @@ def test_harmonic_layer_residual_decays():
 
 @pytest.mark.parametrize("d, s", [(1, 0.25), (1, 0.75), (2, 0.5)])
 def test_face_flux_matches_assembled_operator(d, s):
-    # the engine applies A face by face and reads its diagonal off the
-    # checkerboard; assemble_La is the reference.  Both diagonals sum the
+    # the engine applies A face by face and sums its diagonal from the face
+    # conductances; assemble_La is the reference.  Both diagonals sum the
     # same 2d + 2 or fewer positive conductances, in another order
     g = small_grid(s=s, d=d, nx=33 if d == 1 else 13)
     A = assemble_La(g)
@@ -140,6 +141,138 @@ def test_face_flux_matches_assembled_operator(d, s):
         row, rest = engine._diag
         assert np.all(np.abs(row - diag[..., 0]) <= (2 * d + 1) * eps * diag[..., 0])
         assert abs(rest - diag[..., 1:].max()) <= (2 * d + 1) * eps * rest
+
+
+def _single_row_grid(s=0.4):
+    """A grid of two layers, which build_grid refuses: with a Dirichlet
+    trace its box is the one row between the trace and the top."""
+    p = FracParams(s=s, N=1)
+    x, y = np.linspace(-1.0, 1.0, 17), np.array([0.0, 0.3, 1.0])
+    face_w = grid_mod._pow_integral(y[:-1], y[1:], p.a) / np.diff(y)
+    return grid_mod.HalfSpaceGrid(d=1, L=1.0, Y=1.0, nx=17, ny=2, grading_p=1.0,
+                                  params=p, x=x, y=y, face_w=face_w)
+
+
+def _wavy(*c):
+    """Boundary data that vary along every axis, so each corner of the box
+    takes two different Dirichlet terms."""
+    return 1.0 + 0.3 * np.cos(2.0 * c[0] + 0.5) + 0.2 * c[-1] * sum(c[:-1]) \
+        + 0.1 * c[0] * c[-2]
+
+
+def _load_cases():
+    cases = [(f"d{d}-{'sides' if sides else 'zero-flux'}-"
+              f"{'dirichlet' if td else 'free'}-trace", d, sides, td)
+             for d in (1, 2) for sides in (True, False) for td in (True, False)]
+    return cases + [("single-row-box", 1, True, True)]
+
+
+@pytest.mark.parametrize("case, d, sides, td", _load_cases())
+def test_load_on_its_support_matches_the_face_flux(case, d, sides, td):
+    # b = -(A dvals) on the box, formed on the Dirichlet layer only, equals
+    # the face-by-face reference bit for bit, and so does the diagonal summed
+    # from the conductances against the checkerboard's; z and c, which take
+    # the side data through the end rows of V^T, agree with the dense
+    # transform of the whole b to round-off
+    g = _single_row_grid() if case == "single-row-box" else \
+        small_grid(s=0.3 if d == 1 else 0.7, d=d, nx=17 if d == 1 else 9, ny=8)
+    engine = TraceSystem(g, sides, td)
+    bd = BoundaryData(top=_wavy, sides=_wavy if sides else None,
+                      trace_dirichlet=_wavy if td else None)
+    dvals, b, z, c = engine.load(bd)
+    box = engine._box
+    assert np.array_equal(b, -grid_mod._face_flux(g, dvals)[box])
+    # on the checkerboard chi = +-1, A chi = 2 chi diag(A) exactly
+    chi = reduce(np.multiply.outer, [(-1.0) ** np.arange(n) for n in g.shape])
+    diag = (0.5 * chi * grid_mod._face_flux(g, chi))[box]
+    row, rest = engine._diag
+    assert np.array_equal(row, diag[..., 0])
+    assert rest == diag[..., 1:].max(initial=0.0)
+    rows = np.moveaxis(b[..., 0 if td else 1:], -1, 0)
+    u = engine._chains.solve(np.moveaxis(engine._to_modes(rows)[::-1], 0, -1))
+    want = np.moveaxis(u, -1, 0)[::-1]
+    assert np.abs(z - want).max() <= 1e-14 * np.abs(want).max()
+    if td:
+        assert c is None
+        return
+    gv0 = g.vertical_conductance[0]
+    want = b[..., 0].ravel() + gv0 * engine._per_axis(want[0], post=engine._rh).ravel()
+    assert np.abs(c - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_single_row_box_solves():
+    # the top and the trace face the same row; its field has A's residual
+    g = _single_row_grid()
+    fld = solve_linear(g, BoundaryData(top=_wavy, sides=_wavy, trace_dirichlet=_wavy))
+    r = grid_mod._face_flux(g, fld.values)[:, 1][1:-1]
+    assert np.abs(r).max() <= 1e-13 * np.abs(fld.values).max()
+
+
+def test_dtn_load_transforms_only_its_two_slab_rows(monkeypatch):
+    # zero-flux sides and a Dirichlet trace: b lives on the rows beside the
+    # top and the trace, and only those two rows go through V^T
+    g = small_grid(nx=65, ny=32)
+    engine = TraceSystem(g, sides=False, trace_dirichlet=True)
+    per_axis, rows = engine._per_axis, []
+
+    def recording(u, *args, **kwargs):
+        rows.append(u.shape[0])
+        return per_axis(u, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_per_axis", recording)
+    engine.load(BoundaryData(top=0.0, sides=None,
+                             trace_dirichlet=lambda x, y: np.cos(2.0 * x)))
+    assert rows and max(rows) <= 2
+
+
+def test_dirichlet_trace_solve_builds_no_response(monkeypatch):
+    # the interior response to the trace serves only a free trace; a
+    # Dirichlet-trace engine never builds it, a free-trace engine does
+    monkeypatch.setattr(grid_mod, "_engine", None)
+    g = small_grid()
+    solve_linear(g, BoundaryData(top=0.0, sides=None, trace_dirichlet=1.0))
+    assert "response" not in vars(grid_mod._engine._chains)
+    solve_linear(g, BoundaryData(top=1.0, sides=1.0))
+    assert "response" in vars(grid_mod._engine._chains)
+
+
+def _eliminate_reference(shunt, cond, closure):
+    """The recurrence of ModeChains.eliminate as a plain loop over the last
+    axis: the same operations in the same order."""
+    cond = np.broadcast_to(cond, shunt[..., 1:].shape)
+    rho = np.empty(shunt.shape)
+    rho[..., 0] = shunt[..., 0] + closure
+    for i in range(1, rho.shape[-1]):
+        c, r = cond[..., i - 1], rho[..., i - 1]
+        rho[..., i] = shunt[..., i] + c * (r / (c + r))
+    return cond + rho[..., :-1], rho[..., -1]
+
+
+@pytest.mark.parametrize("shape, cond_shape", [((512, 257), (256,)),
+                                               ((7, 65, 65), (65, 64)),
+                                               ((1, 513, 129), (513, 128))])
+def test_eliminate_matches_the_reference_loop(shape, cond_shape):
+    # pivots and symbol bit for bit, with the shunt laid out either way
+    rng = np.random.default_rng(sum(shape))
+    shunt = rng.uniform(0.0, 2.0, shape) * 10.0 ** rng.integers(-9, 3, shape)
+    cond = rng.uniform(0.5, 2.0, cond_shape)
+    cond[..., -1] = 1e12
+    closure = 0.5
+    want = _eliminate_reference(shunt, cond, closure)
+    slot_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(shunt, -1, 0)), 0, -1)
+    for laid_out in (shunt, slot_major):
+        pivots, symbol = ModeChains.eliminate(laid_out, cond, closure)
+        assert pivots.flags.c_contiguous and pivots.shape == want[0].shape
+        assert np.array_equal(pivots, want[0]) and np.array_equal(symbol, want[1])
+
+
+def test_principal_eigenvalue_is_the_smallest_of_s_over_area():
+    # mu = min sigma against the dense pencil S t = mu area t
+    from scipy.linalg import eigh
+    g = small_grid(s=0.4, nx=65, ny=32)
+    engine = TraceSystem(g)
+    want = eigh(engine.schur, np.diag(engine.area), eigvals_only=True)[0]
+    assert engine.principal_eigenvalue == pytest.approx(want, rel=1e-10)
 
 
 @pytest.mark.parametrize("d", [1, 2])
