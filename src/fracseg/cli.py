@@ -28,14 +28,14 @@ import numpy as np
 
 try:
     import resource
-except ImportError:  # not on every platform: reports then carry no peak_rss_mb
-    resource = None
+except ImportError:  # not on every platform: reports then carry no usage
+    resource = None  # (peak_rss_mb, minor_faults)
 
 from . import acceptance
 from .core import FracParams
 from .errors import ConfigurationError, ConvergenceError
-from .grid import (GridConfig, atomic_write_text, read_snapshot, snapshot_csv,
-                   write_snapshot)
+from .grid import (GridConfig, atomic_write_text, drop_engine, read_snapshot,
+                   snapshot_csv, write_snapshot)
 from .diagnostics import (acf_one_phase, almgren, monotonicity_check,
                           pohozaev_residual, trace_seminorm)
 from .spectral import (ComparisonProfile, PeriodicGrid1D, comparison_pv,
@@ -82,11 +82,14 @@ class RunReport:
     def to_json(self) -> str:
         """Strict JSON: a non-finite number is written as null; a check whose
         value or threshold is non-finite names it in its detail.  meta gains
-        peak_rss_mb, the process's peak resident set size so far."""
+        peak_rss_mb, the process's peak resident set size so far, and
+        minor_faults, the page faults it has served without I/O so far."""
         meta = dict(self.meta)
         if resource is not None:  # ru_maxrss counts KiB (bytes on macOS)
-            meta["peak_rss_mb"] = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-                                   / (2 ** 20 if sys.platform == "darwin" else 2 ** 10))
+            usage = resource.getrusage(resource.RUSAGE_SELF)
+            meta["peak_rss_mb"] = usage.ru_maxrss / (2 ** 20 if sys.platform == "darwin"
+                                                     else 2 ** 10)
+            meta["minor_faults"] = usage.ru_minflt
         checks = []
         for c in self.checks:
             bad = {k: c[k] for k in ("value", "threshold") if _nonfinite(c[k])}
@@ -223,9 +226,9 @@ def _write(report: RunReport, path: str, payload) -> None:
         report.files.append(path)
 
 
-def _emit(report: RunReport, args) -> None:
+def _emit(report: RunReport, args, text: str) -> None:
     if args.json:
-        sys.stdout.write(report.to_json())
+        sys.stdout.write(text)
     elif args.command == "verify":  # the rows were streamed as they ran
         print(f"overall: {'PASS' if report.passed else 'FAIL'}")
     else:
@@ -514,9 +517,11 @@ def main(argv=None) -> int:
             report = COMMANDS[args.command](cfg, args)
         finally:
             timings["command"] = time.perf_counter() - start
+            drop_engine()  # the command is done with its linear engine
         report.meta["timings"] = timings
+        text = report.to_json()  # one reading of the process's usage for both copies
         if report.json_path is not None:
-            _write(report, report.json_path, report.to_json())
+            _write(report, report.json_path, text)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -530,7 +535,7 @@ def main(argv=None) -> int:
                        detail=str(exc))
             sys.stdout.write(report.to_json())
         return 3
-    _emit(report, args)
+    _emit(report, args, text)
     return 0 if report.passed else 1
 
 

@@ -10,6 +10,7 @@ is what makes the weighted normal derivative consistent for a != 0.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import struct
 import tempfile
@@ -250,9 +251,11 @@ def _face_flux(grid: HalfSpaceGrid, v: np.ndarray) -> np.ndarray:
     a difference; no diagonal sum rounds the y1^{-2s} trace conductance."""
     out = np.zeros(grid.shape)
     for lo, hi, g in _faces(grid):
-        f = g * (v[hi] - v[lo])
+        f = np.subtract(v[hi], v[lo])
+        f *= g  # one scratch array per axis; the product commutes bit for bit
         out[lo] -= f
         out[hi] += f
+        del f, g  # freed before the next axis builds its conductances
     return out
 
 
@@ -666,7 +669,7 @@ class TraceSystem:
         whose zero row sums and off-diagonals <= 0 give ||A|| <= 2 max diag.
         """
         dvals, b, z, c = load
-        box, b, (diag, rest) = self._box, b.copy(), self._diag
+        box, (diag, rest) = self._box, self._diag
         v = dvals.copy()
         x = v[box]  # a view: writing x writes v
         interior, modes = x, z
@@ -676,11 +679,14 @@ class TraceSystem:
             absorb, ga, t = (np.reshape(u, self._trace_shape)
                              for u in (m * self.area, g0 * self.area, t))
             diag = diag + absorb
+            b = b.copy()  # the load's b is kept for its next solve
             b[..., 0] += ga
             x[..., 0] = t
             interior = x[..., 1:]
-            modes = z + self._resp * self._per_axis(t, pre=self._rh)
+            modes = self._resp * self._per_axis(t, pre=self._rh)
+            modes += z
         interior[:] = np.moveaxis(self._from_modes(modes), 0, -1)
+        del modes  # freed before the gate's face flux
         r = _face_flux(self.grid, v)[box]
         if c is not None:
             r[..., 0] += absorb * t - ga
@@ -688,14 +694,54 @@ class TraceSystem:
         return v
 
 
+#: mallopt parameters of glibc's malloc.h
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+#: glibc's DEFAULT_MMAP_THRESHOLD_MAX on 64-bit, the ceiling of its own
+#: adaptive mmap threshold
+_MMAP_THRESHOLD = 32 * 2 ** 20
+
+
+def _libc_function(name: str, *argtypes):
+    """The C library's function name, taking argtypes and returning an int,
+    from the process's own symbols; None where the C library has none."""
+    try:
+        fn = getattr(ctypes.CDLL(None), name)
+    except (OSError, TypeError, AttributeError):
+        return None
+    fn.argtypes, fn.restype = list(argtypes), ctypes.c_int
+    return fn
+
+
+def _set_heap_thresholds() -> None:
+    """Fix glibc's heap thresholds once, on import, at the top of its own
+    adaptive range: M_MMAP_THRESHOLD at 32 MiB, where the adaptive rule stops
+    on 64-bit, and M_TRIM_THRESHOLD at twice that, the ratio the rule keeps.
+    The rule raises them only to the largest block freed so far, about one
+    grid array, so the grid-sized temporaries every solve frees were trimmed
+    from the heap and faulted back in, zero-filled, by the next solve.  Arrays
+    above 32 MiB (a large dense S) still go to mmap and back to the kernel
+    when freed; drop_engine trims the rest.  Does nothing where the C library
+    has no mallopt (macOS, musl)."""
+    mallopt = _libc_function("mallopt", ctypes.c_int, ctypes.c_int)
+    if mallopt is not None:
+        mallopt(M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+        mallopt(M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+
+
+_set_heap_thresholds()
+_malloc_trim = _libc_function("malloc_trim", ctypes.c_size_t)
 _engine = None  # the last engine trace_system built
 
 
 def drop_engine() -> None:
     """Empty trace_system's slot, so the last engine (its bases, chains and
-    any dense S) is freed once no caller holds it."""
+    any dense S) is freed once no caller holds it, and give the heap's free
+    memory back to the system (malloc_trim, where the C library has it)."""
     global _engine
     _engine = None
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 def trace_system(grid: HalfSpaceGrid, sides: bool = True,
@@ -703,11 +749,12 @@ def trace_system(grid: HalfSpaceGrid, sides: bool = True,
     """The engine of grid and the boundary layout (sides, trace_dirichlet)
     for every linear solve: the last one when it serves them
     (TraceSystem.serves compares the grid by value), else a new one, built
-    after the last is freed, so at most one is alive."""
+    after the last is freed, so at most one is alive.  The freed memory stays
+    in the heap for the new engine: it is not trimmed as drop_engine does."""
     global _engine
     layout = (sides, trace_dirichlet)
     if _engine is None or not _engine.serves(grid, layout):
-        drop_engine()  # freed before the next is built
+        _engine = None  # freed before the next is built
         _engine = TraceSystem(grid, *layout)
     return _engine
 

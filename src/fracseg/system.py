@@ -195,6 +195,13 @@ def _one_blas_thread():
             put(n)
 
 
+def _growth_rates(engine, R) -> str:
+    """Why a fallback sweep may diverge: each component's linear rate c1
+    against the principal eigenvalue mu of S t = mu area t (Sattinger 1972)."""
+    return (f"growth rates c1 = {R[0, :, 0].tolist()} against "
+            f"mu = min sigma = {engine.principal_eigenvalue:.6g}")
+
+
 def _gauss_seidel(engine, prob, R, loads, X):
     """One Gauss-Seidel sweep (ascending component index) over the free
     trace values X, in place: per component one checked trace_solve with the
@@ -212,7 +219,8 @@ def _gauss_seidel(engine, prob, R, loads, X):
             source = _reaction(R[:, i], X[i])
         if not (np.all(np.isfinite(m)) and np.all(np.isfinite(source))):
             raise ConvergenceError("fallback sweep diverged: its lagged data "
-                                   "are not finite", residual=float("inf"))
+                                   f"are not finite; {_growth_rates(engine, R)}",
+                                   residual=float("inf"))
         new = engine.trace_solve(loads[i], m, source)
         change = max(change, float(np.abs(new - X[i]).max()))
         X[i] = new
@@ -306,8 +314,7 @@ def solve_system(prob: CompetitionProblem, warm_start=None) -> SolveResult:
                         raise ConvergenceError(
                             f"fallback sweep diverged: the change grew at least "
                             f"{_SWEEP_GROWTH:g}x in {growing} sweeps in a row "
-                            f"(to {change:.3e}); growth rates c1 = {R[0, :, 0].tolist()} "
-                            f"against mu = min sigma = {engine.principal_eigenvalue:.6g}",
+                            f"(to {change:.3e}); {_growth_rates(engine, R)}",
                             residual=change)
                     history.append(change)
                     steps["fallback_sweeps"] += 1

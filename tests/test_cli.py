@@ -703,6 +703,8 @@ def test_verify_quick_json_schema(tmp_path, capsys, verified_value):
     assert all(isinstance(t, float) and t > 0 for t in seconds)
     peak = report["meta"]["peak_rss_mb"]
     assert isinstance(peak, float) and peak > 0
+    faults = report["meta"]["minor_faults"]
+    assert isinstance(faults, int) and faults >= 0
     timings = report["meta"]["timings"]
     assert timings["config"] == 0.0  # verify reads no config
     assert sum(seconds) < timings["command"]
@@ -767,7 +769,7 @@ def test_strong_logistic_fallback_sweeps_converge(tmp_path, capsys):
     assert all(0.0 < v <= 1.0 for v in report["meta"]["sup_norms"])
 
 
-def test_diverging_fallback_sweeps_exit_3_with_one_line(tmp_path, capsys):
+def test_diverging_fallback_sweeps_exit_3_with_one_line(tmp_path, capsys, monkeypatch):
     # linear lam = 5 has no bounded steady state here: each sweep changes the
     # traces 4-5 times as much as the one before, so the run stops once four
     # sweeps in a row have grown it (step 5), long before the lagged data
@@ -789,3 +791,12 @@ def test_diverging_fallback_sweeps_exit_3_with_one_line(tmp_path, capsys):
     history = json.loads(captured.out)["meta"]["failure"]["history"]
     assert 5 <= len(history) <= 6
     assert all(b >= 2.0 * a > 0 for a, b in zip(history[-5:], history[-4:]))
+    # with the growing-sweeps stop out of reach the sweeps run on until the
+    # lagged data overflow: that rarer stop names c1 and mu the same way
+    monkeypatch.setattr(system_mod, "_GROWING_SWEEPS", system_mod.MAX_OUTER + 1)
+    assert cli.main(["solve", "--config", path, "--out", out, "--json"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "fallback sweep diverged: its lagged data are not finite" in err[0]
+    assert err[0].endswith(f"growth rates c1 = [5.0, 5.0] against "
+                           f"mu = min sigma = {mu:.6g}")

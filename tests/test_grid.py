@@ -1,5 +1,6 @@
 """Finite-volume discretization and linear solver on the truncated half-space."""
 
+import ctypes
 import os
 import weakref
 from functools import reduce
@@ -141,6 +142,36 @@ def test_face_flux_matches_assembled_operator(d, s):
         row, rest = engine._diag
         assert np.all(np.abs(row - diag[..., 0]) <= (2 * d + 1) * eps * diag[..., 0])
         assert abs(rest - diag[..., 1:].max()) <= (2 * d + 1) * eps * rest
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_face_flux_makes_one_scratch_array_per_axis(d, peak_bytes):
+    # the difference is scaled in place: bit for bit the product g * (v_q - v_p),
+    # and beside the output only one axis's scratch and conductances are alive
+    g = small_grid(d=d, nx=513 if d == 1 else 65, ny=256 if d == 1 else 64)
+    v = np.random.default_rng(5).standard_normal(g.shape)
+    want = np.zeros(g.shape)
+    for lo, hi, cond in grid_mod._faces(g):
+        f = cond * (v[hi] - v[lo])
+        want[lo] -= f
+        want[hi] += f
+    peak, got = peak_bytes(grid_mod._face_flux, g, v)
+    assert np.array_equal(got, want)
+    assert peak <= 3.2 * v.nbytes
+
+
+@pytest.mark.parametrize("trace_dirichlet", [False, True])
+def test_solve_peaks_at_five_grid_arrays(trace_dirichlet, peak_bytes):
+    # beside the load: the field, b's copy (only with the Neumann source) and
+    # the gate's face flux (its output, one scratch array, the vertical
+    # conductances); the interior's modes are freed before the gate
+    g = small_grid(nx=513, ny=256)
+    engine = TraceSystem(g, trace_dirichlet=trace_dirichlet)
+    load = engine.load(BoundaryData(top=1.0, sides=0.0, trace_dirichlet=(
+        (lambda x, y: np.cos(x + 0.0 * y)) if trace_dirichlet else None)))
+    m, g0 = (0.0, 0.0) if trace_dirichlet else (10.0, np.cos(engine.free_values(g.x)))
+    peak, v = peak_bytes(engine.solve, load, m, g0)
+    assert peak <= (4.2 if trace_dirichlet else 5.2) * v.nbytes
 
 
 def _single_row_grid(s=0.4):
@@ -679,6 +710,59 @@ def test_drop_engine_frees_the_kept_engine(built_engines):
     assert grid_mod._engine is None and built_engines[-1][0]() is None
     solve_linear(g, NEUMANN)
     assert len(built_engines) == 2 and built_engines[-1][1]
+
+
+def _libc_has(name):
+    try:
+        return hasattr(ctypes.CDLL(None), name)
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _libc_has("mallopt"), reason="the C library has no mallopt")
+def test_repeated_solve_faults_no_fresh_pages(monkeypatch):
+    # the heap thresholds set on import keep a solve's freed grid-sized
+    # temporaries in the heap for the next: under glibc's adaptive thresholds
+    # each repeat of this one-off solve on the kept engine faulted 2848 pages
+    resource = pytest.importorskip("resource")
+    monkeypatch.setattr(grid_mod, "_engine", None)
+    g = build_grid(GridConfig(d=1, L=np.pi, Y=6.0, nx=512, ny=256), FracParams(s=0.5, N=1))
+    bd = BoundaryData(top=0.0, sides=None, trace_dirichlet=lambda x, y: np.cos(x + 0.0 * y))
+    faults = []
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        solve_linear(g, bd)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert faults[-1] <= 0.05 * 2848, faults
+
+
+def test_heap_thresholds_sit_at_the_top_of_the_adaptive_range(monkeypatch):
+    calls = []
+    monkeypatch.setattr(grid_mod, "_libc_function",
+                        lambda name, *argtypes: lambda *args: calls.append((name, args)))
+    grid_mod._set_heap_thresholds()
+    assert calls == [("mallopt", (grid_mod.M_MMAP_THRESHOLD, 32 * 2 ** 20)),
+                     ("mallopt", (grid_mod.M_TRIM_THRESHOLD, 64 * 2 ** 20))]
+
+
+def test_drop_engine_trims_the_heap_and_a_rebuild_does_not(monkeypatch):
+    trims = []
+    monkeypatch.setattr(grid_mod, "_malloc_trim", trims.append)
+    monkeypatch.setattr(grid_mod, "_engine", None)
+    solve_linear(small_grid(**REUSE_CONFIG), NEUMANN)
+    solve_linear(small_grid(**{**REUSE_CONFIG, "nx": 19}), NEUMANN)
+    assert trims == []  # the next engine reuses what the last one freed
+    grid_mod.drop_engine()
+    assert trims == [0] and grid_mod._engine is None
+
+
+def test_heap_policy_is_a_no_op_without_the_libc_functions(monkeypatch):
+    assert grid_mod._libc_function("no_such_function_in_any_libc") is None
+    monkeypatch.setattr(grid_mod, "_libc_function", lambda name, *argtypes: None)
+    grid_mod._set_heap_thresholds()
+    monkeypatch.setattr(grid_mod, "_malloc_trim", None)
+    monkeypatch.setattr(grid_mod, "_engine", None)
+    grid_mod.drop_engine()
 
 
 def chain_data(seed=0):
