@@ -6,18 +6,23 @@ holds ny graded layers y_j = Y (j/ny)^p plus the trace row y = 0.  Face
 conductances use exact cell averages of y^a; the face touching the trace is
 matched to the boundary expansion v = v(.,0) + c1 y^{2s} + o(y^{2s}), which
 is what makes the weighted normal derivative consistent for a != 0.
+The module also holds the process controls its engine needs: the OpenBLAS
+thread scope and the glibc heap thresholds.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import glob
 import os
 import struct
 import tempfile
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
+import scipy
 import scipy.linalg as sla
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla  # unused here; the traced benchmark hooks grid.spla
@@ -694,23 +699,62 @@ class TraceSystem:
         return v
 
 
+def _c_function(library, name, argtypes, restype=ctypes.c_int):
+    """The C function name of the shared library at path library (None: the
+    process's own symbols) with argtypes and restype; None where the library
+    or the function cannot be found."""
+    try:
+        fn = getattr(ctypes.CDLL(library), name)
+    except (OSError, TypeError, AttributeError):
+        return None
+    fn.argtypes, fn.restype = list(argtypes), restype
+    return fn
+
+
+#: the OpenBLAS builds numpy and scipy bundle: package, library pattern
+#: beside it, suffix of the thread-count functions
+_OPENBLAS = ((np, "numpy.libs/libscipy_openblas64_-*.so", "64_"),
+             (scipy, "scipy.libs/libscipy_openblas-*.so", ""))
+
+
+@cache
+def _blas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of every bundled OpenBLAS found;
+    looked up on first use."""
+    controls = []
+    for package, pattern, suffix in _OPENBLAS:
+        site = os.path.dirname(os.path.dirname(package.__file__))
+        for path in glob.glob(os.path.join(site, pattern)):
+            get = _c_function(path, "scipy_openblas_get_num_threads" + suffix, [])
+            put = _c_function(path, "scipy_openblas_set_num_threads" + suffix,
+                              [ctypes.c_int], None)
+            if get is not None and put is not None:
+                controls.append((get, put))
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with every bundled OpenBLAS on one thread, then restore
+    the counts: on the dense trace systems threads cost more than they save
+    (measured up to 1023 free trace nodes on a 2-core machine)."""
+    controls = _blas_thread_controls()
+    saved = [get() for get, _ in controls]
+    try:
+        for _, put in controls:
+            put(1)
+        yield
+    finally:
+        for (_, put), n in zip(controls, saved):
+            put(n)
+
+
 #: mallopt parameters of glibc's malloc.h
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
 #: glibc's DEFAULT_MMAP_THRESHOLD_MAX on 64-bit, the ceiling of its own
 #: adaptive mmap threshold
 _MMAP_THRESHOLD = 32 * 2 ** 20
-
-
-def _libc_function(name: str, *argtypes):
-    """The C library's function name, taking argtypes and returning an int,
-    from the process's own symbols; None where the C library has none."""
-    try:
-        fn = getattr(ctypes.CDLL(None), name)
-    except (OSError, TypeError, AttributeError):
-        return None
-    fn.argtypes, fn.restype = list(argtypes), ctypes.c_int
-    return fn
 
 
 def _set_heap_thresholds() -> None:
@@ -723,14 +767,14 @@ def _set_heap_thresholds() -> None:
     above 32 MiB (a large dense S) still go to mmap and back to the kernel
     when freed; drop_engine trims the rest.  Does nothing where the C library
     has no mallopt (macOS, musl)."""
-    mallopt = _libc_function("mallopt", ctypes.c_int, ctypes.c_int)
+    mallopt = _c_function(None, "mallopt", [ctypes.c_int, ctypes.c_int])
     if mallopt is not None:
         mallopt(M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
         mallopt(M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
 
 
 _set_heap_thresholds()
-_malloc_trim = _libc_function("malloc_trim", ctypes.c_size_t)
+_malloc_trim = _c_function(None, "malloc_trim", [ctypes.c_size_t])
 _engine = None  # the last engine trace_system built
 
 

@@ -36,6 +36,9 @@ class PeriodicGrid1D:
             raise ValueError("n must be a power of two >= 16")
         if not self.L > 0:
             raise ValueError("L must be positive")
+        top = max(self.dx, math.pi / self.dx) if self.dx > 0 else math.inf
+        if not top * top < math.inf:  # the oracles form dx^2 and (pi/dx)^2
+            raise ValueError("grid spacing 2 pi L/n overflows; bring L nearer 1")
 
     @property
     def period(self) -> float:

@@ -22,22 +22,16 @@ data: trace overlaps, sup norms and Hölder seminorms per beta.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
-import glob
-import os
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy
 
 from .core import FracParams
 from .diagnostics import trace_seminorm
 from .errors import ConfigurationError, ConvergenceError
 from .grid import (TRACE_CAP, BoundaryData, Field, GridConfig, build_grid,
-                   trace_area, trace_system)
+                   one_blas_thread, trace_area, trace_system)
 
 #: stop at a full Newton correction of at most this max norm on the traces
 OUTER_TOL = 1e-8
@@ -153,48 +147,6 @@ def bump(center: float, width: float = 0.5, height: float = 1.0):
     return fn
 
 
-#: the OpenBLAS builds numpy and scipy bundle: package, library pattern
-#: beside it, suffix of the thread-count functions
-_OPENBLAS = ((np, "numpy.libs/libscipy_openblas64_-*.so", "64_"),
-             (scipy, "scipy.libs/libscipy_openblas-*.so", ""))
-
-
-@functools.cache
-def _blas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of every bundled OpenBLAS found;
-    looked up on first use."""
-    controls = []
-    for package, pattern, suffix in _OPENBLAS:
-        site = os.path.dirname(os.path.dirname(package.__file__))
-        for path in glob.glob(os.path.join(site, pattern)):
-            try:
-                lib = ctypes.CDLL(path)
-                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
-                put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
-            except (OSError, AttributeError):
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            controls.append((get, put))
-    return tuple(controls)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with every bundled OpenBLAS on one thread, then restore
-    the counts: on the dense trace systems threads cost more than they save
-    (measured up to 1023 free trace nodes on a 2-core machine)."""
-    controls = _blas_thread_controls()
-    saved = [get() for get, _ in controls]
-    try:
-        for _, put in controls:
-            put(1)
-        yield
-    finally:
-        for (_, put), n in zip(controls, saved):
-            put(n)
-
-
 def _growth_rates(engine, R) -> str:
     """Why a fallback sweep may diverge: each component's linear rate c1
     against the principal eigenvalue mu of S t = mu area t (Sattinger 1972)."""
@@ -302,7 +254,7 @@ def solve_system(prob: CompetitionProblem, warm_start=None) -> SolveResult:
     growing = 0  # fallback sweeps in a row, each growing the change
     engine.schur  # the Newton steps' dense S, built with the default BLAS threads
     # a fallback sweep whose iterates overflow is caught as diverged
-    with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
+    with one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         for outer in range(1, MAX_OUTER + 1):
             try:
                 step = _newton_step(engine, prob, R, X, c)

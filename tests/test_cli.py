@@ -180,6 +180,15 @@ def test_oracle_node_count_not_power_of_two_exits_2(tmp_path, capsys):
     _exits_2_with_one_line(tmp_path, capsys, "oracle", cfg, "power of two")
 
 
+@pytest.mark.parametrize("L", [1e-200, 1e200])
+def test_oracle_spacing_out_of_range_exits_2(tmp_path, capsys, L):
+    # the schema admits any L > 0: at 1e200 dx ** 2 overflowed with a
+    # traceback, at 1e-200 the quadrature gave NaN and failed the check (exit 1)
+    cfg = {"fractional": {"s": 0.5, "N": 1},
+           "oracle": {"n": 256, "L": L, "function": {"kind": "cos", "k": 1}}}
+    _exits_2_with_one_line(tmp_path, capsys, "oracle", cfg, "spacing")
+
+
 def test_ragged_coupling_exits_2(tmp_path, capsys):
     cfg = tiny_config()
     cfg["problem"]["coupling"] = [[0.0, 1.0], [1.0]]

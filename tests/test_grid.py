@@ -738,8 +738,8 @@ def test_repeated_solve_faults_no_fresh_pages(monkeypatch):
 
 def test_heap_thresholds_sit_at_the_top_of_the_adaptive_range(monkeypatch):
     calls = []
-    monkeypatch.setattr(grid_mod, "_libc_function",
-                        lambda name, *argtypes: lambda *args: calls.append((name, args)))
+    monkeypatch.setattr(grid_mod, "_c_function", lambda library, name, argtypes:
+                        lambda *args: calls.append((name, args)))
     grid_mod._set_heap_thresholds()
     assert calls == [("mallopt", (grid_mod.M_MMAP_THRESHOLD, 32 * 2 ** 20)),
                      ("mallopt", (grid_mod.M_TRIM_THRESHOLD, 64 * 2 ** 20))]
@@ -757,12 +757,23 @@ def test_drop_engine_trims_the_heap_and_a_rebuild_does_not(monkeypatch):
 
 
 def test_heap_policy_is_a_no_op_without_the_libc_functions(monkeypatch):
-    assert grid_mod._libc_function("no_such_function_in_any_libc") is None
-    monkeypatch.setattr(grid_mod, "_libc_function", lambda name, *argtypes: None)
+    assert grid_mod._c_function(None, "no_such_function_in_any_libc", []) is None
+    monkeypatch.setattr(grid_mod, "_c_function", lambda library, name, argtypes: None)
     grid_mod._set_heap_thresholds()
     monkeypatch.setattr(grid_mod, "_malloc_trim", None)
     monkeypatch.setattr(grid_mod, "_engine", None)
     grid_mod.drop_engine()
+
+
+def test_c_function_lookups_that_fail_give_none(tmp_path, monkeypatch):
+    # one lookup serves libc and the bundled OpenBLAS builds: a missing
+    # library and a file that is no library give None (a missing libc symbol:
+    # the test above), so the BLAS scope skips that file
+    assert grid_mod._c_function(str(tmp_path / "no_such_library.so"), "f", []) is None
+    not_a_library = tmp_path / "libscipy_openblas-0.so"
+    not_a_library.write_bytes(b"not an ELF file")
+    monkeypatch.setattr(grid_mod.glob, "glob", lambda pattern: [str(not_a_library)])
+    assert grid_mod._blas_thread_controls.__wrapped__() == ()
 
 
 def chain_data(seed=0):

@@ -54,6 +54,37 @@ def test_no_module_imports_private_names():
     assert offenders == {}
 
 
+def imports_of(module: str, source: str) -> list[str]:
+    """Every import, at any depth, of module or one of its submodules."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        found += [f"line {node.lineno}: {n}" for n in names
+                  if n == module or n.startswith(module + ".")]
+    return found
+
+
+def test_guard_sees_ctypes_imports():
+    src = ("import ctypes\nfrom ctypes import CDLL\n"
+           "def f():\n    import ctypes.util, os\n")
+    assert len(imports_of("ctypes", src)) == 3
+    assert imports_of("ctypes", "import ctypeslib\nfrom . import ctypes\n"
+                                "from .grid import one_blas_thread\n") == []
+
+
+def test_only_grid_imports_ctypes():
+    # the process controls (OpenBLAS threads, heap thresholds) have one home
+    # and one foreign-function lookup, grid._c_function
+    offenders = {path.name: hits for path in sorted(PACKAGE.glob("*.py"))
+                 if (hits := imports_of("ctypes", path.read_text(encoding="utf-8")))}
+    assert list(offenders) == ["grid.py"]
+
+
 def private_attributes(source: str) -> list[str]:
     """Every x._name attribute access where x is not self or cls: another
     object's or module's private name."""

@@ -19,9 +19,26 @@ def test_grid_validation():
         PeriodicGrid1D(n=100)  # not a power of two
     with pytest.raises(ValueError):
         PeriodicGrid1D(n=8)
+    # dx^2 or (pi/dx)^2 is not finite (dx itself rounds to 0 at 5e-324)
+    for n, L in [(256, 1e-200), (256, 1e200), (256, 1e-153), (256, 6e155),
+                 (16, 5e-324)]:
+        with pytest.raises(ValueError, match="spacing"):
+            PeriodicGrid1D(n=n, L=L)
     g = PeriodicGrid1D(n=64, L=2.0)
     assert g.period == pytest.approx(4 * np.pi)
     assert g.x.size == 64
+
+
+@pytest.mark.parametrize("L", [1e-150, 1e150])
+def test_pv_symbol_agreement_at_extreme_periods(L):
+    # both oracles scale with the period, so data band-limited on the grid
+    # agree as at L = 1
+    g = PeriodicGrid1D(n=256, L=L)
+    u = np.cos(2.0 * g.x / L)
+    for s in (0.05, 0.5, 0.95):
+        pv = frac_lap_pv(u, s, grid=g).values
+        sym = frac_lap_symbol(u, s, g)
+        assert np.abs(pv - sym).max() / np.abs(sym).max() <= 0.02
 
 
 def test_symbol_annihilates_constants_and_eigenfunctions():

@@ -412,22 +412,22 @@ def test_s03_sweep_converges():
 
 
 def _thread_counts():
-    return [get() for get, _ in system_mod._blas_thread_controls()]
+    return [get() for get, _ in grid_mod._blas_thread_controls()]
 
 
 def test_one_blas_thread_restores_counts():
-    controls = system_mod._blas_thread_controls()
+    controls = grid_mod._blas_thread_controls()
     if not controls:
         pytest.skip("numpy and scipy bundle no OpenBLAS here")
     saved = _thread_counts()
     try:
         for _, put in controls:
             put(2)
-        with system_mod._one_blas_thread():
+        with grid_mod.one_blas_thread():
             assert _thread_counts() == [1] * len(controls)
         assert _thread_counts() == [2] * len(controls)
         with pytest.raises(RuntimeError, match="inside"):
-            with system_mod._one_blas_thread():
+            with grid_mod.one_blas_thread():
                 raise RuntimeError("inside")
         assert _thread_counts() == [2] * len(controls)
     finally:
@@ -436,9 +436,9 @@ def test_one_blas_thread_restores_counts():
 
 
 def test_one_blas_thread_is_a_no_op_without_openblas(monkeypatch):
-    monkeypatch.setattr(system_mod.glob, "glob", lambda pattern: [])
-    assert system_mod._blas_thread_controls.__wrapped__() == ()
-    monkeypatch.setattr(system_mod, "_blas_thread_controls", lambda: ())
+    monkeypatch.setattr(grid_mod.glob, "glob", lambda pattern: [])
+    assert grid_mod._blas_thread_controls.__wrapped__() == ()
+    monkeypatch.setattr(grid_mod, "_blas_thread_controls", lambda: ())
     res = solve_system(make_problem(beta=1e2, nx=33, ny=12))
     assert res.residual_history[-1] <= system_mod.OUTER_TOL
 
@@ -459,10 +459,10 @@ def test_solve_system_runs_on_one_blas_thread(monkeypatch):
 
 
 def test_blas_libraries_are_looked_up_on_first_use():
-    code = ("import fracseg.cli, fracseg.system as s\n"
-            "assert s._blas_thread_controls.cache_info().currsize == 0\n")
+    code = ("import fracseg.cli, fracseg.grid as g\n"
+            "assert g._blas_thread_controls.cache_info().currsize == 0\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(pathlib.Path(system_mod.__file__).parents[1])]
+        [str(pathlib.Path(grid_mod.__file__).parents[1])]
         + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
