@@ -427,10 +427,10 @@ def cmd_oracle(cfg: dict, args) -> RunReport:
     else:
         x = grid.x
         if fn["kind"] == "cos":
-            u = np.cos(fn.get("k", 1) * x)
+            u = np.cos(fn.get("k", 1) * x / grid.L)  # wavenumber k / L: periodic
         else:
             rng = np.random.default_rng(7)
-            u = sum(np.cos(k * x + rng.uniform(0, 2 * np.pi)) / (1 + k)
+            u = sum(np.cos(k * x / grid.L + rng.uniform(0, 2 * np.pi)) / (1 + k)
                     for k in range(1, grid.n // 8 + 1))
         pv = frac_lap_pv(u, s, grid=grid).values
         sym = frac_lap_symbol(u, s, grid)

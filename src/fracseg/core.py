@@ -86,11 +86,11 @@ class NamedSolution:
             raise ValueError("codim1 solution requires s > 1/2")
 
     def __call__(self, x1, *coords):
-        """Values at broadcastable coordinates (x1[, x2], y), y last, as
-        field_from_function passes them (no profile reads x2): one fresh
-        array built in place, so on a grid the half-space profile holds one
-        full-grid array, not three (vanish_trace has y's shape; a float at
-        scalar coordinates)."""
+        """Values at broadcastable coordinates (x1[, x2], y), y last, as a
+        sampled Field passes them, np.ix_ of the node box it reads (no
+        profile reads x2): one fresh array built in place, so the half-space
+        profile holds one box-sized array, not three (vanish_trace has y's
+        shape; a float at scalar coordinates)."""
         if not coords:
             raise ValueError("points must have at least (x1, y) coordinates")
         y = np.asarray(coords[-1], dtype=float)
@@ -120,8 +120,8 @@ def _split_point(X):
 
 def eval_solution(sol: NamedSolution, X):
     """Evaluate a named solution at stacked points X of shape (..., m), y
-    last, on views of X's first and last coordinates; on a grid,
-    field_from_function(grid, sol) gives the same bits with no stacked X."""
+    last, on views of X's first and last coordinates; field_from_function
+    (grid, sol) gives the same bits on any node box, with no stacked X."""
     return sol(*_split_point(X))
 
 

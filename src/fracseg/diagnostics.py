@@ -84,14 +84,14 @@ class _CellGeometry:
 
     Those are the index box |x_k - c_k| - w <= r, y - w <= r of the cell
     midpoints, w the largest cell diagonal (cells and nodes are its slices
-    of the grid).  R bounds every offset, so the box holds each cell that a
-    ramp (R - width < r) or shell (|R - r| < width) can touch, in the same
-    C order: every masked sum is bit-identical to the whole grid's.  Its
-    arrays are cell-shaped, with one code path for d = 1 and d = 2: the
-    horizontal offsets of the cell midpoints from the center, their height
-    ym, distance R, plain volume vol, the y^a weights wy (wy_vert for
-    vertical derivatives) and the smoothing width, the cell diagonal.
-    """
+    of the grid; fields are read only as window(nodes), the sphere mass
+    too).  R bounds every offset, so the box holds each cell a ramp (R -
+    width < r) or shell (|R - r| < width) can touch, in the same C order:
+    every masked sum is bit-identical to the whole grid's.  Its arrays are
+    cell-shaped, with one code path for d = 1 and d = 2: the horizontal
+    offsets of the cell midpoints from the center, their height ym,
+    distance R, plain volume vol, the y^a weights wy (wy_vert for vertical
+    derivatives) and the smoothing width, the cell diagonal."""
 
     def __init__(self, grid: HalfSpaceGrid, center: Sequence[float], radii):
         center = tuple(float(c) for c in np.atleast_1d(center))
@@ -146,7 +146,7 @@ class _CellGeometry:
         """Cell averages of the edge differences, one array per axis
         (x1[, x2], y): the difference along each axis, averaged over the
         cell's other axes and divided by dx or the layer's dy."""
-        v = fld.values[self.nodes]
+        v = fld.window(self.nodes)
         g = self.grid
         axes = range(g.d + 1)
         comps = [_pair_mean(np.diff(v, axis=k), [j for j in axes if j != k])
@@ -179,7 +179,7 @@ class _CellGeometry:
         g = self.grid
         diag = float(np.hypot(g.dx, g.dy.max()))
         ci, cj = np.nonzero(self.R <= _CORE_CELLS * diag)
-        v = fld.values[self.nodes]  # ci, cj index the box: so do v and x
+        v = fld.window(self.nodes)  # ci, cj index the box: so do v and x
         t = (np.arange(_SUB) + 0.5) / _SUB
         tx, ty = t[None, :, None], t[None, None, :]
         v00, v10, v01, v11 = (v[ci + i, cj + j][:, None, None]

@@ -176,21 +176,51 @@ def _engine_scale(grid: HalfSpaceGrid) -> float:
                              grid.n_nodes * dx ** grid.d * (w * kx + 2.0 * gv)]))
 
 
-@dataclass
 class Field:
-    """Nodal values on a HalfSpaceGrid, including the y = 0 trace row."""
+    """Nodal values on a HalfSpaceGrid, including the y = 0 trace row.
 
-    grid: HalfSpaceGrid
-    values: np.ndarray
-    component: int = 0
+    A Field with a sampler fn (field_from_function) holds no values until
+    read: `values` samples every node and `window(nodes)` only that box of
+    nodes; the box it holds answers every later read that lies inside it."""
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.shape:
-            raise ValueError(
-                f"field shape {self.values.shape} does not match grid {self.grid.shape}")
-        if not np.all(np.isfinite(self.values)):
+    def __init__(self, grid: HalfSpaceGrid, values=None, component: int = 0, fn=None):
+        self.grid, self.component, self._fn, self._box = grid, component, fn, None
+        if fn is None:
+            self._box = tuple(slice(0, n) for n in grid.shape)
+            self._held = self._checked(values, grid.shape)
+
+    @staticmethod
+    def _checked(vals, shape: tuple) -> np.ndarray:
+        vals = np.asarray(vals, dtype=float)
+        if vals.shape != shape:
+            raise ValueError(f"field shape {vals.shape} does not match grid {shape}")
+        if not np.all(np.isfinite(vals)):
             raise ValueError("field contains NaN or Inf")
+        return vals
+
+    def _hold(self, nodes: tuple) -> np.ndarray:
+        """The values held, sampled on the box of nodes first unless they
+        cover it: like Field(grid, arr), fn's result itself when that is a
+        writeable box-shaped array owning its data."""
+        if self._box is None or any(n.start < b.start or n.stop > b.stop
+                                    for n, b in zip(nodes, self._box)):
+            axes = [self.grid.x] * self.grid.d + [self.grid.y]
+            vals = np.asarray(self._fn(*np.ix_(*(a[n] for a, n in zip(axes, nodes)))))
+            shape = tuple(n.stop - n.start for n in nodes)
+            if vals.shape != shape or not (vals.flags.writeable and vals.flags.owndata):
+                vals = np.broadcast_to(vals, shape).copy()
+            self._box, self._held = nodes, self._checked(vals, shape)
+        return self._held
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._hold(tuple(slice(0, n) for n in self.grid.shape))
+
+    def window(self, nodes: tuple) -> np.ndarray:
+        """Values on the box of node slices (x1[, x2], y), each of step 1."""
+        nodes = tuple(slice(*n.indices(m)[:2]) for n, m in zip(nodes, self.grid.shape))
+        return self._hold(nodes)[tuple(slice(n.start - b.start, n.stop - b.start)
+                                       for n, b in zip(nodes, self._box))]
 
     @property
     def trace(self) -> np.ndarray:
@@ -198,13 +228,9 @@ class Field:
 
 
 def field_from_function(grid: HalfSpaceGrid, fn) -> Field:
-    """Sample fn(x1[, x2], y) on the grid nodes (broadcasting arrays).  Like
-    Field(grid, arr), the Field may hold fn's result itself: it is copied only
-    when it must be broadcast or is not a writeable array owning its data."""
-    vals = np.asarray(fn(*grid_coordinates(grid)), dtype=float)
-    if vals.shape != grid.shape or not (vals.flags.writeable and vals.flags.owndata):
-        vals = np.broadcast_to(vals, grid.shape).copy()
-    return Field(grid, vals)
+    """The Field of fn(x1[, x2], y), pure in np.ix_ coordinates of the nodes
+    it is read on: a NaN or a wrong shape raises ValueError at that read."""
+    return Field(grid, fn=fn)
 
 
 def grid_coordinates(grid: HalfSpaceGrid):
@@ -219,7 +245,6 @@ def interpolate_field(fld: Field, *coords) -> np.ndarray:
     the grid box (they are clamped to it).
     """
     grid = fld.grid
-    v = fld.values
     axes = [grid.x] * grid.d + [grid.y]
     idx, frac = [], []
     for c, ax in zip(coords, axes):
@@ -227,6 +252,9 @@ def interpolate_field(fld: Field, *coords) -> np.ndarray:
         i = np.clip(np.searchsorted(ax, c) - 1, 0, ax.size - 2)
         idx.append(i)
         frac.append(np.clip((c - ax[i]) / (ax[i + 1] - ax[i]), 0.0, 1.0))
+    lo = [int(i.min()) for i in idx]  # read the box the points reach alone
+    v = fld.window(tuple(slice(k, int(i.max()) + 2) for k, i in zip(lo, idx)))
+    idx = [i - k for i, k in zip(idx, lo)]
     out = 0.0
     for corner in range(2 ** (grid.d + 1)):
         weight = 1.0
@@ -736,8 +764,8 @@ def _blas_thread_controls() -> tuple:
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the block with every bundled OpenBLAS on one thread, then restore
-    the counts: on the dense trace systems threads cost more than they save
-    (measured up to 1023 free trace nodes on a 2-core machine)."""
+    the counts: threads cost more than they save on the dense trace systems
+    (up to 1023 free nodes, 2 cores) and the hemisphere eigensolves."""
     controls = _blas_thread_controls()
     saved = [get() for get, _ in controls]
     try:

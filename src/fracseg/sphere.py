@@ -23,7 +23,7 @@ from scipy.special import beta, betainc, digamma, hyp2f1, poch
 
 from .core import FracParams, gamma_map
 from .errors import ConfigurationError, ConvergenceError
-from .grid import ModeChains, check_backward_error
+from .grid import ModeChains, check_backward_error, one_blas_thread
 
 _TWO_PI = 2.0 * math.pi
 
@@ -202,6 +202,7 @@ class HemisphereMesh:
         return g_theta, g_phi, mass
 
 
+@one_blas_thread()
 def _tridiagonal_pair(diag: np.ndarray, off: np.ndarray, mass: np.ndarray):
     """Lowest eigenpair of the tridiagonal pencil (diag, off; mass) as
     M^-1/2 K M^-1/2, whose entries span many decades (5e18 at 256 cells,
@@ -314,6 +315,7 @@ class _ModePencil:
 _MAX_EVALS = 60  # Newton evaluations allowed per eigenvalue
 
 
+@one_blas_thread()
 def _lockstep_roots(count: int, evaluate, pole=lambda: math.inf):
     """Smallest roots of count decreasing concave mu > 0 at 0, by Newton in
     lockstep: evaluate(lam, todo) gives mu, mu', ok (False at or past a pole,

@@ -13,6 +13,7 @@ import fracseg.sphere as sphere_mod
 import fracseg.system as system_mod
 from fracseg.core import FracParams
 from fracseg.errors import ConvergenceError
+from fracseg.spectral import PeriodicGrid1D
 from fracseg.grid import (Field, GridConfig, TraceSystem, atomic_write_bytes,
                           build_grid, read_snapshot, write_snapshot)
 
@@ -504,6 +505,45 @@ def test_oracle_cos_mode(tmp_path):
     # |k|^{2s} = 2 at k = 2, s = 1/2
     assert np.abs(data["fraclap_symbol"] - 2.0 * data["u"]).max() < 1e-10
     assert np.abs(data["fraclap_pv"] - data["fraclap_symbol"]).max() < 0.05
+
+
+ORACLE_DATA = [{"kind": "cos", "k": 1}, {"kind": "band"}]
+
+
+@pytest.mark.parametrize("L", [2.5, 1e150])
+@pytest.mark.parametrize("fn", ORACLE_DATA, ids=["cos", "band"])
+def test_oracle_data_are_periodic_at_any_period(tmp_path, capsys, fn, L):
+    # cos(k x) is periodic on the grid of period 2 pi L only where k L is an
+    # integer; sampled so, a sound oracle failed its own check (cos: 0.036 at
+    # L = 2.5, 0.10 at 1e150).  Wavenumbers k / L are periodic at every L
+    cfg = {"fractional": {"s": 0.5, "N": 1},
+           "oracle": {"n": 256, "L": L, "function": fn}}
+    path = write_config(tmp_path, cfg)
+    out = os.path.join(tmp_path, "o")
+    assert cli.main(["oracle", "--config", path, "--out", out, "--json"]) == 0
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["name"] == "pv vs symbol" and check["value"] <= 0.02
+
+
+@pytest.mark.parametrize("fn", ORACLE_DATA, ids=["cos", "band"])
+def test_oracle_data_at_unit_period_are_unchanged(tmp_path, fn):
+    # x / 1.0 == x: at L = 1 the table holds cos(k x) and the band's
+    # cos(k x + phase) / (1 + k) bit for bit
+    cfg = {"fractional": {"s": 0.5, "N": 1},
+           "oracle": {"n": 256, "L": 1.0, "function": fn}}
+    out = os.path.join(tmp_path, "o")
+    assert cli.main(["oracle", "--config", write_config(tmp_path, cfg),
+                     "--out", out]) == 0
+    x = PeriodicGrid1D(n=256).x
+    if fn["kind"] == "cos":
+        u = np.cos(x)
+    else:
+        rng = np.random.default_rng(7)
+        u = sum(np.cos(k * x + rng.uniform(0, 2 * np.pi)) / (1 + k)
+                for k in range(1, 256 // 8 + 1))
+    with open(os.path.join(out, "oracle.csv")) as fh:
+        column = [row.split(",")[1] for row in fh.read().splitlines()[1:]]
+    assert column == [format(v, ".12g") for v in u]
 
 
 def test_oracle_comparison_mode(tmp_path, capsys):

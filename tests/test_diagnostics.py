@@ -10,7 +10,8 @@ from fracseg.diagnostics import (_CellGeometry, acf_one_phase, almgren,
                                  holder_seminorm, log_derivative_residual,
                                  monotonicity_check, pohozaev_residual,
                                  trace_seminorm)
-from fracseg.grid import Field, GridConfig, build_grid, field_from_function
+from fracseg.grid import (Field, GridConfig, build_grid, field_from_function,
+                          interpolate_field)
 
 RADII = np.geomspace(0.1, 0.5, 9)
 
@@ -398,3 +399,91 @@ def test_pohozaev_spans_the_radii_once(monkeypatch):
         "vanish_trace", FracParams(s=0.5, N=1)))
     pohozaev_residual(fld, (0.0,), RADII)
     assert calls == [RADII.size]
+
+
+def _counting(fn, calls):
+    def sampler(*coords):
+        calls.append(tuple(np.ravel(c) for c in coords))
+        return fn(*coords)
+    return sampler
+
+
+def _varying_field_case(d, s=0.3):
+    """A grid and a sampler varying along every axis, as in
+    test_window_equals_whole_grid."""
+    n = 128 if d == 1 else 32
+    g = build_grid(GridConfig(d=d, L=0.8, Y=0.8, nx=n + 1, ny=n, grading_p=1.0),
+                   FracParams(s=s, N=d))
+    return g, lambda *c: np.exp(sum(c[:-1])) * np.cos(1.5 * c[-1]) + c[-1] ** (2 * s)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_diagnostics_sample_their_geometry_box_once(d):
+    # each functional reads a fresh sampled field through one window, the
+    # nodes box of its geometry: cell_gradient, kernel_energy and every
+    # radius of _sphere_mass slice the same sample
+    g, fn = _varying_field_case(d)
+    center, radii = (0.05,) * d, np.geomspace(0.1, 0.4, 5)
+    runs = [lambda f: [p.values for p in almgren(f, center, radii)],
+            lambda f: [acf_one_phase(f, center, radii, "acf_vanish").values],
+            lambda f: [pohozaev_residual(f, center, radii)]]
+    nodes = _CellGeometry(g, center, radii).nodes
+    box = [ax[k] for ax, k in zip([g.x] * d + [g.y], nodes)]
+    whole = Field(g, field_from_function(g, fn).values)
+    for run in runs:
+        calls = []
+        got = run(field_from_function(g, _counting(fn, calls)))
+        assert len(calls) == 1
+        assert all(np.array_equal(c, b) for c, b in zip(calls[0], box))
+        assert all(np.array_equal(a, b) for a, b in zip(got, run(whole)))
+
+
+def test_diagnostics_read_no_node_outside_their_box():
+    # a NaN inside the box raises from the diagnostic; one outside it is
+    # never sampled there, and raises when the whole grid is read
+    s = 0.5
+    g = diag_grid(s, nx=128)
+    sol = NamedSolution("vanish_trace", FracParams(s=s, N=1))
+    radii = np.geomspace(0.1, 0.4, 5)
+    for x0, inside in ((0.2, True), (0.7, False)):
+        fld = field_from_function(g, lambda x, y: np.where(
+            np.abs(x - x0) < 1e-3, np.nan, sol(x, y)))
+        for run in (lambda: almgren(fld, (0.0,), radii),
+                    lambda: acf_one_phase(fld, (0.0,), radii, "acf_vanish"),
+                    lambda: pohozaev_residual(fld, (0.0,), 0.3)):
+            if inside:
+                with pytest.raises(ValueError, match="NaN"):
+                    run()
+            else:
+                run()
+        with pytest.raises(ValueError, match="NaN"):
+            fld.values
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_sphere_mass_interpolates_through_the_box(d, monkeypatch):
+    # interpolating a sampled field within its window is bit-identical to
+    # interpolating the whole grid's values at _sphere_mass's points, and
+    # samples nothing more
+    points = []
+
+    def recording(fld, *coords):
+        points.append(coords)
+        return interpolate_field(fld, *coords)
+
+    monkeypatch.setattr(diagnostics, "interpolate_field", recording)
+    g, fn = _varying_field_case(d)
+    radii = np.geomspace(0.1, 0.4, 5)
+    for center in ((0.0,) * d, (0.1, -0.15)[:d]):
+        geo = _CellGeometry(g, center, radii)
+        calls = []
+        fld = field_from_function(g, _counting(fn, calls))
+        fld.window(geo.nodes)
+        points.clear()
+        diagnostics._sphere_mass(geo, [fld], radii)
+        whole = Field(g, field_from_function(g, fn).values)
+        assert len(points) == radii.size
+        for coords in points:
+            assert np.array_equal(interpolate_field(fld, *coords),
+                                  interpolate_field(whole, *coords))
+        assert len(calls) == 1

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from scipy.linalg import block_diag, eigh_tridiagonal
 
 import fracseg.grid as grid_mod
-from fracseg.core import FracParams, NamedSolution
+from fracseg.core import SOLUTION_TAGS, FracParams, NamedSolution
 from fracseg.errors import ConfigurationError, ConvergenceError
 from fracseg.grid import (BoundaryData, Field, GridConfig, ModeChains,
                           TraceSystem, assemble_La, build_grid,
@@ -374,6 +374,55 @@ def test_field_from_function_keeps_a_fresh_result(peak_bytes):
     fld = field_from_function(g, lambda x, y: y + 0.0 * x[:1])
     assert fld.values.shape == g.shape and fld.values.flags.owndata
     assert np.array_equal(fld.values, np.broadcast_to(g.y, g.shape))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("tag", list(SOLUTION_TAGS) + ["lambda"])
+def test_window_equals_the_slice_of_values(d, tag):
+    # a sampled field samples a box on its own coordinates: np.ix_ of the
+    # sliced axes gives the same libm calls as the whole grid's, bit for bit
+    p = FracParams(s=0.75, N=d)
+    g = small_grid(s=0.75, d=d, nx=17 if d == 2 else 33, L=0.8, Y=0.8)
+    fn = (NamedSolution(tag, p) if tag != "lambda" else
+          lambda *c: np.exp(sum(c[:-1])) * np.cos(1.5 * c[-1]) + c[-1] ** 1.5)
+    box = (slice(3, 12),) * d + (slice(0, 9),)
+    whole = field_from_function(g, fn).values
+    fld = field_from_function(g, fn)
+    assert np.array_equal(fld.window(box), whole[box])
+    inner = (slice(5, 9),) * d + (slice(2, 9),)  # sliced from the kept box
+    assert np.array_equal(fld.window(inner), whole[inner])
+    assert np.array_equal(fld.values, whole)
+    assert np.array_equal(fld.window((slice(None),) * (d + 1)), whole)
+
+
+def test_sampled_field_reads_once_per_box_and_checks_on_first_read():
+    g = small_grid(nx=33, ny=16)
+    calls = []
+
+    def fn(x, y):
+        calls.append((x.size, y.size))
+        return np.cos(x) * np.exp(-y)
+
+    fld = field_from_function(g, fn)
+    assert calls == []
+    fld.window((slice(4, 20), slice(0, 10)))
+    fld.window((slice(6, 18), slice(1, 9)))  # inside the kept box
+    assert calls == [(16, 10)]
+    fld.window((slice(2, 20), slice(0, 10)))  # not inside: sampled again
+    assert calls == [(16, 10), (18, 10)]
+    fld.trace
+    fld.window((slice(0, 33), slice(0, 17)))
+    assert calls == [(16, 10), (18, 10), (33, 17)]
+    # a NaN or a wrong shape raises the field's ValueError at the first read
+    # that samples it, not when the field is made
+    nan_right = field_from_function(g, lambda x, y: np.where(x > 0.9, np.nan, 0.0 * y))
+    assert np.array_equal(nan_right.window((slice(0, 20), slice(0, 4))), np.zeros((20, 4)))
+    for bad in (lambda x, y: np.where(x > 0.9, np.nan, 0.0 * y),
+                lambda x, y: np.zeros((3, 3))):
+        for read in (lambda f: f.values, lambda f: f.trace,
+                     lambda f: f.window((slice(0, 33), slice(0, 4)))):
+            with pytest.raises(ValueError):
+                read(field_from_function(g, bad))
 
 
 def test_per_axis_allocates_only_its_output(peak_bytes):

@@ -1,14 +1,17 @@
 """Weighted hemisphere eigenvalues and the cap-partition scan."""
 
 import math
+import types
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 
+import fracseg.grid as grid_mod
 from fracseg import sphere
 from fracseg.core import FracParams
 from fracseg.errors import ConfigurationError, ConvergenceError
@@ -526,3 +529,39 @@ def test_codim1_needs_antipodal_nodes():
     # nphi = 2 mod 4 puts no node on the x1 = 0 plane
     with pytest.raises(ConfigurationError, match="divisible by 4"):
         lambda1_codim1(mesh2(0.75, nt=8, nph=18))
+
+
+def test_hemisphere_eigensolves_run_on_one_blas_thread(monkeypatch):
+    # every eigh in the module (the lockstep scan's dense eigh of C_FF, the
+    # tridiagonal eigh of the empty region and of the half-circle) runs
+    # inside grid.one_blas_thread; after an idle gap the default threads
+    # made criteria 3 and 4 about 8x slower on a 2-core machine
+    controls = grid_mod._blas_thread_controls()
+    seen = []
+
+    def recording(solver):
+        def run(*args, **kwargs):
+            seen.append((solver.__name__, [get() for get, _ in controls]))
+            return solver(*args, **kwargs)
+        return run
+
+    view = types.SimpleNamespace(eigh=recording(sla.eigh),
+                                 eigh_tridiagonal=recording(sla.eigh_tridiagonal))
+    monkeypatch.setattr(sphere, "sla", view)
+    saved = [get() for get, _ in controls]
+    try:
+        for _, put in controls:
+            put(2)
+        mesh = mesh2(0.5, nt=16, nph=32)
+        for region in (EquatorRegion.empty(2), EquatorRegion.half(2)):
+            lambda1(mesh, region)
+        lambda1_codim1(mesh)
+        nu_acf_caps(mesh)
+        lambda1(HemisphereMesh(params=FracParams(s=0.5, N=1), ntheta=32),
+                EquatorRegion.half(1))
+        assert [get() for get, _ in controls] == [2] * len(controls)
+    finally:
+        for (_, put), n in zip(controls, saved):
+            put(n)
+    assert {name for name, _ in seen} == {"eigh", "eigh_tridiagonal"}
+    assert all(counts == [1] * len(controls) for _, counts in seen)
