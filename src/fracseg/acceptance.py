@@ -134,7 +134,7 @@ def check_hemisphere_landmarks(quick: bool = False) -> CheckResult:
                      EquatorRegion.empty(2))[0] - 2.0)
     ratio = e1 / max(e2, 1e-300)
     if ratio < 1.8:
-        return CheckResult("hemisphere refinement", ratio, 1.8, False)
+        return CheckResult("hemisphere landmarks", ratio, 1.8, False)
 
     p = FracParams(s=0.75, N=2)
     cmesh = HemisphereMesh(params=p, ntheta=64 if quick else 128,
@@ -203,7 +203,7 @@ def check_acf_monotonicity(quick: bool = False) -> CheckResult:
         dev = float((prof.values.max() - prof.values.min()) / prof.values.mean())
         worst = max(worst, dev)
     if worst > tol:
-        return CheckResult("acf one-phase constancy", worst, tol, False)
+        return CheckResult("acf monotonicity", worst, tol, False)
 
     # solved vanishing-trace field: discretization-limited monotonicity
     s = 0.5

@@ -139,7 +139,7 @@ class _CellGeometry:
         self._q = (sum(o[0] * o[0] for o in self.off[1:])
                    + self.ym[0] * self.ym[0]).ravel()
         self._wrow, self._vrow = self.width[0].ravel(), self.vol[0].ravel()
-        self._radii_spans = radii, self._spans(radii)  # for integrals over radii
+        self._radii_spans = self._spans(radii)  # shared by every integral
 
     # -- reconstruction ---------------------------------------------------
     def cell_gradient(self, fld: Field):
@@ -242,9 +242,9 @@ class _CellGeometry:
         row, kr = np.divmod(run // 2, radii.size)
         return inner, col * self._q.size + row, row, kr
 
-    def volume_integral(self, weighted: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    def volume_integral(self, weighted: np.ndarray) -> np.ndarray:
         """Integral over B_r of an already y^a-weighted cell density, every
-        radius in one pass; the radii may come in any order.
+        radius r of the geometry in one pass.
 
         The ramp is exactly 1 on the cells with R + width <= r, the inner run
         of each row (`_spans`): its sum is left[a] + right[b] of the row's
@@ -252,14 +252,13 @@ class _CellGeometry:
         cells go through the ramp.  One sequential bincount over rows adds
         both, so the sum does not depend on how many rows the geometry holds.
         """
-        radii = np.asarray(radii, dtype=float)
+        radii = self.radii
         base = (weighted * self.vol).reshape(self.R.shape[0], -1)
         c0, nrow = self._c0, self._q.size
         left, right = np.zeros((c0 + 1, nrow)), np.zeros((base.shape[0] - c0 + 1, nrow))
         np.cumsum(base[:c0][::-1], axis=0, out=left[1:])
         np.cumsum(base[c0:], axis=0, out=right[1:])
-        known, spans = self._radii_spans
-        (a, b), flat, row, kr = spans if radii is known else self._spans(radii)
+        (a, b), flat, row, kr = self._radii_spans
         rows = np.repeat(np.arange(nrow), radii.size)
         inside = left[a, rows] + right[b, rows]
         band = base.ravel()[flat] * self._ramp(radii[kr], self.R.ravel()[flat],
@@ -267,17 +266,16 @@ class _CellGeometry:
         return np.bincount(np.concatenate((np.tile(np.arange(radii.size), nrow), kr)),
                            weights=np.concatenate((inside, band)), minlength=radii.size)
 
-    def surface_integral(self, weighted: np.ndarray, radii: np.ndarray) -> np.ndarray:
-        """Shell average over the sphere of each radius r: the one-cell hat
-        kernel (1 - t) / width, t = |R - r| / width, summed over the band
-        cells t < 1 of `_spans`, grouped by radius in one bincount."""
-        radii = np.asarray(radii, dtype=float)
-        known, spans = self._radii_spans
-        _, flat, row, kr = spans if radii is known else self._spans(radii)
+    def surface_integral(self, weighted: np.ndarray) -> np.ndarray:
+        """Shell average over the sphere of each radius r of the geometry:
+        the one-cell hat kernel (1 - t) / width, t = |R - r| / width, summed
+        over the band cells t < 1 of `_spans`, grouped by radius in one
+        bincount."""
+        _, flat, row, kr = self._radii_spans
         w = self._wrow[row]
-        t = np.abs(self.R.ravel()[flat] - radii[kr]) / w
+        t = np.abs(self.R.ravel()[flat] - self.radii[kr]) / w
         dens = np.ravel(weighted)[flat] * self._vrow[row]
-        return np.bincount(kr, weights=dens * ((1.0 - t) / w), minlength=radii.size)
+        return np.bincount(kr, weights=dens * ((1.0 - t) / w), minlength=self.radii.size)
 
 
 def _kernel_profile(grid: HalfSpaceGrid, eps: float):
@@ -289,10 +287,10 @@ def _kernel_profile(grid: HalfSpaceGrid, eps: float):
     return lambda r: np.asarray(r, dtype=float) ** (2.0 * p.s - p.N)
 
 
-def _as_field_list(fields) -> list[Field]:
-    if isinstance(fields, Field):
-        return [fields]
-    return list(fields)
+def _fields_geometry(fields, center, radii):
+    """The fields (one Field or a sequence) as a list, and their geometry."""
+    flist = [fields] if isinstance(fields, Field) else list(fields)
+    return flist, _CellGeometry(flist[0].grid, center, radii)
 
 
 def acf_one_phase(fld: Field, center, radii, variant: str) -> RadialProfile:
@@ -311,7 +309,7 @@ def acf_one_phase(fld: Field, center, radii, variant: str) -> RadialProfile:
     geo = _CellGeometry(grid, center, radii)
     kern = _kernel_profile(grid, eps=float(np.hypot(grid.dx, grid.y[1])))
     integrand = geo.kernel_energy(fld, kern)
-    vals = (geo.volume_integral(integrand, geo.radii)
+    vals = (geo.volume_integral(integrand)
             / geo.radii ** ACF_EXPONENTS[variant](p.s))
     return RadialProfile(geo.center, geo.radii, vals, variant)
 
@@ -328,37 +326,29 @@ _N_RAD = 96
 _N_PHI = 64
 
 
-def _sphere_mass(geo: _CellGeometry, flist, radii) -> np.ndarray:
-    """int_{boundary sphere} y^a sum v_i^2 by weighted Gauss-Jacobi quadrature.
+def _sphere_mass(geo: _CellGeometry, flist) -> np.ndarray:
+    """int_{boundary sphere} y^a sum v_i^2 at every radius of geo, by a
+    weighted Gauss-Jacobi rule on the unit half-sphere scaled by each r.
 
-    The y^a factor is absorbed into the quadrature weight exactly, so only
-    the smooth interpolated v^2 is sampled.
+    The y^a factor (and in d = 2 the uniform phi sum) is absorbed into the
+    weights exactly, so only the smooth interpolated v^2 is sampled, once
+    per field over all radii.
     """
-    grid = geo.grid
-    a = grid.params.a
-    out = np.zeros(len(radii))
-    if grid.d == 1:
+    a, r = geo.grid.params.a, geo.radii
+    if geo.grid.d == 1:
         u, w = roots_jacobi(_N_RAD, 0.5 * (a - 1.0), 0.5 * (a - 1.0))
-        y_unit = np.sqrt(np.maximum(1.0 - u * u, 0.0))
-        for i, r in enumerate(radii):
-            xq = geo.center[0] + r * u
-            yq = r * y_unit
-            g = sum(interpolate_field(f, xq, yq) ** 2 for f in flist)
-            out[i] = r ** (1.0 + a) * float(w @ g)
-        return out
-    x_gj, w_gj = roots_jacobi(_N_RAD, 0.0, a)
-    u = 0.5 * (x_gj + 1.0)          # u = cos(polar), weight u^a on [0, 1]
-    su = np.sqrt(np.maximum(1.0 - u * u, 0.0))
-    phi = 2.0 * np.pi * np.arange(_N_PHI) / _N_PHI
-    cphi, sphi = np.cos(phi), np.sin(phi)
-    for i, r in enumerate(radii):
-        x1 = geo.center[0] + r * su[:, None] * cphi[None, :]
-        x2 = geo.center[1] + r * su[:, None] * sphi[None, :]
-        yq = r * (u[:, None] + 0.0 * cphi[None, :])
-        g = sum(interpolate_field(f, x1, x2, yq) ** 2 for f in flist)
-        out[i] = (r ** (2.0 + a) * 2.0 ** (-1.0 - a) * (2.0 * np.pi / _N_PHI)
-                  * float(w_gj @ g.sum(axis=1)))
-    return out
+        unit = [u, np.sqrt(np.maximum(1.0 - u * u, 0.0))]
+    else:
+        x_gj, w_gj = roots_jacobi(_N_RAD, 0.0, a)
+        u = 0.5 * (x_gj + 1.0)          # u = cos(polar), weight u^a on [0, 1]
+        su = np.sqrt(np.maximum(1.0 - u * u, 0.0))[:, None]
+        phi = 2.0 * np.pi * np.arange(_N_PHI) / _N_PHI
+        unit = [(su * np.cos(phi)).ravel(), (su * np.sin(phi)).ravel(),
+                np.repeat(u, _N_PHI)]
+        w = np.repeat(w_gj * (2.0 ** (-1.0 - a) * (2.0 * np.pi / _N_PHI)), _N_PHI)
+    coords = [c + r[:, None] * e for c, e in zip(geo.center + (0.0,), unit)]
+    g = sum(interpolate_field(f, *coords) ** 2 for f in flist)
+    return r ** (geo.grid.d + a) * (g @ w)
 
 
 def almgren(fields, center, radii) -> AlmgrenProfiles:
@@ -369,13 +359,11 @@ def almgren(fields, center, radii) -> AlmgrenProfiles:
     quadrature of the interpolated trace), N(r) = E/H; an H <= 0 radius
     makes the frequency undefined.
     """
-    flist = _as_field_list(fields)
-    grid = flist[0].grid
-    p = grid.params
-    geo = _CellGeometry(grid, center, radii)
+    flist, geo = _fields_geometry(fields, center, radii)
+    p = geo.grid.params
     energy = sum(geo.energy_density(geo.cell_gradient(f)) for f in flist)
-    E = geo.volume_integral(energy, geo.radii) * geo.radii ** (2.0 * p.s - p.N)
-    H = _sphere_mass(geo, flist, geo.radii) * geo.radii ** (2.0 * p.s - p.N - 1.0)
+    E = geo.volume_integral(energy) * geo.radii ** (2.0 * p.s - p.N)
+    H = _sphere_mass(geo, flist) * geo.radii ** (2.0 * p.s - p.N - 1.0)
     if np.any(H <= 0):
         bad = geo.radii[np.argmax(H <= 0)]
         raise ValueError(f"frequency undefined: H vanishes near r = {bad:.4g}")
@@ -405,17 +393,15 @@ def pohozaev_residual(fields, center, r):
     r is one radius (a float comes back) or an increasing 1-D array of radii
     (an array comes back), all read off one geometry and one gradient.
     """
-    flist = _as_field_list(fields)
-    grid = flist[0].grid
-    p = grid.params
-    geo = _CellGeometry(grid, center, np.atleast_1d(r))
+    flist, geo = _fields_geometry(fields, center, np.atleast_1d(r))
+    p = geo.grid.params
     grads = [geo.cell_gradient(f) for f in flist]
     energy = sum(geo.energy_density(g) for g in grads)
     radial = geo.wy * sum(geo.radial_derivative(g) ** 2 for g in grads)
     rs = geo.radii
-    t1 = (2.0 * p.s - p.N) * geo.volume_integral(energy, rs)
-    t2 = rs * geo.surface_integral(energy, rs)
-    t3 = 2.0 * rs * geo.surface_integral(radial, rs)
+    t1 = (2.0 * p.s - p.N) * geo.volume_integral(energy)
+    t2 = rs * geo.surface_integral(energy)
+    t3 = 2.0 * rs * geo.surface_integral(radial)
     res = (t1 + t2 - t3) / (np.abs(t2) + 1e-300)
     return float(res[0]) if np.ndim(r) == 0 else res
 
@@ -424,7 +410,7 @@ def pohozaev_residual(fields, center, r):
 # Hölder seminorms
 # --------------------------------------------------------------------------
 
-def holder_seminorm(values, coords, alpha: float, region=None) -> float:
+def holder_seminorm(values, coords, alpha: float) -> float:
     """Max of |v(X) - v(X')| / |X - X'|^alpha over all node pairs.
 
     Exact: rows are compared against every node in blocks of about 2e6
@@ -440,13 +426,9 @@ def holder_seminorm(values, coords, alpha: float, region=None) -> float:
     coords = coords.reshape(-1, coords.shape[-1])
     if coords.shape[0] != values.size:
         raise ValueError("coords and values disagree in length")
-    if region is not None:
-        mask = np.asarray(region, dtype=bool).ravel()
-        values = values[mask]
-        coords = coords[mask]
     n = values.size
     if n < 2:
-        raise ValueError("region must contain at least two nodes")
+        raise ValueError("need at least two nodes")
 
     best = 0.0
     block = max(1, 2_000_000 // n)
@@ -462,11 +444,10 @@ def holder_seminorm(values, coords, alpha: float, region=None) -> float:
 
 
 def trace_seminorm(fld: Field, alpha: float, x_window=None) -> float:
-    """Hölder seminorm of the trace restricted to an |x| window."""
+    """Hölder seminorm of the trace restricted to the nodes with |x_k| <=
+    x_window along every axis (all nodes when x_window is None)."""
     grid = fld.grid
-    coords = np.stack(np.meshgrid(*[grid.x] * grid.d, indexing="ij"),
+    keep = np.abs(grid.x) <= (np.inf if x_window is None else float(x_window))
+    coords = np.stack(np.meshgrid(*[grid.x[keep]] * grid.d, indexing="ij"),
                       axis=-1).reshape(-1, grid.d)
-    region = None
-    if x_window is not None:
-        region = np.all(np.abs(coords) <= float(x_window), axis=1)
-    return holder_seminorm(fld.trace.ravel(), coords, alpha, region=region)
+    return holder_seminorm(fld.trace[np.ix_(*[keep] * grid.d)], coords, alpha)

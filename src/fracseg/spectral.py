@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -77,16 +76,15 @@ def _kernel_cell(zlo, zhi, s):
 _EXCISE_CELLS = 1
 
 
-@lru_cache(maxsize=64)
 def _periodic_weights(n: int, L: float, s: float):
     """Lag weights (exact cell kernel integrals over period images) and tail."""
     dx = 2.0 * math.pi * L / n
     ell = np.arange(1, n * _N_IMAGES + 1)
     cell = _kernel_cell((ell - 0.5) * dx, (ell + 0.5) * dx, s)
     cell[: _EXCISE_CELLS] = 0.0  # excised zone, handled by the local correction
-    w = np.zeros(n)
-    np.add.at(w, ell % n, cell)       # z > 0 side
-    np.add.at(w, (-ell) % n, cell)    # z < 0 side
+    # z > 0 then z < 0 side, summed per lag in that order
+    w = np.bincount(np.concatenate((ell % n, -ell % n)),
+                    weights=np.concatenate((cell, cell)), minlength=n)
     w[0] = 0.0
     tail = ((n * _N_IMAGES + 0.5) * dx) ** (-2.0 * s) / (2.0 * s)
     return w, tail

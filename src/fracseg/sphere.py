@@ -391,9 +391,13 @@ def _lowest_pairs(mesh: HemisphereMesh, frees: list) -> list:
 def lambda1(mesh: HemisphereMesh, omega: EquatorRegion):
     """First eigenpair with u = 0 on the equator outside omega, the vector on
     all mesh nodes with its first nonzero entry positive: on N = 2 from the
-    equator's Schur complement, on the N = 1 half-circle one eigh."""
+    equator's Schur complement, on the N = 1 half-circle one eigh.  omega
+    must be built for the mesh's N: ends on N = 1, arcs alone on N = 2."""
+    if (mesh.params.N == 1) != (omega.ends is not None):
+        raise ConfigurationError(f"equator region does not match the N = "
+                                 f"{mesh.params.N} mesh")
     if mesh.params.N == 1:
-        lam, vec = _half_circle_pair(mesh, omega.ends or (False, False))
+        lam, vec = _half_circle_pair(mesh, omega.ends)
     else:
         lam, vec = _lowest_pairs(mesh, [omega.contains(mesh.phi)])[0]
     nz = np.flatnonzero(np.abs(vec) > 1e-12 * np.abs(vec).max())

@@ -12,6 +12,7 @@ import fracseg.cli as cli
 import fracseg.sphere as sphere_mod
 import fracseg.system as system_mod
 from fracseg.core import FracParams
+from fracseg.diagnostics import acf_one_phase, trace_seminorm
 from fracseg.errors import ConvergenceError
 from fracseg.spectral import PeriodicGrid1D
 from fracseg.grid import (Field, GridConfig, TraceSystem, atomic_write_bytes,
@@ -233,6 +234,33 @@ def test_grid_scale_check_at_extreme_spacings(tmp_path, capsys, s, d, L, Y, ny,
                          "--out", os.path.join(tmp_path, "ok")]) == 0
 
 
+def test_solve_reads_a_one_entry_betas(tmp_path):
+    # with no beta, a single betas entry is the beta to solve at
+    cfg = tiny_config()
+    outs = []
+    for name, problem in (("one", {"betas": [100.0]}), ("beta", {"beta": 100.0})):
+        cfg["problem"] = {k: v for k, v in tiny_config()["problem"].items()
+                          if k not in ("beta", "betas")} | problem
+        outs.append(os.path.join(tmp_path, name))
+        assert cli.main(["solve", "--config", write_config(tmp_path, cfg),
+                         "--out", outs[-1]]) == 0
+    raw = []
+    for out in outs:
+        with open(os.path.join(out, "fields.bin"), "rb") as fh:
+            raw.append(fh.read())
+    assert raw[0] == raw[1]
+
+
+@pytest.mark.parametrize("command, drop, words", [
+    ("solve", ("beta", "betas"), "solve needs problem.beta"),
+    ("sweep", ("betas",), "sweep needs problem.betas")])
+def test_missing_beta_exits_2(tmp_path, capsys, command, drop, words):
+    cfg = tiny_config()
+    for key in drop:
+        del cfg["problem"][key]
+    _exits_2_with_one_line(tmp_path, capsys, command, cfg, words)
+
+
 def test_solve_writes_json_report(tmp_path, capsys):
     cfg = tiny_config(output={"formats": ["json"]})
     path = write_config(tmp_path, cfg)
@@ -368,6 +396,36 @@ def test_diagnose_pohozaev(tmp_path, capsys):
     assert "strictly increasing" in capsys.readouterr().err
 
 
+def test_diagnose_acf_holder_on_linear_radii(tmp_path, capsys):
+    cfg = tiny_config()
+    g = build_grid(GridConfig(**cfg["grid"]), FracParams(s=0.5, N=1))
+    x, y = np.meshgrid(g.x, g.y, indexing="ij")
+    fld = Field(g, y + 0.1 * np.cos(x))
+    snap = os.path.join(tmp_path, "fields.bin")
+    write_snapshot(snap, [fld])
+    cfg["diagnostics"] = {"center": [0.0], "quantities": ["acf_vanish", "holder"],
+                          "alphas": [0.1, 0.3], "radii": {
+                              "start": 0.2, "stop": 0.6, "num": 5, "spacing": "linear"}}
+    out = os.path.join(tmp_path, "od")
+    assert cli.main(["diagnose", snap, "--config", write_config(tmp_path, cfg),
+                     "--out", out, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert list(checks) == ["acf_vanish monotone", "holder alpha=0.1",
+                            "holder alpha=0.3"]
+    with open(os.path.join(out, "diagnostics.csv")) as fh:
+        rows = [line.strip().split(",") for line in fh][1:]
+    radii = np.linspace(0.2, 0.6, 5)
+    assert np.allclose([float(r[0]) for r in rows], radii, rtol=1e-11, atol=0.0)
+    assert [r[2] for r in rows] == ["acf_vanish"] * 5
+    prof = acf_one_phase(fld, (0.0,), radii, "acf_vanish")
+    assert np.allclose([float(r[1]) for r in rows], prof.values, rtol=1e-11, atol=0.0)
+    for alpha in (0.1, 0.3):  # one field: the max over fields is its seminorm
+        semi = trace_seminorm(fld, alpha)
+        assert semi > 0.0
+        assert checks[f"holder alpha={alpha}"]["value"] == pytest.approx(semi, rel=1e-12)
+
+
 def test_verify_rejects_config(tmp_path, capsys):
     path = write_config(tmp_path, tiny_config())
     assert cli.main(["verify", "--quick", "--config", path]) == 2
@@ -443,6 +501,22 @@ def test_eigen_landmarks(tmp_path, capsys):
     names = {c["name"]: c for c in report["checks"]}
     assert names["lambda(full)"]["passed"]
     assert abs(names["lambda(empty)"]["value"] - 2.0) < 0.05
+
+
+def test_eigen_codim1_region(tmp_path, capsys):
+    # the codim-1 landmark (2s - 1)(N - 1) at s = 3/4; at s = 1/2 the
+    # constraint has no capacity and the config is bad input
+    cfg = {"fractional": {"s": 0.75, "N": 2},
+           "eigen": {"mesh_ntheta": 64, "mesh_nphi": 1024, "regions": ["codim1"]}}
+    path = write_config(tmp_path, cfg)
+    out = os.path.join(tmp_path, "oe")
+    assert cli.main(["eigen", "--config", path, "--out", out, "--json"]) == 0
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["name"] == "lambda(codim1)" and check["passed"]
+    assert check["threshold"] == 0.5
+    assert abs(check["value"] / 0.5 - 1.0) <= 0.05
+    cfg["fractional"]["s"] = 0.5
+    _exits_2_with_one_line(tmp_path, capsys, "eigen", cfg, "codim1 region needs s > 1/2")
 
 
 @pytest.mark.parametrize("regions, words", [

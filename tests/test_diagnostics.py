@@ -108,9 +108,10 @@ def test_volume_integral_matches_full_grid_sum():
     # the one-pass quadrature (inside sums from row prefix sums taken
     # outward from the center column, the ramp on band cells only) against
     # the sum of the same ramp over every held cell (the ramp is 0 on the
-    # cells the window leaves out), equal up to the order of summation.
-    # The radii come unsorted, closer than a cell diagonal (several in one
-    # cell's band), on the band edges R +- width of a cell, and single;
+    # cells the window leaves out), equal up to the order of summation,
+    # on one geometry per list of radii.  The radii come closer than a cell
+    # diagonal (several in one cell's band), on the band edges R +- width
+    # of a cell, and single;
     # graded layers (grading_p = 2, the default at s = 1/2) give every row
     # its own width.  Also: a radius below every row's width (no row has
     # an inside span), a radius tangent to a row (r = sqrt(q), q = R^2 -
@@ -126,17 +127,18 @@ def test_volume_integral_matches_full_grid_sum():
         geo = _CellGeometry(g, center, [0.5])
         if g is graded:
             assert np.ptp(geo.width) > 0.0  # the graded grid's rows differ in width
-        w = rng.random(geo.R.shape)
         step = 0.25 * float(geo.width.min())
         cell = np.unravel_index(np.argmin(np.abs(geo.R - 0.4)), geo.R.shape)
         below = 0.5 * float(geo.width.min())
         tangent = float(np.sqrt(geo._q[np.argmin(np.abs(geo._q - 0.09))]))
         assert not np.any(geo._spans(np.array([below]))[0])
-        for radii in ([0.45, 0.1, 0.3], 0.3 + step * np.array([3, 0, 5, 1, 4, 2]),
-                      [geo.R[cell] + geo.width[cell], geo.R[cell] - geo.width[cell]],
-                      [0.37], [below], [tangent, 0.2]):
-            ref = [np.sum(w * geo.vol * geo._ramp(r, geo.R, geo.width)) for r in radii]
-            got = geo.volume_integral(w, np.array(radii))
+        for radii in ([0.1, 0.3, 0.45], 0.3 + step * np.arange(6),
+                      [geo.R[cell] - geo.width[cell], geo.R[cell] + geo.width[cell]],
+                      [0.37], [below], [0.2, tangent]):
+            gr = _CellGeometry(g, center, radii)
+            w = rng.random(gr.R.shape)
+            ref = [np.sum(w * gr.vol * gr._ramp(r, gr.R, gr.width)) for r in radii]
+            got = gr.volume_integral(w)
             assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
     # the last center is a node: its nearest columns lie dx/2 off on each side
     assert np.allclose([d[0] for d in geo._dist], 0.5 * uniform.dx, rtol=1e-9)
@@ -220,10 +222,12 @@ def test_holder_validation_and_region():
     v = x ** 2
     with pytest.raises(ValueError):
         holder_seminorm(v, x, 1.5)
+    fld = field_from_function(diag_grid(0.5, nx=100, L=1.0),
+                              lambda x, y: x ** 2 + 0.0 * y)
     with pytest.raises(ValueError):
-        holder_seminorm(v, x, 0.5, region=np.zeros(101, dtype=bool))
-    inner = holder_seminorm(v, x, 0.5, region=np.abs(x) <= 0.5)
-    assert inner <= holder_seminorm(v, x, 0.5)
+        trace_seminorm(fld, 0.5, x_window=-1.0)  # a window holding no node
+    inner = trace_seminorm(fld, 0.5, x_window=0.5)
+    assert inner <= trace_seminorm(fld, 0.5)
 
 
 def test_trace_seminorm_window():
@@ -319,6 +323,7 @@ class _AtMaxRadius(_CellGeometry):
         probe = _CellGeometry(grid, center, radii)
         super().__init__(grid, center, np.append(probe.radii, probe.max_radius()))
         self.radii = probe.radii
+        self._radii_spans = self._spans(self.radii)
 
 
 @pytest.mark.parametrize("d, grading_p", [(1, 1.0), (1, 2.0), (2, 1.0)])
@@ -480,9 +485,9 @@ def test_sphere_mass_interpolates_through_the_box(d, monkeypatch):
         fld = field_from_function(g, _counting(fn, calls))
         fld.window(geo.nodes)
         points.clear()
-        diagnostics._sphere_mass(geo, [fld], radii)
+        diagnostics._sphere_mass(geo, [fld])
         whole = Field(g, field_from_function(g, fn).values)
-        assert len(points) == radii.size
+        assert len(points) == 1
         for coords in points:
             assert np.array_equal(interpolate_field(fld, *coords),
                                   interpolate_field(whole, *coords))

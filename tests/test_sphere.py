@@ -45,6 +45,20 @@ def test_half_circle_landmarks():
         assert lam_h == pytest.approx(s * (1 - s), rel=2e-3)
 
 
+def test_region_of_the_other_dimension_is_rejected():
+    # an N = 1 mesh reads the region's ends, an N = 2 mesh its arcs: a
+    # region built for the other N raises, where it used to read as the
+    # empty equator
+    one = HemisphereMesh(params=FracParams(s=0.5, N=1), ntheta=32)
+    two = mesh2(0.5, nt=16, nph=32)
+    assert lambda1(one, EquatorRegion.half(1))[0] == pytest.approx(0.25, rel=2e-3)
+    assert lambda1(two, EquatorRegion.half(2))[0] < 1.0
+    for mesh, N in ((one, 2), (two, 1)):
+        for make in (EquatorRegion.empty, EquatorRegion.half, EquatorRegion.full):
+            with pytest.raises(ConfigurationError, match="does not match"):
+                lambda1(mesh, make(N))
+
+
 def _sin_pow_series(d, a):
     """Three-term primitive of sin^a near 0: an independent oracle for d
     below 1e-2, where the next term is below 1e-12 relative."""
