@@ -23,7 +23,7 @@ from .spectral import (ComparisonProfile, PeriodicGrid1D, PVResult,
                        comparison_pv, frac_lap_pv, frac_lap_symbol)
 from .sphere import (CapPair, EquatorRegion, HemisphereMesh, lambda1,
                      lambda1_codim1, nu_acf_caps)
-from .system import (BetaSweep, CompetitionProblem, Reaction, SolveResult,
-                     solve_system, sweep_beta, trace_overlap)
+from .system import (BetaSweep, CompetitionProblem, SolveResult, solve_system,
+                     sweep_beta, trace_overlap)
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from .spectral import (ComparisonProfile, PeriodicGrid1D, comparison_pv,
                        frac_lap_pv, frac_lap_symbol)
 from .sphere import (EquatorRegion, HemisphereMesh, lambda1, lambda1_codim1,
                      nu_acf_caps)
-from .system import CompetitionProblem, Reaction, bump, sweep_beta
+from .system import CompetitionProblem, bump, sweep_beta
 
 S_GRID = (0.25, 0.5, 0.75)
 
@@ -207,11 +207,9 @@ def check_acf_monotonicity(quick: bool = False) -> CheckResult:
 
     # solved vanishing-trace field: discretization-limited monotonicity
     s = 0.5
-    p = FracParams(s=s, N=1)
     viols = []
     for nx_solve in ((64, 128) if quick else (128, 256)):
-        g = build_grid(GridConfig(d=1, L=0.8, Y=0.8, nx=nx_solve + 1,
-                                  ny=nx_solve, grading_p=1.0), p)
+        g, _ = _diag_grid(s, nx_solve)
         exact = lambda x, y: y ** (2.0 * s) + 0.0 * x
         bd = BoundaryData(top=exact, sides=exact, trace_dirichlet=0.0)
         fld = solve_linear(g, bd)
@@ -316,7 +314,7 @@ def check_beta_sweep(quick: bool = False) -> CheckResult:
         prob = CompetitionProblem(
             params=p, grid_config=GridConfig(d=1, L=2.0, Y=1.5, nx=nx, ny=ny),
             k=2, beta=0.0, coupling=np.array([[0.0, 1.0], [1.0, 0.0]]),
-            reactions=(Reaction("zero"), Reaction("zero")),
+            reactions=np.zeros((2, 2)),
             dirichlet=(bump(-1.0), bump(1.0)))
         sweep = sweep_beta(prob, betas, holder_alpha=alpha)
         ov = sweep.column("overlap")

@@ -34,16 +34,24 @@ except ImportError:  # not on every platform: reports then carry no usage
 from . import acceptance
 from .core import FracParams
 from .errors import ConfigurationError, ConvergenceError
-from .grid import (GridConfig, atomic_write_text, drop_engine, read_snapshot,
-                   snapshot_csv, write_snapshot)
+from .grid import (GridConfig, atomic_write_text, grid_coordinates,
+                   read_snapshot, write_snapshot)
 from .diagnostics import (acf_one_phase, almgren, monotonicity_check,
                           pohozaev_residual, trace_seminorm)
 from .spectral import (ComparisonProfile, PeriodicGrid1D, comparison_pv,
                        frac_lap_pv, frac_lap_symbol, pv_constant)
 from .sphere import EquatorRegion, HemisphereMesh, lambda1, lambda1_codim1, \
     nu_acf_caps
-from .system import (OUTER_TOL, CompetitionProblem, Reaction, bump, solve_system,
-                     sweep_beta)
+from .system import OUTER_TOL, CompetitionProblem, bump, solve_system, sweep_beta
+
+
+def _csv(header, rows) -> str:
+    """CSV text: the header's names, then one line per row, numbers written
+    as format(v, ".12g") and strings as they are."""
+    lines = [",".join(header)]
+    lines += [",".join([c if isinstance(c, str) else format(c, ".12g") for c in row])
+              for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _nonfinite(value) -> bool:
@@ -171,6 +179,11 @@ def _grid_config(cfg: dict) -> GridConfig:
                       grading_p=g.get("grading_p"))
 
 
+#: (c1, c2) of each schema reaction kind at rate lam, f(u) = c1 u + c2 u^2
+_REACTIONS = {"zero": lambda lam: (0.0, 0.0), "linear": lambda lam: (lam, 0.0),
+              "logistic": lambda lam: (lam, -lam)}
+
+
 def _problem(cfg: dict, beta: float) -> CompetitionProblem:
     params = _params(cfg)
     pr = cfg.get("problem", {})
@@ -181,9 +194,8 @@ def _problem(cfg: dict, beta: float) -> CompetitionProblem:
                               dtype=float)
     except ValueError as exc:  # ragged rows
         raise ConfigurationError("coupling matrix must be k x k") from exc
-    reactions = tuple(Reaction(r.get("kind", "zero"), r.get("lam", 1.0))
-                      for r in pr.get("reactions",
-                                      [{"kind": "zero"}] * k))
+    reactions = [_REACTIONS[r["kind"]](r.get("lam", 1.0))
+                 for r in pr.get("reactions", [{"kind": "zero"}] * k)]
     bspec = pr.get("boundary_data", {"kind": "constant", "values": [0.0] * k})
     if bspec["kind"] == "constant":
         values = bspec.get("values", [0.0] * k)
@@ -253,8 +265,14 @@ def cmd_solve(cfg: dict, args) -> RunReport:
     formats = cfg.get("output", {}).get("formats", ["binary", "json"])
     if "binary" in formats:
         _write(report, os.path.join(args.out, "fields.bin"), res.fields)
-    if "csv" in formats and res.fields[0].grid.n_nodes <= 200_000:
-        _write(report, os.path.join(args.out, "fields.csv"), snapshot_csv(res.fields))
+    grid = res.fields[0].grid
+    if "csv" in formats and grid.n_nodes <= 200_000:  # a node table for small grids
+        names = [f"x{i}" for i in range(1, grid.d + 1)] + ["y"]
+        cols = [np.broadcast_to(c, grid.shape).ravel() for c in grid_coordinates(grid)]
+        cols += [f.values.ravel() for f in res.fields]
+        _write(report, os.path.join(args.out, "fields.csv"),
+               _csv(names + [f"v{f.component}" for f in res.fields],
+                    zip(*[c.tolist() for c in cols])))
     sups = [float(np.abs(f.values).max()) for f in res.fields]
     report.meta.update(outer_iters=res.outer_iters, sup_norms=sups,
                        residual=res.residual_history[-1])
@@ -275,7 +293,13 @@ def cmd_sweep(cfg: dict, args) -> RunReport:
     alpha = pr.get("holder_alpha", 0.1 * min(_params(cfg).s, 0.5))
     prob = _problem(cfg, float(betas[0]))
     sweep = sweep_beta(prob, betas, holder_alpha=alpha)
-    _write(report, os.path.join(args.out, "sweep.csv"), sweep.to_csv())
+    k = len(sweep.rows[0].sup_norms)
+    header = (["beta"] + [f"sup_norm_{i}" for i in range(k)]
+              + ["overlap", "beta_times_overlap", "holder_alpha",
+                 "holder_seminorm", "outer_iters"])
+    _write(report, os.path.join(args.out, "sweep.csv"), _csv(header, (
+        [r.beta, *r.sup_norms, r.overlap, r.beta_times_overlap, r.holder_alpha,
+         r.holder_seminorm, r.outer_iters] for r in sweep.rows)))
     report.meta.update(overlaps=list(map(float, sweep.column("overlap"))),
                        outer_iters=[r.outer_iters for r in sweep.rows],
                        seconds=[r.seconds for r in sweep.rows],
@@ -311,14 +335,13 @@ def cmd_diagnose(cfg: dict, args) -> RunReport:
     quantities = dg.get("quantities", ["almgren"])
     # one center column per trace coordinate; every diagnostic checks that
     # the center has d of them before any row is written
-    rows = [",".join(("r", "value", "quantity", *("center_x", "center_x2")[:d],
-                      "tolerance", "violation_flag"))]
+    header = ("r", "value", "quantity", *("center_x", "center_x2")[:d],
+              "tolerance", "violation_flag")
+    rows = []
 
     def add_rows(radii, values, quantity, tolerance, flag):
-        for r, v in zip(radii, values):
-            rows.append(",".join(format(c, ".12g") if not isinstance(c, str)
-                                 else c for c in
-                                 (r, v, quantity, *center, tolerance, flag)))
+        rows.extend((r, v, quantity, *center, tolerance, flag)
+                    for r, v in zip(radii, values))
 
     def add_profile(prof):
         rep = monotonicity_check(prof, tol)
@@ -342,7 +365,7 @@ def cmd_diagnose(cfg: dict, args) -> RunReport:
             for alpha in dg.get("alphas", [0.1]):
                 semi = max(trace_seminorm(f, alpha) for f in fields)
                 report.add(f"holder alpha={alpha}", semi, math.inf, True)
-    _write(report, os.path.join(args.out, "diagnostics.csv"), "\n".join(rows) + "\n")
+    _write(report, os.path.join(args.out, "diagnostics.csv"), _csv(header, rows))
     return report
 
 
@@ -361,7 +384,7 @@ def cmd_eigen(cfg: dict, args) -> RunReport:
     eig = cfg.get("eigen", {})
     mesh = HemisphereMesh(params=params, ntheta=eig.get("mesh_ntheta", 64),
                           nphi=eig.get("mesh_nphi", 128))
-    rows = ["region,lambda,expected,rel_err"]
+    rows = []
     for name in eig.get("regions", ["full", "empty", "half"]):
         if name == "codim1":
             if params.s <= 0.5:
@@ -376,10 +399,11 @@ def cmd_eigen(cfg: dict, args) -> RunReport:
         err = abs(lam - expected) / max(abs(expected), 1e-12) \
             if expected else abs(lam)
         passed = err <= tol if expected else lam <= 1e-6
-        rows.append(f"{name},{lam:.12g},{expected:.12g},{err:.3e}")
+        rows.append((name, lam, expected, f"{err:.3e}"))
         report.add(f"lambda({name})", lam, expected, passed,
                    detail=f"rel err {err:.2e}")
-    _write(report, os.path.join(args.out, "eigen.csv"), "\n".join(rows) + "\n")
+    _write(report, os.path.join(args.out, "eigen.csv"),
+           _csv(("region", "lambda", "expected", "rel_err"), rows))
     return report
 
 
@@ -392,11 +416,10 @@ def cmd_nuacf(cfg: dict, args) -> RunReport:
                           nphi=eig.get("mesh_nphi", 128))
     ncaps = eig.get("cap_grid", 9)
     res = nu_acf_caps(mesh, np.linspace(0.0, math.pi, ncaps))
-    rows = ["s,t1,t2,lambda1_omega1,lambda1_omega2,gamma1,gamma2,mean_gamma"]
-    for t1, t2, l1, l2, g1, g2, mean in res.table:
-        rows.append(",".join(format(v, ".12g")
-                    for v in (params.s, t1, t2, l1, l2, g1, g2, mean)))
-    _write(report, os.path.join(args.out, "nuacf.csv"), "\n".join(rows) + "\n")
+    header = ("s", "t1", "t2", "lambda1_omega1", "lambda1_omega2", "gamma1",
+              "gamma2", "mean_gamma")
+    _write(report, os.path.join(args.out, "nuacf.csv"),
+           _csv(header, ((params.s, *row) for row in res.table)))
     summary = {"s": params.s, "nu_hat": res.nu_hat,
                "t1_star": res.argmin.t1, "t2_star": res.argmin.t2,
                "support_overlap": res.support_overlap}
@@ -434,10 +457,8 @@ def cmd_oracle(cfg: dict, args) -> RunReport:
                     for k in range(1, grid.n // 8 + 1))
         pv = frac_lap_pv(u, s, grid=grid).values
         sym = frac_lap_symbol(u, s, grid)
-    rows = ["x,u,fraclap_symbol,fraclap_pv"]
-    for xi, ui, si_, pi_ in zip(x, u, sym, pv):
-        rows.append(",".join(format(v, ".12g") for v in (xi, ui, si_, pi_)))
-    _write(report, os.path.join(args.out, "oracle.csv"), "\n".join(rows) + "\n")
+    _write(report, os.path.join(args.out, "oracle.csv"),
+           _csv(("x", "u", "fraclap_symbol", "fraclap_pv"), zip(x, u, sym, pv)))
     report.meta.update(pv_constant=pv_constant(s))
     if fn["kind"] != "comparison":
         err = float(np.abs(pv - sym).max() / np.abs(sym).max())
@@ -517,7 +538,6 @@ def main(argv=None) -> int:
             report = COMMANDS[args.command](cfg, args)
         finally:
             timings["command"] = time.perf_counter() - start
-            drop_engine()  # the command is done with its linear engine
         report.meta["timings"] = timings
         text = report.to_json()  # one reading of the process's usage for both copies
         if report.json_path is not None:

@@ -919,18 +919,3 @@ def read_snapshot(path: str) -> list[Field]:
         fields.append(Field(grid, arr.reshape(grid.shape).copy(), component=ci))
     return fields
 
-
-def snapshot_csv(fields: list[Field]) -> str:
-    """Node table (coordinates plus one column per component) for small grids."""
-    grid = fields[0].grid
-    if grid.n_nodes > 200_000:
-        raise ValueError("snapshot CSV is intended for small grids")
-    coords = [np.broadcast_to(c, grid.shape).ravel()
-              for c in grid_coordinates(grid)]
-    names = [f"x{i}" for i in range(1, grid.d + 1)] + ["y"]
-    cols = coords + [f.values.ravel() for f in fields]
-    names += [f"v{f.component}" for f in fields]
-    lines = [",".join(names)]
-    for row in zip(*cols):
-        lines.append(",".join(format(v, ".12g") for v in row))
-    return "\n".join(lines) + "\n"

@@ -13,9 +13,10 @@ For every k the solver takes damped Newton steps on E (Armijo backtracking
 on E itself); a Gauss-Seidel sweep is the fallback step: every component
 solves its linear extension problem with the absorption m = beta sum_j
 a_ij t_j^2 of the other components frozen and its reaction f(u) = c1 u +
-c2 u^2 (`Reaction.coef`) lagged, as the absorption -c2 u+ with the source
-c1 u+ (u+ = max(u, 0)) where c2 < 0 < c1, so that each sweep is an M-matrix
-solve with nonnegative data, and as the source f(u) otherwise.
+c2 u^2 (a row of `CompetitionProblem.reactions`) lagged, as the absorption
+-c2 u+ with the source c1 u+ (u+ = max(u, 0)) where c2 < 0 < c1, so that
+each sweep is an M-matrix solve with nonnegative data, and as the source
+f(u) otherwise.
 Sweeping the coupling strength beta with warm starts produces the segregation
 data: trace overlaps, sup norms and Hölder seminorms per beta.
 """
@@ -45,28 +46,6 @@ _GROWING_SWEEPS = 4
 _SWEEP_GROWTH = 2.0
 
 
-@dataclass(frozen=True)
-class Reaction:
-    """Per-component reaction term: zero, linear lam*u, or logistic lam*u*(1-u)."""
-
-    kind: str = "zero"
-    lam: float = 1.0
-
-    def __post_init__(self):
-        self.coef  # an unknown kind raises here
-        if not (np.isfinite(self.lam) and abs(self.lam) <= 1e3):
-            raise ConfigurationError("reaction rate must be finite and moderate")
-
-    @property
-    def coef(self) -> tuple:
-        """(c1, c2) of the reaction as f(u) = c1 u + c2 u^2."""
-        coefs = {"zero": (0.0, 0.0), "linear": (self.lam, 0.0),
-                 "logistic": (self.lam, -self.lam)}
-        if self.kind not in coefs:
-            raise ConfigurationError(f"unknown reaction kind {self.kind!r}")
-        return coefs[self.kind]
-
-
 # The reaction f(u) = c1 u + c2 u^2, its slope and the change of its primitive
 # Phi (Phi' = f) free of the cancellation in Phi(u + du) - Phi(u) at small du,
 # for the coefficients R = (c1, c2) stacked to broadcast against u.
@@ -92,7 +71,7 @@ class CompetitionProblem:
     k: int
     beta: float
     coupling: np.ndarray
-    reactions: tuple
+    reactions: np.ndarray  # (k, 2): (c1, c2) of f_i(u) = c1 u + c2 u^2
     dirichlet: tuple  # per-component value spec for top and lateral walls
 
     def __post_init__(self):
@@ -115,9 +94,14 @@ class CompetitionProblem:
         if self.k > 1 and np.any(off <= 0):
             raise ConfigurationError("off-diagonal couplings must be positive")
         self.coupling = 0.5 * (c + c.T)  # E needs an exactly symmetric one
-        if len(self.reactions) != self.k or len(self.dirichlet) != self.k:
-            raise ConfigurationError("need one reaction and one boundary spec "
-                                     "per component")
+        r = np.asarray(self.reactions, dtype=float)
+        if r.shape != (self.k, 2) or len(self.dirichlet) != self.k:
+            raise ConfigurationError("need one reaction (c1, c2) and one "
+                                     "boundary spec per component")
+        if not (np.all(np.isfinite(r)) and np.all(np.abs(r) <= 1e3)):
+            raise ConfigurationError("reaction coefficients must be finite "
+                                     "and moderate (|c| <= 1e3)")
+        self.reactions = r
         # the Newton Hessian is dense (k n)^2; n above the cap the engine rejects
         n = (self.grid_config.nx - 2) ** self.grid_config.d  # Dirichlet walls
         if self.k * n > 2 * TRACE_CAP >= 2 * n:
@@ -247,7 +231,7 @@ def solve_system(prob: CompetitionProblem, warm_start=None) -> SolveResult:
     else:
         X = np.zeros((k, engine.area.size))
     c = np.array([load[3] for load in loads])
-    R = np.array([r.coef for r in prob.reactions]).T[..., None]  # (2, k, 1)
+    R = prob.reactions.T[..., None]  # (2, k, 1)
     history = []
     steps = dict.fromkeys(("newton_steps", "damped_steps", "fallback_sweeps"), 0)
     last_sweep = 0.0  # the last step's change when that step was a sweep
@@ -330,19 +314,6 @@ class BetaSweep:
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows])
-
-    def to_csv(self) -> str:
-        k = len(self.rows[0].sup_norms)
-        header = (["beta"] + [f"sup_norm_{i}" for i in range(k)]
-                  + ["overlap", "beta_times_overlap", "holder_alpha",
-                     "holder_seminorm", "outer_iters"])
-        lines = [",".join(header)]
-        for r in self.rows:
-            cells = ([r.beta] + list(r.sup_norms)
-                     + [r.overlap, r.beta_times_overlap, r.holder_alpha,
-                        r.holder_seminorm, r.outer_iters])
-            lines.append(",".join(format(c, ".12g") for c in cells))
-        return "\n".join(lines) + "\n"
 
 
 def sweep_beta(prob: CompetitionProblem, betas, holder_alpha: float) -> BetaSweep:

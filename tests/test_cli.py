@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fracseg.cli as cli
+import fracseg.grid as grid_mod
 import fracseg.sphere as sphere_mod
 import fracseg.system as system_mod
 from fracseg.core import FracParams
@@ -84,6 +85,22 @@ def test_solve_zero_data(tmp_path, capsys):
     assert np.abs(fields[0].values).max() == 0.0
 
 
+def test_fields_csv_format(tmp_path):
+    # the node table: coordinates, then one column per component, each value
+    # that of fields.bin to 12 significant digits
+    path = write_config(tmp_path, tiny_config())
+    out = os.path.join(tmp_path, "fc")
+    assert cli.main(["solve", "--config", path, "--out", out]) == 0
+    fields = read_snapshot(os.path.join(out, "fields.bin"))
+    with open(os.path.join(out, "fields.csv")) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == "x1,y,v0,v1"
+    assert len(lines) == 1 + fields[0].grid.n_nodes
+    columns = list(zip(*[line.split(",") for line in lines[1:]]))
+    for f, column in zip(fields, columns[2:]):
+        assert list(column) == [format(v, ".12g") for v in f.values.ravel()]
+
+
 def test_solve_and_diagnose_roundtrip(tmp_path):
     cfg = tiny_config()
     cfg["diagnostics"] = {"center": [0.0],
@@ -109,6 +126,8 @@ def test_solve_d2_separated_bumps(tmp_path):
     assert cli.main(["solve", "--config", path, "--out", out]) == 0
     fields = read_snapshot(os.path.join(out, "fields.bin"))
     assert fields[0].grid.d == 2 and fields[0].grid.params.N == 2
+    with open(os.path.join(out, "fields.csv")) as fh:
+        assert fh.readline() == "x1,x2,y,v0,v1\n"
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
@@ -205,6 +224,44 @@ def test_boundary_spec_count_exits_2(tmp_path, capsys, boundary_data):
     cfg = tiny_config()
     cfg["problem"]["boundary_data"] = boundary_data
     _exits_2_with_one_line(tmp_path, capsys, "solve", cfg, "per component")
+
+
+@pytest.mark.parametrize("reactions, words", [
+    ([{"kind": "cubic"}, {"kind": "zero"}], "'cubic' is not one of"),
+    ([{"kind": "logistic", "lam": 1001.0}, {"kind": "zero"}], "finite and moderate"),
+    ([{"kind": "zero"}, {"kind": "linear", "lam": -2e3}], "finite and moderate"),
+    ([{"kind": "zero"}], "per component")], ids=["cubic", "logistic", "linear", "count"])
+def test_bad_reaction_exits_2(tmp_path, capsys, reactions, words):
+    # the kind is the schema's to check; the coefficients, the problem's
+    cfg = tiny_config()
+    cfg["problem"]["reactions"] = reactions
+    _exits_2_with_one_line(tmp_path, capsys, "solve", cfg, words)
+
+
+@pytest.mark.parametrize("command", ["oracle", "nuacf"])
+def test_space_dimension_above_two_exits_2(tmp_path, capsys, command):
+    # no command runs at N = 3; oracle and nuacf used to ignore it
+    cfg = {"fractional": {"s": 0.5, "N": 3},
+           "oracle": {"n": 256, "function": {"kind": "cos", "k": 1}}}
+    _exits_2_with_one_line(tmp_path, capsys, command, cfg, "maximum of 2")
+
+
+def test_separated_bumps_default_centers(tmp_path):
+    # with no centers, the k bumps sit at linspace(-1, 1, k)
+    snapshots = []
+    for name, centers in (("default", None), ("explicit", [-1.0, 0.0, 1.0])):
+        cfg = tiny_config()
+        cfg["problem"].update(k=3, coupling=[[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+                              reactions=[{"kind": "zero"}] * 3,
+                              boundary_data={"kind": "separated_bumps"})
+        if centers is not None:
+            cfg["problem"]["boundary_data"]["centers"] = centers
+        out = os.path.join(tmp_path, name)
+        path = write_config(tmp_path, cfg, f"{name}.json")
+        assert cli.main(["solve", "--config", path, "--out", out]) == 0
+        with open(os.path.join(out, "fields.bin"), "rb") as fh:
+            snapshots.append(fh.read())
+    assert snapshots[0] == snapshots[1]
 
 
 @pytest.mark.parametrize("s, d, L, Y, ny, code", [
@@ -343,6 +400,18 @@ def test_diagnose_radius_beyond_grid_exits_2(tmp_path, capsys):
     assert "exceeds grid bound" in capsys.readouterr().err
 
 
+def test_diagnose_center_of_the_wrong_dimension_exits_2(tmp_path, capsys):
+    path, snap = _diagnose_setup(tmp_path)
+    with open(path) as fh:
+        cfg = json.load(fh)
+    cfg["diagnostics"]["center"] = [0.0, 0.0]  # the snapshot's grid has d = 1
+    write_config(tmp_path, cfg)
+    assert _diagnose(path, snap, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "center must have 1 trace coordinates" in err
+    assert not os.path.exists(os.path.join(tmp_path, "od", "diagnostics.csv"))
+
+
 def test_diagnose_d2_writes_both_center_coordinates(tmp_path):
     cfg = tiny_config(fractional={"s": 0.5, "N": 2},
                       grid={"d": 2, "L": 2.0, "Y": 1.0, "nx": 13, "ny": 8})
@@ -455,6 +524,31 @@ def test_sweep_deterministic_output(tmp_path):
         with open(os.path.join(out, "sweep.csv"), "rb") as fh:
             outs.append(fh.read())
     assert outs[0] == outs[1]
+
+
+def test_sweep_csv_format(tmp_path):
+    cfg = tiny_config(grid={"d": 1, "L": 2.0, "Y": 1.5, "nx": 65, "ny": 24})
+    out = os.path.join(tmp_path, "sc")
+    assert cli.main(["sweep", "--config", write_config(tmp_path, cfg),
+                     "--out", out]) == 0
+    with open(os.path.join(out, "sweep.csv")) as fh:
+        lines = fh.read().strip().split("\n")
+    assert lines[0] == ("beta,sup_norm_0,sup_norm_1,overlap,"
+                        "beta_times_overlap,holder_alpha,holder_seminorm,"
+                        "outer_iters")
+    assert len(lines) == 3
+
+
+def test_commands_leave_the_heap_untrimmed(tmp_path, monkeypatch):
+    # the process exits after its command: a trim at the end of each command
+    # only made the next in-process command fault the heap back in
+    trims = []
+    monkeypatch.setattr(grid_mod, "_malloc_trim", trims.append)
+    path = write_config(tmp_path, tiny_config())
+    for name in ("a", "b"):
+        assert cli.main(["sweep", "--config", path,
+                         "--out", os.path.join(tmp_path, name)]) == 0
+    assert trims == []
 
 
 def test_sweep_json_reports_per_beta_solver_data(tmp_path, capsys):
@@ -668,6 +762,21 @@ def test_exit_3_json_failure_report(tmp_path, monkeypatch, capsys):
     assert failure["iterations"] == 3 and len(failure["history"]) == 3
     assert check["value"] == failure["residual"] == failure["history"][-1]
     assert check["detail"] == failure["message"]
+
+
+def test_sweep_failure_json_report_names_its_beta(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(system_mod, "MAX_OUTER", 3)
+    path = write_config(tmp_path, tiny_config())
+    assert cli.main(["sweep", "--config", path, "--json",
+                     "--out", os.path.join(tmp_path, "o")]) == 3
+    out = capsys.readouterr()
+    assert out.err.count("\n") == 1
+    assert out.err.startswith("numerical failure: sweep failed at beta=10: "
+                              "outer iteration cap 3 exceeded")
+    failure = json.loads(out.out)["meta"]["failure"]
+    assert failure["message"] == out.err[len("numerical failure: "):-1]
+    assert failure["iterations"] == 3 and len(failure["history"]) == 3
+    assert failure["residual"] == failure["history"][-1]
 
 
 def test_nan_reaction_exits_3(tmp_path, monkeypatch):

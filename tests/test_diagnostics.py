@@ -173,6 +173,9 @@ def test_radii_must_be_positive():
         acf_one_phase(fld, (0.0,), [], "acf_vanish")
     with pytest.raises(ValueError, match="radii must be a one-dimensional list"):
         almgren(fld, (0.0,), [])
+    for center in ((), (0.0, 0.0)):  # a d = 1 grid's center has one coordinate
+        with pytest.raises(ValueError, match="center must have 1 trace coordinates"):
+            almgren(fld, center, [0.1, 0.2])
 
 
 def test_pohozaev_residuals():

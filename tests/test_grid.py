@@ -17,8 +17,8 @@ from fracseg.grid import (BoundaryData, Field, GridConfig, ModeChains,
                           TraceSystem, assemble_La, build_grid,
                           check_backward_error, dtn_trace, field_from_function,
                           grid_coordinates, interpolate_field, read_snapshot,
-                          snapshot_csv, solve_linear, trace_area, write_snapshot)
-from fracseg.system import CompetitionProblem, Reaction, solve_system
+                          solve_linear, trace_area, write_snapshot)
+from fracseg.system import CompetitionProblem, solve_system
 
 
 def small_grid(s=0.5, d=1, nx=33, ny=16, L=1.0, Y=1.0, grading=None):
@@ -649,7 +649,7 @@ def test_solve_linear_frees_its_engine_before_building_the_next(built_engines):
         solve_linear(small_grid(**{**REUSE_CONFIG, "s": s}), NEUMANN)
         solve_system(CompetitionProblem(
             params=FracParams(s=s + 0.05, N=1), grid_config=config, k=1,
-            beta=0.0, coupling=np.zeros((1, 1)), reactions=(Reaction(),),
+            beta=0.0, coupling=np.zeros((1, 1)), reactions=np.zeros((1, 2)),
             dirichlet=(1.0,)))
     assert [earlier_dead for _, earlier_dead in built_engines] == [True] * 6
     assert built_engines[-1][0]() is grid_mod._engine
@@ -971,10 +971,10 @@ def test_snapshot_roundtrip(tmp_path):
     assert back[0].grid.params.s == pytest.approx(0.35)
     for a, b in zip(fields, back):
         assert np.array_equal(a.values, b.values)
-    csv = snapshot_csv(fields)
-    header = csv.splitlines()[0]
-    assert header == "x1,y,v0,v1"
-    assert len(csv.splitlines()) == 1 + g.n_nodes
+    empty = os.path.join(tmp_path, "empty.bin")
+    with pytest.raises(ValueError, match="nothing to write"):
+        write_snapshot(empty, [])
+    assert not os.path.exists(empty)
 
 
 def test_snapshot_header_checks(tmp_path):

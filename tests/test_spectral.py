@@ -19,6 +19,9 @@ def test_grid_validation():
         PeriodicGrid1D(n=100)  # not a power of two
     with pytest.raises(ValueError):
         PeriodicGrid1D(n=8)
+    for L in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="L must be positive"):
+            PeriodicGrid1D(n=64, L=L)
     # dx^2 or (pi/dx)^2 is not finite (dx itself rounds to 0 at 5e-324)
     for n, L in [(256, 1e-200), (256, 1e200), (256, 1e-153), (256, 6e155),
                  (16, 5e-324)]:
@@ -114,6 +117,12 @@ def test_pv_input_validation():
     g = PeriodicGrid1D(n=64)
     with pytest.raises(ValueError):
         frac_lap_pv(np.ones(32), 0.5, grid=g)
+    with pytest.raises(ValueError, match="sample count"):
+        frac_lap_symbol(np.ones(32), 0.5, g)
+    u = np.cos(g.x)
+    u[7] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        frac_lap_symbol(u, 0.5, g)
 
 
 def test_comparison_profile_matches_quadrature():

@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,20 +13,21 @@ import pytest
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
+import fracseg.cli as cli
 import fracseg.grid as grid_mod
 import fracseg.system as system_mod
 from fracseg.core import FracParams
 from fracseg.errors import ConfigurationError, ConvergenceError
 from fracseg.grid import BoundaryData, Field, GridConfig, ModeChains, \
     TraceSystem, assemble_La, build_grid, dtn_trace, solve_linear
-from fracseg.system import (CompetitionProblem, Reaction, bump, solve_system,
-                            sweep_beta, trace_overlap)
+from fracseg.system import (CompetitionProblem, bump, solve_system, sweep_beta,
+                            trace_overlap)
 
 
 def make_problem(s=0.5, beta=0.0, k=2, nx=129, ny=48, L=2.0, Y=1.5,
                  reactions=None):
     if reactions is None:
-        reactions = tuple(Reaction("zero") for _ in range(k))
+        reactions = np.zeros((k, 2))
     centers = [0.0] if k == 1 else np.linspace(-1.0, 1.0, k)
     return CompetitionProblem(
         params=FracParams(s=s, N=1),
@@ -53,8 +55,31 @@ def test_problem_validation():
                            k=2, beta=0.0,
                            coupling=np.array([[0.0, -1.0], [-1.0, 0.0]]),
                            reactions=good.reactions, dirichlet=good.dirichlet)
-    with pytest.raises(ConfigurationError):
-        Reaction("cubic")
+    for k, coupling, words in ((0, np.zeros((0, 0)), "component count"),
+                               (2, np.zeros((3, 3)), "k x k")):
+        with pytest.raises(ConfigurationError, match=words):
+            CompetitionProblem(params=good.params, grid_config=good.grid_config,
+                               k=k, beta=0.0, coupling=coupling,
+                               reactions=good.reactions, dirichlet=good.dirichlet)
+
+
+@pytest.mark.parametrize("reactions, words", [
+    ([(1.0, np.nan), (0.0, 0.0)], "finite and moderate"),
+    ([(np.inf, 0.0), (0.0, 0.0)], "finite and moderate"),
+    ([(0.0, 0.0), (-1001.0, 0.0)], "finite and moderate"),
+    ([(0.0, 0.0), (0.0, 1e3 + 1e-9)], "finite and moderate"),
+    ([(0.0, 0.0)], "one reaction (c1, c2)"),
+    ([(0.0, 0.0, 0.0)] * 2, "one reaction (c1, c2)"),
+    ([0.0, 0.0], "one reaction (c1, c2)")])
+def test_reaction_coefficients_are_checked(reactions, words):
+    with pytest.raises(ConfigurationError, match=re.escape(words)):
+        make_problem(reactions=reactions)
+
+
+def test_reaction_coefficients_at_the_bound_are_kept():
+    prob = make_problem(reactions=[(1e3, -1e3), (-1e3, 0.0)])
+    assert prob.reactions.dtype == float
+    assert np.array_equal(prob.reactions, [[1e3, -1e3], [-1e3, 0.0]])
 
 
 def test_single_component_matches_linear_solve():
@@ -87,8 +112,7 @@ def test_mirror_symmetry_under_competition():
 
 def test_logistic_reaction_stays_bounded():
     prob = make_problem(beta=10.0,
-                        reactions=(Reaction("logistic", 1.0),
-                                   Reaction("logistic", 1.0)))
+                        reactions=[(1.0, -1.0), (1.0, -1.0)])
     res = solve_system(prob)
     for f in res.fields:
         assert f.values.min() >= -1e-12
@@ -99,7 +123,7 @@ def test_strong_logistic_single_component_converges():
     # Gauss-Seidel steps alone, with the reaction lagged, diverged here; the
     # Hessian S - diag(lam area) at the zero start is indefinite, so three
     # fallback sweeps come first and Newton steps on E finish the solve
-    prob = make_problem(k=1, beta=10.0, reactions=(Reaction("logistic", 5.0),))
+    prob = make_problem(k=1, beta=10.0, reactions=[(5.0, -5.0)])
     res = solve_system(prob)
     assert res.residual_history[-1] <= system_mod.OUTER_TOL
     v = res.fields[0].values
@@ -146,6 +170,19 @@ def test_outer_cap_raises(monkeypatch):
     with pytest.raises(ConvergenceError) as err:
         solve_system(make_problem(beta=1e4))
     assert err.value.history is not None
+
+
+def test_sweep_failure_names_its_beta_and_keeps_the_history(monkeypatch):
+    monkeypatch.setattr(system_mod, "MAX_OUTER", 3)
+    prob = make_problem(nx=65, ny=24)
+    with pytest.raises(ConvergenceError) as direct:
+        solve_system(replace(prob, beta=10.0))
+    with pytest.raises(ConvergenceError) as err:
+        sweep_beta(prob, [1e1, 1e4], holder_alpha=0.05)
+    assert str(err.value) == f"sweep failed at beta=10: {direct.value}"
+    assert err.value.iterations == direct.value.iterations == 3
+    assert err.value.history == direct.value.history and len(err.value.history) == 3
+    assert err.value.residual == direct.value.residual == err.value.history[-1]
 
 
 def test_residual_history_contracts():
@@ -269,7 +306,7 @@ def test_failed_cholesky_falls_back_to_gauss_seidel(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["zero", "linear", "logistic"])
 def test_reaction_slope_and_primitive(kind):
-    R = np.array(Reaction(kind, 2.5).coef)[:, None]
+    R = np.array(cli._REACTIONS[kind](2.5))[:, None]  # the config's kind at lam
     u = np.linspace(-1.0, 2.0, 7)
     # f, f', f'' and the primitive in closed form
     f, df, d2f, primitive = {
@@ -297,14 +334,14 @@ def test_fallback_sweep_lags_only_a_damping_logistic(lam, monkeypatch):
     # the source lam u+; lam < 0 has no positive-part lag: its trace_solve
     # gets the plain source f(u) and no absorption beyond the coupling's
     prob = make_problem(k=1, beta=0.0, nx=33, ny=16,
-                        reactions=(Reaction("logistic", lam),))
+                        reactions=[(lam, -lam)])
     engine = grid_mod.trace_system(build_grid(prob.grid_config, prob.params))
     loads = [engine.load(BoundaryData(top=v, sides=v)) for v in prob.dirichlet]
     X = np.linspace(-0.5, 1.5, engine.area.size)[None, :]
     u, seen = X[0].copy(), []
     monkeypatch.setattr(TraceSystem, "trace_solve",
                         lambda self, load, m, g0: seen.append((m, g0)) or u)
-    R = np.array(Reaction("logistic", lam).coef)[:, None, None]  # (2, k = 1, 1)
+    R = np.array([lam, -lam])[:, None, None]  # (2, k = 1, 1)
     system_mod._gauss_seidel(engine, prob, R, loads, X)
     [(m, source)] = seen
     if lam > 0:
@@ -328,9 +365,9 @@ def _energy(engine, prob, R, X, c):
 
 
 @pytest.mark.parametrize("s, betas, reaction, k", [
-    (0.3, [1e2, 1e3, 1e4], Reaction("zero"), 2),
-    (0.5, [1e1, 1e3], Reaction("logistic", 1.0), 2),
-    (0.5, [1e2, 1e3, 1e4], Reaction("logistic", 1.0), 3)],
+    (0.3, [1e2, 1e3, 1e4], (0.0, 0.0), 2),
+    (0.5, [1e1, 1e3], (1.0, -1.0), 2),
+    (0.5, [1e2, 1e3, 1e4], (1.0, -1.0), 3)],
     ids=["0.3-betas0-reaction0", "0.5-betas1-reaction1", "0.5-betas2-reaction2-k3"])
 def test_newton_steps_descend_the_energy(s, betas, reaction, k, monkeypatch):
     steps = []
@@ -514,17 +551,6 @@ def test_sweep_segregation_and_boundedness():
     assert np.all(sweep.column("outer_iters") >= 1)
 
 
-def test_sweep_csv_format():
-    sweep = sweep_beta(make_problem(nx=65, ny=24), [1e1, 1e2],
-                       holder_alpha=0.05)
-    text = sweep.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == ("beta,sup_norm_0,sup_norm_1,overlap,"
-                        "beta_times_overlap,holder_alpha,holder_seminorm,"
-                        "outer_iters")
-    assert len(lines) == 3
-
-
 def test_sweep_validation():
     with pytest.raises(ConfigurationError):
         sweep_beta(make_problem(), [1e3, 1e2], holder_alpha=0.05)
@@ -557,7 +583,7 @@ def test_d2_system_smoke():
     prob = CompetitionProblem(
         params=p, grid_config=GridConfig(d=2, L=1.0, Y=1.0, nx=13, ny=8),
         k=2, beta=50.0, coupling=np.array([[0.0, 1.0], [1.0, 0.0]]),
-        reactions=(Reaction("zero"), Reaction("zero")),
+        reactions=np.zeros((2, 2)),
         dirichlet=(lambda x1, x2, y: np.exp(-2 * (x1 + 0.5) ** 2) + 0 * x2 + 0 * y,
                    lambda x1, x2, y: np.exp(-2 * (x1 - 0.5) ** 2) + 0 * x2 + 0 * y))
     res = solve_system(prob)
