@@ -42,7 +42,7 @@ from .spectral import (ComparisonProfile, PeriodicGrid1D, comparison_pv,
                        frac_lap_pv, frac_lap_symbol, pv_constant)
 from .sphere import EquatorRegion, HemisphereMesh, lambda1, lambda1_codim1, \
     nu_acf_caps
-from .system import OUTER_TOL, CompetitionProblem, bump, solve_system, sweep_beta
+from .system import CompetitionProblem, bump, solve_system, sweep_beta
 
 
 def _csv(header, rows) -> str:
@@ -275,9 +275,9 @@ def cmd_solve(cfg: dict, args) -> RunReport:
                     zip(*[c.tolist() for c in cols])))
     sups = [float(np.abs(f.values).max()) for f in res.fields]
     report.meta.update(outer_iters=res.outer_iters, sup_norms=sups,
-                       residual=res.residual_history[-1])
-    report.add("solver converged", res.residual_history[-1], OUTER_TOL,
-               res.residual_history[-1] <= OUTER_TOL)
+                       residual=res.residual_history[-1], **res.steps)
+    report.add("solver converged", res.residual_history[-1], res.tol,
+               res.residual_history[-1] <= res.tol)
     if "json" in formats:
         report.json_path = os.path.join(args.out, "solve.json")
         report.files.append(report.json_path)

@@ -793,8 +793,8 @@ def _set_heap_thresholds() -> None:
     grid array, so the grid-sized temporaries every solve frees were trimmed
     from the heap and faulted back in, zero-filled, by the next solve.  Arrays
     above 32 MiB (a large dense S) still go to mmap and back to the kernel
-    when freed; drop_engine trims the rest.  Does nothing where the C library
-    has no mallopt (macOS, musl)."""
+    when freed.  Does nothing where the C library has no mallopt (macOS,
+    musl)."""
     mallopt = _c_function(None, "mallopt", [ctypes.c_int, ctypes.c_int])
     if mallopt is not None:
         mallopt(M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
@@ -802,18 +802,7 @@ def _set_heap_thresholds() -> None:
 
 
 _set_heap_thresholds()
-_malloc_trim = _c_function(None, "malloc_trim", [ctypes.c_size_t])
 _engine = None  # the last engine trace_system built
-
-
-def drop_engine() -> None:
-    """Empty trace_system's slot, so the last engine (its bases, chains and
-    any dense S) is freed once no caller holds it, and give the heap's free
-    memory back to the system (malloc_trim, where the C library has it)."""
-    global _engine
-    _engine = None
-    if _malloc_trim is not None:
-        _malloc_trim(0)
 
 
 def trace_system(grid: HalfSpaceGrid, sides: bool = True,
@@ -822,7 +811,7 @@ def trace_system(grid: HalfSpaceGrid, sides: bool = True,
     for every linear solve: the last one when it serves them
     (TraceSystem.serves compares the grid by value), else a new one, built
     after the last is freed, so at most one is alive.  The freed memory stays
-    in the heap for the new engine: it is not trimmed as drop_engine does."""
+    in the heap for the new engine."""
     global _engine
     layout = (sides, trace_dirichlet)
     if _engine is None or not _engine.serves(grid, layout):

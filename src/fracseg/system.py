@@ -34,16 +34,12 @@ from .errors import ConfigurationError, ConvergenceError
 from .grid import (TRACE_CAP, BoundaryData, Field, GridConfig, build_grid,
                    one_blas_thread, trace_area, trace_system)
 
-#: stop at a full Newton correction of at most this max norm on the traces
+#: stop at a full Newton correction of at most this times max(1, the traces'
+#: max norm) (_tolerance)
 OUTER_TOL = 1e-8
 MAX_OUTER = 500
 ARMIJO = 1e-4  # sufficient decrease: E falls by this share of the slope
 MAX_HALVINGS = 30  # of the Newton step length before the fallback step
-# a run of this many fallback sweeps, each changing the traces at least
-# _SWEEP_GROWTH times as much as the one before, is taken as diverged (a linear
-# rate c1 above mu = min sigma leaves no bounded state: Sattinger 1972)
-_GROWING_SWEEPS = 4
-_SWEEP_GROWTH = 2.0
 
 
 # The reaction f(u) = c1 u + c2 u^2, its slope and the change of its primitive
@@ -116,6 +112,7 @@ class SolveResult:
     residual_history: list
     outer_iters: int
     steps: dict  # outer steps: newton_steps (full), damped_steps, fallback_sweeps
+    tol: float  # the last step's stop tolerance, _tolerance of its start
 
     @property
     def traces(self) -> list:
@@ -131,9 +128,17 @@ def bump(center: float, width: float = 0.5, height: float = 1.0):
     return fn
 
 
+def _tolerance(X) -> float:
+    """The outer loop's stop: a full Newton correction of at most OUTER_TOL
+    times max(1, ||X||_inf), scale-free for traces above 1."""
+    return OUTER_TOL * max(1.0, float(np.abs(X).max()))
+
+
 def _growth_rates(engine, R) -> str:
-    """Why a fallback sweep may diverge: each component's linear rate c1
-    against the principal eigenvalue mu of S t = mu area t (Sattinger 1972)."""
+    """Why a run may not settle: each component's linear rate c1 against the
+    principal eigenvalue mu of S t = mu area t.  c1 >= mu leaves no bounded
+    positive state only for k = 1 or beta = 0 (Sattinger 1972); the other
+    components' absorption can lift a component's eigenvalue above its c1."""
     return (f"growth rates c1 = {R[0, :, 0].tolist()} against "
             f"mu = min sigma = {engine.principal_eigenvalue:.6g}")
 
@@ -155,18 +160,18 @@ def _gauss_seidel(engine, prob, R, loads, X):
             source = _reaction(R[:, i], X[i])
         if not (np.all(np.isfinite(m)) and np.all(np.isfinite(source))):
             raise ConvergenceError("fallback sweep diverged: its lagged data "
-                                   f"are not finite; {_growth_rates(engine, R)}",
-                                   residual=float("inf"))
+                                   "are not finite", residual=float("inf"))
         new = engine.trace_solve(loads[i], m, source)
         change = max(change, float(np.abs(new - X[i]).max()))
         X[i] = new
     return change
 
 
-def _newton_step(engine, prob, R, X, c):
+def _newton_step(engine, prob, R, X, c, tol):
     """One damped Newton step on E: the new free trace values, the max norm
-    of the full correction J^-1 F and whether the step was shortened; None
-    when the Hessian is not positive definite or the backtracking gives up."""
+    of the full correction J^-1 F and whether the step was shortened (never
+    when that norm is at most tol); None when the Hessian is not positive
+    definite or the backtracking gives up."""
     S, area, C = engine.schur, engine.area, prob.beta * prob.coupling
     SXc = X @ S - c  # rows S t_i - c_i (S is symmetric)
     Q = X * X
@@ -178,7 +183,7 @@ def _newton_step(engine, prob, R, X, c):
     except np.linalg.LinAlgError:
         return None
     size = float(np.abs(D).max())
-    if size <= OUTER_TOL:
+    if size <= tol:
         return X + D, size, False
     slope, lin = float(np.sum(F * D)), float(np.sum(SXc * D))
     quad = 0.5 * float(np.sum((D @ S) * D))
@@ -205,18 +210,20 @@ def solve_system(prob: CompetitionProblem, warm_start=None) -> SolveResult:
     Every outer step is one damped Newton step whose linear solve is checked
     on its own Hessian system, or a Gauss-Seidel sweep of checked trace_solve
     calls when the Hessian is not positive definite or the backtracking gives
-    up.  The loop stops at a full Newton correction of at most OUTER_TOL,
-    which bounds the error to second order; a fallback sweep never stops it.
+    up.  The loop stops at a full Newton correction of at most
+    _tolerance(X), which bounds the error to second order, or at a fallback
+    sweep that leaves X exactly unchanged: X is then a Gauss-Seidel fixed
+    point, each component the solution of its own gated trace equation.
     The loop runs with the bundled BLAS on one thread; the dense S its
     steps factor is built before it, with the default threads.
 
     Nonnegative boundary data yields nonnegative fields (the frozen-neighbor
     absorption only adds to the M-matrix diagonal).  Raises ConvergenceError
     with the per-step history (Newton correction or sweep change) when
-    MAX_OUTER steps do not converge, when a step fails (the history then
-    ends with the failed step's residual: inf for a fallback sweep whose
-    data overflow, the change for the last of _GROWING_SWEEPS sweeps in a row
-    that each grew it _SWEEP_GROWTH-fold) or when a field fails its gate.
+    MAX_OUTER steps do not converge or when a step fails (the history then
+    ends with the failed step's residual: inf for a fallback sweep whose data
+    overflow), its message naming each c1 against mu (_growth_rates), or
+    when a field fails its gate.
     """
     grid = build_grid(prob.grid_config, prob.params)
     engine = trace_system(grid)  # Dirichlet walls, free trace
@@ -234,42 +241,34 @@ def solve_system(prob: CompetitionProblem, warm_start=None) -> SolveResult:
     R = prob.reactions.T[..., None]  # (2, k, 1)
     history = []
     steps = dict.fromkeys(("newton_steps", "damped_steps", "fallback_sweeps"), 0)
-    last_sweep = 0.0  # the last step's change when that step was a sweep
-    growing = 0  # fallback sweeps in a row, each growing the change
     engine.schur  # the Newton steps' dense S, built with the default BLAS threads
     # a fallback sweep whose iterates overflow is caught as diverged
     with one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         for outer in range(1, MAX_OUTER + 1):
+            tol = _tolerance(X)
             try:
-                step = _newton_step(engine, prob, R, X, c)
+                step = _newton_step(engine, prob, R, X, c, tol)
                 if step is None:
                     change = _gauss_seidel(engine, prob, R, loads, X)
-                    grew = change >= _SWEEP_GROWTH * last_sweep > 0.0
-                    growing, last_sweep = (growing + 1 if grew else 0), change
-                    if growing == _GROWING_SWEEPS:
-                        raise ConvergenceError(
-                            f"fallback sweep diverged: the change grew at least "
-                            f"{_SWEEP_GROWTH:g}x in {growing} sweeps in a row "
-                            f"(to {change:.3e}); {_growth_rates(engine, R)}",
-                            residual=change)
-                    history.append(change)
-                    steps["fallback_sweeps"] += 1
-                    continue
-                X, change, damped = step
-                last_sweep = 0.0
-                history.append(change)
-                steps["damped_steps" if damped else "newton_steps"] += 1
+                    kind, done = "fallback_sweeps", change == 0.0
+                else:
+                    X, change, damped = step
+                    kind = "damped_steps" if damped else "newton_steps"
+                    done = change <= tol
             except ConvergenceError as exc:
                 raise ConvergenceError(
-                    f"outer step {outer}: {exc}", residual=exc.residual,
-                    iterations=outer, history=history + [exc.residual]) from exc
-            if change <= OUTER_TOL:
+                    f"outer step {outer}: {exc}; {_growth_rates(engine, R)}",
+                    residual=exc.residual, iterations=outer,
+                    history=history + [exc.residual]) from exc
+            history.append(change)
+            steps[kind] += 1
+            if done:
                 break
         else:
             raise ConvergenceError(
                 f"outer iteration cap {MAX_OUTER} exceeded (last step "
-                f"{history[-1]:.3e})", residual=history[-1],
-                iterations=MAX_OUTER, history=history)
+                f"{history[-1]:.3e}); {_growth_rates(engine, R)}",
+                residual=history[-1], iterations=MAX_OUTER, history=history)
         fields, source = [], _reaction(R, X)
         for i, load in enumerate(loads):
             m = prob.beta * (prob.coupling[i] @ X ** 2)
@@ -280,7 +279,7 @@ def solve_system(prob: CompetitionProblem, warm_start=None) -> SolveResult:
                                        iterations=outer, history=history) from exc
             fields.append(Field(grid, v, component=i))
     return SolveResult(fields=fields, residual_history=history,
-                       outer_iters=outer, steps=steps)
+                       outer_iters=outer, steps=steps, tol=tol)
 
 
 def trace_overlap(result: SolveResult) -> float:

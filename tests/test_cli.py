@@ -4,12 +4,12 @@ import csv
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 import fracseg.cli as cli
-import fracseg.grid as grid_mod
 import fracseg.sphere as sphere_mod
 import fracseg.system as system_mod
 from fracseg.core import FracParams
@@ -328,6 +328,12 @@ def test_solve_writes_json_report(tmp_path, capsys):
     assert report["files"] == [target]
     with open(target) as fh:
         assert json.load(fh) == report
+    # the outer steps by kind, as sweep --json reports them per beta
+    meta = report["meta"]
+    steps = ("newton_steps", "damped_steps", "fallback_sweeps")
+    assert set(meta) >= {"outer_iters", "sup_norms", "residual", *steps}
+    assert all(isinstance(meta[kind], int) for kind in steps)
+    assert sum(meta[kind] for kind in steps) == meta["outer_iters"]
 
 
 def test_removed_flags_exit_2(capsys):
@@ -537,18 +543,6 @@ def test_sweep_csv_format(tmp_path):
                         "beta_times_overlap,holder_alpha,holder_seminorm,"
                         "outer_iters")
     assert len(lines) == 3
-
-
-def test_commands_leave_the_heap_untrimmed(tmp_path, monkeypatch):
-    # the process exits after its command: a trim at the end of each command
-    # only made the next in-process command fault the heap back in
-    trims = []
-    monkeypatch.setattr(grid_mod, "_malloc_trim", trims.append)
-    path = write_config(tmp_path, tiny_config())
-    for name in ("a", "b"):
-        assert cli.main(["sweep", "--config", path,
-                         "--out", os.path.join(tmp_path, name)]) == 0
-    assert trims == []
 
 
 def test_sweep_json_reports_per_beta_solver_data(tmp_path, capsys):
@@ -977,12 +971,17 @@ def test_two_species_sweep_matches_verified_values(tmp_path, capsys, verified_va
             verified_value("two_species sweep", f"{column} {beta}", float(row[column]))
 
 
+def _example():
+    """The shipped config, examples_config/two_species.json, as a dict."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(repo, "examples_config", "two_species.json")) as fh:
+        return json.load(fh)
+
+
 def _example_with_reaction(tmp_path, kind):
     """The shipped config at beta = 10 with the reaction kind at lam = 5 on
     both species."""
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(repo, "examples_config", "two_species.json")) as fh:
-        cfg = json.load(fh)
+    cfg = _example()
     cfg["problem"]["beta"] = 10.0
     cfg["problem"]["reactions"] = [{"kind": kind, "lam": 5.0}] * 2
     return write_config(tmp_path, cfg)
@@ -1001,18 +1000,18 @@ def test_strong_logistic_fallback_sweeps_converge(tmp_path, capsys):
     assert all(0.0 < v <= 1.0 for v in report["meta"]["sup_norms"])
 
 
-def test_diverging_fallback_sweeps_exit_3_with_one_line(tmp_path, capsys, monkeypatch):
+def test_diverging_fallback_sweeps_exit_3_with_one_line(tmp_path, capsys):
     # linear lam = 5 has no bounded steady state here: each sweep changes the
-    # traces 4-5 times as much as the one before, so the run stops once four
-    # sweeps in a row have grown it (step 5), long before the lagged data
-    # would overflow (step 216), with no numpy warning before it
+    # traces 4-5 times as much as the one before, until the lagged data
+    # overflow at outer step 216, with no numpy warning before it
     path = _example_with_reaction(tmp_path, "linear")
     out = os.path.join(tmp_path, "ln")
     assert cli.main(["solve", "--config", path, "--out", out, "--json"]) == 3
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1
-    assert "fallback sweep diverged" in err[0]
+    assert err[0].startswith("numerical failure: outer step 216: fallback sweep "
+                             "diverged: its lagged data are not finite; ")
     # it names why: both growth rates c1 = 5 lie above mu, the principal
     # eigenvalue of S t = mu area t on the config's grid
     mu = TraceSystem(build_grid(GridConfig(d=1, L=2.0, Y=1.5, nx=129, ny=48),
@@ -1021,14 +1020,135 @@ def test_diverging_fallback_sweeps_exit_3_with_one_line(tmp_path, capsys, monkey
     assert err[0].endswith(f"growth rates c1 = [5.0, 5.0] against "
                            f"mu = min sigma = {mu:.6g}")
     history = json.loads(captured.out)["meta"]["failure"]["history"]
-    assert 5 <= len(history) <= 6
-    assert all(b >= 2.0 * a > 0 for a, b in zip(history[-5:], history[-4:]))
-    # with the growing-sweeps stop out of reach the sweeps run on until the
-    # lagged data overflow: that rarer stop names c1 and mu the same way
-    monkeypatch.setattr(system_mod, "_GROWING_SWEEPS", system_mod.MAX_OUTER + 1)
-    assert cli.main(["solve", "--config", path, "--out", out, "--json"]) == 3
-    err = capsys.readouterr().err.splitlines()
+    assert len(history) == 216 and history[-1] is None  # inf, written as null
+    assert all(b >= 2.0 * a > 0 for a, b in zip(history[:-2], history[1:-1]))
+
+
+def _solve_json(tmp_path, capsys, cfg, code=0):
+    """cli.main's solve --json on cfg, which must exit with code: its report
+    and its stderr lines."""
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["solve", "--config", path, "--json",
+                     "--out", os.path.join(tmp_path, "o")]) == code
+    out = capsys.readouterr()
+    return json.loads(out.out), out.err.splitlines()
+
+
+def test_growing_logistic_component_is_not_taken_for_divergence(tmp_path, capsys):
+    # the logistic component grows from 1e-6 data to its O(1) state, each
+    # fallback sweep changing the traces more than the one before; a rule that
+    # took four such sweeps in a row for divergence stopped it at step 5
+    cfg = _example()
+    cfg["fractional"]["N"] = 2
+    cfg["grid"].update(d=2, nx=17, ny=16)
+    cfg["problem"].update(
+        k=3, beta=1e3, coupling=[[0, 3, 3], [3, 0, 3], [3, 3, 0]],
+        reactions=[{"kind": "zero"}, {"kind": "logistic", "lam": 5.0},
+                   {"kind": "linear", "lam": 0.94}],
+        boundary_data={"kind": "separated_bumps", "width": 2.0, "height": 1e-6})
+    report, err = _solve_json(tmp_path, capsys, cfg)
+    assert err == [] and report["passed"]
+    meta = report["meta"]
+    assert meta["outer_iters"] <= 20 and meta["fallback_sweeps"] >= 4
+    assert meta["sup_norms"][1] == pytest.approx(0.835, abs=1e-3)
+    assert meta["sup_norms"][0] == meta["sup_norms"][2] == pytest.approx(1e-6)
+
+
+def test_large_data_converge_on_the_scaled_tolerance(tmp_path, capsys):
+    # at bump height 1e9 the Newton corrections stall at 3-5e-8, about 5e-17
+    # of the traces but above an absolute 1e-8: the stop scales with
+    # max(1, |X|)
+    cfg = _example()
+    cfg["problem"]["boundary_data"]["height"] = 1e9
+    report, err = _solve_json(tmp_path, capsys, cfg)
+    assert err == []
+    [check] = report["checks"]
+    assert check["name"] == "solver converged" and check["passed"]
+    assert 1e-8 < check["threshold"] <= 1e-8 * 1e9
+    assert check["value"] == report["meta"]["residual"] <= check["threshold"]
+    assert report["meta"]["outer_iters"] <= 20
+
+
+@pytest.mark.parametrize("fractional, grid, reaction", [
+    ({"s": 0.5, "N": 2}, {"d": 2, "L": 2.0, "Y": 1.5, "nx": 9, "ny": 16},
+     {"kind": "linear", "lam": 2.0}),
+    ({"s": 0.5, "N": 1}, {"d": 1, "L": 1e9, "Y": 1.5, "nx": 129, "ny": 48},
+     {"kind": "logistic", "lam": 50.0})], ids=["linear-d2", "logistic-d1"])
+def test_stationary_fallback_sweep_stops_at_an_exact_solution(
+        tmp_path, capsys, fractional, grid, reaction):
+    # X = 0 solves the system exactly, but c1 lies above mu, so the Hessian
+    # there is indefinite: the one fallback sweep changes nothing and stops
+    # the loop, where it used to run to the 500-step cap
+    cfg = tiny_config(fractional=fractional, grid=grid)
+    cfg["problem"] = {"k": 1, "beta": 1e3, "reactions": [reaction],
+                      "boundary_data": {"kind": "constant", "values": [0.0]}}
+    report, err = _solve_json(tmp_path, capsys, cfg)
+    assert err == [] and report["passed"]
+    meta = report["meta"]
+    assert meta["outer_iters"] == meta["fallback_sweeps"] == 1
+    assert meta["residual"] == 0.0 and meta["sup_norms"] == [0.0]
+    fields = read_snapshot(os.path.join(tmp_path, "o", "fields.bin"))
+    assert not np.any(fields[0].values)
+
+
+def test_iteration_cap_names_the_growth_rates(tmp_path, capsys, monkeypatch):
+    # linear lam = 1 lies above mu = 0.95: the fallback sweeps grow the traces
+    # about 1.05-fold each, to 1.2e10 at step 500, and the cap's message says
+    # why the run did not settle
+    monkeypatch.setattr(system_mod, "MAX_OUTER", 20)
+    cfg = _example()
+    cfg["problem"].update(
+        k=3, beta=100.0, coupling=[[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+        reactions=[{"kind": "zero"}, {"kind": "linear", "lam": 1.0},
+                   {"kind": "logistic", "lam": 2.0}])
+    del cfg["problem"]["boundary_data"]["centers"]
+    report, err = _solve_json(tmp_path, capsys, cfg, code=3)
+    mu = TraceSystem(build_grid(GridConfig(d=1, L=2.0, Y=1.5, nx=129, ny=48),
+                                FracParams(s=0.5, N=1))).principal_eigenvalue
+    assert mu < 1.0
     assert len(err) == 1
-    assert "fallback sweep diverged: its lagged data are not finite" in err[0]
-    assert err[0].endswith(f"growth rates c1 = [5.0, 5.0] against "
+    assert err[0].startswith("numerical failure: outer iteration cap 20 exceeded")
+    assert err[0].endswith(f"growth rates c1 = [0.0, 1.0, 2.0] against "
                            f"mu = min sigma = {mu:.6g}")
+    assert len(report["meta"]["failure"]["history"]) == 20
+
+
+@pytest.mark.parametrize("lam", [1.5, 3.0])
+def test_linear_rate_above_mu_has_a_bounded_state_beside_a_competitor(
+        tmp_path, capsys, lam):
+    # c1 >= mu rules out a bounded positive state only for k = 1 or beta = 0:
+    # the competitor's absorption lifts the linear component's eigenvalue
+    cfg = _example()
+    cfg["problem"].update(
+        reactions=[{"kind": "zero"}, {"kind": "linear", "lam": lam}],
+        boundary_data={"kind": "constant", "values": [1.0, 0.1]})
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["sweep", "--config", path, "--json",
+                     "--out", os.path.join(tmp_path, "o")]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    meta = json.loads(out.out)["meta"]
+    assert meta["outer_iters"] == [4, 4, 4]
+    with open(os.path.join(tmp_path, "o", "sweep.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["beta"] for row in rows] == ["100", "1000", "10000"]
+    assert all(0.0 < float(row["sup_norm_1"]) < 1.0 for row in rows)
+
+
+def test_diverging_run_stopped_by_a_residual_check_names_the_growth_rates(
+        tmp_path, capsys):
+    # linear lam = 984 lies far above mu: each fallback sweep grows the traces
+    # about 5000-fold, and at 1e157 a trace solve fails its residual check
+    # before the lagged data overflow; the message says why the run grew
+    cfg = tiny_config(fractional={"s": 0.05, "N": 2},
+                      grid={"d": 2, "L": 0.25, "Y": 0.25, "nx": 4, "ny": 4})
+    cfg["problem"] = {"k": 1, "beta": 0.0,
+                      "reactions": [{"kind": "linear", "lam": 984.0}],
+                      "boundary_data": {"kind": "separated_bumps", "width": 0.1}}
+    report, err = _solve_json(tmp_path, capsys, cfg, code=3)
+    assert len(err) == 1
+    assert re.fullmatch(r"numerical failure: outer step \d+: condensed trace solve "
+                        r"failed its residual check; growth rates c1 = \[984\.0\] "
+                        r"against mu = min sigma = 0\.177\d*", err[0]), err[0]
+    history = report["meta"]["failure"]["history"]
+    assert 30 <= len(history) <= 60 and history[-2] > 1e100

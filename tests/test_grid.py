@@ -751,16 +751,6 @@ def test_engine_keeps_one_horizontal_basis(sides):
             if getattr(v, "shape", None) == (n, n)] == ["_Q"]
 
 
-def test_drop_engine_frees_the_kept_engine(built_engines):
-    g = small_grid(**REUSE_CONFIG)
-    solve_linear(g, NEUMANN)
-    assert built_engines[-1][0]() is grid_mod._engine
-    grid_mod.drop_engine()
-    assert grid_mod._engine is None and built_engines[-1][0]() is None
-    solve_linear(g, NEUMANN)
-    assert len(built_engines) == 2 and built_engines[-1][1]
-
-
 def _libc_has(name):
     try:
         return hasattr(ctypes.CDLL(None), name)
@@ -794,24 +784,10 @@ def test_heap_thresholds_sit_at_the_top_of_the_adaptive_range(monkeypatch):
                      ("mallopt", (grid_mod.M_TRIM_THRESHOLD, 64 * 2 ** 20))]
 
 
-def test_drop_engine_trims_the_heap_and_a_rebuild_does_not(monkeypatch):
-    trims = []
-    monkeypatch.setattr(grid_mod, "_malloc_trim", trims.append)
-    monkeypatch.setattr(grid_mod, "_engine", None)
-    solve_linear(small_grid(**REUSE_CONFIG), NEUMANN)
-    solve_linear(small_grid(**{**REUSE_CONFIG, "nx": 19}), NEUMANN)
-    assert trims == []  # the next engine reuses what the last one freed
-    grid_mod.drop_engine()
-    assert trims == [0] and grid_mod._engine is None
-
-
 def test_heap_policy_is_a_no_op_without_the_libc_functions(monkeypatch):
     assert grid_mod._c_function(None, "no_such_function_in_any_libc", []) is None
     monkeypatch.setattr(grid_mod, "_c_function", lambda library, name, argtypes: None)
     grid_mod._set_heap_thresholds()
-    monkeypatch.setattr(grid_mod, "_malloc_trim", None)
-    monkeypatch.setattr(grid_mod, "_engine", None)
-    grid_mod.drop_engine()
 
 
 def test_c_function_lookups_that_fail_give_none(tmp_path, monkeypatch):

@@ -226,10 +226,8 @@ def test_every_private_name_is_read_in_its_module():
 
 
 #: public module-level names kept on purpose although no package module
-#: outside __init__ and nothing under perfbench/ reads them: drop_engine is
-#: for library callers that want a large engine's memory back, and the CLI,
-#: whose process exits after one command, no longer calls it
-UNREAD_PUBLIC_ALLOWED = {("grid.py", "drop_engine")}
+#: outside __init__ and nothing under perfbench/ reads them
+UNREAD_PUBLIC_ALLOWED = set()
 
 
 def read_names(source: str) -> set[str]:

@@ -373,8 +373,8 @@ def test_newton_steps_descend_the_energy(s, betas, reaction, k, monkeypatch):
     steps = []
     newton_step = system_mod._newton_step
 
-    def recording(engine, prob, R, X, c):
-        out = newton_step(engine, prob, R, X, c)
+    def recording(engine, prob, R, X, c, tol):
+        out = newton_step(engine, prob, R, X, c, tol)
         if out is not None:
             steps.append((_energy(engine, prob, R, X, c),
                           _energy(engine, prob, R, out[0], c)))
