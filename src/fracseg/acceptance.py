@@ -316,10 +316,9 @@ def check_beta_sweep(quick: bool = False) -> CheckResult:
             k=2, beta=0.0, coupling=np.array([[0.0, 1.0], [1.0, 0.0]]),
             reactions=np.zeros((2, 2)),
             dirichlet=(bump(-1.0), bump(1.0)))
-        sweep = sweep_beta(prob, betas, holder_alpha=alpha)
-        ov = sweep.column("overlap")
-        bo = sweep.column("beta_times_overlap")
-        hs = sweep.column("holder_seminorm")
+        rows = sweep_beta(prob, betas, holder_alpha=alpha)
+        ov, bo, hs = np.array([(r.overlap, r.beta_times_overlap, r.holder_seminorm)
+                               for r in rows]).T
         drop = ov[0] / ov[-1]
         bounded = bool(np.all(bo <= 10.0 * bo[0]))
         growth = hs.max() / hs[0] - 1.0

@@ -172,13 +172,6 @@ def _params(cfg: dict) -> FracParams:
     return FracParams(s=frac.get("s", 0.5), N=frac.get("N", 1))
 
 
-def _grid_config(cfg: dict) -> GridConfig:
-    g = cfg.get("grid", {})
-    return GridConfig(d=g.get("d", 1), L=g.get("L", 1.0), Y=g.get("Y", 1.0),
-                      nx=g.get("nx", 65), ny=g.get("ny", 32),
-                      grading_p=g.get("grading_p"))
-
-
 #: (c1, c2) of each schema reaction kind at rate lam, f(u) = c1 u + c2 u^2
 _REACTIONS = {"zero": lambda lam: (0.0, 0.0), "linear": lambda lam: (lam, 0.0),
               "logistic": lambda lam: (lam, -lam)}
@@ -207,8 +200,8 @@ def _problem(cfg: dict, beta: float) -> CompetitionProblem:
         width = bspec.get("width", 0.5)
         height = bspec.get("height", 1.0)
         dirichlet = tuple(bump(c, width, height) for c in centers)
-    return CompetitionProblem(params=params, grid_config=_grid_config(cfg),
-                              k=k, beta=beta, coupling=coupling,
+    return CompetitionProblem(params=params, k=k, beta=beta, coupling=coupling,
+                              grid_config=GridConfig(**cfg.get("grid", {})),
                               reactions=reactions, dirichlet=dirichlet)
 
 
@@ -271,7 +264,7 @@ def cmd_solve(cfg: dict, args) -> RunReport:
         cols = [np.broadcast_to(c, grid.shape).ravel() for c in grid_coordinates(grid)]
         cols += [f.values.ravel() for f in res.fields]
         _write(report, os.path.join(args.out, "fields.csv"),
-               _csv(names + [f"v{f.component}" for f in res.fields],
+               _csv(names + [f"v{i}" for i in range(len(res.fields))],
                     zip(*[c.tolist() for c in cols])))
     sups = [float(np.abs(f.values).max()) for f in res.fields]
     report.meta.update(outer_iters=res.outer_iters, sup_norms=sups,
@@ -292,19 +285,17 @@ def cmd_sweep(cfg: dict, args) -> RunReport:
         raise ConfigurationError("sweep needs problem.betas")
     alpha = pr.get("holder_alpha", 0.1 * min(_params(cfg).s, 0.5))
     prob = _problem(cfg, float(betas[0]))
-    sweep = sweep_beta(prob, betas, holder_alpha=alpha)
-    k = len(sweep.rows[0].sup_norms)
-    header = (["beta"] + [f"sup_norm_{i}" for i in range(k)]
+    rows = sweep_beta(prob, betas, holder_alpha=alpha)
+    header = (["beta"] + [f"sup_norm_{i}" for i in range(len(rows[0].sup_norms))]
               + ["overlap", "beta_times_overlap", "holder_alpha",
                  "holder_seminorm", "outer_iters"])
     _write(report, os.path.join(args.out, "sweep.csv"), _csv(header, (
         [r.beta, *r.sup_norms, r.overlap, r.beta_times_overlap, r.holder_alpha,
-         r.holder_seminorm, r.outer_iters] for r in sweep.rows)))
-    report.meta.update(overlaps=list(map(float, sweep.column("overlap"))),
-                       outer_iters=[r.outer_iters for r in sweep.rows],
-                       seconds=[r.seconds for r in sweep.rows],
-                       **{kind: [r.steps[kind] for r in sweep.rows]
-                          for kind in sweep.rows[0].steps})
+         r.holder_seminorm, r.outer_iters] for r in rows)))
+    report.meta.update(overlaps=[r.overlap for r in rows],
+                       outer_iters=[r.outer_iters for r in rows],
+                       seconds=[r.seconds for r in rows],
+                       **{kind: [r.steps[kind] for r in rows] for kind in rows[0].steps})
     return report
 
 
@@ -377,15 +368,21 @@ _REGION_LANDMARKS = {
 }
 
 
+def _mesh(cfg: dict, N: int) -> HemisphereMesh:
+    """The hemisphere mesh of order fractional.s in N trace dimensions, sized
+    by eigen.mesh_ntheta and mesh_nphi, HemisphereMesh's own where not given."""
+    eig = cfg.get("eigen", {})
+    sizes = {n: eig[f"mesh_{n}"] for n in ("ntheta", "nphi") if f"mesh_{n}" in eig}
+    params = FracParams(s=cfg.get("fractional", {}).get("s", 0.5), N=N)
+    return HemisphereMesh(params=params, **sizes)
+
+
 def cmd_eigen(cfg: dict, args) -> RunReport:
     report = RunReport("eigen")
-    frac = cfg.get("fractional", {})
-    params = FracParams(s=frac.get("s", 0.5), N=frac.get("N", 2))
-    eig = cfg.get("eigen", {})
-    mesh = HemisphereMesh(params=params, ntheta=eig.get("mesh_ntheta", 64),
-                          nphi=eig.get("mesh_nphi", 128))
+    mesh = _mesh(cfg, cfg.get("fractional", {}).get("N", 2))
+    params = mesh.params
     rows = []
-    for name in eig.get("regions", ["full", "empty", "half"]):
+    for name in cfg.get("eigen", {}).get("regions", ["full", "empty", "half"]):
         if name == "codim1":
             if params.s <= 0.5:
                 raise ConfigurationError("codim1 region needs s > 1/2")
@@ -409,19 +406,16 @@ def cmd_eigen(cfg: dict, args) -> RunReport:
 
 def cmd_nuacf(cfg: dict, args) -> RunReport:
     report = RunReport("nuacf")
-    frac = cfg.get("fractional", {})
-    params = FracParams(s=frac.get("s", 0.5), N=2)
-    eig = cfg.get("eigen", {})
-    mesh = HemisphereMesh(params=params, ntheta=eig.get("mesh_ntheta", 64),
-                          nphi=eig.get("mesh_nphi", 128))
-    ncaps = eig.get("cap_grid", 9)
+    mesh = _mesh(cfg, 2)
+    params = mesh.params
+    ncaps = cfg.get("eigen", {}).get("cap_grid", 9)
     res = nu_acf_caps(mesh, np.linspace(0.0, math.pi, ncaps))
     header = ("s", "t1", "t2", "lambda1_omega1", "lambda1_omega2", "gamma1",
               "gamma2", "mean_gamma")
     _write(report, os.path.join(args.out, "nuacf.csv"),
            _csv(header, ((params.s, *row) for row in res.table)))
     summary = {"s": params.s, "nu_hat": res.nu_hat,
-               "t1_star": res.argmin.t1, "t2_star": res.argmin.t2,
+               "t1_star": res.argmin[0], "t2_star": res.argmin[1],
                "support_overlap": res.support_overlap}
     _write(report, os.path.join(args.out, "nuacf.json"),
            json.dumps(summary, indent=2, sort_keys=True) + "\n")

@@ -1,9 +1,9 @@
-"""Scalar maps, kernels and closed-form model solutions of the extension problem.
+"""Scalar maps and closed-form model solutions of the extension problem.
 
 Everything in this module is a pure function of its inputs.  The objects here
-(homogeneity map, regularized kernel, explicit homogeneous solutions and the
-1-D comparison profile) serve as fixtures and building blocks for the grid
-solver, the diagnostics and the eigenvalue machinery.
+(homogeneity map, explicit homogeneous solutions and the 1-D comparison
+profile) serve as fixtures and building blocks for the grid solver, the
+diagnostics and the eigenvalue machinery.
 """
 
 from __future__ import annotations
@@ -36,11 +36,6 @@ class FracParams:
     def a(self) -> float:
         return 1.0 - 2.0 * self.s
 
-    @property
-    def half_gap(self) -> float:
-        """(N - 2s) / 2, the offset entering the homogeneity map."""
-        return 0.5 * (self.N - 2.0 * self.s)
-
 
 def gamma_map(t, p: FracParams):
     """Homogeneity degree of the eigenvalue-t homogeneous harmonic extension.
@@ -52,7 +47,7 @@ def gamma_map(t, p: FracParams):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("gamma_map requires t >= 0")
-    half = p.half_gap
+    half = 0.5 * (p.N - 2.0 * p.s)
     out = np.sqrt(np.maximum(half * half + t, 0.0)) - half
     return float(out) if out.ndim == 0 else out
 
@@ -110,52 +105,14 @@ class NamedSolution:
         return float(out) if np.ndim(out) == 0 else out
 
 
-def _split_point(X):
-    """Split points (..., m) into (x1, y); y is the last coordinate."""
-    X = np.asarray(X, dtype=float)
-    if X.shape[-1] < 2:
-        raise ValueError("points must have at least (x1, y) coordinates")
-    return X[..., 0], X[..., -1]
-
-
 def eval_solution(sol: NamedSolution, X):
     """Evaluate a named solution at stacked points X of shape (..., m), y
     last, on views of X's first and last coordinates; field_from_function
     (grid, sol) gives the same bits on any node box, with no stacked X."""
-    return sol(*_split_point(X))
-
-
-@dataclass(frozen=True)
-class RegularizedKernel:
-    """C^1 regularization of the power kernel |X|^{2s-N}.
-
-    Outside radius eps it equals |X|^{2s-N}; inside it is the parabola that
-    matches value and slope at the seam.  As eps decreases the kernel
-    increases pointwise toward the bare power (N > 2s required).
-    """
-
-    eps: float
-    params: FracParams
-
-    def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
-        if self.params.N <= 2.0 * self.params.s:
-            raise ValueError("regularized kernel requires N > 2s")
-
-    def profile(self, r):
-        """Kernel value as a function of the radius |X| >= 0."""
-        s, N = self.params.s, self.params.N
-        r = np.asarray(r, dtype=float)
-        if np.any(r < 0):
-            raise ValueError("radius must be nonnegative")
-        scale = self.eps ** (2.0 * s - N)
-        rho = r / self.eps
-        inner = scale * (0.5 * (N + 2.0 * (1.0 - s)) - 0.5 * (N - 2.0 * s) * rho * rho)
-        with np.errstate(divide="ignore"):
-            outer = np.where(r > 0, r, 1.0) ** (2.0 * s - N)
-        out = np.where(rho < 1.0, inner, outer)
-        return float(out) if out.ndim == 0 else out
+    X = np.asarray(X, dtype=float)
+    if X.shape[-1] < 2:
+        raise ValueError("points must have at least (x1, y) coordinates")
+    return sol(X[..., 0], X[..., -1])
 
 
 def comparison_mass(a: float) -> float:

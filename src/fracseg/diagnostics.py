@@ -21,7 +21,7 @@ import numpy as np
 
 from scipy.special import roots_jacobi
 
-from .core import RegularizedKernel
+from .core import FracParams
 from .grid import Field, HalfSpaceGrid, interpolate_field
 
 ACF_EXPONENTS = {
@@ -35,7 +35,6 @@ ACF_EXPONENTS = {
 class RadialProfile:
     """Sampled values of one radial quantity around a trace-point center."""
 
-    center: tuple
     radii: np.ndarray
     values: np.ndarray
     quantity: str
@@ -45,7 +44,6 @@ class RadialProfile:
 class MonotonicityReport:
     violations: int
     max_violation: float
-    tol: float
     passed: bool
 
 
@@ -56,11 +54,11 @@ def monotonicity_check(profile: RadialProfile, tol: float) -> MonotonicityReport
         raise ValueError("need at least 3 radii to audit monotonicity")
     scale = float(np.max(np.abs(v)))
     if scale == 0.0:
-        return MonotonicityReport(0, 0.0, tol, True)
+        return MonotonicityReport(0, 0.0, True)
     drops = np.maximum(0.0, v[:-1] - v[1:]) / scale
     max_violation = float(drops.max())
     violations = int(np.sum(drops > tol))
-    return MonotonicityReport(violations, max_violation, tol, max_violation <= tol)
+    return MonotonicityReport(violations, max_violation, max_violation <= tol)
 
 
 #: kernel_energy re-integrates the cells within _CORE_CELLS diagonals of the
@@ -278,13 +276,24 @@ class _CellGeometry:
         return np.bincount(kr, weights=dens * ((1.0 - t) / w), minlength=self.radii.size)
 
 
-def _kernel_profile(grid: HalfSpaceGrid, eps: float):
-    """Radial kernel |X|^{2s-N}, regularized at scale eps when N > 2s."""
-    p = grid.params
-    if p.N > 2.0 * p.s:
-        ker = RegularizedKernel(eps=eps, params=p)
-        return ker.profile
-    return lambda r: np.asarray(r, dtype=float) ** (2.0 * p.s - p.N)
+def _kernel_profile(params: FracParams, eps: float):
+    """Radial kernel |X|^{2s-N} as a function of the radius |X| >= 0; when
+    N > 2s, C^1-regularized at scale eps > 0: inside radius eps the parabola
+    that matches value and slope at the seam, so that it increases pointwise
+    toward the bare power as eps decreases."""
+    s, N = params.s, params.N
+    if N <= 2.0 * s:
+        return lambda r: np.asarray(r, dtype=float) ** (2.0 * s - N)
+
+    def profile(r):
+        r = np.asarray(r, dtype=float)
+        scale = eps ** (2.0 * s - N)
+        rho = r / eps
+        inner = scale * (0.5 * (N + 2.0 * (1.0 - s)) - 0.5 * (N - 2.0 * s) * rho * rho)
+        with np.errstate(divide="ignore"):
+            outer = np.where(r > 0, r, 1.0) ** (2.0 * s - N)
+        return np.where(rho < 1.0, inner, outer)
+    return profile
 
 
 def _fields_geometry(fields, center, radii):
@@ -307,11 +316,11 @@ def acf_one_phase(fld: Field, center, radii, variant: str) -> RadialProfile:
     if variant == "acf_codim1" and p.s <= 0.5:
         raise ValueError("codim1 variant requires s > 1/2")
     geo = _CellGeometry(grid, center, radii)
-    kern = _kernel_profile(grid, eps=float(np.hypot(grid.dx, grid.y[1])))
+    kern = _kernel_profile(p, eps=float(np.hypot(grid.dx, grid.y[1])))
     integrand = geo.kernel_energy(fld, kern)
     vals = (geo.volume_integral(integrand)
             / geo.radii ** ACF_EXPONENTS[variant](p.s))
-    return RadialProfile(geo.center, geo.radii, vals, variant)
+    return RadialProfile(geo.radii, vals, variant)
 
 
 class AlmgrenProfiles(NamedTuple):
@@ -367,9 +376,9 @@ def almgren(fields, center, radii) -> AlmgrenProfiles:
     if np.any(H <= 0):
         bad = geo.radii[np.argmax(H <= 0)]
         raise ValueError(f"frequency undefined: H vanishes near r = {bad:.4g}")
-    return AlmgrenProfiles(RadialProfile(geo.center, geo.radii, E, "E"),
-                           RadialProfile(geo.center, geo.radii, H, "H"),
-                           RadialProfile(geo.center, geo.radii, E / H, "Nfreq"))
+    return AlmgrenProfiles(RadialProfile(geo.radii, E, "E"),
+                           RadialProfile(geo.radii, H, "H"),
+                           RadialProfile(geo.radii, E / H, "Nfreq"))
 
 
 def log_derivative_residual(h_profile: RadialProfile, n_profile: RadialProfile):

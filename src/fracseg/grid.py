@@ -183,8 +183,8 @@ class Field:
     read: `values` samples every node and `window(nodes)` only that box of
     nodes; the box it holds answers every later read that lies inside it."""
 
-    def __init__(self, grid: HalfSpaceGrid, values=None, component: int = 0, fn=None):
-        self.grid, self.component, self._fn, self._box = grid, component, fn, None
+    def __init__(self, grid: HalfSpaceGrid, values=None, fn=None):
+        self.grid, self._fn, self._box = grid, fn, None
         if fn is None:
             self._box = tuple(slice(0, n) for n in grid.shape)
             self._held = self._checked(values, grid.shape)
@@ -902,9 +902,6 @@ def read_snapshot(path: str) -> list[Field]:
                          f"the header announces {k} fields of {n * 8}")
     grid = build_grid(GridConfig(d=d, L=L, Y=Y, nx=nx, ny=ny, grading_p=p),
                       FracParams(s=s, N=N))
-    fields = []
-    for ci in range(k):
-        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=head_size + ci * n * 8)
-        fields.append(Field(grid, arr.reshape(grid.shape).copy(), component=ci))
-    return fields
+    return [Field(grid, np.frombuffer(raw, "<f8", n, head_size + i * n * 8)
+                  .reshape(grid.shape).copy()) for i in range(k)]
 

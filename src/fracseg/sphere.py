@@ -81,20 +81,6 @@ class EquatorRegion:
         return out
 
 
-@dataclass(frozen=True)
-class CapPair:
-    """Angular radii of two antipodally centered equator caps."""
-
-    t1: float
-    t2: float
-
-    def __post_init__(self):
-        if self.t1 < 0 or self.t2 < 0:
-            raise ValueError("cap radii must be nonnegative")
-        if self.t1 + self.t2 > math.pi + 1e-12:
-            raise ValueError("caps overlap: t1 + t2 must not exceed pi")
-
-
 def _int_sin_pow(a: float, lo, hi) -> np.ndarray:
     """Integral of sin(alpha)^a over each cell [lo, hi] within [0, pi], a > -1.
 
@@ -435,9 +421,8 @@ def lambda1_codim1(mesh: HemisphereMesh):
 
 @dataclass
 class CapScanResult:
-    s: float
     nu_hat: float
-    argmin: CapPair
+    argmin: tuple  # (t1, t2), the angular radii of the optimal cap pair
     table: list  # rows (t1, t2, lam1, lam2, gamma1, gamma2, mean_gamma)
     #: mass-weighted overlap of the optimal pair's eigenfunction supports,
     #: recorded as data: the minimizers separate on the equator only, not on
@@ -473,8 +458,8 @@ def nu_acf_caps(mesh: HemisphereMesh, radii_grid=None) -> CapScanResult:
             mean = 0.5 * (g1 + g2)
             table.append((float(t1), float(t2), l1, l2, g1, g2, mean))
             if mean < best[0]:
-                best = (mean, CapPair(float(t1), float(t2)), u1, u2)
-    return CapScanResult(s=p.s, nu_hat=best[0], argmin=best[1], table=table,
+                best = (mean, (float(t1), float(t2)), u1, u2)
+    return CapScanResult(nu_hat=best[0], argmin=best[1], table=table,
                          support_overlap=_support_overlap(mesh, *best[2:]))
 
 

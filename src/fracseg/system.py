@@ -114,10 +114,6 @@ class SolveResult:
     steps: dict  # outer steps: newton_steps (full), damped_steps, fallback_sweeps
     tol: float  # the last step's stop tolerance, _tolerance of its start
 
-    @property
-    def traces(self) -> list:
-        return [f.trace for f in self.fields]
-
 
 def bump(center: float, width: float = 0.5, height: float = 1.0):
     """Gaussian bump height * exp(-4 ((x1 - center) / width)^2) as wall data,
@@ -138,9 +134,15 @@ def _growth_rates(engine, R) -> str:
     """Why a run may not settle: each component's linear rate c1 against the
     principal eigenvalue mu of S t = mu area t.  c1 >= mu leaves no bounded
     positive state only for k = 1 or beta = 0 (Sattinger 1972); the other
-    components' absorption can lift a component's eigenvalue above its c1."""
-    return (f"growth rates c1 = {R[0, :, 0].tolist()} against "
+    components' absorption can lift a component's eigenvalue above its c1.
+    Where some c2 > 0 the quadratic rates are named too: a superlinear
+    source can blow up from large data, whatever c1."""
+    text = (f"growth rates c1 = {R[0, :, 0].tolist()} against "
             f"mu = min sigma = {engine.principal_eigenvalue:.6g}")
+    if np.any(R[1] > 0):
+        text += (f"; quadratic rates c2 = {R[1, :, 0].tolist()}: a source "
+                 "c2 u^2 with c2 > 0 can blow up")
+    return text
 
 
 def _gauss_seidel(engine, prob, R, loads, X):
@@ -222,8 +224,8 @@ def solve_system(prob: CompetitionProblem, warm_start=None) -> SolveResult:
     with the per-step history (Newton correction or sweep change) when
     MAX_OUTER steps do not converge or when a step fails (the history then
     ends with the failed step's residual: inf for a fallback sweep whose data
-    overflow), its message naming each c1 against mu (_growth_rates), or
-    when a field fails its gate.
+    overflow), its message naming each c1 against mu and any c2 > 0
+    (_growth_rates), or when a field fails its gate.
     """
     grid = build_grid(prob.grid_config, prob.params)
     engine = trace_system(grid)  # Dirichlet walls, free trace
@@ -277,17 +279,16 @@ def solve_system(prob: CompetitionProblem, warm_start=None) -> SolveResult:
             except ConvergenceError as exc:  # the field gate
                 raise ConvergenceError(str(exc), residual=exc.residual,
                                        iterations=outer, history=history) from exc
-            fields.append(Field(grid, v, component=i))
+            fields.append(Field(grid, v))
     return SolveResult(fields=fields, residual_history=history,
                        outer_iters=outer, steps=steps, tol=tol)
 
 
 def trace_overlap(result: SolveResult) -> float:
     """Trace overlap sum_{i<j} int u_i^2 u_j^2 dx over the whole trace."""
-    grid = result.fields[0].grid
-    area = trace_area(grid)
+    area = trace_area(result.fields[0].grid)
     total = 0.0
-    traces = result.traces
+    traces = [f.trace for f in result.fields]
     for i in range(len(traces)):
         for j in range(i + 1, len(traces)):
             total += float(np.sum(area * traces[i] ** 2 * traces[j] ** 2))
@@ -307,22 +308,14 @@ class SweepRow:
     steps: dict  # SolveResult.steps; not written to the CSV
 
 
-@dataclass
-class BetaSweep:
-    rows: list
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows])
-
-
-def sweep_beta(prob: CompetitionProblem, betas, holder_alpha: float) -> BetaSweep:
+def sweep_beta(prob: CompetitionProblem, betas, holder_alpha: float) -> list:
     """Solve along an increasing beta list, warm-starting each solve.
 
-    Records per beta: sup norms, trace overlap, beta * overlap, and the exact
-    trace Hölder seminorm at holder_alpha restricted to the inner half of the
-    trace (|x| <= L/2).  Every beta's solve_system gets the same engine
-    from grid.trace_system, so the operator is set up once; the solved
-    fields are not kept (callers that need them run solve_system).
+    Returns one SweepRow per beta: sup norms, trace overlap, beta * overlap,
+    and the exact trace Hölder seminorm at holder_alpha restricted to the
+    inner half of the trace (|x| <= L/2).  Every beta's solve_system gets the
+    same engine from grid.trace_system, so the operator is set up once; the
+    solved fields are not kept (callers that need them run solve_system).
     """
     betas = np.asarray(betas, dtype=float)
     if betas.size == 0 or np.any(np.diff(betas) <= 0):
@@ -350,4 +343,4 @@ def sweep_beta(prob: CompetitionProblem, betas, holder_alpha: float) -> BetaSwee
             holder_alpha=holder_alpha, holder_seminorm=semi,
             outer_iters=res.outer_iters,
             seconds=time.perf_counter() - start, steps=res.steps))
-    return BetaSweep(rows=rows)
+    return rows

@@ -1152,3 +1152,26 @@ def test_diverging_run_stopped_by_a_residual_check_names_the_growth_rates(
                         r"against mu = min sigma = 0\.177\d*", err[0]), err[0]
     history = report["meta"]["failure"]["history"]
     assert 30 <= len(history) <= 60 and history[-2] > 1e100
+
+
+def test_superlinear_blow_up_names_the_quadratic_rates(tmp_path, capsys):
+    # logistic lam = -2 is f = -2 u + 2 u^2: c1 = -2 lies below mu, but the
+    # source c2 u^2 with c2 = 2 blows the bumps of height 10 up (the sweep
+    # changes square each step) until a trace solve fails its residual
+    # check; the message names c2 beside c1
+    cfg = tiny_config(fractional={"s": 0.87, "N": 1},
+                      grid={"d": 1, "nx": 28, "ny": 5})
+    cfg["problem"] = {"k": 3, "beta": 62.6,
+                      "reactions": [{"kind": "zero"}, {"kind": "linear", "lam": 0.0},
+                                    {"kind": "logistic", "lam": -2.0}],
+                      "boundary_data": {"kind": "separated_bumps", "height": 10.0}}
+    report, err = _solve_json(tmp_path, capsys, cfg, code=3)
+    mu = TraceSystem(build_grid(GridConfig(d=1, nx=28, ny=5),
+                                FracParams(s=0.87, N=1))).principal_eigenvalue
+    assert len(err) == 1
+    assert re.fullmatch(
+        r"numerical failure: outer step \d+: condensed trace solve failed its "
+        r"residual check; growth rates c1 = \[0\.0, 0\.0, -2\.0\] against mu = "
+        + re.escape(f"min sigma = {mu:.6g}; quadratic rates c2 = [0.0, 0.0, 2.0]: "
+                    "a source c2 u^2 with c2 > 0 can blow up"), err[0]), err[0]
+    assert report["meta"]["failure"]["history"][-2] > 1e100

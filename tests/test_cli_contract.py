@@ -18,8 +18,10 @@ from fracseg.grid import read_snapshot
 
 #: every reason a solve or a sweep may give for exit 3, after the optional
 #: "sweep failed at beta=...: " prefix; a failed outer step and the step cap
-#: also name each component's c1 against mu
-_GROWTH = r"; growth rates c1 = \[[^]]*\] against mu = min sigma = \S+"
+#: also name each component's c1 against mu, and each c2 when one is positive
+_GROWTH = (r"; growth rates c1 = \[[^]]*\] against mu = min sigma = \S+"
+           r"(; quadratic rates c2 = \[[^]]*\]: a source c2 u\^2 with c2 > 0 "
+           r"can blow up)?")
 EXIT_3_REASONS = (
     r"outer step \d+: fallback sweep diverged: its lagged data are not finite"
     + _GROWTH,

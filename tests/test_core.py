@@ -1,4 +1,4 @@
-"""Closed-form maps, kernels and model solutions."""
+"""Closed-form maps and model solutions."""
 
 import math
 
@@ -9,8 +9,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import stdtr
 
 from fracseg.core import (SOLUTION_TAGS, FracParams, NamedSolution,
-                          RegularizedKernel, comparison_f, eval_solution,
-                          gamma_inverse, gamma_map)
+                          comparison_f, eval_solution, gamma_inverse, gamma_map)
 
 S_GRID = (0.25, 0.5, 0.75)
 
@@ -73,51 +72,6 @@ def test_gamma_domain_errors():
         gamma_map(-0.1, p)
     with pytest.raises(ValueError):
         gamma_inverse(-0.1, p)
-
-
-def test_kernel_seam_and_values():
-    p = FracParams(s=0.5, N=2)
-    k = RegularizedKernel(eps=1.0, params=p)
-    # C^1 matching forces value 1 at the seam
-    assert k.profile(1.0) == pytest.approx(1.0, rel=1e-14)
-    # inner branch at the origin: (N + 2(1-s))/2, frozen for N=2, s=0.5
-    assert k.profile(0.0) == pytest.approx(1.5)
-    # outer branch is the bare power
-    for s in S_GRID:
-        for N in (2, 3):
-            kk = RegularizedKernel(eps=1.0, params=FracParams(s=s, N=N))
-            assert kk.profile(2.0) == pytest.approx(2.0 ** (2 * s - N), rel=1e-14)
-
-
-def test_kernel_c1_derivative_jump():
-    p = FracParams(s=0.3, N=2)
-    k = RegularizedKernel(eps=0.7, params=p)
-    jumps = []
-    for h in (1e-3, 1e-4):
-        left = (k.profile(0.7) - k.profile(0.7 - h)) / h
-        right = (k.profile(0.7 + h) - k.profile(0.7)) / h
-        jumps.append(abs(right - left))
-    assert jumps[1] < 0.2 * jumps[0]  # jump vanishes at O(h)
-
-
-def test_kernel_monotone_in_eps():
-    p = FracParams(s=0.3, N=2)
-    r = np.linspace(0.0, 3.0, 301)
-    k1 = RegularizedKernel(eps=1.0, params=p).profile(r)
-    k2 = RegularizedKernel(eps=0.5, params=p).profile(r)
-    k3 = RegularizedKernel(eps=0.25, params=p).profile(r)
-    assert np.all(k2 >= k1 - 1e-14)
-    assert np.all(k3 >= k2 - 1e-14)
-
-
-def test_kernel_validation():
-    with pytest.raises(ValueError):
-        RegularizedKernel(eps=0.0, params=FracParams(s=0.3, N=2))
-    with pytest.raises(ValueError):
-        RegularizedKernel(eps=1.0, params=FracParams(s=0.75, N=1))  # N <= 2s
-    k = RegularizedKernel(eps=1.0, params=FracParams(s=0.3, N=2))
-    with pytest.raises(ValueError):
-        k.profile(-0.5)  # a negative radius
 
 
 def test_named_solution_values():

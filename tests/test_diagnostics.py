@@ -6,8 +6,8 @@ from scipy.integrate import quad
 
 from fracseg import diagnostics
 from fracseg.core import FracParams, NamedSolution
-from fracseg.diagnostics import (_CellGeometry, acf_one_phase, almgren,
-                                 holder_seminorm, log_derivative_residual,
+from fracseg.diagnostics import (_CellGeometry, _kernel_profile, acf_one_phase,
+                                 almgren, holder_seminorm, log_derivative_residual,
                                  monotonicity_check, pohozaev_residual,
                                  trace_seminorm)
 from fracseg.grid import (Field, GridConfig, build_grid, field_from_function,
@@ -37,6 +37,40 @@ def test_acf_constant_on_matched_profiles():
         prof = acf_one_phase(fld, (0.0,), RADII, variant)
         dev = (prof.values.max() - prof.values.min()) / prof.values.mean()
         assert dev < 0.02
+
+
+def test_kernel_seam_and_values():
+    k = _kernel_profile(FracParams(s=0.5, N=2), eps=1.0)
+    # C^1 matching forces value 1 at the seam
+    assert float(k(1.0)) == pytest.approx(1.0, rel=1e-14)
+    # inner branch at the origin: (N + 2(1-s))/2, frozen for N=2, s=0.5
+    assert float(k(0.0)) == pytest.approx(1.5)
+    # outer branch is the bare power
+    for s in (0.25, 0.5, 0.75):
+        for N in (2, 3):
+            kk = _kernel_profile(FracParams(s=s, N=N), eps=1.0)
+            assert float(kk(2.0)) == pytest.approx(2.0 ** (2 * s - N), rel=1e-14)
+    # N <= 2s: the bare power everywhere, inside eps too
+    r = np.linspace(0.0, 2.0, 9)
+    assert np.array_equal(_kernel_profile(FracParams(s=0.75, N=1), eps=1.0)(r), r ** 0.5)
+
+
+def test_kernel_c1_derivative_jump():
+    k = _kernel_profile(FracParams(s=0.3, N=2), eps=0.7)
+    jumps = []
+    for h in (1e-3, 1e-4):
+        left = (k(0.7) - k(0.7 - h)) / h
+        right = (k(0.7 + h) - k(0.7)) / h
+        jumps.append(abs(right - left))
+    assert jumps[1] < 0.2 * jumps[0]  # jump vanishes at O(h)
+
+
+def test_kernel_monotone_in_eps():
+    p = FracParams(s=0.3, N=2)
+    r = np.linspace(0.0, 3.0, 301)
+    k1, k2, k3 = (_kernel_profile(p, eps)(r) for eps in (1.0, 0.5, 0.25))
+    assert np.all(k2 >= k1 - 1e-14)
+    assert np.all(k3 >= k2 - 1e-14)
 
 
 def test_acf_zero_on_constants():

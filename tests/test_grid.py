@@ -938,8 +938,7 @@ def test_interpolation_exact_on_multilinear():
 def test_snapshot_roundtrip(tmp_path):
     g = small_grid(s=0.35, nx=17, ny=8)
     rng = np.random.default_rng(3)
-    fields = [Field(g, rng.standard_normal(g.shape), component=i)
-              for i in range(2)]
+    fields = [Field(g, rng.standard_normal(g.shape)) for _ in range(2)]
     path = os.path.join(tmp_path, "snap.bin")
     write_snapshot(path, fields)
     back = read_snapshot(path)

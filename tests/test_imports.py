@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "fracseg"
 
@@ -36,6 +37,34 @@ def test_import_loads_no_scipy_integrate_or_optimize():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(PACKAGE.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+#: every public name `import fracseg` binds, each re-exported from the
+#: module that defines it
+EXPORTS = {
+    "FracParams", "NamedSolution", "comparison_f", "eval_solution", "gamma_inverse",
+    "gamma_map", "ConfigurationError", "ConvergenceError", "BoundaryData", "Field",
+    "GridConfig", "HalfSpaceGrid", "assemble_La", "build_grid", "dtn_trace",
+    "field_from_function", "interpolate_field", "read_snapshot", "solve_linear",
+    "write_snapshot", "MonotonicityReport", "RadialProfile", "acf_one_phase", "almgren",
+    "holder_seminorm", "log_derivative_residual", "monotonicity_check",
+    "pohozaev_residual", "trace_seminorm", "ComparisonProfile", "PeriodicGrid1D",
+    "PVResult", "comparison_pv", "frac_lap_pv", "frac_lap_symbol", "EquatorRegion",
+    "HemisphereMesh", "lambda1", "lambda1_codim1", "nu_acf_caps", "CompetitionProblem",
+    "SolveResult", "solve_system", "sweep_beta", "trace_overlap",
+}
+
+
+def test_package_exports_exactly_its_public_names():
+    import fracseg
+
+    public = {name for name, value in vars(fracseg).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == EXPORTS
+    for name in EXPORTS:
+        value = getattr(fracseg, name)
+        assert value.__module__.startswith("fracseg.")
+        assert getattr(sys.modules[value.__module__], name) is value
 
 
 def test_guard_sees_private_imports():

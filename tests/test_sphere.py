@@ -16,8 +16,8 @@ from fracseg import sphere
 from fracseg.core import FracParams
 from fracseg.errors import ConfigurationError, ConvergenceError
 from fracseg.grid import BACKWARD_TOL, ModeChains
-from fracseg.sphere import (CapPair, EquatorRegion, HemisphereMesh, lambda1,
-                            lambda1_codim1, nu_acf_caps)
+from fracseg.sphere import (EquatorRegion, HemisphereMesh, lambda1, lambda1_codim1,
+                            nu_acf_caps)
 
 S_GRID = (0.25, 0.5, 0.75)
 
@@ -223,10 +223,6 @@ def test_region_and_cap_validation():
         EquatorRegion(arcs=((0.0, 8.0),))  # exceeds the circle
     with pytest.raises(ValueError):
         EquatorRegion(arcs=((1.0, 0.5),))
-    with pytest.raises(ValueError):
-        CapPair(2.0, 2.0)  # overlapping caps
-    with pytest.raises(ValueError):
-        CapPair(-0.1, 0.5)
     region = EquatorRegion.cap(0.0, math.pi / 2)
     phi = np.array([0.0, math.pi / 4, math.pi, -math.pi / 4 + 2 * math.pi])
     assert list(region.contains(phi)) == [True, True, False, True]
@@ -261,7 +257,9 @@ def test_nu_scan_endpoints_and_bound():
             assert mean == pytest.approx(s, rel=0.02)
             found_cut = True
     assert found_degenerate and found_cut
-    assert res.argmin.t1 + res.argmin.t2 <= math.pi + 1e-12
+    t1, t2 = res.argmin  # a disjoint pair of the table, at the minimal mean
+    assert 0.0 <= t1 and 0.0 <= t2 and t1 + t2 <= math.pi + 1e-12
+    assert (t1, t2, res.nu_hat) in {(row[0], row[1], row[6]) for row in res.table}
 
 
 def test_nu_scan_needs_the_n2_mesh():
@@ -461,7 +459,7 @@ def test_scan_overlap_reuses_the_t1_eigenpair():
     # equals that of a fresh solve of that cap
     mesh = mesh2(0.5, nt=24, nph=48)
     res = nu_acf_caps(mesh)
-    t1, t2 = res.argmin.t1, res.argmin.t2
+    t1, t2 = res.argmin
     _, u1 = lambda1(mesh, EquatorRegion.cap(0.0, t1))
     lam2, u2 = lambda1(mesh, EquatorRegion.cap(0.0, t2))
     assert res.support_overlap == sphere._support_overlap(mesh, u1, u2)

@@ -444,8 +444,8 @@ def test_three_component_sweep():
 def test_s03_sweep_converges():
     # perfbench NOTES defect 1: at s = 0.3 on 129 x 48 Gauss-Seidel alone
     # stalled at beta = 1e4 (500 steps, last change 4.7e-8)
-    sweep = sweep_beta(make_problem(s=0.3), [1e2, 1e3, 1e4], holder_alpha=0.03)
-    assert np.all(sweep.column("outer_iters") <= 20)
+    rows = sweep_beta(make_problem(s=0.3), [1e2, 1e3, 1e4], holder_alpha=0.03)
+    assert all(r.outer_iters <= 20 for r in rows)
 
 
 def _thread_counts():
@@ -541,14 +541,14 @@ def test_nan_reaction_raises(monkeypatch):
 
 def test_sweep_segregation_and_boundedness():
     betas = [1e2, 1e3, 1e4]
-    sweep = sweep_beta(make_problem(), betas, holder_alpha=0.05)
-    ov = sweep.column("overlap")
-    bo = sweep.column("beta_times_overlap")
-    hs = sweep.column("holder_seminorm")
+    rows = sweep_beta(make_problem(), betas, holder_alpha=0.05)
+    assert [r.beta for r in rows] == betas
+    ov, bo, hs = np.array([(r.overlap, r.beta_times_overlap, r.holder_seminorm)
+                           for r in rows]).T
     assert ov[0] / ov[-1] >= 10.0
     assert np.all(bo <= 10.0 * bo[0])
     assert hs.max() / hs[0] <= 1.5
-    assert np.all(sweep.column("outer_iters") >= 1)
+    assert all(r.outer_iters >= 1 for r in rows)
 
 
 def test_sweep_validation():
@@ -559,10 +559,10 @@ def test_sweep_validation():
 
 
 def test_sweep_single_beta_zero_entry():
-    sweep = sweep_beta(make_problem(nx=65, ny=24), [0.0], holder_alpha=0.05)
-    assert len(sweep.rows) == 1
-    assert sweep.rows[0].beta == 0.0
-    assert sweep.rows[0].overlap > 0
+    rows = sweep_beta(make_problem(nx=65, ny=24), [0.0], holder_alpha=0.05)
+    assert len(rows) == 1
+    assert rows[0].beta == 0.0
+    assert rows[0].overlap > 0
 
 
 def test_overlap_at_beta_zero_matches_decoupled_solves():
